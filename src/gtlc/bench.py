@@ -7,24 +7,24 @@ enumerated by the files themselves.  The all-zeros file is the
 fully-untyped baseline.
 
 For every configuration the harness runs the program unoptimized and
-optimized, reports wall-time overhead of each against the baseline's
-unoptimized run (mean over the requested iterations), and reports the
-check-count ratio of optimized to unoptimized.  Check counts are the
-deterministic signal; wall time is informational.  Configurations whose
-optimized answer disagrees with the unoptimized one are flagged, never
-fatal.
+optimized, interleaved round by round with the baseline's unoptimized
+program, and reports the wall-time overhead of each against the baseline
+and the check-count ratio of optimized to unoptimized.  An overhead is the
+fastest of the requested iterations over the baseline's fastest in the
+same rounds: the host only ever slows a run down, so the fastest run is
+the one least disturbed.  Check counts are the deterministic signal; wall
+time is informational.  Configurations whose optimized answer disagrees
+with the unoptimized one are flagged, never fatal.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import statistics
-import time
 from pathlib import Path
 
 from . import analysis, interp, optimize
 from .frontend import check_wellformed, parse_program
-from .optimize import Verdict
 from .syntax import Program
 from .translate import compile_program
 
@@ -48,51 +48,32 @@ def lattice_configs(entry_dir: Path) -> list[Path]:
     return sorted(files, key=lambda f: (f.stem.count("1"), f.stem))
 
 
-def timed_verdicts(p: Program, trust_typed: bool,
-                   budget: int) -> tuple[list[Verdict], dict[str, float]]:
-    """Per-module verdicts plus the wall time each module's analysis took."""
-    verdicts: list[Verdict] = []
-    seconds: dict[str, float] = {}
-    parties = p.names()
-    for m in p.modules:
-        others = frozenset(n for n in parties if n != m.name)
-        if trust_typed and m.typed:
-            verdicts.append(Verdict(m.name, others, exhausted=False))
-            seconds[m.name] = 0.0
-            continue
-        t0 = time.perf_counter()
-        root = compile_program(optimize.slice_for_module(p, m.name)).root
-        bs = analysis.analyze(root, budget)
-        seconds[m.name] = time.perf_counter() - t0
-        if bs.exhausted:
-            verdicts.append(Verdict(m.name, frozenset(), exhausted=True))
-        else:
-            blamed_toward = {l.holder for l in bs.labels if l.blamed == m.name}
-            verdicts.append(Verdict(m.name, others - blamed_toward, exhausted=False))
-    return verdicts, seconds
+def _interleaved_runs(roots: list, fuel: int, iterations: int) -> list[tuple]:
+    """Evaluate each root once per round for `iterations` rounds, so that
+    the host's drift in speed hits every root alike; the order rotates from
+    round to round, so no root always runs after the same one.  Returns,
+    per root, its answer, its metrics and its wall times."""
+    n = len(roots)
+    last: list = [None] * n
+    times: list[list[float]] = [[] for _ in roots]
+    for r in range(max(1, iterations)):
+        for k in range(n):
+            i = (r + k) % n
+            last[i] = interp.evaluate(roots[i], fuel=fuel)
+            times[i].append(last[i][1].wall_time)
+    return [(a, m, t) for (a, m), t in zip(last, times)]
 
 
-def _run_times(root, fuel: int, iterations: int):
-    if iterations > 1:
-        interp.evaluate(root, fuel=fuel)  # warmup, untimed
-    answers = []
-    times = []
-    metrics = None
-    for _ in range(max(1, iterations)):
-        a, m = interp.evaluate(root, fuel=fuel)
-        answers.append(a)
-        times.append(m.wall_time)
-        metrics = m
-    mean = statistics.fmean(times)
-    sd = statistics.stdev(times) if len(times) > 1 else 0.0
-    return answers[0], metrics, mean, sd
+def _timing(times: list[float]) -> dict:
+    return {"time_min": min(times), "time_mean": statistics.fmean(times),
+            "time_sd": statistics.stdev(times) if len(times) > 1 else 0.0}
 
 
 def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
                 budget: int = analysis.DEFAULT_BUDGET,
                 trust_typed: bool = True) -> dict:
     configs = []
-    baseline_mean = None
+    baseline_root = None
     for path in lattice_configs(entry_dir):
         text = path.read_text(encoding="utf-8")
         program, diags = parse_program(text)
@@ -103,16 +84,18 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
                             "diagnostics": [str(d) for d in diags]})
             continue
         compiled = compile_program(program)
-        answer, metrics, mean, sd = _run_times(compiled.root, fuel, iterations)
-
-        verdicts, seconds = timed_verdicts(program, trust_typed, budget)
+        verdicts = optimize.compute_verdicts(program, trust_typed, budget)
         opt_compiled, report = optimize.optimize_program(
             program, trust_typed=trust_typed, budget=budget, verdicts=verdicts)
-        opt_answer, opt_metrics, opt_mean, opt_sd = _run_times(
-            opt_compiled.root, fuel, iterations)
 
-        if baseline_mean is None:  # lattice order puts the all-untyped file first
-            baseline_mean = mean
+        roots = [compiled.root, opt_compiled.root]
+        if baseline_root is None:  # lattice order puts the all-untyped file first
+            baseline_root = compiled.root
+        else:
+            roots.append(baseline_root)
+        runs = _interleaved_runs(roots, fuel, iterations)
+        (answer, metrics, times), (opt_answer, opt_metrics, opt_times) = runs[:2]
+        base_time = min(runs[2][2] if len(runs) > 2 else times)
 
         checks = metrics.flat_checks
         configs.append({
@@ -123,19 +106,19 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
             "unoptimized": {
                 "answer": interp.answer_to_json(answer),
                 "metrics": metrics.as_dict(),
-                "time_mean": mean, "time_sd": sd,
+                **_timing(times),
             },
             "optimized": {
                 "answer": interp.answer_to_json(opt_answer),
                 "metrics": opt_metrics.as_dict(),
-                "time_mean": opt_mean, "time_sd": opt_sd,
+                **_timing(opt_times),
             },
-            "overhead_unoptimized": mean / baseline_mean,
-            "overhead_optimized": opt_mean / baseline_mean,
+            "overhead_unoptimized": min(times) / base_time,
+            "overhead_optimized": min(opt_times) / base_time,
             "check_ratio": (opt_metrics.flat_checks / checks) if checks else None,
             "agree": interp.answer_to_json(answer) == interp.answer_to_json(opt_answer),
             "optimization": report.as_json(),
-            "analysis_seconds": seconds,
+            "analysis_seconds": {v.module: v.seconds for v in verdicts},
         })
     return {"entry": entry_dir.name, "configs": configs}
 

@@ -111,13 +111,13 @@ def cmd_analyze(args) -> int:
         bs = analysis.analyze(root, args.budget)
         _emit_json({"schema": 1, "module": args.module, **bs.as_json()}, args.json)
         return EXIT_OK
-    verdicts, seconds = bench.timed_verdicts(program, trust_typed=False,
-                                             budget=args.budget)
+    verdicts = optimize.compute_verdicts(program, trust_typed=False,
+                                         budget=args.budget)
     doc = {
         "schema": 1,
         "path": args.path,
         "verdicts": [v.as_json() for v in verdicts],
-        "analysis_seconds": seconds,
+        "analysis_seconds": {v.module: v.seconds for v in verdicts},
     }
     _emit_json(doc, args.json)
     return EXIT_OK

@@ -354,21 +354,15 @@ TypeEnv = list[tuple[str, Ty]]
 NameEnv = list[str]
 
 
-def _lookup_module(prior: list[Module], name: str) -> Optional[Module]:
-    for m in prior:
-        if m.name == name:
-            return m
-    return None
-
-
 def ty_env(requires: list[Require], prior: list[Module]) -> tuple[TypeEnv, list[Diagnostic]]:
     """Environment for a typed module's body.  A plain require contributes
     the target's own annotation (the target must be typed); an annotated
     require contributes the stated type (the target must be untyped)."""
     env: TypeEnv = []
     diags: list[Diagnostic] = []
+    defined = {m.name: m for m in reversed(prior)}  # first definition wins
     for r in requires:
-        target = _lookup_module(prior, r.target)
+        target = defined.get(r.target)
         span = r.span or (0, 0)
         if target is None:
             diags.append(Diagnostic(
@@ -396,9 +390,10 @@ def name_env(requires: list[Require], prior: list[Module]) -> tuple[NameEnv, lis
     """Names visible in an untyped module's body, one per require, in order."""
     env: NameEnv = []
     diags: list[Diagnostic] = []
+    defined = {m.name for m in prior}
     for r in requires:
         span = r.span or (0, 0)
-        if _lookup_module(prior, r.target) is None:
+        if r.target not in defined:
             diags.append(Diagnostic(
                 "unbound", f"require of unknown module {r.target!r}", span))
         else:

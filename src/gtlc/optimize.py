@@ -10,6 +10,11 @@ become the trivial contract, arrow contracts recur with the usual reversal
 of parties in the domain, and an arrow reduced to trivial on both sides in
 positive position disappears entirely.
 
+`opt` states this rewrite for one proven pair, as the paper does.  The
+whole-program pass reaches the same result in a single walk: a monitor is
+touched only by the two pairs over its own parties, so each monitor's
+final contract is worked out on its own and reused for the report.
+
 Typed modules can be trusted to be blame-free outright (`trust_typed`);
 their slices are then skipped.  An analysis that hits its state cap yields
 no verdicts for its module, so exhaustion can only cost optimization
@@ -18,7 +23,9 @@ opportunity, never soundness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 from .analysis import analyze, DEFAULT_BUDGET
 from .syntax import (
@@ -33,6 +40,8 @@ class Verdict:
     module: str
     safe_against: frozenset[str]
     exhausted: bool
+    # Wall time of the module's slice analysis; 0.0 when it was skipped.
+    seconds: float = field(default=0.0, compare=False)
 
     def as_json(self) -> dict:
         return {"module": self.module,
@@ -171,21 +180,28 @@ def opt(e: Expr, x: str, x2: str) -> Expr:
 def normalize(e: Expr) -> Expr:
     """Erase monitors whose contract became trivial, then collapse the
     self-aliasing lets this leaves behind at former require boundaries."""
+    return _strip(e, lambda pos, neg, contract: contract)
+
+
+def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
+    """`normalize` after giving each monitor the contract `final` returns
+    for it.  `final` sees the monitors in `scan_boundaries` order."""
     match e:
         case Mon(pos, neg, contract, body):
-            body = normalize(body)
+            contract = final(pos, neg, contract)
+            body = _strip(body, final)
             if contract == ANY_C:
                 return body
             return Mon(pos, neg, contract, body)
         case App(fn, arg):
-            return App(normalize(fn), normalize(arg))
+            return App(_strip(fn, final), _strip(arg, final))
         case If(test, then, orelse):
-            return If(normalize(test), normalize(then), normalize(orelse))
+            return If(_strip(test, final), _strip(then, final), _strip(orelse, final))
         case Lam(param, ann, body):
-            return Lam(param, ann, normalize(body))
+            return Lam(param, ann, _strip(body, final))
         case Let(name, rhs, body):
-            rhs = normalize(rhs)
-            body = normalize(body)
+            rhs = _strip(rhs, final)
+            body = _strip(body, final)
             if isinstance(rhs, Var) and rhs.name == name:
                 return body
             return Let(name, rhs, body)
@@ -199,6 +215,8 @@ def normalize(e: Expr) -> Expr:
 
 def compute_verdicts(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET) -> list[Verdict]:
+    """One verdict per module, in program order, each with the wall time its
+    slice's compilation and analysis took."""
     parties = p.names()
     verdicts = []
     for m in p.modules:
@@ -206,16 +224,23 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
         if trust_typed and m.typed:
             verdicts.append(Verdict(m.name, others, exhausted=False))
             continue
+        t0 = time.perf_counter()
         bs = analyze(compile_program(slice_for_module(p, m.name)).root, budget)
+        seconds = time.perf_counter() - t0
         if bs.exhausted:
-            verdicts.append(Verdict(m.name, frozenset(), exhausted=True))
+            verdicts.append(Verdict(m.name, frozenset(), exhausted=True,
+                                    seconds=seconds))
         else:
             blamed_toward = {l.holder for l in bs.labels if l.blamed == m.name}
-            verdicts.append(Verdict(m.name, others - blamed_toward, exhausted=False))
+            verdicts.append(Verdict(m.name, others - blamed_toward,
+                                    exhausted=False, seconds=seconds))
     return verdicts
 
 
 def _final_contract(c: Contract, pos: str, neg: str, proven: set[tuple[str, str]]) -> Contract:
+    """What is left of a `pos`/`neg` monitor's contract once every proven
+    pair has been applied: dropping one side can leave an arrow that the
+    other side's rewrite then collapses, so repeat until nothing changes."""
     while True:
         before = c
         if (pos, neg) in proven:
@@ -231,33 +256,28 @@ def optimize_program(p: Program, trust_typed: bool = True,
                      verdicts: "list[Verdict] | None" = None,
                      ) -> tuple[CompiledProgram, OptimizationReport]:
     """Analyze every module, then strip the contract obligations of every
-    proven-safe ordered pair from the compiled program.  The pair rewrites
-    are folded in module order and repeated to a fixpoint: weakening one
-    side can make the other side's arrow collapse entirely."""
+    proven-safe ordered pair from the compiled program in one walk: each
+    monitor gets its final contract (`_final_contract`), a monitor left
+    trivial is erased, and so is the self-aliasing let it leaves behind.
+    The result is what folding `opt` over the proven pairs to a fixpoint
+    and then normalizing gives, and the same final contracts make up the
+    report's dispositions."""
     compiled = compile_program(p)
     if verdicts is None:
         verdicts = compute_verdicts(p, trust_typed=trust_typed, budget=budget)
 
-    order = {name: i for i, name in enumerate(p.names())}
-    pairs = sorted(
-        ((v.module, other) for v in verdicts for other in v.safe_against),
-        key=lambda xy: (order[xy[0]], xy[1]),
-    )
+    proven = {(v.module, other) for v in verdicts for other in v.safe_against}
+    afters: list[Contract] = []
 
-    root = compiled.root
-    while True:
-        out = root
-        for x, x2 in pairs:
-            out = opt(out, x, x2)
-        if out == root:
-            break
-        root = out
-    root = normalize(root)
+    def final(pos: str, neg: str, contract: Contract) -> Contract:
+        after = _final_contract(contract, pos, neg, proven)
+        afters.append(after)
+        return after
 
-    proven = set(pairs)
+    root = _strip(compiled.root, final)
+
     dispositions = []
-    for b in compiled.boundary_index:
-        after = _final_contract(b.contract, b.pos, b.neg, proven)
+    for b, after in zip(compiled.boundary_index, afters, strict=True):
         if after == ANY_C:
             kind = "removed"
         elif after == b.contract:

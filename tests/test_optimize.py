@@ -8,10 +8,11 @@ from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import (
-    compute_verdicts, copt, normalize, opt, optimize_program, slice_for_module,
+    Verdict, compute_verdicts, copt, normalize, opt, optimize_program,
+    slice_for_module,
 )
 from gtlc.syntax import (
-    ANY_C, ArrowC, BOOL_C, INT_C, Opaque, Polarity, format_program,
+    ANY_C, ArrowC, BOOL_C, INT_C, Mon, Opaque, Polarity, Var, format_program,
     structurally_equal,
 )
 from gtlc.translate import compile_program
@@ -226,3 +227,84 @@ def test_check_reduction_on_generated_programs():
         _, m1 = evaluate(compiled.root, fuel=300_000)
         assert m1.flat_checks <= m0.flat_checks, f"seed {seed}"
         assert m1.wrappers_allocated <= m0.wrappers_allocated, f"seed {seed}"
+
+
+# -- the one-walk rewrite against the per-pair definition ---------------------
+
+def _fold_to_fixpoint(e, pairs):
+    """The paper's rewrite: `opt` for each proven pair in turn, repeated
+    until a round changes nothing."""
+    while True:
+        out = e
+        for x, x2 in pairs:
+            out = opt(out, x, x2)
+        if out == e:
+            return out
+        e = out
+
+
+def _per_pair_optimize(p, verdicts):
+    """The optimized tree and the dispositions, pair by pair: the proven
+    pairs are folded in module order, and each boundary's contract is what
+    the same fold leaves of a lone monitor over it."""
+    order = {name: i for i, name in enumerate(p.names())}
+    pairs = sorted(((v.module, other) for v in verdicts for other in v.safe_against),
+                   key=lambda xy: (order[xy[0]], xy[1]))
+    compiled = compile_program(p)
+    root = normalize(_fold_to_fixpoint(compiled.root, pairs))
+    dispositions = []
+    for b in compiled.boundary_index:
+        after = _fold_to_fixpoint(Mon(b.pos, b.neg, b.contract, Var("x")), pairs).contract
+        kind = ("removed" if after == ANY_C
+                else "kept" if after == b.contract else "weakened")
+        dispositions.append((b.pos, b.neg, b.contract, after, kind))
+    return root, dispositions
+
+
+def _assert_matches_per_pair(p, trust, label):
+    verdicts = compute_verdicts(p, trust_typed=trust)
+    compiled, report = optimize_program(p, trust_typed=trust, verdicts=verdicts)
+    root, dispositions = _per_pair_optimize(p, verdicts)
+    assert structurally_equal(compiled.root, root), label
+    assert [(d.pos, d.neg, d.before, d.after, d.kind)
+            for d in report.dispositions] == dispositions, label
+
+
+def test_one_walk_matches_per_pair_fixpoint():
+    for seed in range(200):
+        p = gen_program(GenConfig(seed=seed))
+        for trust in (True, False):
+            _assert_matches_per_pair(p, trust, (seed, trust))
+
+
+def test_one_walk_matches_per_pair_fixpoint_large():
+    for seed in range(48):
+        p = gen_program(GenConfig(seed=seed, expr_size=64, max_modules=10))
+        for trust in (True, False):
+            _assert_matches_per_pair(p, trust, (seed, trust))
+
+
+def test_both_directions_proven_erase_the_boundary():
+    # One round of both sides' rewrites leaves (-> any/c any/c); only the
+    # second round's positive rewrite collapses it.
+    p = parse_ok("(module a (-> Int Int) (λ (x : Int) x))\n"
+                 "(module b (require a) (a 1))\n"
+                 "(module main (require b) b)")
+    assert compile_program(p).boundary_index[0].contract == ArrowC(INT_C, INT_C)
+    cases = [({"b"}, {"a"}, ANY_C),
+             ({"b"}, set(), ArrowC(INT_C, ANY_C)),
+             (set(), {"a"}, ArrowC(ANY_C, INT_C))]
+    for a_safe, b_safe, expected in cases:
+        verdicts = [Verdict("a", frozenset(a_safe), exhausted=False),
+                    Verdict("b", frozenset(b_safe), exhausted=False),
+                    Verdict("main", frozenset(), exhausted=False)]
+        compiled, report = optimize_program(p, verdicts=verdicts)
+        (d,) = report.dispositions
+        assert d.after == expected
+        assert [b.contract for b in compiled.boundary_index] == \
+            ([] if expected == ANY_C else [expected])
+        root, _ = _per_pair_optimize(p, verdicts)
+        assert structurally_equal(compiled.root, root)
+        if expected == ANY_C:
+            assert structurally_equal(compiled.root, parse_expr(
+                "(let [a (λ (x) x)] (let [b (a 1)] (let [main b] main)))"))
