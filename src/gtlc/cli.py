@@ -31,7 +31,12 @@ EXIT_FUEL = 4
 
 
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse and check `path`.  A file that cannot be read or decoded yields
+    one diagnostic naming it."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        return None, [f"cannot read {path}: {err}"]
     program, diags = parse_program(text)
     if program is not None:
         diags = diags + check_wellformed(program)

@@ -23,6 +23,7 @@ opportunity, never soundness.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -110,49 +111,21 @@ def slice_for_module(p: Program, target: str) -> Program:
 # Contract and expression rewriting
 # ---------------------------------------------------------------------------
 
-_COPT_CACHE: dict = {}
-_ARROW_INTERN: dict = {}
-
-
-def _arrow(dom: Contract, cod: Contract) -> ArrowC:
-    # Hash-consed so repeated rewriting returns identical objects.
-    key = (id(dom), id(cod))
-    hit = _ARROW_INTERN.get(key)
-    if hit is not None and hit[0] is dom and hit[1] is cod:
-        return hit[2]
-    out = ArrowC(dom, cod)
-    if len(_ARROW_INTERN) > 200_000:
-        _ARROW_INTERN.clear()
-    _ARROW_INTERN[key] = (dom, cod, out)
-    return out
-
-
+@functools.cache
 def copt(c: Contract, s: Polarity) -> Contract:
     """Drop the obligations of the party on side `s`.  Flat contracts are
     positive-party obligations only; the domain of an arrow swaps sides."""
-    key = (id(c), s)
-    hit = _COPT_CACHE.get(key)
-    if hit is not None and hit[0] is c:
-        return hit[1]
     match c:
         case AnyC():
-            out: Contract = ANY_C
+            return ANY_C
         case IntC() | BoolC():
-            out = ANY_C if s is Polarity.POS else c
+            return ANY_C if s is Polarity.POS else c
         case ArrowC(dom, cod):
             d, r = copt(dom, flip(s)), copt(cod, s)
             if s is Polarity.POS and d == ANY_C and r == ANY_C:
-                out = ANY_C
-            else:
-                out = _arrow(d, r)
-        case _:
-            raise TypeError(f"not a contract: {c!r}")
-    # Keyed by identity with the original kept alive in the entry, so a
-    # recycled id cannot alias a different contract.
-    if len(_COPT_CACHE) > 200_000:
-        _COPT_CACHE.clear()
-    _COPT_CACHE[key] = (c, out)
-    return out
+                return ANY_C
+            return ArrowC(d, r)
+    raise TypeError(f"not a contract: {c!r}")
 
 
 def opt(e: Expr, x: str, x2: str) -> Expr:

@@ -8,6 +8,8 @@ languages share one expression node family; which constructors are legal
 where is enforced by the frontend.
 
 All nodes are immutable after construction and safe to share across threads.
+Types and contracts are interned (hash-consed) in one table shared by every
+thread, so equal values are one object and `==` and `hash` are identity.
 """
 
 from __future__ import annotations
@@ -24,20 +26,43 @@ Span = tuple[int, int]
 # Types and contracts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TInt:
+_INTERNED: dict[tuple, "_Interned"] = {}
+
+
+class _Interned:
+    """A constructor call returns the object `_INTERNED` holds for its class
+    and fields, if any.  Fields are set before an object is published, and
+    `setdefault` makes racing threads agree on one object."""
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        self = _INTERNED.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields, strict=True):
+                object.__setattr__(self, name, value)
+            self = _INTERNED.setdefault(key, self)
+        return self
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor.
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class TInt(_Interned):
     def __str__(self) -> str:
         return "Int"
 
 
-@dataclass(frozen=True)
-class TBool:
+@dataclass(frozen=True, eq=False, init=False)
+class TBool(_Interned):
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
-class TArrow:
+@dataclass(frozen=True, eq=False, init=False)
+class TArrow(_Interned):
     dom: "Ty"
     cod: "Ty"
 
@@ -51,26 +76,26 @@ T_INT = TInt()
 T_BOOL = TBool()
 
 
-@dataclass(frozen=True)
-class IntC:
+@dataclass(frozen=True, eq=False, init=False)
+class IntC(_Interned):
     def __str__(self) -> str:
         return "int?"
 
 
-@dataclass(frozen=True)
-class BoolC:
+@dataclass(frozen=True, eq=False, init=False)
+class BoolC(_Interned):
     def __str__(self) -> str:
         return "bool?"
 
 
-@dataclass(frozen=True)
-class AnyC:
+@dataclass(frozen=True, eq=False, init=False)
+class AnyC(_Interned):
     def __str__(self) -> str:
         return "any/c"
 
 
-@dataclass(frozen=True)
-class ArrowC:
+@dataclass(frozen=True, eq=False, init=False)
+class ArrowC(_Interned):
     dom: "Contract"
     cod: "Contract"
 

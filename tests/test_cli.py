@@ -1,10 +1,13 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gtlc
 from conftest import ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE
 from gtlc.cli import main
 from gtlc.frontend import parse_expr
@@ -22,6 +25,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_gtlc(*argv):
+    """Run the CLI in a fresh interpreter that imports this checkout's gtlc."""
+    src = str(Path(gtlc.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "gtlc.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def test_check_ok(capsys, id_boundary_file):
@@ -43,6 +55,18 @@ def test_check_empty_file(capsys, tmp_path):
     path.write_text("", encoding="utf-8")
     code, _, err = run_cli(capsys, "check", str(path))
     assert code == 1 and "main-missing" in err
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+def test_unreadable_file_is_a_diagnostic(tmp_path, case):
+    path = tmp_path / "prog.gtl"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b"(module main \xff)")
+    proc = run_gtlc("check", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and str(path) in proc.stderr
 
 
 def test_run_blame_exit_and_report(capsys, id_boundary_file):
@@ -167,6 +191,5 @@ def test_bench_small_corpus(capsys, tmp_path, corpus_path):
 
 
 def test_console_entry_point(id_boundary_file):
-    proc = subprocess.run([sys.executable, "-m", "gtlc.cli", "check",
-                           id_boundary_file], capture_output=True, text=True)
+    proc = run_gtlc("check", id_boundary_file)
     assert proc.returncode == 0, proc.stderr

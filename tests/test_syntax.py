@@ -1,7 +1,17 @@
-from gtlc.frontend import parse_expr
+import copy
+import pickle
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from gtlc.frontend import parse_expr, parse_program
+from gtlc.optimize import copt
 from gtlc.syntax import (
-    ANY_C, App, ArrowC, BlameLabel, BoolLit, INT_C, IntLit, Lam, Let, Mon,
-    Opaque, Polarity, Prim, Var, flip, format_expr, structurally_equal,
+    ANY_C, App, ArrowC, BOOL_C, BlameLabel, BoolLit, INT_C, IntLit, Lam, Let,
+    Mon, Opaque, Polarity, Prim, T_BOOL, T_INT, TArrow, TInt, Var, flip,
+    format_expr, structurally_equal,
 )
 
 
@@ -73,3 +83,47 @@ def test_every_constructor_roundtrips():
 def test_blame_label_fields():
     label = BlameLabel("u2", "t1")
     assert label.blamed == "u2" and label.holder == "t1"
+
+
+def test_types_and_contracts_are_interned():
+    assert ArrowC(INT_C, INT_C) is ArrowC(INT_C, INT_C)
+    assert TInt() is T_INT
+    text = "(module t (-> Int Int) (λ (x : Int) x)) (module main 5)"
+    first, second = (parse_program(text)[0].modules[0].ty for _ in range(2))
+    assert first is second is TArrow(T_INT, T_INT)
+    assert parse_expr("(mon (a b) (-> int? int?) a)").contract is ArrowC(INT_C, INT_C)
+    assert len({hash(c) for c in (INT_C, BOOL_C, ANY_C)}) == 3
+    assert copt(ArrowC(INT_C, INT_C), Polarity.POS) is ArrowC(INT_C, ANY_C)
+
+
+@pytest.mark.parametrize("value", [INT_C, TArrow(T_INT, T_BOOL),
+                                   ArrowC(ArrowC(INT_C, ANY_C), BOOL_C)], ids=str)
+def test_copies_of_interned_values_are_the_original(value):
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert str(ArrowC(INT_C, BOOL_C)) == "(-> int? bool?)"
+
+
+def test_threads_building_one_value_get_one_object():
+    workers = 8
+    barrier = threading.Barrier(workers)
+
+    def build():
+        barrier.wait(timeout=10)
+        c, out = BOOL_C, []
+        for i in range(2000):
+            c = ArrowC(c, INT_C if i % 3 else ANY_C)
+            out.append(c)
+        return out
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(build) for _ in range(workers)]
+            results = [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    for other in results[1:]:
+        assert all(a is b for a, b in zip(results[0], other, strict=True))
