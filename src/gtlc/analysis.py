@@ -23,12 +23,33 @@ Opaque values carry type-tag refinements so a value that passed `int?`
 cannot fail it later on the same path; branches of an `(if (int? x) ...)`
 test rebind `x` to a refined address, and monitor checks thread the
 refined value through.
+
+Lowered form.  Before exploring, the expression is lowered in one
+iterative pre-order walk: each node's label is its pre-order index, and
+`code[label]` is a flat instruction tuple holding the node's operator, its
+operands and its children's labels, e.g. `(_APP, fn_label, arg_label)` or
+`(_IF, test, then, else, refinable)`.  Literals carry their abstract value
+and opaque terms their fresh opaque value, built once.  Free-variable sets
+are kept only on lambdas, where they trim the captured environment; a
+node with one child shares that child's set instead of copying it.  No
+pass recurses on the host stack, so nesting depth is bounded by memory,
+not by the interpreter's recursion limit.
+
+Values.  Every abstract value is a tuple whose first item is a small
+integer tag naming its class (`AConst(n)` is `(_CONST, n)`), so hashing
+and equality are tuple's, done in C, and distinct classes never compare
+equal; the field names are read-only properties.  An opaque value's
+refinements are one of the 64 subsets of the six tag facts (`int`,
+`!int`, ...), and refining is a lookup in a transition table built once
+over those subsets.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from itertools import combinations
+from operator import itemgetter
 from typing import Optional, Union
 
 from .syntax import (
@@ -48,50 +69,89 @@ _TAGS = ("int", "bool", "fn")
 # Abstract values
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AInt:
+_INT, _CONST, _BOOL, _CLOS, _PRIM, _OPQ, _GUARD = range(7)
+
+
+class _AbsVal(tuple):
+    """A tagged tuple: item 0 is the class tag, the rest are the fields."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{tuple.__repr__(self[1:])}"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self[1:])
+
+
+class AInt(_AbsVal):
     """Some integer."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class AConst:
-    n: int
-
-
-@dataclass(frozen=True)
-class ABool:
-    known: Optional[bool]
+    def __new__(cls):
+        return tuple.__new__(cls, (_INT,))
 
 
-@dataclass(frozen=True)
-class AClos:
-    lam: int          # label of the lambda; doubles as the parameter's address key
-    param: str
-    body: int
-    env: tuple        # ((name, addr), ...) sorted
+class AConst(_AbsVal):
+    __slots__ = ()
+    n = property(itemgetter(1))
+
+    def __new__(cls, n: int):
+        return tuple.__new__(cls, (_CONST, n))
 
 
-@dataclass(frozen=True)
-class APrim:
-    op: str
+class ABool(_AbsVal):
+    __slots__ = ()
+    known = property(itemgetter(1))  # None when either boolean
+
+    def __new__(cls, known: Optional[bool]):
+        return tuple.__new__(cls, (_BOOL, known))
 
 
-@dataclass(frozen=True)
-class AOpq:
-    site: object
-    refs: frozenset = frozenset()
+class AClos(_AbsVal):
+    __slots__ = ()
+    lam = property(itemgetter(1))    # label of the lambda; doubles as the parameter's address key
+    param = property(itemgetter(2))
+    body = property(itemgetter(3))
+    env = property(itemgetter(4))    # ((name, addr), ...) sorted
+
+    def __new__(cls, lam: int, param: str, body: int, env: tuple):
+        return tuple.__new__(cls, (_CLOS, lam, param, body, env))
 
 
-@dataclass(frozen=True)
-class AGuard:
-    contract: ArrowC
-    inner: tuple      # store address of the wrapped function
-    pos: str
-    neg: str
-    site: object      # anchors the addresses of values wrapped here
+class APrim(_AbsVal):
+    __slots__ = ()
+    op = property(itemgetter(1))
+
+    def __new__(cls, op: str):
+        return tuple.__new__(cls, (_PRIM, op))
+
+
+class AOpq(_AbsVal):
+    __slots__ = ()
+    site = property(itemgetter(1))
+    refs = property(itemgetter(2))
+
+    def __new__(cls, site: object, refs: frozenset = frozenset()):
+        return tuple.__new__(cls, (_OPQ, site, refs))
+
+
+class AGuard(_AbsVal):
+    __slots__ = ()
+    contract = property(itemgetter(1))
+    inner = property(itemgetter(2))  # store address of the wrapped function
+    pos = property(itemgetter(3))
+    neg = property(itemgetter(4))
+    site = property(itemgetter(5))   # anchors the addresses of values wrapped here
+
+    def __new__(cls, contract: ArrowC, inner: tuple, pos: str, neg: str, site: object):
+        return tuple.__new__(cls, (_GUARD, contract, inner, pos, neg, site))
 
 
 AbsVal = Union[AInt, AConst, ABool, AClos, APrim, AOpq, AGuard]
+
+_SOME_INT = AInt()
 
 
 @dataclass(frozen=True)
@@ -107,119 +167,199 @@ class BlameSet:
         }
 
 
+def _refine_refs(refs: frozenset, kind: str, outcome: bool) -> Optional[frozenset]:
+    """The refinement rule: record a test outcome, or report the path
+    contradictory (None).  The base tags are mutually disjoint."""
+    if outcome:
+        if "!" + kind in refs or any(t in refs for t in _TAGS if t != kind):
+            return None
+        return refs | {kind}
+    if kind in refs:
+        return None
+    return refs | {"!" + kind}
+
+
+def _refine_table() -> dict:
+    """`table[kind][outcome][refs]`: `_refine_refs` over every subset of the
+    six tag facts, each result being the table's own key object."""
+    facts = _TAGS + tuple("!" + t for t in _TAGS)
+    subsets = {s: s for n in range(len(facts) + 1)
+               for s in map(frozenset, combinations(facts, n))}
+    table = {}
+    for kind in _TAGS:
+        by_outcome = []
+        for outcome in (False, True):
+            step = {}
+            for refs in subsets:
+                out = _refine_refs(refs, kind, outcome)
+                step[refs] = None if out is None else subsets[out]
+            by_outcome.append(step)
+        table[kind] = tuple(by_outcome)
+    return table
+
+
+_REFINE = _refine_table()
+
+# The base tag of each non-opaque value class, and whether a value of each
+# class passes each tag test.
+_KIND_OF = {_INT: "int", _CONST: "int", _BOOL: "bool", _CLOS: "fn", _PRIM: "fn", _GUARD: "fn"}
+_HOLDS = {kind: {tag: k == kind for tag, k in _KIND_OF.items()} for kind in _TAGS}
+
+
 def function_like(v: AbsVal) -> bool:
-    if isinstance(v, (AClos, APrim, AGuard)):
-        return True
-    return isinstance(v, AOpq) and "!fn" not in v.refs
+    return _admits(v, "fn", True)
+
+
+def _admits(v: AbsVal, kind: str, outcome: bool) -> bool:
+    """Whether some portion of `v` is consistent with a test outcome."""
+    tag = v[0]
+    if tag == _OPQ:
+        return _REFINE[kind][outcome][v[2]] is not None
+    return _HOLDS[kind][tag] is outcome
 
 
 def refine(o: AOpq, kind: str, outcome: bool) -> Optional[AOpq]:
     """Record the outcome of a type-tag test on an opaque value, or report
     the path contradictory (None).  The base tags are mutually disjoint."""
-    refs = o.refs
-    if outcome:
-        if f"!{kind}" in refs:
-            return None
-        if any(other in refs for other in _TAGS if other != kind):
-            return None
-        return AOpq(o.site, refs | {kind})
-    if kind in refs:
+    refs = _REFINE[kind][outcome][o[2]]
+    if refs is None:
         return None
-    return AOpq(o.site, refs | {f"!{kind}"})
+    return o if refs is o[2] else AOpq(o[1], refs)
 
 
 def _refine_value(v: AbsVal, kind: str, outcome: bool) -> Optional[AbsVal]:
     """The portion of `v` consistent with a test outcome, or None."""
-    if isinstance(v, AOpq):
+    tag = v[0]
+    if tag == _OPQ:
         return refine(v, kind, outcome)
-    if kind == "int":
-        holds = isinstance(v, (AInt, AConst))
-    elif kind == "bool":
-        holds = isinstance(v, ABool)
-    else:
-        holds = isinstance(v, (AClos, APrim, AGuard))
-    return v if holds == outcome else None
+    return v if _HOLDS[kind][tag] is outcome else None
 
 
 # ---------------------------------------------------------------------------
-# Node indexing
+# Lowering
 # ---------------------------------------------------------------------------
 
-class _Index:
-    def __init__(self, root: Expr):
-        self.nodes: list[Expr] = []
-        self.of: dict[int, int] = {}
-        self.free: list[frozenset[str]] = []
-        self._walk(root)
-
-    def _walk(self, e: Expr) -> int:
-        lbl = len(self.nodes)
-        self.nodes.append(e)
-        self.free.append(frozenset())
-        self.of[id(e)] = lbl
-        for child in _children(e):
-            self._walk(child)
-        self.free[lbl] = _free(e, self)
-        return lbl
+_VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON, _BLAME = range(9)
 
 
-def _children(e: Expr) -> tuple:
-    match e:
-        case App(fn, arg):
-            return (fn, arg)
-        case If(t, a, b):
-            return (t, a, b)
-        case Lam(_, _, body):
-            return (body,)
-        case Let(_, rhs, body):
-            return (rhs, body)
-        case Mon(_, _, _, body):
-            return (body,)
-        case _:
-            return ()
+def _lower(root: Expr) -> list[tuple]:
+    """One instruction tuple per node, indexed by pre-order label."""
+    nodes: list[Expr] = []
+    stack = [root]
+    while stack:
+        e = stack.pop()
+        nodes.append(e)
+        t = type(e)
+        if t is App:
+            stack += (e.arg, e.fn)
+        elif t is Let:
+            stack += (e.body, e.rhs)
+        elif t is If:
+            stack += (e.orelse, e.then, e.test)
+        elif t is Lam or t is Mon:
+            stack.append(e.body)
+
+    # Descendants have larger labels, so one backward sweep sees each
+    # child's subtree size and free variables before its parent's.  A
+    # node's first child is the next label, and each later child follows
+    # the subtree of the one before it.
+    n = len(nodes)
+    size = [1] * n
+    free: list[frozenset[str]] = [frozenset()] * n
+    code: list[tuple] = [()] * n
+    for lbl in range(n - 1, -1, -1):
+        e = nodes[lbl]
+        t = type(e)
+        k0 = lbl + 1
+        if t is Var:
+            free[lbl] = frozenset((e.name,))
+            code[lbl] = (_VAR, e.name)
+        elif t is IntLit:
+            code[lbl] = (_VAL, AConst(e.value))
+        elif t is BoolLit:
+            code[lbl] = (_VAL, ABool(e.value))
+        elif t is Prim:
+            code[lbl] = (_VAL, APrim(e.op))
+        elif t is Opaque:
+            code[lbl] = (_OPAQUE, e.allowed, AOpq(lbl))
+        elif t is Blame:
+            code[lbl] = (_BLAME, e.label)
+        elif t is Lam:
+            size[lbl] += size[k0]
+            fv = free[lbl] = _without(free[k0], e.param)
+            code[lbl] = (_LAM, e.param, k0, fv)
+        elif t is Mon:
+            size[lbl] += size[k0]
+            free[lbl] = free[k0]
+            code[lbl] = (_MON, e.contract, e.pos, e.neg, k0)
+        elif t is App:
+            k1 = k0 + size[k0]
+            size[lbl] += size[k0] + size[k1]
+            free[lbl] = _union(free[k0], free[k1])
+            code[lbl] = (_APP, k0, k1)
+        elif t is Let:
+            k1 = k0 + size[k0]
+            size[lbl] += size[k0] + size[k1]
+            free[lbl] = _union(free[k0], _without(free[k1], e.name))
+            code[lbl] = (_LET, e.name, k0, k1)
+        elif t is If:
+            k1 = k0 + size[k0]
+            k2 = k1 + size[k1]
+            size[lbl] += size[k0] + size[k1] + size[k2]
+            free[lbl] = _union(_union(free[k0], free[k1]), free[k2])
+            code[lbl] = (_IF, k0, k1, k2, _refinable_test(e))
+        else:
+            raise TypeError(f"not a core expression: {t.__name__}")
+    return code
 
 
-def _free(e: Expr, ix: "_Index") -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset((name,))
-        case App(fn, arg):
-            return ix.free[ix.of[id(fn)]] | ix.free[ix.of[id(arg)]]
-        case If(t, a, b):
-            return ix.free[ix.of[id(t)]] | ix.free[ix.of[id(a)]] | ix.free[ix.of[id(b)]]
-        case Lam(param, _, body):
-            return ix.free[ix.of[id(body)]] - {param}
-        case Let(name, rhs, body):
-            return ix.free[ix.of[id(rhs)]] | (ix.free[ix.of[id(body)]] - {name})
-        case Mon(_, _, _, body):
-            return ix.free[ix.of[id(body)]]
-        case _:
-            return frozenset()
+def _union(a: frozenset, b: frozenset) -> frozenset:
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
+def _without(s: frozenset, name: str) -> frozenset:
+    return s - {name} if name in s else s
+
+
+def _refinable_test(node: If):
+    """(name, kind) when the test is a predicate applied to a variable, so
+    the branches can rebind the variable to a refined address."""
+    t = node.test
+    if isinstance(t, App) and isinstance(t.fn, Prim) and isinstance(t.arg, Var):
+        return (t.arg.name, "int" if t.fn.op == "int?" else "bool")
+    return None
 
 
 # ---------------------------------------------------------------------------
 # The machine
 # ---------------------------------------------------------------------------
 
+# Addresses.  A let or a lambda binds its variable at its own label, and
+# the continuation that receives a subexpression's value lives at that
+# subexpression's label; every other address is a tagged tuple.
 _POOL = ("pool",)
 _K_HALT = ("halt",)
 _K_HAVOC = ("havoc",)
-_HAVOC_ARG_SITE = ("havoc-arg",)
+_HAVOC_ARG = AOpq(("havoc-arg",))
 _HAVOC_APP = ("havoc-app",)
 
 
 class _Machine:
     def __init__(self, root: Expr, budget: int):
-        self.ix = _Index(root)
+        self.code = _lower(root)
         self.budget = budget
         self.store: dict = defaultdict(set)
+        self.nconst: dict = defaultdict(int)   # addr -> AConsts in store[addr]
         self.kstore: dict = defaultdict(set)
         self.vdeps: dict = defaultdict(set)
         self.kdeps: dict = defaultdict(set)
         self.redges: dict = defaultdict(list)  # addr -> [(dst, kind, outcome)]
         self.found: set[BlameLabel] = set()
-        self.seen: set = set()
-        self.pending: set = set()
+        self.seen: dict = {}   # state -> whether it waits in `work`
         self.work: deque = deque()
         self.exhausted = False
 
@@ -228,53 +368,68 @@ class _Machine:
     def schedule(self, st) -> None:
         """Enqueue a state the first time it is discovered.  Seen states are
         only ever re-run through `reschedule`, when something they read grew."""
-        if self.exhausted or st in self.seen:
+        if self.exhausted:
             return
-        if len(self.seen) >= self.budget:
+        seen = self.seen
+        n = len(seen)
+        seen.setdefault(st, True)
+        if len(seen) == n:
+            return
+        if n >= self.budget:
+            del seen[st]
             self.exhausted = True
             return
-        self.seen.add(st)
-        self.pending.add(st)
         self.work.append(st)
 
     def reschedule(self, st) -> None:
-        if self.exhausted or st in self.pending:
+        if self.exhausted or self.seen[st]:
             return
-        self.pending.add(st)
+        self.seen[st] = True
         self.work.append(st)
 
-    def store_join(self, addr, vals) -> None:
-        cur = self.store[addr]
-        new = set(vals) - cur
-        if not new:
-            return
-        consts = sum(1 for v in cur if isinstance(v, AConst))
-        if consts >= _CONST_WIDTH:
-            widened = {v for v in new if not isinstance(v, AConst)}
-            if any(isinstance(v, AConst) for v in new):
-                widened.add(AInt())
-            new = widened - cur
-            if not new:
-                return
-        cur |= new
-        for dst, kind, outcome in self.redges[addr]:
-            refined = {_refine_value(v, kind, outcome) for v in new}
-            refined.discard(None)
-            if refined:
-                self.store_join(dst, refined)
-        for st in list(self.vdeps[addr]):
-            self.reschedule(st)
-        if addr == _POOL:
-            for v in new:
-                self.schedule(("hv", v))
+    def join(self, addr, v) -> None:
+        """`store_join` of the one value `v`."""
+        if v not in self.store[addr]:
+            self.store_join(addr, {v})
 
-    def kstore_join(self, kaddr, frames) -> None:
+    def store_join(self, addr, vals) -> None:
+        """Join the set `vals` into `addr`.  What is new flows on along the
+        refinement edges out of `addr`, one pending join at a time."""
+        todo = [(addr, vals)]
+        while todo:
+            addr, vals = todo.pop()
+            cur = self.store[addr]
+            new = vals - cur
+            if not new:
+                continue
+            consts = [v for v in new if type(v) is AConst]
+            if consts:
+                if self.nconst[addr] >= _CONST_WIDTH:
+                    new = {v for v in new if type(v) is not AConst}
+                    new.add(_SOME_INT)
+                    new -= cur
+                    if not new:
+                        continue
+                else:
+                    self.nconst[addr] += len(consts)
+            cur |= new
+            for dst, kind, outcome in self.redges.get(addr, ()):
+                refined = {_refine_value(v, kind, outcome) for v in new}
+                refined.discard(None)
+                if refined:
+                    todo.append((dst, refined))
+            for st in self.vdeps.get(addr, ()):
+                self.reschedule(st)
+            if addr == _POOL:
+                for v in new:
+                    self.schedule(("hv", v))
+
+    def kstore_join(self, kaddr, frame) -> None:
         cur = self.kstore[kaddr]
-        new = set(frames) - cur
-        if not new:
+        if frame in cur:
             return
-        cur |= new
-        for st in list(self.kdeps[kaddr]):
+        cur.add(frame)
+        for st in self.kdeps.get(kaddr, ()):
             self.reschedule(st)
 
     def ensure_redge(self, src, dst, kind, outcome) -> None:
@@ -293,22 +448,20 @@ class _Machine:
         self.kstore[_K_HALT].add(("halt",))
         self.kstore[_K_HAVOC].add(("havocret",))
         self.schedule(("ev", 0, (), _K_HALT))
-        while self.work and not self.exhausted:
-            st = self.work.popleft()
-            self.pending.discard(st)
-            self.step(st)
+        work, seen = self.work, self.seen
+        while work and not self.exhausted:
+            st = work.popleft()
+            seen[st] = False
+            tag = st[0]
+            if tag == "ev":
+                self.step_eval(st)
+            elif tag == "va":
+                self.step_value(st)
+            else:  # "hv"
+                self.havoc(st, st[1])
         return BlameSet(frozenset(self.found), self.exhausted)
 
     # -- transitions ----------------------------------------------------------
-
-    def step(self, st) -> None:
-        tag = st[0]
-        if tag == "ev":
-            self.step_eval(st)
-        elif tag == "va":
-            self.step_value(st)
-        else:  # "hv"
-            self.havoc(st, st[1])
 
     def havoc(self, st, v) -> None:
         """Exercise a value that escaped to unknown code: apply it to a
@@ -317,65 +470,51 @@ class _Machine:
         through all of its branches.  First-order values have no
         application successor."""
         if function_like(v):
-            self.apply_abs(st, v, AOpq(_HAVOC_ARG_SITE), _HAVOC_APP, _K_HAVOC)
+            self.apply_abs(st, v, _HAVOC_ARG, _HAVOC_APP, _K_HAVOC)
 
     def step_eval(self, st) -> None:
         _, lbl, env, kaddr = st
-        node = self.ix.nodes[lbl]
-        t = type(node)
-        if t is Var:
-            addr = _env_get(env, node.name)
+        ins = self.code[lbl]
+        op = ins[0]
+        if op == _VAR:
+            addr = _env_get(env, ins[1])
             if addr is None:
                 return  # open term: prune
             self.vdeps[addr].add(st)
-            for v in list(self.store[addr]):
+            for v in self.store[addr]:
                 self.schedule(("va", v, kaddr))
-        elif t is IntLit:
-            self.schedule(("va", AConst(node.value), kaddr))
-        elif t is BoolLit:
-            self.schedule(("va", ABool(node.value), kaddr))
-        elif t is Prim:
-            self.schedule(("va", APrim(node.op), kaddr))
-        elif t is Lam:
-            body_lbl = self.ix.of[id(node.body)]
-            keep = self.ix.free[lbl]
-            cenv = tuple((n, a) for n, a in env if n in keep)
-            self.schedule(("va", AClos(lbl, node.param, body_lbl, cenv), kaddr))
-        elif t is Opaque:
-            allowed = node.allowed
+        elif op == _VAL:
+            self.schedule(("va", ins[1], kaddr))
+        elif op == _LAM:
+            _, param, body_lbl, keep = ins
+            cenv = tuple([na for na in env if na[0] in keep])
+            self.schedule(("va", AClos(lbl, param, body_lbl, cenv), kaddr))
+        elif op == _OPAQUE:
+            _, allowed, fresh = ins
             for name, addr in env:
                 if allowed is not None and name not in allowed:
                     continue
                 self.vdeps[addr].add(st)
-                self.pool_join(self.store[addr])
-            self.schedule(("va", AOpq(lbl), kaddr))
-        elif t is App:
-            fn_lbl = self.ix.of[id(node.fn)]
-            arg_lbl = self.ix.of[id(node.arg)]
-            knew = ("k", fn_lbl)
-            self.kstore_join(knew, {("arg", arg_lbl, env, lbl, kaddr)})
-            self.schedule(("ev", fn_lbl, env, knew))
-        elif t is Let:
-            rhs_lbl = self.ix.of[id(node.rhs)]
-            body_lbl = self.ix.of[id(node.body)]
-            knew = ("k", rhs_lbl)
-            self.kstore_join(knew, {("let", node.name, lbl, body_lbl, env, kaddr)})
-            self.schedule(("ev", rhs_lbl, env, knew))
-        elif t is If:
-            test_lbl = self.ix.of[id(node.test)]
-            then_lbl = self.ix.of[id(node.then)]
-            else_lbl = self.ix.of[id(node.orelse)]
-            knew = ("k", test_lbl)
-            info = _refinable_test(node)
-            self.kstore_join(knew, {("if", lbl, then_lbl, else_lbl, env, info, kaddr)})
-            self.schedule(("ev", test_lbl, env, knew))
-        elif t is Mon:
-            body_lbl = self.ix.of[id(node.body)]
-            knew = ("k", body_lbl)
-            self.kstore_join(knew, {("mon", node.contract, node.pos, node.neg, lbl, kaddr)})
-            self.schedule(("ev", body_lbl, env, knew))
-        elif t is Blame:
-            self.found.add(node.label)
+                self.store_join(_POOL, self.store[addr])
+            self.schedule(("va", fresh, kaddr))
+        elif op == _APP:
+            _, fn_lbl, arg_lbl = ins
+            self.kstore_join(fn_lbl, ("arg", arg_lbl, env, lbl, kaddr))
+            self.schedule(("ev", fn_lbl, env, fn_lbl))
+        elif op == _LET:
+            _, name, rhs_lbl, body_lbl = ins
+            self.kstore_join(rhs_lbl, ("let", name, lbl, body_lbl, env, kaddr))
+            self.schedule(("ev", rhs_lbl, env, rhs_lbl))
+        elif op == _IF:
+            _, test_lbl, then_lbl, else_lbl, info = ins
+            self.kstore_join(test_lbl, ("if", lbl, then_lbl, else_lbl, env, info, kaddr))
+            self.schedule(("ev", test_lbl, env, test_lbl))
+        elif op == _MON:
+            _, contract, pos, neg, body_lbl = ins
+            self.kstore_join(body_lbl, ("mon", contract, pos, neg, lbl, kaddr))
+            self.schedule(("ev", body_lbl, env, body_lbl))
+        else:  # _BLAME
+            self.found.add(ins[1])
 
     def step_value(self, st) -> None:
         _, v, kaddr = st
@@ -387,9 +526,8 @@ class _Machine:
         tag = frame[0]
         if tag == "arg":
             _, arg_lbl, env, app_lbl, nxt = frame
-            knew = ("k", arg_lbl)
-            self.kstore_join(knew, {("call", v, app_lbl, nxt)})
-            self.schedule(("ev", arg_lbl, env, knew))
+            self.kstore_join(arg_lbl, ("call", v, app_lbl, nxt))
+            self.schedule(("ev", arg_lbl, env, arg_lbl))
         elif tag == "call":
             _, fv, app_lbl, nxt = frame
             self.apply_abs(st, fv, v, app_lbl, nxt)
@@ -400,17 +538,16 @@ class _Machine:
                 self.apply_abs(st, fv, v, app_lbl, nxt)
         elif tag == "let":
             _, name, binder_lbl, body_lbl, env, nxt = frame
-            addr = ("v", binder_lbl)
-            self.store_join(addr, {v})
-            self.schedule(("ev", body_lbl, _env_set(env, name, addr), nxt))
+            self.join(binder_lbl, v)
+            self.schedule(("ev", body_lbl, _env_set(env, name, binder_lbl), nxt))
         elif tag == "if":
             _, if_lbl, then_lbl, else_lbl, env, info, nxt = frame
-            if isinstance(v, ABool):
-                branches = [True, False] if v.known is None else [v.known]
-            elif isinstance(v, AOpq):
-                branches = [True, False] if refine(v, "bool", True) else []
+            if type(v) is ABool:
+                branches = (True, False) if v.known is None else (v.known,)
+            elif type(v) is AOpq:
+                branches = (True, False) if _admits(v, "bool", True) else ()
             else:
-                branches = []  # non-boolean test: stuck, prune
+                branches = ()  # non-boolean test: stuck, prune
             for taken in branches:
                 env2 = env
                 if info is not None:
@@ -425,34 +562,33 @@ class _Machine:
             _, contract, pos, neg, site, nxt = frame
             self.mon_check(contract, pos, neg, site, nxt, v)
         elif tag == "havocret":
-            self.pool_join({v})
+            self.join(_POOL, v)
         # "halt": program value, nothing to do
 
     def apply_abs(self, st, fv, argv, app_lbl, nxt) -> None:
-        t = type(fv)
-        if t is AClos:
-            addr = ("v", fv.lam)
-            self.store_join(addr, {argv})
-            self.schedule(("ev", fv.body, _env_set(fv.env, fv.param, addr), nxt))
-        elif t is APrim:
-            kind = "int" if fv.op == "int?" else "bool"
-            if _refine_value(argv, kind, True) is not None:
+        tag = fv[0]
+        if tag == _CLOS:
+            _, lam, param, body, env = fv
+            self.join(lam, argv)
+            self.schedule(("ev", body, _env_set(env, param, lam), nxt))
+        elif tag == _PRIM:
+            kind = "int" if fv[1] == "int?" else "bool"
+            if _admits(argv, kind, True):
                 self.schedule(("va", ABool(True), nxt))
-            if _refine_value(argv, kind, False) is not None:
+            if _admits(argv, kind, False):
                 self.schedule(("va", ABool(False), nxt))
-        elif t is AGuard:
-            c = fv.contract
-            site = fv.site
+        elif tag == _GUARD:
+            _, c, inner, pos, neg, site = fv
             kr = ("kr", site)
             kc = ("kc", site)
             kd = ("kd", site)
-            self.kstore_join(kr, {("mon", c.cod, fv.pos, fv.neg, ("r", site), nxt)})
-            self.kstore_join(kc, {("calladdr", fv.inner, app_lbl, kr)})
-            self.kstore_join(kd, {("mon", c.dom, fv.neg, fv.pos, ("d", site), kc)})
+            self.kstore_join(kr, ("mon", c.cod, pos, neg, ("r", site), nxt))
+            self.kstore_join(kc, ("calladdr", inner, app_lbl, kr))
+            self.kstore_join(kd, ("mon", c.dom, neg, pos, ("d", site), kc))
             self.schedule(("va", argv, kd))
-        elif t is AOpq:
-            if refine(fv, "fn", True) is not None:
-                self.pool_join({argv})
+        elif tag == _OPQ:
+            if _admits(fv, "fn", True):
+                self.join(_POOL, argv)
                 self.schedule(("va", AOpq(("app", app_lbl)), nxt))
         # first-order values in operator position: stuck, prune
 
@@ -463,7 +599,7 @@ class _Machine:
             passed = _refine_value(v, kind, True)
             if passed is not None:
                 self.schedule(("va", passed, nxt))
-            if _refine_value(v, kind, False) is not None:
+            if _admits(v, kind, False):
                 self.found.add(BlameLabel(pos, neg))
         elif t is AnyC:
             self.schedule(("va", v, nxt))
@@ -471,13 +607,10 @@ class _Machine:
             as_fn = _refine_value(v, "fn", True)
             if as_fn is not None:
                 inner = ("m", site)
-                self.store_join(inner, {as_fn})
+                self.join(inner, as_fn)
                 self.schedule(("va", AGuard(contract, inner, pos, neg, site), nxt))
-            if _refine_value(v, "fn", False) is not None:
+            if _admits(v, "fn", False):
                 self.found.add(BlameLabel(pos, neg))
-
-    def pool_join(self, vals) -> None:
-        self.store_join(_POOL, set(vals))
 
 
 def _env_get(env: tuple, name: str):
@@ -488,19 +621,13 @@ def _env_get(env: tuple, name: str):
 
 
 def _env_set(env: tuple, name: str, addr) -> tuple:
-    items = [(n, a) for n, a in env if n != name]
-    items.append((name, addr))
-    items.sort()
-    return tuple(items)
-
-
-def _refinable_test(node: If):
-    """(name, kind) when the test is a predicate applied to a variable, so
-    the branches can rebind the variable to a refined address."""
-    t = node.test
-    if isinstance(t, App) and isinstance(t.fn, Prim) and isinstance(t.arg, Var):
-        return (t.arg.name, "int" if t.fn.op == "int?" else "bool")
-    return None
+    """`env` with `name` bound to `addr`; environments are kept sorted by
+    name, one entry per name."""
+    for i, (n, _) in enumerate(env):
+        if n >= name:
+            rest = env[i + 1:] if n == name else env[i:]
+            return env[:i] + ((name, addr),) + rest
+    return env + ((name, addr),)
 
 
 def analyze(root: Expr, budget: int = DEFAULT_BUDGET) -> BlameSet:

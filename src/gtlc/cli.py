@@ -43,11 +43,23 @@ def _load(path: str):
     return program, diags
 
 
-def _emit_json(doc: dict, json_path: str | None) -> None:
+def _write(path: str, text: str) -> bool:
+    """Write `text` to `path`.  A file that cannot be written yields one
+    diagnostic naming it."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        print(f"cannot write {path}: {err}", file=sys.stderr)
+        return False
+    return True
+
+
+def _emit_json(doc: dict, json_path: str | None) -> bool:
+    """Print `doc`, and write it to `json_path` if given; False when that
+    write failed."""
     rendered = json.dumps(doc, indent=2, sort_keys=True)
     print(rendered)
-    if json_path:
-        Path(json_path).write_text(rendered + "\n", encoding="utf-8")
+    return not json_path or _write(json_path, rendered + "\n")
 
 
 def _print_diags(diags) -> None:
@@ -99,7 +111,8 @@ def cmd_run(args) -> int:
     }
     if report is not None:
         doc["optimization"] = report.as_json()
-    _emit_json(doc, args.json)
+    if not _emit_json(doc, args.json):
+        return EXIT_DIAGNOSTICS
     return _exit_for(answer)
 
 
@@ -114,8 +127,8 @@ def cmd_analyze(args) -> int:
             return EXIT_DIAGNOSTICS
         root = compile_program(optimize.slice_for_module(program, args.module)).root
         bs = analysis.analyze(root, args.budget)
-        _emit_json({"schema": 1, "module": args.module, **bs.as_json()}, args.json)
-        return EXIT_OK
+        doc = {"schema": 1, "module": args.module, **bs.as_json()}
+        return EXIT_OK if _emit_json(doc, args.json) else EXIT_DIAGNOSTICS
     verdicts = optimize.compute_verdicts(program, trust_typed=False,
                                          budget=args.budget)
     doc = {
@@ -124,8 +137,7 @@ def cmd_analyze(args) -> int:
         "verdicts": [v.as_json() for v in verdicts],
         "analysis_seconds": {v.module: v.seconds for v in verdicts},
     }
-    _emit_json(doc, args.json)
-    return EXIT_OK
+    return EXIT_OK if _emit_json(doc, args.json) else EXIT_DIAGNOSTICS
 
 
 def cmd_optimize(args) -> int:
@@ -138,19 +150,25 @@ def cmd_optimize(args) -> int:
     if args.emit in ("optimized", "con"):
         print(format_expr(compiled.root))
         return EXIT_OK
-    _emit_json({"schema": 1, "path": args.path, **report.as_json()}, args.json)
-    return EXIT_OK
+    doc = {"schema": 1, "path": args.path, **report.as_json()}
+    return EXIT_OK if _emit_json(doc, args.json) else EXIT_DIAGNOSTICS
 
 
 def cmd_bench(args) -> int:
     corpus = Path(args.corpus) if args.corpus else bench.corpus_dir()
-    report = bench.bench_corpus(corpus, iterations=args.iterations,
-                                fuel=args.fuel, budget=args.budget,
-                                trust_typed=args.trust_typed)
+    try:
+        report = bench.bench_corpus(corpus, iterations=args.iterations,
+                                    fuel=args.fuel, budget=args.budget,
+                                    trust_typed=args.trust_typed)
+    except (OSError, UnicodeDecodeError) as err:
+        path = getattr(err, "filename", None) or corpus
+        print(f"cannot read {path}: {err}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     print(bench.render_table(report))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if not _write(args.json, rendered):
+            return EXIT_DIAGNOSTICS
     failed = any(c.get("failed") or not c.get("agree", True)
                  for e in report["entries"] for c in e["configs"])
     return EXIT_DIAGNOSTICS if failed else EXIT_OK

@@ -33,7 +33,7 @@ from .syntax import (
     ANY_C, AnyC, ArrowC, App, BoolC, Contract, Expr, If, IntC, Lam, Let, Mon,
     Module, Opaque, Polarity, Program, Var, flip,
 )
-from .translate import CompiledProgram, compile_program, scan_boundaries
+from .translate import CompiledProgram, compile_program
 
 
 @dataclass
@@ -265,4 +265,4 @@ def optimize_program(p: Program, trust_typed: bool = True,
         dispositions=dispositions,
         verdicts=verdicts,
     )
-    return CompiledProgram(root, scan_boundaries(root)), report
+    return CompiledProgram(root), report

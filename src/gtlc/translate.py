@@ -11,6 +11,7 @@ importing module is the negative party.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .syntax import (
@@ -34,7 +35,12 @@ class Boundary:
 @dataclass
 class CompiledProgram:
     root: Expr
-    boundary_index: list[Boundary]
+
+    @functools.cached_property
+    def boundary_index(self) -> list[Boundary]:
+        """Every monitor of `root`, found on first use: the verifier
+        compiles each slice only to analyze it and never reads this."""
+        return scan_boundaries(self.root)
 
 
 def compile_type(t: Ty) -> Contract:
@@ -75,14 +81,13 @@ def erase(e: Expr, scope: "frozenset[str] | None" = None) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _module_rhs(m: Module, prior: list[Module]) -> Expr:
+def _module_rhs(m: Module, prior: dict[str, Module]) -> Expr:
     """The right-hand side for module `m`: its erased body wrapped in one
     inner let per monitored require, in require order (first require
-    outermost)."""
+    outermost).  `prior` maps the names of the modules before `m`."""
     rhs = erase(m.body, frozenset(r.target for r in m.requires))
-    by_name = {p.name: p for p in prior}
     for r in reversed(m.requires):
-        target = by_name.get(r.target)
+        target = prior.get(r.target)
         if target is None:
             raise ValueError(f"require of unknown module {r.target!r}")
         if m.typed:
@@ -101,11 +106,15 @@ def _module_rhs(m: Module, prior: list[Module]) -> Expr:
 def compile_program(p: Program) -> CompiledProgram:
     """Compile a well-formed program.  Evaluation order of module right-hand
     sides is program order, forced by the let nesting."""
+    prior: dict[str, Module] = {}
+    rhss = []
+    for m in p.modules:
+        rhss.append(_module_rhs(m, prior))
+        prior[m.name] = m
     root: Expr = Var("main")
-    for i in range(len(p.modules) - 1, -1, -1):
-        m = p.modules[i]
-        root = Let(m.name, _module_rhs(m, p.modules[:i]), root)
-    return CompiledProgram(root, scan_boundaries(root))
+    for m, rhs in zip(reversed(p.modules), reversed(rhss)):
+        root = Let(m.name, rhs, root)
+    return CompiledProgram(root)
 
 
 def scan_boundaries(root: Expr) -> list[Boundary]:

@@ -69,6 +69,32 @@ def test_unreadable_file_is_a_diagnostic(tmp_path, case):
     assert "Traceback" not in proc.stderr and str(path) in proc.stderr
 
 
+def assert_one_line_diagnostic(proc, prefix, path):
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{prefix} {path}: "), proc.stderr
+
+
+def test_unreadable_corpus_is_a_diagnostic(tmp_path):
+    missing = tmp_path / "no-such-dir"
+    assert_one_line_diagnostic(run_gtlc("bench", str(missing)), "cannot read", missing)
+
+
+@pytest.mark.parametrize("command", ["run", "analyze", "optimize", "bench"])
+def test_unwritable_json_is_a_diagnostic(tmp_path, id_boundary_file, command):
+    target = tmp_path / "no-such-dir" / "report.json"
+    if command == "bench":
+        entry = tmp_path / "corpus" / "five"
+        entry.mkdir(parents=True)
+        (entry / "0.gtl").write_text("(module main 5)", encoding="utf-8")
+        argv = ["bench", str(entry.parent), "--iterations", "1"]
+    else:
+        argv = [command, id_boundary_file]
+    proc = run_gtlc(*argv, "--json", str(target))
+    assert_one_line_diagnostic(proc, "cannot write", target)
+
+
 def test_run_blame_exit_and_report(capsys, id_boundary_file):
     code, out, _ = run_cli(capsys, "run", id_boundary_file)
     assert code == 2

@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import (
     ID_BOUNDARY, ID_BOUNDARY_CORE, ID_BOUNDARY_SLICE_U1,
     ID_BOUNDARY_SLICE_U1_CORE, parse_ok,
@@ -6,8 +8,8 @@ from gtlc.frontend import parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
 from gtlc.optimize import slice_for_module
 from gtlc.syntax import (
-    ANY_C, ArrowC, BOOL_C, INT_C, Mon, Opaque, TArrow, T_BOOL, T_INT,
-    structurally_equal,
+    ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Module, Mon, Opaque, Program,
+    Require, TArrow, T_BOOL, T_INT, Var, structurally_equal,
 )
 from gtlc.translate import compile_program, compile_type, erase, expr_at
 
@@ -152,3 +154,16 @@ def _blank_bodies(root, keep, program):
         return Let(rhs.name, rhs.rhs, _replace_core(rhs.body, depth - 1))
 
     return rebuild(out)
+
+
+def test_require_of_a_later_module_is_rejected():
+    # Only earlier modules can be required; compile_program assumes a
+    # well-formed program but still refuses a forward require.
+    p = Program([Module("u", None, [Require("t")], App(Var("t"), IntLit(5))),
+                 Module("t", T_INT, [], IntLit(1)),
+                 Module("main", None, [Require("u")], Var("u"))])
+    with pytest.raises(ValueError, match="'t'"):
+        compile_program(p)
+    p.modules[0].requires = [Require("nowhere")]
+    with pytest.raises(ValueError, match="'nowhere'"):
+        compile_program(p)
