@@ -30,10 +30,11 @@ iterative pre-order walk: each node's label is its pre-order index, and
 operands and its children's labels, e.g. `(_APP, fn_label, arg_label)` or
 `(_IF, test, then, else, refinable)`.  Literals carry their abstract value
 and opaque terms their fresh opaque value, built once.  Free-variable sets
-are kept only on lambdas, where they trim the captured environment; a
-node with one child shares that child's set instead of copying it.  No
-pass recurses on the host stack, so nesting depth is bounded by memory,
-not by the interpreter's recursion limit.
+are kept only on lambdas, where they trim the captured environment; an
+opaque term counts as free every name it may reference, and a node with
+one child shares that child's set instead of copying it.  No pass
+recurses on the host stack, so nesting depth is bounded by memory, not by
+the interpreter's recursion limit.
 
 Values.  Every abstract value is a tuple whose first item is a small
 integer tag naming its class (`AConst(n)` is `(_CONST, n)`), so hashing
@@ -47,7 +48,7 @@ over those subsets.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 from typing import Optional, Union
@@ -158,6 +159,8 @@ _SOME_INT = AInt()
 class BlameSet:
     labels: frozenset[BlameLabel]
     exhausted: bool
+    # Abstract states the machine explored to find `labels`.
+    states: int = field(compare=False)
 
     def as_json(self) -> dict:
         return {
@@ -245,6 +248,7 @@ _VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON, _BLAME = range(9)
 def _lower(root: Expr) -> list[tuple]:
     """One instruction tuple per node, indexed by pre-order label."""
     nodes: list[Expr] = []
+    bound: set[str] = set()
     stack = [root]
     while stack:
         e = stack.pop()
@@ -253,11 +257,19 @@ def _lower(root: Expr) -> list[tuple]:
         if t is App:
             stack += (e.arg, e.fn)
         elif t is Let:
+            bound.add(e.name)
             stack += (e.body, e.rhs)
         elif t is If:
             stack += (e.orelse, e.then, e.test)
-        elif t is Lam or t is Mon:
+        elif t is Lam:
+            bound.add(e.param)
             stack.append(e.body)
+        elif t is Mon:
+            stack.append(e.body)
+    # An opaque term may reference whatever its `allowed` scope names, or,
+    # without one, any variable the term binds; an enclosing lambda must
+    # keep all of those.
+    anything = frozenset(bound)
 
     # Descendants have larger labels, so one backward sweep sees each
     # child's subtree size and free variables before its parent's.  A
@@ -281,6 +293,7 @@ def _lower(root: Expr) -> list[tuple]:
         elif t is Prim:
             code[lbl] = (_VAL, APrim(e.op))
         elif t is Opaque:
+            free[lbl] = anything if e.allowed is None else e.allowed
             code[lbl] = (_OPAQUE, e.allowed, AOpq(lbl))
         elif t is Blame:
             code[lbl] = (_BLAME, e.label)
@@ -459,7 +472,7 @@ class _Machine:
                 self.step_value(st)
             else:  # "hv"
                 self.havoc(st, st[1])
-        return BlameSet(frozenset(self.found), self.exhausted)
+        return BlameSet(frozenset(self.found), self.exhausted, len(self.seen))
 
     # -- transitions ----------------------------------------------------------
 
@@ -639,6 +652,4 @@ def analyze(root: Expr, budget: int = DEFAULT_BUDGET) -> BlameSet:
 
 def reachable_states(root: Expr, budget: int = DEFAULT_BUDGET) -> int:
     """Size of the explored abstract state space (for termination checks)."""
-    m = _Machine(root, budget)
-    m.run()
-    return len(m.seen)
+    return analyze(root, budget).states

@@ -186,8 +186,7 @@ def blamed_slice_covers(program: Program, label,
                         budget: int = analysis.DEFAULT_BUDGET) -> bool:
     """Does the analysis of the blamed module's slice account for a blame
     label observed concretely?  Exhaustion counts as covered (fail-safe)."""
-    sliced = optimize.slice_for_module(program, label.blamed)
-    bs = analysis.analyze(compile_program(sliced).root, budget)
+    bs = optimize.analyze_slice(program, label.blamed, budget)
     return bs.exhausted or label in bs.labels
 
 

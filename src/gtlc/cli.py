@@ -6,7 +6,8 @@
     gtlc optimize PROGRAM.gtl [--emit optimized|con]
     gtlc bench CORPUS_DIR [--iterations N]
 
-Exit codes: 0 ok; 1 diagnostics; 2 blame; 3 stuck; 4 fuel exhausted.
+Exit codes: 0 ok; 1 diagnostics; 2 blame; 3 stuck; 4 fuel exhausted;
+5 internal error (one line on stderr); 141 stdout closed early.
 Reports are JSON on stdout under a top-level {"schema": 1} key; --json
 additionally writes the same document to a file.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,6 +30,8 @@ EXIT_DIAGNOSTICS = 1
 EXIT_BLAME = 2
 EXIT_STUCK = 3
 EXIT_FUEL = 4
+EXIT_INTERNAL = 5
+EXIT_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 
 def _load(path: str):
@@ -125,8 +129,7 @@ def cmd_analyze(args) -> int:
         if program.module_named(args.module) is None:
             print(f"unknown module {args.module!r}", file=sys.stderr)
             return EXIT_DIAGNOSTICS
-        root = compile_program(optimize.slice_for_module(program, args.module)).root
-        bs = analysis.analyze(root, args.budget)
+        bs = optimize.analyze_slice(program, args.module, args.budget)
         doc = {"schema": 1, "module": args.module, **bs.as_json()}
         return EXIT_OK if _emit_json(doc, args.json) else EXIT_DIAGNOSTICS
     verdicts = optimize.compute_verdicts(program, trust_typed=False,
@@ -235,8 +238,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  A reader that closes stdout early ends the run
+    quietly; any other failure is one `internal error` line, not a
+    traceback."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at /dev/null so the flush at interpreter exit has
+        # nowhere left to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except Exception as err:
+        detail = " ".join(str(err).split())
+        print(f"internal error: {type(err).__name__}: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

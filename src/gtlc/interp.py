@@ -165,32 +165,17 @@ def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> tuple[Answer, Metrics]:
     """Evaluate a closed core expression.  `fuel` bounds machine
     transitions; running out is reported as its own outcome, distinct from
     stuck states."""
-    return _run(("ev", e, {}), fuel)
-
-
-def apply_value(fn: Value, arg: Value, fuel: int = DEFAULT_FUEL) -> tuple[Answer, Metrics]:
-    """Apply an already-computed function value to an argument value."""
-    return _run(("ap", fn, arg), fuel)
-
-
-def _run(start, fuel: int) -> tuple[Answer, Metrics]:
     m = Metrics()
     t0 = time.perf_counter()
-    answer = _loop(start, fuel, m)
+    answer = _loop(e, fuel, m)
     m.wall_time = time.perf_counter() - t0
     return answer, m
 
 
-def _loop(start, fuel: int, m: Metrics) -> Answer:
+def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
     stack: list = []
-    if start[0] == "ev":
-        control, env = start[1], start[2]
-        value: Optional[Value] = None
-    else:
-        _, fv, value = start
-        stack.append((_F_CALL, fv))
-        control = None
-        env = {}
+    env: dict = {}
+    value: Optional[Value] = None
     steps = 0
 
     while True:

@@ -13,7 +13,8 @@ positive position disappears entirely.
 `opt` states this rewrite for one proven pair, as the paper does.  The
 whole-program pass reaches the same result in a single walk: a monitor is
 touched only by the two pairs over its own parties, so each monitor's
-final contract is worked out on its own and reused for the report.
+final contract is worked out on its own, and the walk records it for the
+report as it goes.
 
 Typed modules can be trusted to be blame-free outright (`trust_typed`);
 their slices are then skipped.  An analysis that hits its state cap yields
@@ -28,7 +29,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .analysis import analyze, DEFAULT_BUDGET
+from .analysis import BlameSet, analyze, DEFAULT_BUDGET
 from .syntax import (
     ANY_C, AnyC, ArrowC, App, BoolC, Contract, Expr, If, IntC, Lam, Let, Mon,
     Module, Opaque, Polarity, Program, Var, flip,
@@ -157,8 +158,10 @@ def normalize(e: Expr) -> Expr:
 
 
 def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
-    """`normalize` after giving each monitor the contract `final` returns
-    for it.  `final` sees the monitors in `scan_boundaries` order."""
+    """`normalize` after giving each monitor the contract `final(pos, neg,
+    contract)` returns for it.  `final` meets the monitors in pre-order,
+    the order of `scan_boundaries`, once each, so it can also record what
+    became of them."""
     match e:
         case Mon(pos, neg, contract, body):
             contract = final(pos, neg, contract)
@@ -186,6 +189,12 @@ def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
 # Whole-program optimization
 # ---------------------------------------------------------------------------
 
+def analyze_slice(p: Program, module: str,
+                  budget: int = DEFAULT_BUDGET) -> BlameSet:
+    """The blame set of `module`'s slice of `p`."""
+    return analyze(compile_program(slice_for_module(p, module)).root, budget)
+
+
 def compute_verdicts(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET) -> list[Verdict]:
     """One verdict per module, in program order, each with the wall time its
@@ -198,7 +207,7 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
             verdicts.append(Verdict(m.name, others, exhausted=False))
             continue
         t0 = time.perf_counter()
-        bs = analyze(compile_program(slice_for_module(p, m.name)).root, budget)
+        bs = analyze_slice(p, m.name, budget)
         seconds = time.perf_counter() - t0
         if bs.exhausted:
             verdicts.append(Verdict(m.name, frozenset(), exhausted=True,
@@ -212,16 +221,16 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
 
 def _final_contract(c: Contract, pos: str, neg: str, proven: set[tuple[str, str]]) -> Contract:
     """What is left of a `pos`/`neg` monitor's contract once every proven
-    pair has been applied: dropping one side can leave an arrow that the
-    other side's rewrite then collapses, so repeat until nothing changes."""
-    while True:
-        before = c
-        if (pos, neg) in proven:
-            c = copt(c, Polarity.POS)
-        if (neg, pos) in proven:
-            c = copt(c, Polarity.NEG)
-        if c == before:
-            return c
+    pair has been applied.  Dropping both parties' obligations leaves
+    nothing; dropping one side's is one `copt`."""
+    pos_safe, neg_safe = (pos, neg) in proven, (neg, pos) in proven
+    if pos_safe and neg_safe:
+        return ANY_C
+    if pos_safe:
+        return copt(c, Polarity.POS)
+    if neg_safe:
+        return copt(c, Polarity.NEG)
+    return c
 
 
 def optimize_program(p: Program, trust_typed: bool = True,
@@ -233,34 +242,29 @@ def optimize_program(p: Program, trust_typed: bool = True,
     monitor gets its final contract (`_final_contract`), a monitor left
     trivial is erased, and so is the self-aliasing let it leaves behind.
     The result is what folding `opt` over the proven pairs to a fixpoint
-    and then normalizing gives, and the same final contracts make up the
-    report's dispositions."""
+    and then normalizing gives, and the walk records each monitor's
+    disposition as it rewrites it."""
     compiled = compile_program(p)
     if verdicts is None:
         verdicts = compute_verdicts(p, trust_typed=trust_typed, budget=budget)
 
     proven = {(v.module, other) for v in verdicts for other in v.safe_against}
-    afters: list[Contract] = []
+    dispositions: list[Disposition] = []
 
-    def final(pos: str, neg: str, contract: Contract) -> Contract:
-        after = _final_contract(contract, pos, neg, proven)
-        afters.append(after)
-        return after
-
-    root = _strip(compiled.root, final)
-
-    dispositions = []
-    for b, after in zip(compiled.boundary_index, afters, strict=True):
+    def final(pos: str, neg: str, before: Contract) -> Contract:
+        after = _final_contract(before, pos, neg, proven)
         if after == ANY_C:
             kind = "removed"
-        elif after == b.contract:
+        elif after == before:
             kind = "kept"
         else:
             kind = "weakened"
-        dispositions.append(Disposition(b.pos, b.neg, b.contract, after, kind))
+        dispositions.append(Disposition(pos, neg, before, after, kind))
+        return after
 
+    root = _strip(compiled.root, final)
     report = OptimizationReport(
-        monitors_before=len(compiled.boundary_index),
+        monitors_before=len(dispositions),
         monitors_after=sum(1 for d in dispositions if d.kind != "removed"),
         dispositions=dispositions,
         verdicts=verdicts,

@@ -11,7 +11,6 @@ importing module is the negative party.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .syntax import (
@@ -20,26 +19,13 @@ from .syntax import (
     Var,
 )
 
-# A path is a tuple of field names leading from the root to a node.
-Path = tuple[str, ...]
-
-
-@dataclass
-class Boundary:
-    pos: str
-    neg: str
-    contract: Contract
-    path: Path
-
-
 @dataclass
 class CompiledProgram:
     root: Expr
 
-    @functools.cached_property
-    def boundary_index(self) -> list[Boundary]:
-        """Every monitor of `root`, found on first use: the verifier
-        compiles each slice only to analyze it and never reads this."""
+    @property
+    def boundary_index(self) -> list[Mon]:
+        """Every monitor of `root` (`scan_boundaries`)."""
         return scan_boundaries(self.root)
 
 
@@ -117,37 +103,23 @@ def compile_program(p: Program) -> CompiledProgram:
     return CompiledProgram(root)
 
 
-def scan_boundaries(root: Expr) -> list[Boundary]:
-    """Every monitor in a compiled program marks a require boundary; list
-    them in evaluation order with their paths."""
-    found: list[Boundary] = []
-
-    def walk(e: Expr, path: Path) -> None:
-        match e:
-            case Mon(pos, neg, contract, body):
-                found.append(Boundary(pos, neg, contract, path))
-                walk(body, path + ("body",))
-            case App(fn, arg):
-                walk(fn, path + ("fn",))
-                walk(arg, path + ("arg",))
-            case If(test, then, orelse):
-                walk(test, path + ("test",))
-                walk(then, path + ("then",))
-                walk(orelse, path + ("orelse",))
-            case Lam(_, _, body):
-                walk(body, path + ("body",))
-            case Let(_, rhs, body):
-                walk(rhs, path + ("rhs",))
-                walk(body, path + ("body",))
-            case _:
-                pass
-
-    walk(root, ())
+def scan_boundaries(root: Expr) -> list[Mon]:
+    """Every monitor in a compiled program, each marking a require boundary,
+    in pre-order: the order the optimizer's rewrite meets them in."""
+    found: list[Mon] = []
+    stack = [root]
+    while stack:
+        e = stack.pop()
+        t = type(e)
+        if t is Mon:
+            found.append(e)
+            stack.append(e.body)
+        elif t is App:
+            stack += (e.arg, e.fn)
+        elif t is If:
+            stack += (e.orelse, e.then, e.test)
+        elif t is Let:
+            stack += (e.body, e.rhs)
+        elif t is Lam:
+            stack.append(e.body)
     return found
-
-
-def expr_at(root: Expr, path: Path) -> Expr:
-    node = root
-    for step in path:
-        node = getattr(node, step)
-    return node

@@ -8,7 +8,7 @@ from gtlc.bench import corpus_dir, lattice_configs
 from gtlc.frontend import parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
-from gtlc.optimize import slice_for_module
+from gtlc.optimize import analyze_slice, slice_for_module
 from gtlc.syntax import (
     App, BlameLabel, If, INT_C, IntLit, Lam, Let, Mon, Opaque, Prim, Var,
 )
@@ -122,7 +122,7 @@ def test_terminates_on_corpus_without_cap():
                 root = compile_program(slice_for_module(program, m.name)).root
                 bs = analyze(root)
                 assert not bs.exhausted, (config, m.name)
-                total_states += reachable_states(root)
+                total_states += bs.states
     # Monovariant addressing keeps the reachable space small.
     assert total_states < 200_000
 
@@ -142,6 +142,29 @@ def test_reexported_wrapper_blame_is_covered():
     concrete, _ = evaluate(compile_program(program).root)
     assert concrete == BlamedA(BlameLabel("u", "t"))
     bs = analyze(compile_program(slice_for_module(program, "u")).root)
+    assert BlameLabel("u", "t") in bs.labels
+
+
+OPAQUE_UNDER_LAMBDA = """\
+(module t (-> Int Int) (λ (x : Int) x))
+(module u (require t) ((λ (_) opaque) 0))
+(module main (require u) u)
+"""
+
+
+def test_opaque_under_a_lambda_reaches_its_scope():
+    # The hole may be `(t #f)`, which blames u; the lambda around it must
+    # not trim the monitored t out of what the hole can reach.
+    instance = parse_ok(OPAQUE_UNDER_LAMBDA.replace("opaque", "(t #f)"))
+    concrete, _ = evaluate(compile_program(instance).root)
+    assert concrete == BlamedA(BlameLabel("u", "t"))
+    bs = analyze_slice(parse_ok(OPAQUE_UNDER_LAMBDA), "u")
+    assert BlameLabel("u", "t") in bs.labels
+
+
+def test_opaque_without_a_scope_under_a_lambda_reaches_every_binding():
+    bs = analyze(parse_expr(
+        "(let [f (mon (t u) (-> int? int?) (λ (x) x))] ((λ (_) opaque) 0))"))
     assert BlameLabel("u", "t") in bs.labels
 
 

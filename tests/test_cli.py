@@ -27,13 +27,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_gtlc(*argv):
+def run_gtlc(*argv, stdout=subprocess.PIPE):
     """Run the CLI in a fresh interpreter that imports this checkout's gtlc."""
     src = str(Path(gtlc.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     return subprocess.run([sys.executable, "-m", "gtlc.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 def test_check_ok(capsys, id_boundary_file):
@@ -93,6 +93,32 @@ def test_unwritable_json_is_a_diagnostic(tmp_path, id_boundary_file, command):
         argv = [command, id_boundary_file]
     proc = run_gtlc(*argv, "--json", str(target))
     assert_one_line_diagnostic(proc, "cannot write", target)
+
+
+def test_closed_stdout_ends_quietly(id_boundary_file):
+    # As `gtlc run F.gtl | head -1` once head has exited: the pipe's read
+    # end is closed before the report is written.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_gtlc("run", id_boundary_file, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
+def test_unexpected_failure_is_one_line_with_its_own_exit_code(tmp_path):
+    # Nested deeper than the reader's recursion can go.
+    depth = 3_000
+    path = tmp_path / "deep.gtl"
+    path.write_text("(module main " + "(λ (x) " * depth + "1" + ")" * depth + ")",
+                    encoding="utf-8")
+    proc = run_gtlc("check", str(path))
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: "), proc.stderr
 
 
 def test_run_blame_exit_and_report(capsys, id_boundary_file):

@@ -2,7 +2,7 @@ from conftest import ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, parse_ok
 from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import (
-    BlamedA, OutOfFuelA, StuckA, ValA, VBool, VInt, apply_value, evaluate,
+    BlamedA, OutOfFuelA, StuckA, ValA, VBool, VInt, evaluate,
 )
 from gtlc.syntax import BlameLabel
 from gtlc.translate import compile_program
@@ -118,10 +118,8 @@ def test_determinism():
         (m2.flat_checks, m2.wrappers_allocated, m2.wrapped_calls, m2.steps)
 
 
-def test_apply_value_probes_functions():
-    answer, _ = run("(mon (t1 u1) (-> int? int?) (λ (x) x))")
-    assert isinstance(answer, ValA)
-    result, metrics = apply_value(answer.value, VInt(3))
+def test_monitored_call_checks_domain_and_range():
+    result, metrics = run("((mon (t1 u1) (-> int? int?) (λ (x) x)) 3)")
     assert result == ValA(VInt(3))
     assert metrics.wrapped_calls == 1 and metrics.flat_checks == 2
 

@@ -1,19 +1,21 @@
 import itertools
+from collections import Counter
 
 from conftest import (
     ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, parse_ok,
 )
-from gtlc.analysis import analyze
+from gtlc import optimize
+from gtlc.analysis import analyze, reachable_states
 from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import (
-    Verdict, compute_verdicts, copt, normalize, opt, optimize_program,
-    slice_for_module,
+    Verdict, _final_contract, compute_verdicts, copt, normalize, opt,
+    optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
-    ANY_C, ArrowC, BOOL_C, INT_C, Mon, Opaque, Polarity, Var, format_program,
-    structurally_equal,
+    ANY_C, ArrowC, BOOL_C, Expr, INT_C, Mon, Opaque, Polarity, Var,
+    format_program, structurally_equal,
 )
 from gtlc.translate import compile_program
 
@@ -219,6 +221,40 @@ def test_dispositions_match_rewritten_tree():
             assert survivors == in_tree, (seed, trust)
 
 
+def test_compute_verdicts_reaches_layers_through_module_globals(monkeypatch, id_boundary):
+    # The benchmark times and counts each layer by wrapping these names in
+    # `optimize` (benchmark/layers.py), and fails a run in which one of them
+    # is never called; it reads the analyzed root as the first positional
+    # argument of `analyze`.
+    calls = Counter()
+    roots = []
+    for name in ("slice_for_module", "compile_program", "analyze"):
+        def counted(*args, _fn=getattr(optimize, name), _name=name, **kw):
+            calls[_name] += 1
+            if _name == "analyze":
+                roots.append(args[0])
+            return _fn(*args, **kw)
+        monkeypatch.setattr(optimize, name, counted)
+    compute_verdicts(id_boundary, trust_typed=False)
+    n = len(id_boundary.modules)
+    assert calls == {"slice_for_module": n, "compile_program": n, "analyze": n}
+    assert all(isinstance(root, Expr) for root in roots)
+    assert all(reachable_states(root) == analyze(root).states > 0 for root in roots)
+
+
+def test_opaque_under_a_lambda_keeps_its_monitor():
+    # The hole in u may call t with #f, so u is not safe toward t and the
+    # domain check stays.
+    p = parse_ok("(module t (-> Int Int) (λ (x : Int) x))\n"
+                 "(module u (require t) ((λ (_) opaque) 0))\n"
+                 "(module main (require u) u)")
+    for trust in (True, False):
+        compiled, report = optimize_program(p, trust_typed=trust)
+        assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == \
+            [("t", "u", "weakened")]
+        assert [b.contract for b in compiled.boundary_index] == [ArrowC(INT_C, ANY_C)]
+
+
 def test_check_reduction_on_generated_programs():
     for seed in range(60):
         p = gen_program(GenConfig(seed=seed))
@@ -282,6 +318,32 @@ def test_one_walk_matches_per_pair_fixpoint_large():
         p = gen_program(GenConfig(seed=seed, expr_size=64, max_modules=10))
         for trust in (True, False):
             _assert_matches_per_pair(p, trust, (seed, trust))
+
+
+def _contracts_up_to(height):
+    level = [ANY_C, INT_C, BOOL_C]
+    for _ in range(height - 1):
+        level = [ANY_C, INT_C, BOOL_C] + [ArrowC(d, r) for d in level for r in level]
+    return level
+
+
+def test_final_contract_is_the_copt_fixpoint():
+    # `_final_contract` in closed form against applying each proven side's
+    # `copt` until nothing changes.
+    for c in _contracts_up_to(3):
+        for pos_safe, neg_safe in itertools.product((False, True), repeat=2):
+            proven = {("p", "n")} if pos_safe else set()
+            proven |= {("n", "p")} if neg_safe else set()
+            fixpoint = c
+            while True:
+                before = fixpoint
+                if pos_safe:
+                    fixpoint = copt(fixpoint, POS)
+                if neg_safe:
+                    fixpoint = copt(fixpoint, NEG)
+                if fixpoint == before:
+                    break
+            assert _final_contract(c, "p", "n", proven) == fixpoint, (c, proven)
 
 
 def test_both_directions_proven_erase_the_boundary():

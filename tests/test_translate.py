@@ -11,7 +11,7 @@ from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Module, Mon, Opaque, Program,
     Require, TArrow, T_BOOL, T_INT, Var, structurally_equal,
 )
-from gtlc.translate import compile_program, compile_type, erase, expr_at
+from gtlc.translate import compile_program, compile_type, erase
 
 
 def test_compile_type():
@@ -63,10 +63,12 @@ def test_boundary_orientation_and_paths():
     compiled = compile_program(parse_ok(ID_BOUNDARY))
     assert [(b.pos, b.neg) for b in compiled.boundary_index] == \
         [("t1", "u1"), ("t1", "u2")]
-    for b in compiled.boundary_index:
-        node = expr_at(compiled.root, b.path)
-        assert isinstance(node, Mon)
-        assert (node.pos, node.neg, node.contract) == (b.pos, b.neg, b.contract)
+    # The entries are the monitors themselves, at the right-hand sides of
+    # u1's and u2's require lets.
+    module_lets = compiled.root.body
+    expected = [module_lets.rhs.rhs, module_lets.body.rhs.rhs]
+    assert all(isinstance(m, Mon) for m in expected)
+    assert all(b is m for b, m in zip(compiled.boundary_index, expected, strict=True))
 
 
 def _cross_kind_edges(p):
