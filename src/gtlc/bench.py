@@ -182,12 +182,16 @@ def run_differential(program: Program, trust_typed: bool = True,
     }
 
 
-def blamed_slice_covers(program: Program, label,
-                        budget: int = analysis.DEFAULT_BUDGET) -> bool:
-    """Does the analysis of the blamed module's slice account for a blame
-    label observed concretely?  Exhaustion counts as covered (fail-safe)."""
-    bs = optimize.analyze_slice(program, label.blamed, budget)
-    return bs.exhausted or label in bs.labels
+def party_slices_cover(program: Program, label,
+                       budget: int = analysis.DEFAULT_BUDGET) -> bool:
+    """Does the slice of each party of a blame label observed concretely,
+    the blamed module's and the holder's, account for it?  A slice whose
+    analysis is exhausted counts as covering it (fail-safe)."""
+    for party in (label.blamed, label.holder):
+        bs = optimize.analyze_slice(program, party, budget)
+        if not (bs.exhausted or label in bs.labels):
+            return False
+    return True
 
 
 def render_table(report: dict) -> str:

@@ -6,8 +6,9 @@
     gtlc optimize PROGRAM.gtl [--emit optimized|con]
     gtlc bench CORPUS_DIR [--iterations N]
 
-Exit codes: 0 ok; 1 diagnostics; 2 blame; 3 stuck; 4 fuel exhausted;
-5 internal error (one line on stderr); 141 stdout closed early.
+Exit codes: 0 ok; 1 diagnostics, usage errors included; 2 blame; 3 stuck;
+4 fuel exhausted; 5 internal error (one line on stderr); 141 stdout closed
+early.
 Reports are JSON on stdout under a top-level {"schema": 1} key; --json
 additionally writes the same document to a file.
 """
@@ -177,12 +178,31 @@ def cmd_bench(args) -> int:
     return EXIT_DIAGNOSTICS if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a usage error exits with the diagnostics code:
+    its own code 2 is the blame code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DIAGNOSTICS, f"{self.prog}: error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {n}")
+    return n
+
+
 def _add_common(sp, budget=True, trust=True, fuel=None, json_flag=True):
     if fuel is not None:
-        sp.add_argument("--fuel", type=int, default=fuel,
+        sp.add_argument("--fuel", type=_positive_int, default=fuel,
                         help="evaluation step budget")
     if budget:
-        sp.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET,
+        sp.add_argument("--budget", type=_positive_int, default=analysis.DEFAULT_BUDGET,
                         help="abstract state cap for the verifier")
     if trust:
         sp.add_argument("--trust-typed", action=argparse.BooleanOptionalAction,
@@ -194,8 +214,8 @@ def _add_common(sp, budget=True, trust=True, fuel=None, json_flag=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gtlc", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap = _Parser(prog="gtlc", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("check", help="parse and check well-formedness")
@@ -229,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="run a corpus of configuration lattices")
     sp.add_argument("corpus", nargs="?", default=None,
                     help="corpus directory (default: the bundled corpus)")
-    sp.add_argument("--iterations", type=int, default=3,
+    sp.add_argument("--iterations", type=_positive_int, default=3,
                     help="timed runs per configuration")
     _add_common(sp, fuel=bench.BENCH_FUEL)
     sp.set_defaults(fn=cmd_bench)

@@ -2,7 +2,10 @@
 
 For each module X the optimizer analyzes a slice of the program in which
 every other module body is replaced by an opaque term (imports marked
-opaque in the source stay opaque in every slice).  If the slice's blame set
+opaque in the source stay opaque in every slice), and from which every
+monitor without X as a party is dropped.  Such a monitor can only blame
+other modules, and without it a run goes on with the value unwrapped, so
+the slice still reaches every label naming X.  If the slice's blame set
 has no label blaming X toward some party X2, then no run of the full
 program can produce that label either, and every obligation of X at the
 X/X2 boundary can be dropped: flat contracts where X is the positive party
@@ -34,7 +37,7 @@ from .syntax import (
     ANY_C, AnyC, ArrowC, App, BoolC, Contract, Expr, If, IntC, Lam, Let, Mon,
     Module, Opaque, Polarity, Program, Var, flip,
 )
-from .translate import CompiledProgram, compile_program
+from .translate import CompiledProgram, compile_program, narrow_to
 
 
 @dataclass
@@ -191,8 +194,14 @@ def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
 
 def analyze_slice(p: Program, module: str,
                   budget: int = DEFAULT_BUDGET) -> BlameSet:
-    """The blame set of `module`'s slice of `p`."""
-    return analyze(compile_program(slice_for_module(p, module)).root, budget)
+    """The blame set of `module`'s slice of `p`, analyzed without the
+    monitors between two other parties (`narrow_to`), so every label in it
+    names `module`.  Dropping such a monitor only lets runs go on that
+    would have blamed those others, passing values through unwrapped, so
+    the labels naming `module` are a superset of the whole slice's and the
+    verdicts stay sound."""
+    root = compile_program(slice_for_module(p, module)).root
+    return analyze(narrow_to(root, module), budget)
 
 
 def compute_verdicts(p: Program, trust_typed: bool = True,

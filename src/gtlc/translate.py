@@ -70,7 +70,9 @@ def erase(e: Expr, scope: "frozenset[str] | None" = None) -> Expr:
 def _module_rhs(m: Module, prior: dict[str, Module]) -> Expr:
     """The right-hand side for module `m`: its erased body wrapped in one
     inner let per monitored require, in require order (first require
-    outermost).  `prior` maps the names of the modules before `m`."""
+    outermost).  `prior` maps the names of the modules before `m`.  These
+    leading lets are the only place a compiled program has monitors, which
+    `narrow_to` relies on."""
     rhs = erase(m.body, frozenset(r.target for r in m.requires))
     for r in reversed(m.requires):
         target = prior.get(r.target)
@@ -87,6 +89,44 @@ def _module_rhs(m: Module, prior: dict[str, Module]) -> Expr:
                       Mon(r.target, m.name, contract, Var(r.target)),
                       rhs)
     return rhs
+
+
+def narrow_to(root: Expr, party: str) -> Expr:
+    """`root` without the monitors that do not have `party` as a party,
+    each together with the self-aliasing let it sits in, as `normalize`
+    collapses a monitor made trivial.
+
+    In a compiled program of a well-formed source program every monitor
+    sits in a require let, and those lead each module's right-hand side
+    (`_module_rhs`), which is itself the right-hand side of a let on the
+    module spine that ends in `main`: source bodies hold no `let` or `mon`.
+    So the walk visits only the spine and the leading lets of each
+    right-hand side, and shares every subtree it leaves as it was.  On any
+    other tree, the monitors it does not reach stay in place."""
+    spine = []
+    e = root
+    while type(e) is Let:
+        spine.append(e)
+        e = e.body
+    for m in reversed(spine):
+        rhs = _narrow_requires(m.rhs, party)
+        e = m if rhs is m.rhs and e is m.body else Let(m.name, rhs, e)
+    return e
+
+
+def _narrow_requires(rhs: Expr, party: str) -> Expr:
+    """`rhs` without its leading require lets, `(let [t (mon (t m) c t)]
+    ...)`, whose monitor is not on a boundary of `party`."""
+    lets = []
+    e = rhs
+    while (type(e) is Let and type(e.rhs) is Mon and e.rhs.pos == e.name
+           and type(e.rhs.body) is Var and e.rhs.body.name == e.name):
+        lets.append(e)
+        e = e.body
+    for let in reversed(lets):
+        if party in (let.rhs.pos, let.rhs.neg):
+            e = let if e is let.body else Let(let.name, let.rhs, e)
+    return e
 
 
 def compile_program(p: Program) -> CompiledProgram:

@@ -16,7 +16,7 @@ from conftest import (
 )
 from gtlc.analysis import analyze
 from gtlc.bench import (
-    bench_entry, blamed_slice_covers, lattice_configs, run_differential,
+    bench_entry, lattice_configs, party_slices_cover, run_differential,
 )
 from gtlc.frontend import parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
@@ -166,15 +166,15 @@ def test_criterion_4_blame_soundness(generated, corpus_programs):
     for seed, program, answer, _, _ in generated:
         if isinstance(answer, BlamedA):
             checked += 1
-            if not blamed_slice_covers(program, answer.label):
-                failures.append(f"seed {seed}: {answer.label} missed by the slice")
+            if not party_slices_cover(program, answer.label):
+                failures.append(f"seed {seed}: {answer.label} missed by a party's slice")
 
     for name, program in corpus_programs:
         answer, _ = evaluate(compile_program(program).root, fuel=CORPUS_FUEL)
         if isinstance(answer, BlamedA):
             checked += 1
-            if not blamed_slice_covers(program, answer.label):
-                failures.append(f"{name}: {answer.label} missed by the slice")
+            if not party_slices_cover(program, answer.label):
+                failures.append(f"{name}: {answer.label} missed by a party's slice")
 
     if checked < 50:
         failures.append(f"only {checked} blaming runs; the suite is undersized")

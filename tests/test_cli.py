@@ -121,6 +121,25 @@ def test_unexpected_failure_is_one_line_with_its_own_exit_code(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("internal error: "), proc.stderr
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["frobnicate"], "frobnicate"),
+    (["run", "{path}", "--fuel", "abc"], "--fuel"),
+    (["run", "{path}", "--fuel", "0"], "--fuel"),
+    (["analyze", "{path}", "--budget", "-3"], "--budget"),
+    (["optimize", "{path}", "--budget", "0"], "--budget"),
+    (["bench", "--iterations", "0"], "--iterations"),
+    (["run", "{path}", "--no-such-flag"], "--no-such-flag"),
+])
+def test_usage_error_is_a_diagnostic(id_boundary_file, argv, flag):
+    # Exit 2 is the blame code, so a usage error must not take argparse's 2.
+    proc = run_gtlc(*(a.format(path=id_boundary_file) for a in argv))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    (error,) = [l for l in proc.stderr.splitlines() if "error:" in l]
+    assert error.startswith("gtlc") and flag in error, proc.stderr
+
+
 def test_run_blame_exit_and_report(capsys, id_boundary_file):
     code, out, _ = run_cli(capsys, "run", id_boundary_file)
     assert code == 2
@@ -177,6 +196,14 @@ def test_analyze_module_slice(capsys, id_boundary_file):
     assert ("t1", "u1") in labels
     assert ("u1", "t1") not in labels
     assert doc["exhausted"] is False
+
+
+def test_analyze_module_lists_only_its_own_labels(capsys, id_boundary_file):
+    # u1's slice is analyzed at u1's boundaries only: the t1/u2 monitor,
+    # whose labels the whole slice would also reach, is dropped.
+    _, out, _ = run_cli(capsys, "analyze", id_boundary_file, "--module", "u1")
+    labels = {(l["blamed"], l["holder"]) for l in json.loads(out)["labels"]}
+    assert labels == {("t1", "u1")}
 
 
 def test_analyze_blameless_provider(capsys, id_boundary_file):

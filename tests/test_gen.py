@@ -45,7 +45,7 @@ def test_generated_programs_are_opaque_free():
 def test_hardened_configurations_stay_sound():
     # Denser boundaries, deeper types, and extreme typed fractions; the
     # acceptance suite covers the default configuration at full size.
-    from gtlc.bench import blamed_slice_covers, run_differential
+    from gtlc.bench import party_slices_cover, run_differential
 
     variants = [
         dict(typed_fraction=0.6, boundary_density=0.85, violation_rate=0.4,
@@ -62,7 +62,7 @@ def test_hardened_configurations_stay_sound():
             typed = {m.name for m in p.modules if m.typed}
             if isinstance(answer, BlamedA):
                 assert answer.label.blamed not in typed, (kw, seed)
-                assert blamed_slice_covers(p, answer.label), (kw, seed)
+                assert party_slices_cover(p, answer.label), (kw, seed)
             r = run_differential(p, fuel=300_000)
             assert r["agree"] and r["checks_reduced"], (kw, seed)
 

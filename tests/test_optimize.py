@@ -10,14 +10,14 @@ from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import (
-    Verdict, _final_contract, compute_verdicts, copt, normalize, opt,
-    optimize_program, slice_for_module,
+    Verdict, _final_contract, _strip, analyze_slice, compute_verdicts, copt,
+    normalize, opt, optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
-    ANY_C, ArrowC, BOOL_C, Expr, INT_C, Mon, Opaque, Polarity, Var,
+    ANY_C, ArrowC, BOOL_C, BlameLabel, Expr, INT_C, Mon, Opaque, Polarity, Var,
     format_program, structurally_equal,
 )
-from gtlc.translate import compile_program
+from gtlc.translate import compile_program, narrow_to, scan_boundaries
 
 POS, NEG = Polarity.POS, Polarity.NEG
 
@@ -73,6 +73,86 @@ def test_opaque_require_limits_optimization_not_soundness():
     # Trusting the type annotation overrides the mark.
     _, trusted = optimize_program(p, trust_typed=True)
     assert trusted.dispositions[0].kind == "removed"
+
+
+# -- analyzing a slice at its own boundaries ---------------------------------
+
+# The seeds of test_slice_analysis_matches_golden_digest.
+GOLDEN_CONFIGS = ([GenConfig(seed=s) for s in range(100)]
+                  + [GenConfig(seed=s, expr_size=64, max_modules=16) for s in range(24)])
+
+
+def _full_slice(p, module):
+    """The blame set of `module`'s slice with every monitor kept."""
+    return analyze(compile_program(slice_for_module(p, module)).root)
+
+
+def _verdicts_from_full_slices(p, trust_typed):
+    """`compute_verdicts` as it reads with every monitor kept in each slice."""
+    parties = frozenset(p.names())
+    out = []
+    for m in p.modules:
+        others = parties - {m.name}
+        if trust_typed and m.typed:
+            out.append(Verdict(m.name, others, exhausted=False))
+            continue
+        bs = _full_slice(p, m.name)
+        if bs.exhausted:
+            out.append(Verdict(m.name, frozenset(), exhausted=True))
+        else:
+            blamed_toward = {l.holder for l in bs.labels if l.blamed == m.name}
+            out.append(Verdict(m.name, others - blamed_toward, exhausted=False))
+    return out
+
+
+def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
+    slices = 0
+    for cfg in GOLDEN_CONFIGS:
+        p = gen_program(cfg)
+        for m in p.modules:
+            x = m.name
+            full = _full_slice(p, x)
+            narrowed = analyze_slice(p, x)
+            label = (cfg.seed, cfg.expr_size, x)
+            assert narrowed.labels == {l for l in full.labels if x in (l.blamed, l.holder)}, label
+            assert narrowed.exhausted == full.exhausted, label
+            slices += 1
+        for trust in (True, False):
+            assert compute_verdicts(p, trust_typed=trust) == \
+                _verdicts_from_full_slices(p, trust), (cfg.seed, trust)
+    assert slices == 495
+
+
+def test_narrow_to_is_the_rewrite_that_drops_other_parties_monitors():
+    # The spine-only walk gives the tree the full rewrite walk gives.
+    for cfg in GOLDEN_CONFIGS[::4]:
+        p = gen_program(cfg)
+        for m in p.modules:
+            x = m.name
+            root = compile_program(slice_for_module(p, x)).root
+            whole = _strip(root, lambda pos, neg, c: c if x in (pos, neg) else ANY_C)
+            assert narrow_to(root, x) == whole, (cfg.seed, cfg.expr_size, x)
+
+
+def test_slice_is_analyzed_without_other_parties_monitors(monkeypatch):
+    p = parse_ok("(module t (-> Int Int) (λ (x : Int) x))\n"
+                 "(module u (require t) (t 5))\n"
+                 "(module v (require t) (λ (_) (t #f)))\n"
+                 "(module main (require u) u)")
+    roots = []
+
+    def recording(root, *args, _analyze=optimize.analyze):
+        roots.append(root)
+        return _analyze(root, *args)
+
+    monkeypatch.setattr(optimize, "analyze", recording)
+    bs = analyze_slice(p, "u")
+    (root,) = roots
+    whole = compile_program(slice_for_module(p, "u")).root
+    assert [(b.pos, b.neg) for b in scan_boundaries(whole)] == [("t", "u"), ("t", "v")]
+    assert [(b.pos, b.neg) for b in scan_boundaries(root)] == [("t", "u")]
+    assert bs.labels == {BlameLabel("t", "u")}
+    assert BlameLabel("v", "t") in analyze(whole).labels
 
 
 # -- contract rewriting ------------------------------------------------------
