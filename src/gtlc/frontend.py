@@ -13,6 +13,19 @@ off-limits to the verifier.  The second element of a module form is read as
 a type annotation exactly when it is `Int`, `Bool`, or a list headed by
 `->`; this resolves the grammar's one ambiguity in favour of typed modules.
 
+The reader makes one pass over the text with one regular expression,
+which yields flat token arrays (text and offset of each token) and, for
+each opening bracket, the index of its closer.  The AST is then built
+top-down from those arrays, one Python frame per nesting level, with each
+form's arity checked from the closer index before any element is parsed.
+Every node carries its span.  A text gets the diagnostic of the first
+problem in this order: a character no token starts with, anywhere; then
+the first bracket error in text order (a stray or mismatched closer, or an
+opener left unclosed at the end); then the first grammar error, top-down,
+module by module, after the `require-kind-mismatch` diagnostics of the
+requires before it.  An integer literal too long for the interpreter to
+convert is a grammar error at the literal.
+
 Well-formedness follows the inductive structure of the module sequence:
 typed bodies must check against their annotation in the environment induced
 by their requires, untyped bodies must be closed under theirs, module names
@@ -24,7 +37,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .syntax import (
     ANY_C, ArrowC, App, Blame, BlameLabel, BoolLit, BOOL_C, Contract, Expr,
@@ -52,274 +65,261 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Reader: text -> s-expression nodes with spans
+# Reader: text -> AST nodes with spans
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SAtom:
-    text: str
-    span: Span
-
-
-@dataclass
-class SList:
-    items: list["SNode"]
-    span: Span
-
-
-SNode = Union[SAtom, SList]
-
-# Leading `_` is accepted alongside letters so the conventional throwaway
-# parameter parses; `/` appears in require/typed and any/c.
+# One match per token: the whitespace and comments before it (group 1), then
+# the token (group 2) or a character no token starts with (group 3).  The
+# second part always matches (`\Z` takes trailing whitespace), so none of the
+# text goes unseen.  `_` may lead a name so the throwaway parameter parses.
 _TOKEN = re.compile(
-    r"""
-      (?P<ws>\s+)
-    | (?P<comment>;[^\n]*)
-    | (?P<open>[(\[])
-    | (?P<close>[)\]])
-    | (?P<int>-?[0-9]+)
-    | (?P<bool>\#t|\#f)
-    | (?P<sym>->|:|λ|[A-Za-z_][A-Za-z0-9_!?/\-]*)
-    """,
-    re.VERBOSE,
-)
+    r"""(\s*(?:;[^\n]*\s*)*)
+        (?: ( [()\[\]] | -?[0-9]+ | \#[tf] | -> | [:λ]
+            | [A-Za-z_][A-Za-z0-9_!?/\-]* | \Z )
+          | (.) )""",
+    re.VERBOSE | re.DOTALL)
 
 _MATCHING = {"(": ")", "[": "]"}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, Span]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(Diagnostic(
-                "parse", f"unexpected character {text[pos]!r}", (pos, pos + 1)))
-        kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, m.group(), (m.start(), m.end())))
-        pos = m.end()
-    return tokens
-
-
-def _read_all(text: str) -> list[SNode]:
-    tokens = _tokenize(text)
-    nodes: list[SNode] = []
-    stack: list[tuple[str, int, list[SNode]]] = []  # (opener, start, items)
-    for kind, tok, span in tokens:
-        if kind == "open":
-            stack.append((tok, span[0], []))
-        elif kind == "close":
-            if not stack:
-                raise ParseError(Diagnostic("parse", f"unexpected {tok!r}", span))
-            opener, start, items = stack.pop()
-            if _MATCHING[opener] != tok:
-                raise ParseError(Diagnostic(
-                    "parse", f"mismatched {opener!r} closed by {tok!r}", span))
-            node = SList(items, (start, span[1]))
-            (stack[-1][2] if stack else nodes).append(node)
-        else:
-            node = SAtom(tok, span)
-            (stack[-1][2] if stack else nodes).append(node)
-    if stack:
-        opener, start, _ = stack[-1]
-        raise ParseError(Diagnostic(
-            "parse", f"unclosed {opener!r}", (start, len(text))))
-    return nodes
-
-
-# ---------------------------------------------------------------------------
-# Parsing s-expressions into the AST
-# ---------------------------------------------------------------------------
+_CLOSE = frozenset(")]")
 
 _KEYWORDS = {"module", "require", "require/typed", "opaque-require",
              "if", "let", "mon", "blame", "λ", "lambda", "opaque", ":",
              "int?", "bool?", "any/c"}
+# Atoms that are neither names nor integers.
+_RESERVED = _KEYWORDS | {"->", "Int", "Bool", "#t", "#f"}
+_INT_START = frozenset("-0123456789")  # "->" is reserved
+_ATOM_EXPRS = {"#t": lambda span: BoolLit(True, span=span),
+               "#f": lambda span: BoolLit(False, span=span),
+               "int?": lambda span: Prim("int?", span=span),
+               "bool?": lambda span: Prim("bool?", span=span),
+               "opaque": lambda span: Opaque(span=span)}
+_TYPES = {"Int": T_INT, "Bool": T_BOOL}
+_CONTRACTS = {"int?": INT_C, "bool?": BOOL_C, "any/c": ANY_C}
 
 
-def _is_type_node(n: SNode) -> bool:
-    if isinstance(n, SAtom):
-        return n.text in ("Int", "Bool")
-    return bool(n.items) and isinstance(n.items[0], SAtom) and n.items[0].text == "->"
+def _error(message: str, span: Span) -> ParseError:
+    return ParseError(Diagnostic("parse", message, span))
 
 
-def _parse_ty(n: SNode) -> Ty:
-    if isinstance(n, SAtom):
-        if n.text == "Int":
-            return T_INT
-        if n.text == "Bool":
-            return T_BOOL
-        raise ParseError(Diagnostic("parse", f"expected a type, got {n.text!r}", n.span))
-    if (len(n.items) == 3 and isinstance(n.items[0], SAtom)
-            and n.items[0].text == "->"):
-        return TArrow(_parse_ty(n.items[1]), _parse_ty(n.items[2]))
-    raise ParseError(Diagnostic("parse", "expected a type", n.span))
+class _Reader:
+    """The tokens of a text in three flat arrays: `toks[i]` is the text of
+    token i, `starts[i]` its offset, and `nxt[i]` the index just past the
+    form that starts at i (past its closer, for an opener).  A form is
+    named by the index of its first token; the top-level forms are 0,
+    nxt[0], ... up to len(toks)."""
 
+    __slots__ = ("toks", "starts", "nxt")
 
-def _expect_name(n: SNode, what: str) -> str:
-    if isinstance(n, SAtom) and n.text not in _KEYWORDS and not n.text.startswith("#") \
-            and not re.fullmatch(r"-?[0-9]+", n.text) and n.text not in ("->", "Int", "Bool"):
-        return n.text
-    span = n.span
-    raise ParseError(Diagnostic("parse", f"expected {what}", span))
+    def __init__(self, text: str):
+        toks: list[str] = []
+        starts: list[int] = []
+        nxt: list[int] = []
+        stack: list[int] = []  # indices of the open openers
+        bracket_error = None
+        pos = 0
+        for space, tok, _ in _TOKEN.findall(text):
+            pos += len(space)
+            i = len(toks)
+            toks.append(tok)
+            starts.append(pos)
+            nxt.append(i + 1)
+            pos += len(tok)
+            if tok in _MATCHING:
+                stack.append(i)
+            elif tok in _CLOSE and bracket_error is None:
+                if not stack:
+                    bracket_error = _error(f"unexpected {tok!r}", (pos - 1, pos))
+                    continue
+                opener = stack.pop()
+                if _MATCHING[toks[opener]] != tok:
+                    bracket_error = _error(
+                        f"mismatched {toks[opener]!r} closed by {tok!r}", (pos - 1, pos))
+                nxt[opener] = i + 1
+        # A bad character is the only match whose text `pos` did not count;
+        # the first one outranks every bracket error.
+        if pos != len(text):
+            bad = next(m for m in _TOKEN.finditer(text) if m.group(3))
+            raise _error(f"unexpected character {bad.group(3)!r}", bad.span(3))
+        if bracket_error is not None:
+            raise bracket_error
+        if stack:
+            opener = stack[-1]
+            raise _error(f"unclosed {toks[opener]!r}", (starts[opener], len(text)))
+        while toks and not toks[-1]:  # the `\Z` matches
+            toks.pop()
+        self.toks, self.starts, self.nxt = toks, starts, nxt
 
+    def forms(self, i: int, end: int) -> list[int]:
+        """The indices of the forms from token i up to token `end`."""
+        found = []
+        nxt = self.nxt
+        while i < end:
+            found.append(i)
+            i = nxt[i]
+        return found
 
-def _head(n: SList) -> Optional[str]:
-    if n.items and isinstance(n.items[0], SAtom):
-        return n.items[0].text
-    return None
-
-
-def parse_expr_node(n: SNode, typed_body: bool, core: bool = False) -> Expr:
-    if isinstance(n, SAtom):
-        t = n.text
-        if re.fullmatch(r"-?[0-9]+", t):
-            return IntLit(int(t), span=n.span)
-        if t == "#t":
-            return BoolLit(True, span=n.span)
-        if t == "#f":
-            return BoolLit(False, span=n.span)
-        if t in ("int?", "bool?"):
-            return Prim(t, span=n.span)
-        if t == "opaque":
-            return Opaque(span=n.span)
-        if t in _KEYWORDS or t in ("->", "Int", "Bool"):
-            raise ParseError(Diagnostic("parse", f"{t!r} is not an expression", n.span))
-        return Var(t, span=n.span)
-
-    head = _head(n)
-    if head in ("let", "mon", "blame") and not core:
-        raise ParseError(Diagnostic(
-            "parse", f"{head!r} is a core-language form, not source syntax", n.span))
-    if head == "if":
-        if len(n.items) != 4:
-            raise ParseError(Diagnostic("parse", "if expects 3 subexpressions", n.span))
-        return If(parse_expr_node(n.items[1], typed_body, core),
-                  parse_expr_node(n.items[2], typed_body, core),
-                  parse_expr_node(n.items[3], typed_body, core),
-                  span=n.span)
-    if head in ("λ", "lambda"):
-        if len(n.items) != 3 or not isinstance(n.items[1], SList):
-            raise ParseError(Diagnostic("parse", "malformed lambda", n.span))
-        params = n.items[1].items
-        if typed_body:
-            if (len(params) != 3 or not isinstance(params[1], SAtom)
-                    or params[1].text != ":"):
-                raise ParseError(Diagnostic(
-                    "parse", "typed lambda expects (name : type)", n.items[1].span))
-            name = _expect_name(params[0], "a parameter name")
-            ann: Optional[Ty] = _parse_ty(params[2])
-        else:
-            if len(params) != 1:
-                raise ParseError(Diagnostic(
-                    "parse", "untyped lambda expects a bare parameter", n.items[1].span))
-            name = _expect_name(params[0], "a parameter name")
-            ann = None
-        return Lam(name, ann, parse_expr_node(n.items[2], typed_body, core), span=n.span)
-    if head == "let":
-        if (len(n.items) != 3 or not isinstance(n.items[1], SList)
-                or len(n.items[1].items) != 2):
-            raise ParseError(Diagnostic("parse", "malformed let", n.span))
-        name = _expect_name(n.items[1].items[0], "a binding name")
-        return Let(name,
-                   parse_expr_node(n.items[1].items[1], typed_body, core),
-                   parse_expr_node(n.items[2], typed_body, core),
-                   span=n.span)
-    if head == "mon":
-        if (len(n.items) != 4 or not isinstance(n.items[1], SList)
-                or len(n.items[1].items) != 2):
-            raise ParseError(Diagnostic("parse", "malformed mon", n.span))
-        pos = _expect_name(n.items[1].items[0], "a party name")
-        neg = _expect_name(n.items[1].items[1], "a party name")
-        return Mon(pos, neg, _parse_contract(n.items[2]),
-                   parse_expr_node(n.items[3], typed_body, core), span=n.span)
-    if head == "blame":
-        if len(n.items) != 3:
-            raise ParseError(Diagnostic("parse", "malformed blame", n.span))
-        return Blame(BlameLabel(_expect_name(n.items[1], "a party name"),
-                                _expect_name(n.items[2], "a party name")),
-                     span=n.span)
-    if len(n.items) == 2:
-        return App(parse_expr_node(n.items[0], typed_body, core),
-                   parse_expr_node(n.items[1], typed_body, core),
-                   span=n.span)
-    raise ParseError(Diagnostic(
-        "parse", f"expected an application of one argument, got {len(n.items)} elements",
-        n.span))
-
-
-def _parse_contract(n: SNode) -> Contract:
-    if isinstance(n, SAtom):
-        if n.text == "int?":
-            return INT_C
-        if n.text == "bool?":
-            return BOOL_C
-        if n.text == "any/c":
-            return ANY_C
-        raise ParseError(Diagnostic("parse", f"expected a contract, got {n.text!r}", n.span))
-    if (len(n.items) == 3 and isinstance(n.items[0], SAtom)
-            and n.items[0].text == "->"):
-        return ArrowC(_parse_contract(n.items[1]), _parse_contract(n.items[2]))
-    raise ParseError(Diagnostic("parse", "expected a contract", n.span))
-
-
-def _parse_require(n: SNode, typed_module: bool, diags: list[Diagnostic]) -> Optional[Require]:
-    if not isinstance(n, SList) or _head(n) not in ("require", "require/typed",
-                                                    "opaque-require"):
-        raise ParseError(Diagnostic("parse", "expected a require form", n.span))
-    head = _head(n)
-    if head == "require":
-        if len(n.items) != 2:
-            raise ParseError(Diagnostic("parse", "require expects a module name", n.span))
-        return Require(_expect_name(n.items[1], "a module name"), span=n.span)
-    if head == "require/typed":
-        if len(n.items) != 3:
-            raise ParseError(Diagnostic(
-                "parse", "require/typed expects a module name and a type", n.span))
-        if not typed_module:
-            diags.append(Diagnostic(
-                "require-kind-mismatch",
-                "require/typed is only legal in typed modules", n.span))
+    def items(self, i: int) -> Optional[list[int]]:
+        """The elements of the list opened at token i; None for an atom."""
+        if self.toks[i] not in _MATCHING:
             return None
-        return Require(_expect_name(n.items[1], "a module name"),
-                       ann=_parse_ty(n.items[2]), span=n.span)
-    # opaque-require: same run-time meaning as the require form its arity
-    # matches, plus the mark the verifier honours.
-    if len(n.items) == 2:
-        return Require(_expect_name(n.items[1], "a module name"),
-                       opaque=True, span=n.span)
-    if len(n.items) == 3:
-        if not typed_module:
-            diags.append(Diagnostic(
-                "require-kind-mismatch",
-                "annotated opaque-require is only legal in typed modules", n.span))
-            return None
-        return Require(_expect_name(n.items[1], "a module name"),
-                       ann=_parse_ty(n.items[2]), opaque=True, span=n.span)
-    raise ParseError(Diagnostic("parse", "malformed opaque-require", n.span))
+        return self.forms(i + 1, self.nxt[i] - 1)
 
+    def span(self, i: int) -> Span:
+        start = self.starts[i]
+        end = self.nxt[i] - 1
+        if end == i:
+            return start, start + len(self.toks[i])
+        return start, self.starts[end] + 1
 
-def _parse_module(n: SNode, diags: list[Diagnostic]) -> Module:
-    if not isinstance(n, SList) or _head(n) != "module":
-        span = n.span
-        raise ParseError(Diagnostic("parse", "expected a (module ...) form", span))
-    if len(n.items) < 3:
-        raise ParseError(Diagnostic("parse", "module needs a name and a body", n.span))
-    name = _expect_name(n.items[1], "a module name")
-    rest = n.items[2:]
-    ty: Optional[Ty] = None
-    if _is_type_node(rest[0]):
-        ty = _parse_ty(rest[0])
-        rest = rest[1:]
-        if not rest:
-            raise ParseError(Diagnostic("parse", "typed module needs a body", n.span))
-    requires = []
-    for r in rest[:-1]:
-        req = _parse_require(r, typed_module=ty is not None, diags=diags)
-        if req is not None:
-            requires.append(req)
-    body = parse_expr_node(rest[-1], typed_body=ty is not None)
-    return Module(name, ty, requires, body, span=n.span)
+    def name(self, i: int, what: str) -> str:
+        t = self.toks[i]
+        if t in _RESERVED or t in _MATCHING or t[0] in _INT_START:
+            raise _error(f"expected {what}", self.span(i))
+        return t
+
+    def ty(self, i: int, leaves=_TYPES, arrow=TArrow, what="a type") -> Ty | Contract:
+        """A type, or with the other arguments a contract: an atom in
+        `leaves`, or `(-> DOM COD)`."""
+        items = self.items(i)
+        if items is None:
+            t = self.toks[i]
+            if t in leaves:
+                return leaves[t]
+            raise _error(f"expected {what}, got {t!r}", self.span(i))
+        if len(items) == 3 and self.toks[items[0]] == "->":
+            return arrow(self.ty(items[1], leaves, arrow, what),
+                         self.ty(items[2], leaves, arrow, what))
+        raise _error(f"expected {what}", self.span(i))
+
+    def expr(self, i: int, typed_body: bool, core: bool = False) -> Expr:
+        toks = self.toks
+        t = toks[i]
+        if t not in _MATCHING:
+            start = self.starts[i]
+            span = (start, start + len(t))
+            if t[0] in _INT_START and t != "->":
+                try:
+                    return IntLit(int(t), span=span)
+                except ValueError:  # longer than the interpreter converts
+                    raise _error("integer literal too long", span) from None
+            if t in _ATOM_EXPRS:
+                return _ATOM_EXPRS[t](span)
+            if t in _RESERVED:
+                raise _error(f"{t!r} is not an expression", span)
+            return Var(t, span=span)
+
+        end = self.nxt[i] - 1
+        items = self.forms(i + 1, end)
+        span = (self.starts[i], self.starts[end] + 1)
+        head = toks[i + 1]  # the closer, for an empty list
+        if head in ("let", "mon", "blame") and not core:
+            raise _error(f"{head!r} is a core-language form, not source syntax", span)
+        if head == "if":
+            if len(items) != 4:
+                raise _error("if expects 3 subexpressions", span)
+            return If(self.expr(items[1], typed_body, core),
+                      self.expr(items[2], typed_body, core),
+                      self.expr(items[3], typed_body, core), span=span)
+        if head in ("λ", "lambda"):
+            params = self.items(items[1]) if len(items) == 3 else None
+            if params is None:
+                raise _error("malformed lambda", span)
+            if typed_body:
+                if len(params) != 3 or toks[params[1]] != ":":
+                    raise _error("typed lambda expects (name : type)", self.span(items[1]))
+                name = self.name(params[0], "a parameter name")
+                ann: Optional[Ty] = self.ty(params[2])
+            else:
+                if len(params) != 1:
+                    raise _error("untyped lambda expects a bare parameter",
+                                 self.span(items[1]))
+                name = self.name(params[0], "a parameter name")
+                ann = None
+            return Lam(name, ann, self.expr(items[2], typed_body, core), span=span)
+        if head == "let":
+            binding = self.items(items[1]) if len(items) == 3 else None
+            if binding is None or len(binding) != 2:
+                raise _error("malformed let", span)
+            return Let(self.name(binding[0], "a binding name"),
+                       self.expr(binding[1], typed_body, core),
+                       self.expr(items[2], typed_body, core), span=span)
+        if head == "mon":
+            parties = self.items(items[1]) if len(items) == 4 else None
+            if parties is None or len(parties) != 2:
+                raise _error("malformed mon", span)
+            pos = self.name(parties[0], "a party name")
+            neg = self.name(parties[1], "a party name")
+            return Mon(pos, neg, self.ty(items[2], _CONTRACTS, ArrowC, "a contract"),
+                       self.expr(items[3], typed_body, core), span=span)
+        if head == "blame":
+            if len(items) != 3:
+                raise _error("malformed blame", span)
+            return Blame(BlameLabel(self.name(items[1], "a party name"),
+                                    self.name(items[2], "a party name")),
+                         span=span)
+        if len(items) == 2:
+            return App(self.expr(items[0], typed_body, core),
+                       self.expr(items[1], typed_body, core), span=span)
+        raise _error(f"expected an application of one argument, got {len(items)} elements",
+                     span)
+
+    def require(self, i: int, typed_module: bool,
+                diags: list[Diagnostic]) -> Optional[Require]:
+        items = self.items(i)
+        head = self.toks[i + 1] if items else None
+        if head not in ("require", "require/typed", "opaque-require"):
+            raise _error("expected a require form", self.span(i))
+        span = self.span(i)
+        if head == "require":
+            if len(items) != 2:
+                raise _error("require expects a module name", span)
+            return Require(self.name(items[1], "a module name"), span=span)
+        if head == "require/typed":
+            if len(items) != 3:
+                raise _error("require/typed expects a module name and a type", span)
+            if not typed_module:
+                diags.append(Diagnostic(
+                    "require-kind-mismatch",
+                    "require/typed is only legal in typed modules", span))
+                return None
+            return Require(self.name(items[1], "a module name"),
+                           ann=self.ty(items[2]), span=span)
+        # opaque-require: same run-time meaning as the require form its
+        # arity matches, plus the mark the verifier honours.
+        if len(items) == 2:
+            return Require(self.name(items[1], "a module name"), opaque=True, span=span)
+        if len(items) == 3:
+            if not typed_module:
+                diags.append(Diagnostic(
+                    "require-kind-mismatch",
+                    "annotated opaque-require is only legal in typed modules", span))
+                return None
+            return Require(self.name(items[1], "a module name"),
+                           ann=self.ty(items[2]), opaque=True, span=span)
+        raise _error("malformed opaque-require", span)
+
+    def module(self, i: int, diags: list[Diagnostic]) -> Module:
+        items = self.items(i)
+        if not items or self.toks[i + 1] != "module":
+            raise _error("expected a (module ...) form", self.span(i))
+        if len(items) < 3:
+            raise _error("module needs a name and a body", self.span(i))
+        name = self.name(items[1], "a module name")
+        rest = items[2:]
+        ty: Optional[Ty] = None
+        first = self.toks[rest[0]]
+        if first in _TYPES or (first in _MATCHING and self.toks[rest[0] + 1] == "->"):
+            ty = self.ty(rest[0])
+            rest = rest[1:]
+            if not rest:
+                raise _error("typed module needs a body", self.span(i))
+        requires = []
+        for r in rest[:-1]:
+            req = self.require(r, typed_module=ty is not None, diags=diags)
+            if req is not None:
+                requires.append(req)
+        body = self.expr(rest[-1], typed_body=ty is not None)
+        return Module(name, ty, requires, body, span=self.span(i))
 
 
 def parse_program(text: str) -> tuple[Optional[Program], list[Diagnostic]]:
@@ -328,8 +328,8 @@ def parse_program(text: str) -> tuple[Optional[Program], list[Diagnostic]]:
     None when parsing could not produce a tree at all."""
     diags: list[Diagnostic] = []
     try:
-        nodes = _read_all(text)
-        modules = [_parse_module(n, diags) for n in nodes]
+        reader = _Reader(text)
+        modules = [reader.module(i, diags) for i in reader.forms(0, len(reader.toks))]
     except ParseError as err:
         return None, diags + [err.diagnostic]
     return Program(modules), diags
@@ -338,12 +338,11 @@ def parse_program(text: str) -> tuple[Optional[Program], list[Diagnostic]]:
 def parse_expr(text: str) -> Expr:
     """Parse a single core-language expression (used for golden tests and
     the contract-core reader).  Raises ParseError on malformed input."""
-    nodes = _read_all(text)
-    if len(nodes) != 1:
-        raise ParseError(Diagnostic(
-            "parse", f"expected one expression, got {len(nodes)}",
-            (0, len(text))))
-    return parse_expr_node(nodes[0], typed_body=False, core=True)
+    reader = _Reader(text)
+    forms = reader.forms(0, len(reader.toks))
+    if len(forms) != 1:
+        raise _error(f"expected one expression, got {len(forms)}", (0, len(text)))
+    return reader.expr(0, typed_body=False, core=True)
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,10 @@ def erase(e: Expr, scope: "frozenset[str] | None" = None) -> Expr:
 def _module_rhs(m: Module, prior: dict[str, Module]) -> Expr:
     """The right-hand side for module `m`: its erased body wrapped in one
     inner let per monitored require, in require order (first require
-    outermost).  `prior` maps the names of the modules before `m`.  These
-    leading lets are the only place a compiled program has monitors, which
-    `narrow_to` relies on."""
+    outermost), the let and its monitor carrying the require's span.
+    `prior` maps the names of the modules before `m`.  These leading lets
+    are the only place a compiled program has monitors, which `narrow_to`
+    relies on."""
     rhs = erase(m.body, frozenset(r.target for r in m.requires))
     for r in reversed(m.requires):
         target = prior.get(r.target)
@@ -86,8 +87,8 @@ def _module_rhs(m: Module, prior: dict[str, Module]) -> Expr:
             contract = compile_type(target.ty) if monitored else None
         if monitored:
             rhs = Let(r.target,
-                      Mon(r.target, m.name, contract, Var(r.target)),
-                      rhs)
+                      Mon(r.target, m.name, contract, Var(r.target), span=r.span),
+                      rhs, span=r.span)
     return rhs
 
 
@@ -125,7 +126,7 @@ def _narrow_requires(rhs: Expr, party: str) -> Expr:
         e = e.body
     for let in reversed(lets):
         if party in (let.rhs.pos, let.rhs.neg):
-            e = let if e is let.body else Let(let.name, let.rhs, e)
+            e = let if e is let.body else Let(let.name, let.rhs, e, span=let.span)
     return e
 
 

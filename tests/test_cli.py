@@ -121,6 +121,18 @@ def test_unexpected_failure_is_one_line_with_its_own_exit_code(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("internal error: "), proc.stderr
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts integers of any length")
+def test_overlong_integer_literal_is_a_diagnostic(tmp_path):
+    digits = "9" * max(5_000, sys.get_int_max_str_digits() + 1)
+    path = tmp_path / "long.gtl"
+    path.write_text(f"(module main {digits})", encoding="utf-8")
+    proc = run_gtlc("check", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        f"parse at 13..{13 + len(digits)}: integer literal too long"]
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["frobnicate"], "frobnicate"),
     (["run", "{path}", "--fuel", "abc"], "--fuel"),

@@ -1,10 +1,23 @@
-from conftest import ID_BOUNDARY, parse_ok
+import hashlib
+import random
+import sys
+
+import pytest
+
+from conftest import (
+    ID_BOUNDARY, ID_BOUNDARY_CORE, ID_BOUNDARY_OPTIMIZED_CORE,
+    ID_BOUNDARY_SLICE_U1_CORE, parse_ok,
+)
 from gtlc import frontend
+from gtlc.bench import corpus_dir
 from gtlc.frontend import (
     check_wellformed, name_env, parse_program, ty_env, typecheck_expr,
 )
 from gtlc.gen import GenConfig, gen_program
-from gtlc.syntax import Module, Opaque, Require, TArrow, T_INT, format_program
+from gtlc.syntax import (
+    Module, Opaque, Require, TArrow, T_INT, format_expr, format_program,
+)
+from gtlc.translate import compile_program
 
 ARROW_II = TArrow(T_INT, T_INT)
 
@@ -184,3 +197,167 @@ def test_prefix_monotonicity():
         for k in range(len(p.modules)):
             diags = check_wellformed(Program(p.modules[:k]))
             assert all(d.kind == "main-missing" for d in diags), (seed, k)
+
+
+# ---------------------------------------------------------------------------
+# Reader parity: diagnostics and trees over seeded mutations
+# ---------------------------------------------------------------------------
+
+# Characters a mutation may insert or substitute: the language's own
+# punctuation and atoms, characters it rejects, non-ASCII and whitespace.
+_MUTATION_CHARS = "()[]()[] ;\n-0123456789#tfλx:>/?!_@{}'\"é\t\x00 "
+_BRACKET_SWAP = {"(": "[", "[": "(", ")": "]", "]": ")"}
+
+
+def _mutations(text, rng, count):
+    """`count` seeded single-edit variants of `text`: truncations,
+    substitutions, insertions, deletions and bracket swaps."""
+    out = []
+    brackets = [i for i, c in enumerate(text) if c in _BRACKET_SWAP]
+    for k in range(count):
+        i = rng.randrange(len(text) + 1)
+        j = min(i, len(text) - 1)
+        c = rng.choice(_MUTATION_CHARS)
+        kind = k % 5
+        if kind == 0:
+            out.append(text[:i])
+        elif kind == 1:
+            out.append(text[:j] + c + text[j + 1:])
+        elif kind == 2:
+            out.append(text[:i] + c + text[i:])
+        elif kind == 3:
+            out.append(text[:j] + text[j + 1:])
+        elif brackets:
+            b = rng.choice(brackets)
+            out.append(text[:b] + _BRACKET_SWAP[text[b]] + text[b + 1:])
+    return out
+
+
+def _expr_spans(e):
+    """(type name, span) of every node under `e`, in pre-order."""
+    found, stack = [], [e]
+    while stack:
+        e = stack.pop()
+        found.append((type(e).__name__, e.span))
+        for attr in ("body", "rhs", "orelse", "then", "test", "arg", "fn"):
+            child = getattr(e, attr, None)
+            if child is not None:
+                stack.append(child)
+    return found
+
+
+def _program_record(program):
+    return (format_program(program),
+            [(m.span, [r.span for r in m.requires], _expr_spans(m.body))
+             for m in program.modules])
+
+
+def _diag_record(diags):
+    return [(d.kind, d.message, d.span) for d in diags]
+
+
+# Forms generated programs never contain: every require form in both kinds
+# of module, core forms in source, comments, square brackets and keywords.
+_HAND_WRITTEN = [
+    "; lead\n(module a 1)\n(module t (-> Int Int) (require/typed a Int)"
+    " (opaque-require a Int) (require a) (λ (x : Int) x)) ; trail\n"
+    "(module main (require/typed a Int) (opaque-require a (-> Int Bool))"
+    " (opaque-require t) (require t) ((lambda (y) (if (int? y) y #f)) (t -5)))",
+    "(module main (let [x 1] (mon (a b) int? (blame a b))))\n(module m Int)\n(module)",
+    "(module t Bool (bool? opaque))\n[module main [require t] [t [λ (_) 0]]]",
+    "(module m (-> Int) 1) (module Int 1) (module n (require 5) (-> Int Int) #t)",
+]
+
+
+def _parity_texts():
+    rng = random.Random(2024)
+    bases = [f.read_text(encoding="utf-8")
+             for f in sorted(corpus_dir().glob("*/*.gtl"))] + _HAND_WRITTEN
+    bases += [format_program(gen_program(GenConfig(seed=s))) for s in range(40)]
+    bases += [format_program(gen_program(GenConfig(seed=s, typed_fraction=1.0)))
+              for s in range(40, 60)]
+    texts = list(bases)
+    for text in bases:
+        texts += _mutations(text, rng, 30)
+    return texts
+
+
+def _core_texts():
+    rng = random.Random(2025)
+    bases = [ID_BOUNDARY_CORE, ID_BOUNDARY_SLICE_U1_CORE, ID_BOUNDARY_OPTIMIZED_CORE]
+    bases += [format_expr(compile_program(gen_program(GenConfig(seed=s))).root)
+              for s in range(30)]
+    bases += ["(blame a b)", "(let [x (mon (a b) (-> any/c bool?) y)] (x 1)) 2"]
+    texts = list(bases)
+    for text in bases:
+        texts += _mutations(text, rng, 20)
+    return texts
+
+
+# sha256 over the parse outcome of every text of `_parity_texts` (2,356
+# texts: diagnostics as (kind, message, span), and for a program its printed
+# form and the span of every module, require and expression node) and of
+# `parse_expr` over every text of `_core_texts` (735 texts).
+GOLDEN_READER_DIGEST = "d6848f6088eebe5255f2c22bd6999be7540a28732f8b2791804d02eb25b54ce0"
+
+
+def test_reader_matches_golden_digest():
+    h = hashlib.sha256()
+    texts = _parity_texts()
+    for text in texts:
+        program, diags = parse_program(text)
+        record = (_diag_record(diags),
+                  None if program is None else _program_record(program))
+        h.update(repr(record).encode())
+    core = _core_texts()
+    for text in core:
+        try:
+            e = frontend.parse_expr(text)
+        except frontend.ParseError as err:
+            record = _diag_record([err.diagnostic])
+        else:
+            record = (format_expr(e), _expr_spans(e))
+        h.update(repr(record).encode())
+    assert (len(texts), len(core)) == (2_356, 735)
+    assert h.hexdigest() == GOLDEN_READER_DIGEST
+
+
+def _spans_inside(diags, text):
+    return all(0 <= d.span[0] <= d.span[1] <= len(text) for d in diags)
+
+
+def test_reader_fuzz_gives_a_program_or_diagnostics():
+    rng = random.Random(31)
+    corpus = [f.read_text(encoding="utf-8") for f in sorted(corpus_dir().glob("*/*.gtl"))]
+    texts = []
+    for k in range(1_500):
+        raw = bytes(rng.randrange(256) for _ in range(rng.randrange(80)))
+        texts.append(raw.decode("utf-8", errors="replace") if k % 2 else raw.decode("latin-1"))
+        texts.append("".join(rng.choice(_MUTATION_CHARS) for _ in range(rng.randrange(80))))
+    for text in corpus:
+        texts += [text[:rng.randrange(len(text) + 1)] for _ in range(40)]
+    for text in texts:
+        program, diags = parse_program(text)
+        assert program is not None or diags, repr(text)
+        assert _spans_inside(diags, text), repr(text)
+        try:
+            frontend.parse_expr(text)
+        except frontend.ParseError as err:
+            assert _spans_inside([err.diagnostic], text), repr(text)
+
+
+# Python 3.11 and later refuse to convert integer strings longer than this.
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not _INT_DIGITS, reason="this interpreter converts integers of any length")
+
+
+@needs_int_digit_limit
+def test_overlong_integer_literal_is_a_parse_diagnostic():
+    digits = "9" * max(5_000, _INT_DIGITS + 1)
+    program, diags = parse_program(f"(module main {digits})")
+    assert program is None
+    assert [(d.kind, d.span) for d in diags] == [("parse", (13, 13 + len(digits)))]
+    with pytest.raises(frontend.ParseError) as err:
+        frontend.parse_expr(f"(f -{digits})")
+    assert err.value.diagnostic.span == (3, 4 + len(digits))

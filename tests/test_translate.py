@@ -8,10 +8,10 @@ from gtlc.frontend import parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
 from gtlc.optimize import slice_for_module
 from gtlc.syntax import (
-    ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Module, Mon, Opaque, Program,
-    Require, TArrow, T_BOOL, T_INT, Var, structurally_equal,
+    ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Let, Module, Mon, Opaque,
+    Program, Require, TArrow, T_BOOL, T_INT, Var, structurally_equal,
 )
-from gtlc.translate import compile_program, compile_type, erase
+from gtlc.translate import compile_program, compile_type, erase, scan_boundaries
 
 
 def test_compile_type():
@@ -69,6 +69,29 @@ def test_boundary_orientation_and_paths():
     expected = [module_lets.rhs.rhs, module_lets.body.rhs.rhs]
     assert all(isinstance(m, Mon) for m in expected)
     assert all(b is m for b, m in zip(compiled.boundary_index, expected, strict=True))
+
+
+def test_monitors_carry_their_require_spans(corpus_path):
+    # Each monitor, and the require let it sits in, spans the require form
+    # it was compiled from: the require of `pos` in module `neg`.
+    heads = ("(require ", "(require/typed ", "(opaque-require ")
+    monitors = 0
+    for path in sorted(corpus_path.glob("*/*.gtl")):
+        text = path.read_text(encoding="utf-8")
+        root = compile_program(parse_ok(text)).root
+        for mon in scan_boundaries(root):
+            form = text[mon.span[0]:mon.span[1]]
+            assert form.startswith(heads) and form.endswith(")"), (path, form)
+            assert form[:-1].split()[1] == mon.pos, (path, form)
+            monitors += 1
+        stack = [root]
+        while stack:
+            e = stack.pop()
+            if type(e) is Let:
+                if type(e.rhs) is Mon:
+                    assert e.span == e.rhs.span, path
+                stack += (e.rhs, e.body)
+    assert monitors >= 10
 
 
 def _cross_kind_edges(p):
