@@ -36,22 +36,27 @@ one child shares that child's set instead of copying it.  No pass
 recurses on the host stack, so nesting depth is bounded by memory, not by
 the interpreter's recursion limit.
 
-Values.  Every abstract value is a tuple whose first item is a small
-integer tag naming its class (`AConst(n)` is `(_CONST, n)`), so hashing
-and equality are tuple's, done in C, and distinct classes never compare
-equal; the field names are read-only properties.  An opaque value's
-refinements are one of the 64 subsets of the six tag facts (`int`,
-`!int`, ...), and refining is a lookup in a transition table built once
-over those subsets.
+Values.  An abstract value is a plain tuple whose first item is a small
+integer tag naming its class, built inline and tested by that tag:
+`(_INT,)` is some integer, `(_CONST, n)` the integer n, `(_BOOL, b)` a
+boolean (b is None when it may be either), `(_CLOS, lam, param, body,
+env)` a closure, `(_PRIM, op)` a predicate, `(_OPQ, site, refs)` an
+unknown value and `(_GUARD, contract, inner, pos, neg, site)` a monitored
+function.  A closure's `lam` is its lambda's label, which is also its
+parameter's address, and `env` is `((name, addr), ...)` sorted by name; a
+guard's `inner` is the store address of the function it wraps, anchored
+at the monitor's `site`.  Hashing and equality are tuple's, done in C,
+and distinct classes never compare equal.  A tag test is one bit: int? is
+1, bool? 2, and being a function 4.  An opaque value's refinements `refs`
+are six bits: the bit of each test it passed, and that bit shifted left
+by 3 for each test it failed.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from operator import itemgetter
-from typing import Optional, Union
+from typing import Optional
 
 from .syntax import (
     AnyC, ArrowC, App, Blame, BlameLabel, BoolC, BoolLit, Expr, If, IntC,
@@ -63,8 +68,6 @@ DEFAULT_BUDGET = 1_000_000
 # Widen exact integers at an address once this many distinct constants pile up.
 _CONST_WIDTH = 8
 
-_TAGS = ("int", "bool", "fn")
-
 
 # ---------------------------------------------------------------------------
 # Abstract values
@@ -72,87 +75,11 @@ _TAGS = ("int", "bool", "fn")
 
 _INT, _CONST, _BOOL, _CLOS, _PRIM, _OPQ, _GUARD = range(7)
 
+# Tag tests, and the one each non-opaque class passes, indexed by tag.
+_INT_T, _BOOL_T, _FN_T = 1, 2, 4
+_PASSES = (_INT_T, _INT_T, _BOOL_T, _FN_T, _FN_T, None, _FN_T)
 
-class _AbsVal(tuple):
-    """A tagged tuple: item 0 is the class tag, the rest are the fields."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}{tuple.__repr__(self[1:])}"
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self[1:])
-
-
-class AInt(_AbsVal):
-    """Some integer."""
-
-    __slots__ = ()
-
-    def __new__(cls):
-        return tuple.__new__(cls, (_INT,))
-
-
-class AConst(_AbsVal):
-    __slots__ = ()
-    n = property(itemgetter(1))
-
-    def __new__(cls, n: int):
-        return tuple.__new__(cls, (_CONST, n))
-
-
-class ABool(_AbsVal):
-    __slots__ = ()
-    known = property(itemgetter(1))  # None when either boolean
-
-    def __new__(cls, known: Optional[bool]):
-        return tuple.__new__(cls, (_BOOL, known))
-
-
-class AClos(_AbsVal):
-    __slots__ = ()
-    lam = property(itemgetter(1))    # label of the lambda; doubles as the parameter's address key
-    param = property(itemgetter(2))
-    body = property(itemgetter(3))
-    env = property(itemgetter(4))    # ((name, addr), ...) sorted
-
-    def __new__(cls, lam: int, param: str, body: int, env: tuple):
-        return tuple.__new__(cls, (_CLOS, lam, param, body, env))
-
-
-class APrim(_AbsVal):
-    __slots__ = ()
-    op = property(itemgetter(1))
-
-    def __new__(cls, op: str):
-        return tuple.__new__(cls, (_PRIM, op))
-
-
-class AOpq(_AbsVal):
-    __slots__ = ()
-    site = property(itemgetter(1))
-    refs = property(itemgetter(2))
-
-    def __new__(cls, site: object, refs: frozenset = frozenset()):
-        return tuple.__new__(cls, (_OPQ, site, refs))
-
-
-class AGuard(_AbsVal):
-    __slots__ = ()
-    contract = property(itemgetter(1))
-    inner = property(itemgetter(2))  # store address of the wrapped function
-    pos = property(itemgetter(3))
-    neg = property(itemgetter(4))
-    site = property(itemgetter(5))   # anchors the addresses of values wrapped here
-
-    def __new__(cls, contract: ArrowC, inner: tuple, pos: str, neg: str, site: object):
-        return tuple.__new__(cls, (_GUARD, contract, inner, pos, neg, site))
-
-
-AbsVal = Union[AInt, AConst, ABool, AClos, APrim, AOpq, AGuard]
-
-_SOME_INT = AInt()
+_SOME_INT = (_INT,)
 
 
 @dataclass(frozen=True)
@@ -170,72 +97,24 @@ class BlameSet:
         }
 
 
-def _refine_refs(refs: frozenset, kind: str, outcome: bool) -> Optional[frozenset]:
-    """The refinement rule: record a test outcome, or report the path
-    contradictory (None).  The base tags are mutually disjoint."""
-    if outcome:
-        if "!" + kind in refs or any(t in refs for t in _TAGS if t != kind):
-            return None
-        return refs | {kind}
-    if kind in refs:
-        return None
-    return refs | {"!" + kind}
-
-
-def _refine_table() -> dict:
-    """`table[kind][outcome][refs]`: `_refine_refs` over every subset of the
-    six tag facts, each result being the table's own key object."""
-    facts = _TAGS + tuple("!" + t for t in _TAGS)
-    subsets = {s: s for n in range(len(facts) + 1)
-               for s in map(frozenset, combinations(facts, n))}
-    table = {}
-    for kind in _TAGS:
-        by_outcome = []
-        for outcome in (False, True):
-            step = {}
-            for refs in subsets:
-                out = _refine_refs(refs, kind, outcome)
-                step[refs] = None if out is None else subsets[out]
-            by_outcome.append(step)
-        table[kind] = tuple(by_outcome)
-    return table
-
-
-_REFINE = _refine_table()
-
-# The base tag of each non-opaque value class, and whether a value of each
-# class passes each tag test.
-_KIND_OF = {_INT: "int", _CONST: "int", _BOOL: "bool", _CLOS: "fn", _PRIM: "fn", _GUARD: "fn"}
-_HOLDS = {kind: {tag: k == kind for tag, k in _KIND_OF.items()} for kind in _TAGS}
-
-
-def function_like(v: AbsVal) -> bool:
-    return _admits(v, "fn", True)
-
-
-def _admits(v: AbsVal, kind: str, outcome: bool) -> bool:
-    """Whether some portion of `v` is consistent with a test outcome."""
+def _admits(v: tuple, kind: int, outcome: bool) -> bool:
+    """Whether some portion of `v` is consistent with a test outcome.  The
+    tags are mutually disjoint, so passing one test contradicts having
+    failed it or having passed another."""
     tag = v[0]
-    if tag == _OPQ:
-        return _REFINE[kind][outcome][v[2]] is not None
-    return _HOLDS[kind][tag] is outcome
+    if tag != _OPQ:
+        return (_PASSES[tag] == kind) is outcome
+    return not v[2] & ((kind << 3 | 7 ^ kind) if outcome else kind)
 
 
-def refine(o: AOpq, kind: str, outcome: bool) -> Optional[AOpq]:
-    """Record the outcome of a type-tag test on an opaque value, or report
-    the path contradictory (None).  The base tags are mutually disjoint."""
-    refs = _REFINE[kind][outcome][o[2]]
-    if refs is None:
+def _refine_value(v: tuple, kind: int, outcome: bool) -> Optional[tuple]:
+    """The portion of `v` consistent with a test outcome, or None; an
+    opaque value records the outcome in its refinements."""
+    if not _admits(v, kind, outcome):
         return None
-    return o if refs is o[2] else AOpq(o[1], refs)
-
-
-def _refine_value(v: AbsVal, kind: str, outcome: bool) -> Optional[AbsVal]:
-    """The portion of `v` consistent with a test outcome, or None."""
-    tag = v[0]
-    if tag == _OPQ:
-        return refine(v, kind, outcome)
-    return v if _HOLDS[kind][tag] is outcome else None
+    if v[0] != _OPQ:
+        return v
+    return (_OPQ, v[1], v[2] | (kind if outcome else kind << 3))
 
 
 # ---------------------------------------------------------------------------
@@ -287,14 +166,14 @@ def _lower(root: Expr) -> list[tuple]:
             free[lbl] = frozenset((e.name,))
             code[lbl] = (_VAR, e.name)
         elif t is IntLit:
-            code[lbl] = (_VAL, AConst(e.value))
+            code[lbl] = (_VAL, (_CONST, e.value))
         elif t is BoolLit:
-            code[lbl] = (_VAL, ABool(e.value))
+            code[lbl] = (_VAL, (_BOOL, e.value))
         elif t is Prim:
-            code[lbl] = (_VAL, APrim(e.op))
+            code[lbl] = (_VAL, (_PRIM, e.op))
         elif t is Opaque:
             free[lbl] = anything if e.allowed is None else e.allowed
-            code[lbl] = (_OPAQUE, e.allowed, AOpq(lbl))
+            code[lbl] = (_OPAQUE, e.allowed, (_OPQ, lbl, 0))
         elif t is Blame:
             code[lbl] = (_BLAME, e.label)
         elif t is Lam:
@@ -343,7 +222,7 @@ def _refinable_test(node: If):
     the branches can rebind the variable to a refined address."""
     t = node.test
     if isinstance(t, App) and isinstance(t.fn, Prim) and isinstance(t.arg, Var):
-        return (t.arg.name, "int" if t.fn.op == "int?" else "bool")
+        return (t.arg.name, _INT_T if t.fn.op == "int?" else _BOOL_T)
     return None
 
 
@@ -357,7 +236,7 @@ def _refinable_test(node: If):
 _POOL = ("pool",)
 _K_HALT = ("halt",)
 _K_HAVOC = ("havoc",)
-_HAVOC_ARG = AOpq(("havoc-arg",))
+_HAVOC_ARG = (_OPQ, ("havoc-arg",), 0)
 _HAVOC_APP = ("havoc-app",)
 
 
@@ -366,7 +245,7 @@ class _Machine:
         self.code = _lower(root)
         self.budget = budget
         self.store: dict = defaultdict(set)
-        self.nconst: dict = defaultdict(int)   # addr -> AConsts in store[addr]
+        self.nconst: dict = defaultdict(int)   # addr -> constants in store[addr]
         self.kstore: dict = defaultdict(set)
         self.vdeps: dict = defaultdict(set)
         self.kdeps: dict = defaultdict(set)
@@ -415,10 +294,10 @@ class _Machine:
             new = vals - cur
             if not new:
                 continue
-            consts = [v for v in new if type(v) is AConst]
+            consts = [v for v in new if v[0] == _CONST]
             if consts:
                 if self.nconst[addr] >= _CONST_WIDTH:
-                    new = {v for v in new if type(v) is not AConst}
+                    new = {v for v in new if v[0] != _CONST}
                     new.add(_SOME_INT)
                     new -= cur
                     if not new:
@@ -482,7 +361,7 @@ class _Machine:
         havoc continuation), so every monitor wrapped around it is driven
         through all of its branches.  First-order values have no
         application successor."""
-        if function_like(v):
+        if _admits(v, _FN_T, True):
             self.apply_abs(st, v, _HAVOC_ARG, _HAVOC_APP, _K_HAVOC)
 
     def step_eval(self, st) -> None:
@@ -501,7 +380,7 @@ class _Machine:
         elif op == _LAM:
             _, param, body_lbl, keep = ins
             cenv = tuple([na for na in env if na[0] in keep])
-            self.schedule(("va", AClos(lbl, param, body_lbl, cenv), kaddr))
+            self.schedule(("va", (_CLOS, lbl, param, body_lbl, cenv), kaddr))
         elif op == _OPAQUE:
             _, allowed, fresh = ins
             for name, addr in env:
@@ -555,10 +434,10 @@ class _Machine:
             self.schedule(("ev", body_lbl, _env_set(env, name, binder_lbl), nxt))
         elif tag == "if":
             _, if_lbl, then_lbl, else_lbl, env, info, nxt = frame
-            if type(v) is ABool:
-                branches = (True, False) if v.known is None else (v.known,)
-            elif type(v) is AOpq:
-                branches = (True, False) if _admits(v, "bool", True) else ()
+            if v[0] == _BOOL:
+                branches = (True, False) if v[1] is None else (v[1],)
+            elif v[0] == _OPQ:
+                branches = (True, False) if _admits(v, _BOOL_T, True) else ()
             else:
                 branches = ()  # non-boolean test: stuck, prune
             for taken in branches:
@@ -585,11 +464,11 @@ class _Machine:
             self.join(lam, argv)
             self.schedule(("ev", body, _env_set(env, param, lam), nxt))
         elif tag == _PRIM:
-            kind = "int" if fv[1] == "int?" else "bool"
+            kind = _INT_T if fv[1] == "int?" else _BOOL_T
             if _admits(argv, kind, True):
-                self.schedule(("va", ABool(True), nxt))
+                self.schedule(("va", (_BOOL, True), nxt))
             if _admits(argv, kind, False):
-                self.schedule(("va", ABool(False), nxt))
+                self.schedule(("va", (_BOOL, False), nxt))
         elif tag == _GUARD:
             _, c, inner, pos, neg, site = fv
             kr = ("kr", site)
@@ -600,15 +479,15 @@ class _Machine:
             self.kstore_join(kd, ("mon", c.dom, neg, pos, ("d", site), kc))
             self.schedule(("va", argv, kd))
         elif tag == _OPQ:
-            if _admits(fv, "fn", True):
+            if _admits(fv, _FN_T, True):
                 self.join(_POOL, argv)
-                self.schedule(("va", AOpq(("app", app_lbl)), nxt))
+                self.schedule(("va", (_OPQ, ("app", app_lbl), 0), nxt))
         # first-order values in operator position: stuck, prune
 
     def mon_check(self, contract, pos, neg, site, nxt, v) -> None:
         t = type(contract)
         if t is IntC or t is BoolC:
-            kind = "int" if t is IntC else "bool"
+            kind = _INT_T if t is IntC else _BOOL_T
             passed = _refine_value(v, kind, True)
             if passed is not None:
                 self.schedule(("va", passed, nxt))
@@ -617,12 +496,12 @@ class _Machine:
         elif t is AnyC:
             self.schedule(("va", v, nxt))
         else:  # ArrowC
-            as_fn = _refine_value(v, "fn", True)
+            as_fn = _refine_value(v, _FN_T, True)
             if as_fn is not None:
                 inner = ("m", site)
                 self.join(inner, as_fn)
-                self.schedule(("va", AGuard(contract, inner, pos, neg, site), nxt))
-            if _admits(v, "fn", False):
+                self.schedule(("va", (_GUARD, contract, inner, pos, neg, site), nxt))
+            if _admits(v, _FN_T, False):
                 self.found.add(BlameLabel(pos, neg))
 
 

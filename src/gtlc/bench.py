@@ -137,25 +137,23 @@ def bench_corpus(corpus: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
 # ---------------------------------------------------------------------------
 
 def answers_agree(a: interp.Answer, b: interp.Answer) -> bool:
-    """Semantic agreement of two run outcomes.  First-order results compare
-    directly once guards are stripped.  Two function results count as
-    agreeing: optimization rewrites the monitors inside closure bodies, and
-    the removals are justified only against the interactions the program
-    itself performs, so applying result functions to fresh arguments would
-    probe behaviour outside the guarantee."""
+    """Semantic agreement of two run outcomes.  First-order results agree
+    when their types and values are equal, so 1 never agrees with #t.
+    Two function results count as agreeing, guards or not: optimization
+    rewrites the monitors inside closure bodies, and the removals are
+    justified only against the interactions the program itself performs,
+    so applying result functions to fresh arguments would probe behaviour
+    outside the guarantee."""
     if type(a) is not type(b):
         return False
     if isinstance(a, interp.BlamedA):
         return a.label == b.label
     if not isinstance(a, interp.ValA):
         return True  # both stuck, or both out of fuel
-    va = interp.strip_guards(a.value)
-    vb = interp.strip_guards(b.value)
-    if type(va) is interp.VInt and type(vb) is interp.VInt:
-        return va.n == vb.n
-    if type(va) is interp.VBool and type(vb) is interp.VBool:
-        return va.b == vb.b
-    return interp.is_function(va) and interp.is_function(vb)
+    va, vb = a.value, b.value
+    if interp.is_function(va):
+        return interp.is_function(vb)
+    return type(va) is type(vb) and va == vb
 
 
 def run_differential(program: Program, trust_typed: bool = True,

@@ -2,8 +2,8 @@
 
     gtlc check PROGRAM.gtl
     gtlc run PROGRAM.gtl [--optimized] [--fuel N] [--emit con]
-    gtlc analyze PROGRAM.gtl [--module X] [--budget N] [--emit blame]
-    gtlc optimize PROGRAM.gtl [--emit optimized|con]
+    gtlc analyze PROGRAM.gtl [--module X] [--budget N]
+    gtlc optimize PROGRAM.gtl [--emit optimized]
     gtlc bench CORPUS_DIR [--iterations N]
 
 Exit codes: 0 ok; 1 diagnostics, usage errors included; 2 blame; 3 stuck;
@@ -151,7 +151,7 @@ def cmd_optimize(args) -> int:
         return EXIT_DIAGNOSTICS
     compiled, report = optimize.optimize_program(
         program, trust_typed=args.trust_typed, budget=args.budget)
-    if args.emit in ("optimized", "con"):
+    if args.emit == "optimized":
         print(format_expr(compiled.root))
         return EXIT_OK
     doc = {"schema": 1, "path": args.path, **report.as_json()}
@@ -235,13 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("path")
     sp.add_argument("--module", default=None,
                     help="analyze the slice for one module; omit for all verdicts")
-    sp.add_argument("--emit", choices=["blame"], default="blame")
     _add_common(sp, trust=False)
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("optimize", help="verdict-driven contract elimination")
     sp.add_argument("path")
-    sp.add_argument("--emit", choices=["optimized", "con"], default=None,
+    sp.add_argument("--emit", choices=["optimized"], default=None,
                     help="print the optimized core program instead of the report")
     _add_common(sp)
     sp.set_defaults(fn=cmd_optimize)

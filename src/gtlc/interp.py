@@ -13,6 +13,10 @@ programs are bounded by heap, not the host recursion limit.  Dynamic type
 errors outside any monitor (applying a non-function, a non-boolean `if`
 test) are stuck states, not blame: contracts are the only source of blame.
 
+Integers and booleans are the host's `int` and `bool`.  The host counts
+`True == 1`, so they are always told apart by exact type (`type(v) is
+int`), never by equality or `isinstance`.
+
 Counters track exactly the work the optimizer is meant to remove: one
 `flat_checks` tick per flat-contract test, one `wrappers_allocated` tick
 per guard allocation, one `wrapped_calls` tick per application of a guard.
@@ -30,38 +34,6 @@ from .syntax import (
 )
 
 DEFAULT_FUEL = 10_000_000
-
-
-class VInt:
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __repr__(self):
-        return f"VInt({self.n})"
-
-    def __eq__(self, other):
-        return type(other) is VInt and other.n == self.n
-
-    def __hash__(self):
-        return hash(("VInt", self.n))
-
-
-class VBool:
-    __slots__ = ("b",)
-
-    def __init__(self, b: bool):
-        self.b = b
-
-    def __repr__(self):
-        return f"VBool({self.b})"
-
-    def __eq__(self, other):
-        return type(other) is VBool and other.b is self.b
-
-    def __hash__(self):
-        return hash(("VBool", self.b))
 
 
 class VClosure:
@@ -99,17 +71,11 @@ class VGuard:
         return f"VGuard({self.contract}, {self.inner!r}, {self.pos}, {self.neg})"
 
 
-Value = Union[VInt, VBool, VClosure, VPrim, VGuard]
+Value = Union[int, bool, VClosure, VPrim, VGuard]
 
 
 def is_function(v: Value) -> bool:
     return isinstance(v, (VClosure, VPrim, VGuard))
-
-
-def strip_guards(v: Value) -> Value:
-    while isinstance(v, VGuard):
-        v = v.inner
-    return v
 
 
 @dataclass
@@ -193,10 +159,8 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
                     m.steps = steps
                     return StuckA(f"unbound variable {e.name!r}")
                 value, control = v, None
-            elif t is IntLit:
-                value, control = VInt(e.value), None
-            elif t is BoolLit:
-                value, control = VBool(e.value), None
+            elif t is IntLit or t is BoolLit:
+                value, control = e.value, None
             elif t is Lam:
                 value, control = VClosure(e.param, e.body, env), None
             elif t is App:
@@ -247,9 +211,9 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
                 value = None
             elif tf is VPrim:
                 if fv.op == "int?":
-                    value = VBool(type(value) is VInt)
+                    value = type(value) is int
                 else:
-                    value = VBool(type(value) is VBool)
+                    value = type(value) is bool
             elif tf is VGuard:
                 m.wrapped_calls += 1
                 c = fv.contract
@@ -267,10 +231,10 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
             value = None
         elif tag is _F_IF:
             _, then, orelse, ienv = frame
-            if type(value) is not VBool:
+            if type(value) is not bool:
                 m.steps = steps
                 return StuckA("if test was not a boolean")
-            control = then if value.b else orelse
+            control = then if value else orelse
             env = ienv
             value = None
         else:  # _F_MON
@@ -278,12 +242,12 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
             tc = type(contract)
             if tc is IntC:
                 m.flat_checks += 1
-                if type(value) is not VInt:
+                if type(value) is not int:
                     m.steps = steps
                     return BlamedA(BlameLabel(pos, neg))
             elif tc is BoolC:
                 m.flat_checks += 1
-                if type(value) is not VBool:
+                if type(value) is not bool:
                     m.steps = steps
                     return BlamedA(BlameLabel(pos, neg))
             elif tc is AnyC:
@@ -299,10 +263,10 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
 
 def format_value(v: Value) -> str:
     t = type(v)
-    if t is VInt:
-        return str(v.n)
-    if t is VBool:
-        return "#t" if v.b else "#f"
+    if t is int:
+        return str(v)
+    if t is bool:
+        return "#t" if v else "#f"
     return "#<procedure>"
 
 
@@ -310,10 +274,10 @@ def answer_to_json(a: Answer) -> dict:
     match a:
         case ValA(v):
             out: dict = {"kind": "value", "display": format_value(v)}
-            if type(v) is VInt:
-                out["value"] = {"type": "int", "n": v.n}
-            elif type(v) is VBool:
-                out["value"] = {"type": "bool", "b": v.b}
+            if type(v) is int:
+                out["value"] = {"type": "int", "n": v}
+            elif type(v) is bool:
+                out["value"] = {"type": "bool", "b": v}
             else:
                 out["value"] = {"type": "function"}
             return out

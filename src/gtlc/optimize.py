@@ -141,15 +141,16 @@ def opt(e: Expr, x: str, x2: str) -> Expr:
                 contract = copt(contract, Polarity.POS)
             elif pos == x2 and neg == x:
                 contract = copt(contract, Polarity.NEG)
-            return Mon(pos, neg, contract, opt(body, x, x2))
+            return Mon(pos, neg, contract, opt(body, x, x2), span=e.span)
         case App(fn, arg):
-            return App(opt(fn, x, x2), opt(arg, x, x2))
+            return App(opt(fn, x, x2), opt(arg, x, x2), span=e.span)
         case If(test, then, orelse):
-            return If(opt(test, x, x2), opt(then, x, x2), opt(orelse, x, x2))
+            return If(opt(test, x, x2), opt(then, x, x2), opt(orelse, x, x2),
+                      span=e.span)
         case Lam(param, ann, body):
-            return Lam(param, ann, opt(body, x, x2))
+            return Lam(param, ann, opt(body, x, x2), span=e.span)
         case Let(name, rhs, body):
-            return Let(name, opt(rhs, x, x2), opt(body, x, x2))
+            return Let(name, opt(rhs, x, x2), opt(body, x, x2), span=e.span)
         case _:
             return e
 
@@ -171,19 +172,20 @@ def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
             body = _strip(body, final)
             if contract == ANY_C:
                 return body
-            return Mon(pos, neg, contract, body)
+            return Mon(pos, neg, contract, body, span=e.span)
         case App(fn, arg):
-            return App(_strip(fn, final), _strip(arg, final))
+            return App(_strip(fn, final), _strip(arg, final), span=e.span)
         case If(test, then, orelse):
-            return If(_strip(test, final), _strip(then, final), _strip(orelse, final))
+            return If(_strip(test, final), _strip(then, final), _strip(orelse, final),
+                      span=e.span)
         case Lam(param, ann, body):
-            return Lam(param, ann, _strip(body, final))
+            return Lam(param, ann, _strip(body, final), span=e.span)
         case Let(name, rhs, body):
             rhs = _strip(rhs, final)
             body = _strip(body, final)
             if isinstance(rhs, Var) and rhs.name == name:
                 return body
-            return Let(name, rhs, body)
+            return Let(name, rhs, body, span=e.span)
         case _:
             return e
 

@@ -339,14 +339,6 @@ def _alpha(a: Expr, b: Expr, ea: dict[str, int], eb: dict[str, int], depth: int)
 # Pretty-printing (re-parseable concrete syntax)
 # ---------------------------------------------------------------------------
 
-def format_ty(t: Ty) -> str:
-    return str(t)
-
-
-def format_contract(c: Contract) -> str:
-    return str(c)
-
-
 def format_expr(e: Expr) -> str:
     match e:
         case Var(name):
@@ -364,13 +356,13 @@ def format_expr(e: Expr) -> str:
         case Lam(param, None, body):
             return f"(λ ({param}) {format_expr(body)})"
         case Lam(param, ann, body):
-            return f"(λ ({param} : {format_ty(ann)}) {format_expr(body)})"
+            return f"(λ ({param} : {ann}) {format_expr(body)})"
         case Opaque():
             return "opaque"
         case Let(name, rhs, body):
             return f"(let [{name} {format_expr(rhs)}] {format_expr(body)})"
         case Mon(pos, neg, contract, body):
-            return f"(mon ({pos} {neg}) {format_contract(contract)} {format_expr(body)})"
+            return f"(mon ({pos} {neg}) {contract} {format_expr(body)})"
         case Blame(label):
             return f"(blame {label.blamed} {label.holder})"
     raise TypeError(f"not an expression: {e!r}")
@@ -379,17 +371,17 @@ def format_expr(e: Expr) -> str:
 def format_require(r: Require) -> str:
     if r.opaque:
         if r.ann is not None:
-            return f"(opaque-require {r.target} {format_ty(r.ann)})"
+            return f"(opaque-require {r.target} {r.ann})"
         return f"(opaque-require {r.target})"
     if r.ann is not None:
-        return f"(require/typed {r.target} {format_ty(r.ann)})"
+        return f"(require/typed {r.target} {r.ann})"
     return f"(require {r.target})"
 
 
 def format_module(m: Module) -> str:
     parts = ["module", m.name]
     if m.ty is not None:
-        parts.append(format_ty(m.ty))
+        parts.append(str(m.ty))
     parts.extend(format_require(r) for r in m.requires)
     parts.append(format_expr(m.body))
     return "(" + " ".join(parts) + ")"

@@ -1,8 +1,10 @@
 import hashlib
+from itertools import combinations
 
 from conftest import ID_BOUNDARY, ID_BOUNDARY_SLICE_U1, parse_ok
 from gtlc.analysis import (
-    AConst, AOpq, analyze, function_like, reachable_states, refine,
+    _BOOL, _BOOL_T, _CLOS, _CONST, _FN_T, _GUARD, _INT, _INT_T, _OPQ, _PRIM,
+    _admits, _refine_value, analyze, reachable_states,
 )
 from gtlc.bench import corpus_dir, lattice_configs
 from gtlc.frontend import parse_expr, parse_program
@@ -10,7 +12,7 @@ from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import analyze_slice, slice_for_module
 from gtlc.syntax import (
-    App, BlameLabel, If, INT_C, IntLit, Lam, Let, Mon, Opaque, Prim, Var,
+    App, ArrowC, BlameLabel, If, INT_C, IntLit, Lam, Let, Mon, Opaque, Prim, Var,
 )
 from gtlc.translate import compile_program
 
@@ -44,20 +46,52 @@ def test_slice_for_bad_client_overapproximates_concrete_blame():
     assert label in bs.labels
 
 
-def test_refine_records_outcome():
-    o = AOpq("s")
-    assert refine(o, "int", True) == AOpq("s", frozenset({"int"}))
+_TAGS = ("int", "bool", "fn")
+_TEST_BIT = {"int": _INT_T, "bool": _BOOL_T, "fn": _FN_T}
 
 
-def test_refine_contradiction_pruned():
-    o = AOpq("s", frozenset({"int"}))
-    assert refine(o, "int", False) is None
+def _refine_refs(refs, kind, outcome):
+    """The refinement rule over sets of tag facts ("int", "!int", ...):
+    record a test outcome, or report the path contradictory (None).  The
+    base tags are mutually disjoint."""
+    if outcome:
+        if "!" + kind in refs or any(t in refs for t in _TAGS if t != kind):
+            return None
+        return refs | {kind}
+    if kind in refs:
+        return None
+    return refs | {"!" + kind}
 
 
-def test_refine_disjoint_base_types():
-    o = AOpq("s", frozenset({"int"}))
-    assert refine(o, "bool", True) is None
-    assert refine(o, "fn", True) is None
+def _bits(refs):
+    return sum(_TEST_BIT[f] if f in _TEST_BIT else _TEST_BIT[f[1:]] << 3
+               for f in refs)
+
+
+def test_refinement_bits_match_the_set_rule():
+    facts = _TAGS + tuple("!" + t for t in _TAGS)
+    subsets = [frozenset(c) for n in range(len(facts) + 1)
+               for c in combinations(facts, n)]
+    assert sorted(map(_bits, subsets)) == list(range(64))
+    for refs in subsets:
+        v = (_OPQ, "s", _bits(refs))
+        for kind in _TAGS:
+            for outcome in (True, False):
+                want = _refine_refs(refs, kind, outcome)
+                if want is not None:
+                    want = (_OPQ, "s", _bits(want))
+                assert _refine_value(v, _TEST_BIT[kind], outcome) == want
+                assert _admits(v, _TEST_BIT[kind], outcome) is (want is not None)
+    # A value of any other class passes exactly the test of its own tag.
+    guard = (_GUARD, ArrowC(INT_C, INT_C), ("m", 0), "t", "u", 0)
+    for v, tag in [((_INT,), "int"), ((_CONST, 5), "int"), ((_BOOL, None), "bool"),
+                   ((_BOOL, False), "bool"), ((_CLOS, 0, "x", 1, ()), "fn"),
+                   ((_PRIM, "int?"), "fn"), (guard, "fn")]:
+        for kind in _TAGS:
+            for outcome in (True, False):
+                holds = (kind == tag) is outcome
+                assert _admits(v, _TEST_BIT[kind], outcome) is holds
+                assert _refine_value(v, _TEST_BIT[kind], outcome) == (v if holds else None)
 
 
 def test_escaped_guard_is_exercised():
@@ -75,12 +109,6 @@ def test_escaped_guard_range_can_blame_provider():
         "(let [w (mon (t u) (-> bool? int?) (λ (x) x))] opaque)"))
     # The identity returns the boolean the domain admitted, failing int?.
     assert BlameLabel("t", "u") in bs.labels
-
-
-def test_first_order_values_are_not_applicable():
-    assert not function_like(AConst(5))
-    assert function_like(AOpq("s"))
-    assert not function_like(AOpq("s", frozenset({"!fn"})))
 
 
 def test_guard_wrapping_an_opaque_can_blame_either_side():

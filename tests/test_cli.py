@@ -141,6 +141,8 @@ def test_overlong_integer_literal_is_a_diagnostic(tmp_path):
     (["optimize", "{path}", "--budget", "0"], "--budget"),
     (["bench", "--iterations", "0"], "--iterations"),
     (["run", "{path}", "--no-such-flag"], "--no-such-flag"),
+    (["analyze", "{path}", "--emit", "blame"], "--emit"),
+    (["optimize", "{path}", "--emit", "con"], "--emit"),
 ])
 def test_usage_error_is_a_diagnostic(id_boundary_file, argv, flag):
     # Exit 2 is the blame code, so a usage error must not take argparse's 2.

@@ -1,8 +1,9 @@
 from conftest import ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, parse_ok
+from gtlc.bench import answers_agree
 from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import (
-    BlamedA, OutOfFuelA, StuckA, ValA, VBool, VInt, evaluate,
+    BlamedA, OutOfFuelA, StuckA, ValA, answer_to_json, evaluate,
 )
 from gtlc.syntax import BlameLabel
 from gtlc.translate import compile_program
@@ -10,6 +11,22 @@ from gtlc.translate import compile_program
 
 def run(text, **kw):
     return evaluate(parse_expr(text), **kw)
+
+
+def same(a, b):
+    """Answer equality that tells 1 from #t: the host has `True == 1`."""
+    return answer_to_json(a) == answer_to_json(b)
+
+
+def test_ints_and_bools_are_never_confused():
+    for n, b in ((1, True), (0, False)):
+        assert not answers_agree(ValA(n), ValA(b))
+        assert not same(ValA(n), ValA(b))
+        assert answers_agree(ValA(n), ValA(n)) and answers_agree(ValA(b), ValA(b))
+    assert same(run("(int? 1)")[0], ValA(True))
+    assert not same(run("(int? #t)")[0], ValA(True))
+    assert isinstance(run("(if 1 2 3)")[0], StuckA)
+    assert isinstance(run("(mon (t u) bool? 0)")[0], BlamedA)
 
 
 def test_id_boundary_blames_bad_client():
@@ -22,7 +39,7 @@ def test_id_boundary_blames_bad_client():
 
 def test_let_without_monitors():
     answer, metrics = run("(let [x 5] x)")
-    assert answer == ValA(VInt(5))
+    assert same(answer, ValA(5))
     assert metrics.flat_checks == 0
 
 
@@ -35,13 +52,13 @@ def test_let_evaluates_like_immediate_application():
     for with_let, desugared in pairs:
         a1, m1 = run(with_let)
         a2, m2 = run(desugared)
-        assert a1 == a2
+        assert same(a1, a2)
         assert m1.flat_checks == m2.flat_checks
 
 
 def test_flat_monitor_pass_counts_once():
     answer, metrics = run("(mon (t1 u1) int? 5)")
-    assert answer == ValA(VInt(5))
+    assert same(answer, ValA(5))
     assert metrics.flat_checks == 1
 
 
@@ -52,7 +69,7 @@ def test_flat_monitor_failure_blames_positive_party():
 
 def test_double_flat_wrap_is_idempotent_but_counted():
     answer, metrics = run("(mon (t1 u1) int? (mon (t1 u1) int? 5))")
-    assert answer == ValA(VInt(5))
+    assert same(answer, ValA(5))
     assert metrics.flat_checks == 2
 
 
@@ -81,15 +98,15 @@ def test_arrow_monitor_on_non_function_blames():
 
 def test_trivial_contract_checks_nothing():
     answer, metrics = run("(mon (t1 u1) any/c #f)")
-    assert answer == ValA(VBool(False))
+    assert same(answer, ValA(False))
     assert metrics.flat_checks == 0 and metrics.wrappers_allocated == 0
 
 
 def test_predicates_reject_wrapped_functions():
     answer, _ = run("(int? (mon (t1 u1) (-> int? int?) (λ (x) x)))")
-    assert answer == ValA(VBool(False))
+    assert same(answer, ValA(False))
     answer, _ = run("(bool? (mon (t1 u1) (-> int? int?) (λ (x) x)))")
-    assert answer == ValA(VBool(False))
+    assert same(answer, ValA(False))
 
 
 def test_stuck_outside_monitors():
@@ -113,14 +130,14 @@ def test_determinism():
     root = compile_program(parse_ok(ID_BOUNDARY)).root
     a1, m1 = evaluate(root)
     a2, m2 = evaluate(root)
-    assert a1 == a2
+    assert same(a1, a2)
     assert (m1.flat_checks, m1.wrappers_allocated, m1.wrapped_calls, m1.steps) == \
         (m2.flat_checks, m2.wrappers_allocated, m2.wrapped_calls, m2.steps)
 
 
 def test_monitored_call_checks_domain_and_range():
     result, metrics = run("((mon (t1 u1) (-> int? int?) (λ (x) x)) 3)")
-    assert result == ValA(VInt(3))
+    assert same(result, ValA(3))
     assert metrics.wrapped_calls == 1 and metrics.flat_checks == 2
 
 

@@ -6,7 +6,7 @@ from conftest import (
 )
 from gtlc.frontend import parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
-from gtlc.optimize import slice_for_module
+from gtlc.optimize import optimize_program, slice_for_module
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Let, Module, Mon, Opaque,
     Program, Require, TArrow, T_BOOL, T_INT, Var, structurally_equal,
@@ -73,24 +73,29 @@ def test_boundary_orientation_and_paths():
 
 def test_monitors_carry_their_require_spans(corpus_path):
     # Each monitor, and the require let it sits in, spans the require form
-    # it was compiled from: the require of `pos` in module `neg`.
+    # it was compiled from: the require of `pos` in module `neg`.  The
+    # rewrite keeps the spans of the monitors and lets it leaves in place.
     heads = ("(require ", "(require/typed ", "(opaque-require ")
     monitors = 0
     for path in sorted(corpus_path.glob("*/*.gtl")):
         text = path.read_text(encoding="utf-8")
-        root = compile_program(parse_ok(text)).root
-        for mon in scan_boundaries(root):
-            form = text[mon.span[0]:mon.span[1]]
-            assert form.startswith(heads) and form.endswith(")"), (path, form)
-            assert form[:-1].split()[1] == mon.pos, (path, form)
-            monitors += 1
-        stack = [root]
-        while stack:
-            e = stack.pop()
-            if type(e) is Let:
-                if type(e.rhs) is Mon:
-                    assert e.span == e.rhs.span, path
-                stack += (e.rhs, e.body)
+        program = parse_ok(text)
+        roots = [compile_program(program).root]
+        roots += [optimize_program(program, trust_typed=trust)[0].root
+                  for trust in (True, False)]
+        for root in roots:
+            for mon in scan_boundaries(root):
+                form = text[mon.span[0]:mon.span[1]]
+                assert form.startswith(heads) and form.endswith(")"), (path, form)
+                assert form[:-1].split()[1] == mon.pos, (path, form)
+                monitors += 1
+            stack = [root]
+            while stack:
+                e = stack.pop()
+                if type(e) is Let:
+                    if type(e.rhs) is Mon:
+                        assert e.span == e.rhs.span, path
+                    stack += (e.rhs, e.body)
     assert monitors >= 10
 
 
