@@ -46,6 +46,28 @@ def test_slice_for_bad_client_overapproximates_concrete_blame():
     assert label in bs.labels
 
 
+def test_refine_records_outcome():
+    o = (_OPQ, "s", 0)
+    assert _refine_value(o, _INT_T, True) == (_OPQ, "s", _INT_T)
+
+
+def test_refine_contradiction_pruned():
+    o = (_OPQ, "s", _INT_T)
+    assert _refine_value(o, _INT_T, False) is None
+
+
+def test_refine_disjoint_base_types():
+    o = (_OPQ, "s", _INT_T)
+    assert _refine_value(o, _BOOL_T, True) is None
+    assert _refine_value(o, _FN_T, True) is None
+
+
+def test_first_order_values_are_not_applicable():
+    assert not _admits((_CONST, 5), _FN_T, True)
+    assert _admits((_OPQ, "s", 0), _FN_T, True)
+    assert not _admits((_OPQ, "s", _FN_T << 3), _FN_T, True)
+
+
 _TAGS = ("int", "bool", "fn")
 _TEST_BIT = {"int": _INT_T, "bool": _BOOL_T, "fn": _FN_T}
 
