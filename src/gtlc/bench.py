@@ -3,8 +3,10 @@
 A corpus directory holds one subdirectory per benchmark entry; each entry
 holds one `.gtl` file per typed/untyped configuration, named by a bitstring
 over the entry's toggleable modules ('1' = typed), so the lattice is
-enumerated by the files themselves.  The all-zeros file is the
-fully-untyped baseline.
+enumerated by the files themselves.  The file whose bitstring has no '1'
+is the fully-untyped baseline; the first in lattice order, it is the only
+configuration overheads are measured against, so an entry whose baseline
+is missing or fails to compile reports no overheads.
 
 For every configuration the harness runs the program unoptimized and
 optimized, interleaved round by round with the baseline's unoptimized
@@ -89,13 +91,16 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
             program, trust_typed=trust_typed, budget=budget, verdicts=verdicts)
 
         roots = [compiled.root, opt_compiled.root]
-        if baseline_root is None:  # lattice order puts the all-untyped file first
-            baseline_root = compiled.root
-        else:
+        if baseline_root is not None:
             roots.append(baseline_root)
+        elif "1" not in path.stem:
+            baseline_root = compiled.root
         runs = _interleaved_runs(roots, fuel, iterations)
         (answer, metrics, times), (opt_answer, opt_metrics, opt_times) = runs[:2]
-        base_time = min(runs[2][2] if len(runs) > 2 else times)
+        if baseline_root is None:
+            base_time = None
+        else:  # the baseline's own runs when this is the baseline
+            base_time = min(runs[2][2] if len(runs) > 2 else times)
 
         checks = metrics.flat_checks
         configs.append({
@@ -113,8 +118,8 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
                 "metrics": opt_metrics.as_dict(),
                 **_timing(opt_times),
             },
-            "overhead_unoptimized": min(times) / base_time,
-            "overhead_optimized": min(opt_times) / base_time,
+            "overhead_unoptimized": None if base_time is None else min(times) / base_time,
+            "overhead_optimized": None if base_time is None else min(opt_times) / base_time,
             "check_ratio": (opt_metrics.flat_checks / checks) if checks else None,
             "agree": interp.answer_to_json(answer) == interp.answer_to_json(opt_answer),
             "optimization": report.as_json(),
@@ -192,6 +197,10 @@ def party_slices_cover(program: Program, label,
     return True
 
 
+def _ratio(x: float | None) -> str:
+    return "-" if x is None else f"{x:.2f}x"
+
+
 def render_table(report: dict) -> str:
     """Flat TSV overhead table, one row per configuration."""
     rows = ["entry\tconfig\toverhead\toverhead_opt\tchecks\tchecks_opt\twraps_opt\tagree"]
@@ -202,8 +211,8 @@ def render_table(report: dict) -> str:
                 continue
             rows.append("\t".join([
                 entry["entry"], c["id"],
-                f"{c['overhead_unoptimized']:.2f}x",
-                f"{c['overhead_optimized']:.2f}x",
+                _ratio(c["overhead_unoptimized"]),
+                _ratio(c["overhead_optimized"]),
                 str(c["unoptimized"]["metrics"]["flat_checks"]),
                 str(c["optimized"]["metrics"]["flat_checks"]),
                 str(c["optimized"]["metrics"]["wrappers_allocated"]),

@@ -168,12 +168,17 @@ def cmd_bench(args) -> int:
         path = getattr(err, "filename", None) or corpus
         print(f"cannot read {path}: {err}", file=sys.stderr)
         return EXIT_DIAGNOSTICS
+    if not report["entries"]:
+        print(f"no benchmark entries in {corpus}", file=sys.stderr)
+        return EXIT_DIAGNOSTICS
     print(bench.render_table(report))
     if args.json:
         rendered = json.dumps(report, indent=2, sort_keys=True) + "\n"
         if not _write(args.json, rendered):
             return EXIT_DIAGNOSTICS
-    failed = any(c.get("failed") or not c.get("agree", True)
+    # A configuration that failed, disagrees or has no baseline to measure
+    # against fails the run.
+    failed = any(c["failed"] or not c["agree"] or c["overhead_unoptimized"] is None
                  for e in report["entries"] for c in e["configs"])
     return EXIT_DIAGNOSTICS if failed else EXIT_OK
 
@@ -197,20 +202,18 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _add_common(sp, budget=True, trust=True, fuel=None, json_flag=True):
+def _add_common(sp, trust=True, fuel=None):
     if fuel is not None:
         sp.add_argument("--fuel", type=_positive_int, default=fuel,
                         help="evaluation step budget")
-    if budget:
-        sp.add_argument("--budget", type=_positive_int, default=analysis.DEFAULT_BUDGET,
-                        help="abstract state cap for the verifier")
+    sp.add_argument("--budget", type=_positive_int, default=analysis.DEFAULT_BUDGET,
+                    help="abstract state cap for the verifier")
     if trust:
         sp.add_argument("--trust-typed", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="treat typed modules as blame-free without analysis")
-    if json_flag:
-        sp.add_argument("--json", metavar="PATH", default=None,
-                        help="also write the JSON report to PATH")
+    sp.add_argument("--json", metavar="PATH", default=None,
+                    help="also write the JSON report to PATH")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,8 @@
 
 For each module X the optimizer analyzes a slice of the program in which
 every other module body is replaced by an opaque term (imports marked
-opaque in the source stay opaque in every slice), and from which every
-monitor without X as a party is dropped.  Such a monitor can only blame
+opaque in the source stay opaque in every slice), compiled without the
+monitors that do not have X as a party.  Such a monitor can only blame
 other modules, and without it a run goes on with the value unwrapped, so
 the slice still reaches every label naming X.  If the slice's blame set
 has no label blaming X toward some party X2, then no run of the full
@@ -37,7 +37,7 @@ from .syntax import (
     ANY_C, AnyC, ArrowC, App, BoolC, Contract, Expr, If, IntC, Lam, Let, Mon,
     Module, Opaque, Polarity, Program, Var, flip,
 )
-from .translate import CompiledProgram, compile_program, narrow_to
+from .translate import CompiledProgram, compile_program
 
 
 @dataclass
@@ -70,10 +70,16 @@ class Disposition:
 
 @dataclass
 class OptimizationReport:
-    monitors_before: int
-    monitors_after: int
     dispositions: list[Disposition]
     verdicts: list[Verdict]
+
+    @property
+    def monitors_before(self) -> int:
+        return len(self.dispositions)
+
+    @property
+    def monitors_after(self) -> int:
+        return sum(1 for d in self.dispositions if d.kind != "removed")
 
     def counts(self) -> dict:
         out = {"kept": 0, "weakened": 0, "removed": 0}
@@ -98,7 +104,8 @@ class OptimizationReport:
 def slice_for_module(p: Program, target: str) -> Program:
     """Keep `target`'s body; replace every other body (and the body of any
     module someone imported opaquely) with an opaque term.  Annotations and
-    requires are untouched, so all boundary monitors survive compilation."""
+    requires are untouched, so compiled without a `party`, the slice keeps
+    every boundary monitor of `p`."""
     if p.module_named(target) is None:
         raise ValueError(f"unknown module {target!r}")
     marked = {r.target for m in p.modules for r in m.requires if r.opaque}
@@ -196,14 +203,14 @@ def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
 
 def analyze_slice(p: Program, module: str,
                   budget: int = DEFAULT_BUDGET) -> BlameSet:
-    """The blame set of `module`'s slice of `p`, analyzed without the
-    monitors between two other parties (`narrow_to`), so every label in it
-    names `module`.  Dropping such a monitor only lets runs go on that
-    would have blamed those others, passing values through unwrapped, so
-    the labels naming `module` are a superset of the whole slice's and the
-    verdicts stay sound."""
-    root = compile_program(slice_for_module(p, module)).root
-    return analyze(narrow_to(root, module), budget)
+    """The blame set of `module`'s slice of `p`, compiled with `module` as
+    its party, so without the monitors between two other parties and every
+    label in it names `module`.  Leaving such a monitor out only lets runs
+    go on that would have blamed those others, passing values through
+    unwrapped, so the labels naming `module` are a superset of the whole
+    slice's and the verdicts stay sound."""
+    return analyze(compile_program(slice_for_module(p, module), module).root,
+                   budget)
 
 
 def compute_verdicts(p: Program, trust_typed: bool = True,
@@ -274,10 +281,4 @@ def optimize_program(p: Program, trust_typed: bool = True,
         return after
 
     root = _strip(compiled.root, final)
-    report = OptimizationReport(
-        monitors_before=len(dispositions),
-        monitors_after=sum(1 for d in dispositions if d.kind != "removed"),
-        dispositions=dispositions,
-        verdicts=verdicts,
-    )
-    return CompiledProgram(root), report
+    return CompiledProgram(root), OptimizationReport(dispositions, verdicts)

@@ -6,7 +6,9 @@ every import that crosses a typed/untyped boundary introduces an inner
 `let` that rebinds the imported name to a monitored version; imports on the
 same side of the boundary introduce no binding at all.  The module that
 defines a monitored value is the positive party of its contract and the
-importing module is the negative party.
+importing module is the negative party.  A module's slice is compiled with
+that module as its `party`, which monitors only the boundaries it is a party
+of.
 """
 
 from __future__ import annotations
@@ -67,76 +69,35 @@ def erase(e: Expr, scope: "frozenset[str] | None" = None) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _module_rhs(m: Module, prior: dict[str, Module]) -> Expr:
+def _module_rhs(m: Module, prior: dict[str, Module], party: str | None) -> Expr:
     """The right-hand side for module `m`: its erased body wrapped in one
     inner let per monitored require, in require order (first require
     outermost), the let and its monitor carrying the require's span.
-    `prior` maps the names of the modules before `m`.  These leading lets
-    are the only place a compiled program has monitors, which `narrow_to`
-    relies on."""
+    `prior` maps the names of the modules before `m`.  A require is
+    monitored only when `party` is None or one of its two parties."""
     rhs = erase(m.body, frozenset(r.target for r in m.requires))
     for r in reversed(m.requires):
         target = prior.get(r.target)
         if target is None:
             raise ValueError(f"require of unknown module {r.target!r}")
-        if m.typed:
-            monitored = r.ann is not None  # annotated import of an untyped module
-            contract = compile_type(r.ann) if monitored else None
-        else:
-            monitored = target.typed  # plain import of a typed module
-            contract = compile_type(target.ty) if monitored else None
-        if monitored:
+        # A typed module monitors its annotated imports of untyped modules;
+        # an untyped module monitors its imports of typed modules.
+        ty = r.ann if m.typed else target.ty
+        if ty is not None and party in (None, r.target, m.name):
             rhs = Let(r.target,
-                      Mon(r.target, m.name, contract, Var(r.target), span=r.span),
+                      Mon(r.target, m.name, compile_type(ty), Var(r.target), span=r.span),
                       rhs, span=r.span)
     return rhs
 
 
-def narrow_to(root: Expr, party: str) -> Expr:
-    """`root` without the monitors that do not have `party` as a party,
-    each together with the self-aliasing let it sits in, as `normalize`
-    collapses a monitor made trivial.
-
-    In a compiled program of a well-formed source program every monitor
-    sits in a require let, and those lead each module's right-hand side
-    (`_module_rhs`), which is itself the right-hand side of a let on the
-    module spine that ends in `main`: source bodies hold no `let` or `mon`.
-    So the walk visits only the spine and the leading lets of each
-    right-hand side, and shares every subtree it leaves as it was.  On any
-    other tree, the monitors it does not reach stay in place."""
-    spine = []
-    e = root
-    while type(e) is Let:
-        spine.append(e)
-        e = e.body
-    for m in reversed(spine):
-        rhs = _narrow_requires(m.rhs, party)
-        e = m if rhs is m.rhs and e is m.body else Let(m.name, rhs, e)
-    return e
-
-
-def _narrow_requires(rhs: Expr, party: str) -> Expr:
-    """`rhs` without its leading require lets, `(let [t (mon (t m) c t)]
-    ...)`, whose monitor is not on a boundary of `party`."""
-    lets = []
-    e = rhs
-    while (type(e) is Let and type(e.rhs) is Mon and e.rhs.pos == e.name
-           and type(e.rhs.body) is Var and e.rhs.body.name == e.name):
-        lets.append(e)
-        e = e.body
-    for let in reversed(lets):
-        if party in (let.rhs.pos, let.rhs.neg):
-            e = let if e is let.body else Let(let.name, let.rhs, e, span=let.span)
-    return e
-
-
-def compile_program(p: Program) -> CompiledProgram:
+def compile_program(p: Program, party: str | None = None) -> CompiledProgram:
     """Compile a well-formed program.  Evaluation order of module right-hand
-    sides is program order, forced by the let nesting."""
+    sides is program order, forced by the let nesting.  Given a `party`, only
+    the boundaries that have it as a party are monitored."""
     prior: dict[str, Module] = {}
     rhss = []
     for m in p.modules:
-        rhss.append(_module_rhs(m, prior))
+        rhss.append(_module_rhs(m, prior, party))
         prior[m.name] = m
     root: Expr = Var("main")
     for m, rhs in zip(reversed(p.modules), reversed(rhss)):

@@ -283,6 +283,37 @@ def test_bench_small_corpus(capsys, tmp_path, corpus_path):
     assert all(c["agree"] for e in report["entries"] for c in e["configs"])
 
 
+@pytest.mark.parametrize("baseline", ["missing", "failed"])
+def test_bench_without_baseline_reports_no_overheads(capsys, tmp_path, corpus_path, baseline):
+    # Overheads are measured against the untyped configuration only, never
+    # against the first typed one that happens to compile.
+    entry = tmp_path / "corpus" / "idboundary"
+    entry.mkdir(parents=True)
+    for config in ("01", "11"):
+        shutil.copy(corpus_path / "idboundary" / f"{config}.gtl", entry)
+    if baseline == "failed":
+        (entry / "00.gtl").write_text("(module main", encoding="utf-8")
+    json_path = tmp_path / "bench.json"
+    code, out, _ = run_cli(capsys, "bench", str(entry.parent),
+                           "--iterations", "1", "--json", str(json_path))
+    assert code == 1
+    configs = json.loads(json_path.read_text(encoding="utf-8"))["entries"][0]["configs"]
+    compiled = [c for c in configs if not c["failed"]]
+    assert [c["id"] for c in compiled] == ["01", "11"]
+    assert all(c["overhead_unoptimized"] is None and c["overhead_optimized"] is None
+               for c in compiled)
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [row[2:4] for row in rows if row[1] in ("01", "11")] == [["-", "-"]] * 2
+
+
+def test_bench_empty_corpus_is_a_diagnostic(tmp_path):
+    corpus = tmp_path / "corpus"
+    (corpus / "not-an-entry").mkdir(parents=True)
+    proc = run_gtlc("bench", str(corpus))
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [f"no benchmark entries in {corpus}"]
+
+
 def test_console_entry_point(id_boundary_file):
     proc = run_gtlc("check", id_boundary_file)
     assert proc.returncode == 0, proc.stderr

@@ -17,7 +17,7 @@ from gtlc.syntax import (
     ANY_C, ArrowC, BOOL_C, BlameLabel, Expr, INT_C, Mon, Opaque, Polarity, Var,
     format_program, structurally_equal,
 )
-from gtlc.translate import compile_program, narrow_to, scan_boundaries
+from gtlc.translate import compile_program, scan_boundaries
 
 POS, NEG = Polarity.POS, Polarity.NEG
 
@@ -123,15 +123,21 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
     assert slices == 495
 
 
-def test_narrow_to_is_the_rewrite_that_drops_other_parties_monitors():
-    # The spine-only walk gives the tree the full rewrite walk gives.
+def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors():
+    # Compiling with a party gives the tree the full rewrite walk gives
+    # when it keeps a monitor iff the party is one of its parties.
     for cfg in GOLDEN_CONFIGS[::4]:
         p = gen_program(cfg)
         for m in p.modules:
             x = m.name
-            root = compile_program(slice_for_module(p, x)).root
-            whole = _strip(root, lambda pos, neg, c: c if x in (pos, neg) else ANY_C)
-            assert narrow_to(root, x) == whole, (cfg.seed, cfg.expr_size, x)
+            sliced = slice_for_module(p, x)
+            whole = _strip(compile_program(sliced).root,
+                           lambda pos, neg, c: c if x in (pos, neg) else ANY_C)
+            root = compile_program(sliced, x).root
+            label = (cfg.seed, cfg.expr_size, x)
+            assert root == whole, label
+            assert ([b.span for b in scan_boundaries(root)]
+                    == [b.span for b in scan_boundaries(whole)]), label
 
 
 def test_slice_is_analyzed_without_other_parties_monitors(monkeypatch):
