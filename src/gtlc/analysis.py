@@ -36,20 +36,33 @@ one child shares that child's set instead of copying it.  No pass
 recurses on the host stack, so nesting depth is bounded by memory, not by
 the interpreter's recursion limit.
 
+Atomic operands.  A variable, literal, primitive, lambda or opaque term is
+atomic: its values come from the store or the code without a step of
+their own (an opaque term's dump of its scope into the pool is a join,
+which is idempotent).  An application, `let`, `if` or monitor evaluates
+its atomic children in place, in the state that needs their values, and
+becomes a reader of the addresses they read; only a compound child gets a
+continuation address, a frame and states of its own.  States are numbered
+once, so the worklist and the dependency sets hold integers.  A frame that
+joins a continuation address later is passed the values already waiting
+there, each once, so a return address shared by many call sites costs
+linear, not quadratic, work.
+
 Values.  An abstract value is a plain tuple whose first item is a small
 integer tag naming its class, built inline and tested by that tag:
-`(_INT,)` is some integer, `(_CONST, n)` the integer n, `(_BOOL, b)` a
-boolean (b is None when it may be either), `(_CLOS, lam, param, body,
-env)` a closure, `(_PRIM, op)` a predicate, `(_OPQ, site, refs)` an
-unknown value and `(_GUARD, contract, inner, pos, neg, site)` a monitored
-function.  A closure's `lam` is its lambda's label, which is also its
-parameter's address, and `env` is `((name, addr), ...)` sorted by name; a
-guard's `inner` is the store address of the function it wraps, anchored
-at the monitor's `site`.  Hashing and equality are tuple's, done in C,
-and distinct classes never compare equal.  A tag test is one bit: int? is
-1, bool? 2, and being a function 4.  An opaque value's refinements `refs`
-are six bits: the bit of each test it passed, and that bit shifted left
-by 3 for each test it failed.
+`(_INT,)` is some integer (the model has no arithmetic, and its only tests
+are `int?` and `bool?`, so every integer literal is this one value),
+`(_BOOL, b)` a boolean (b is None when it may be either), `(_CLOS, lam,
+param, body, env)` a closure, `(_PRIM, op)` a predicate, `(_OPQ, site,
+refs)` an unknown value and `(_GUARD, contract, inner, pos, neg, site)` a
+monitored function.  A closure's `lam` is its lambda's label, which is
+also its parameter's address, and `env` is `((name, addr), ...)` sorted by
+name; a guard's `inner` is the store address of the function it wraps,
+anchored at the monitor's `site`.  Hashing and equality are tuple's, done
+in C, and distinct classes never compare equal.  A tag test is one bit:
+int? is 1, bool? 2, and being a function 4.  An opaque value's
+refinements `refs` are six bits: the bit of each test it passed, and that
+bit shifted left by 3 for each test it failed.
 """
 
 from __future__ import annotations
@@ -65,19 +78,16 @@ from .syntax import (
 
 DEFAULT_BUDGET = 1_000_000
 
-# Widen exact integers at an address once this many distinct constants pile up.
-_CONST_WIDTH = 8
-
 
 # ---------------------------------------------------------------------------
 # Abstract values
 # ---------------------------------------------------------------------------
 
-_INT, _CONST, _BOOL, _CLOS, _PRIM, _OPQ, _GUARD = range(7)
+_INT, _BOOL, _CLOS, _PRIM, _OPQ, _GUARD = range(6)
 
 # Tag tests, and the one each non-opaque class passes, indexed by tag.
 _INT_T, _BOOL_T, _FN_T = 1, 2, 4
-_PASSES = (_INT_T, _INT_T, _BOOL_T, _FN_T, _FN_T, None, _FN_T)
+_PASSES = (_INT_T, _BOOL_T, _FN_T, _FN_T, None, _FN_T)
 
 _SOME_INT = (_INT,)
 
@@ -166,7 +176,7 @@ def _lower(root: Expr) -> list[tuple]:
             free[lbl] = frozenset((e.name,))
             code[lbl] = (_VAR, e.name)
         elif t is IntLit:
-            code[lbl] = (_VAL, (_CONST, e.value))
+            code[lbl] = (_VAL, _SOME_INT)
         elif t is BoolLit:
             code[lbl] = (_VAL, (_BOOL, e.value))
         elif t is Prim:
@@ -231,13 +241,21 @@ def _refinable_test(node: If):
 # ---------------------------------------------------------------------------
 
 # Addresses.  A let or a lambda binds its variable at its own label, and
-# the continuation that receives a subexpression's value lives at that
-# subexpression's label; every other address is a tagged tuple.
+# the continuation that receives a compound subexpression's value lives at
+# that subexpression's label.  An atomic operand (a variable, literal,
+# primitive, lambda or opaque term) is evaluated in place by the state that
+# needs its value, so it has no continuation.  Every other address is a
+# tagged tuple.
 _POOL = ("pool",)
 _K_HALT = ("halt",)
 _K_HAVOC = ("havoc",)
 _HAVOC_ARG = (_OPQ, ("havoc-arg",), 0)
 _HAVOC_APP = ("havoc-app",)
+
+# States: evaluate the term at a label in an environment for a continuation
+# address, pass a value to the frames at a continuation address, or apply a
+# value that escaped to the pool.
+_EV, _VA, _HV = range(3)
 
 
 class _Machine:
@@ -245,13 +263,21 @@ class _Machine:
         self.code = _lower(root)
         self.budget = budget
         self.store: dict = defaultdict(set)
-        self.nconst: dict = defaultdict(int)   # addr -> constants in store[addr]
         self.kstore: dict = defaultdict(set)
+        # addr -> ids of the states that read it, re-run when it grows
         self.vdeps: dict = defaultdict(set)
+        # kaddr -> ids of the value states at it.  A frame added later is
+        # passed each of their values through `pending`, instead of each
+        # state re-running over every frame at the address.
         self.kdeps: dict = defaultdict(set)
+        self.pending: list = []   # (state id, frame)
         self.redges: dict = defaultdict(list)  # addr -> [(dst, kind, outcome)]
         self.found: set[BlameLabel] = set()
-        self.seen: dict = {}   # state -> whether it waits in `work`
+        # Each state is numbered once, in `ids`; `states` and `queued`
+        # (whether it waits in `work`) are indexed by that number.
+        self.ids: dict = {}
+        self.states: list[tuple] = []
+        self.queued: list[bool] = []
         self.work: deque = deque()
         self.exhausted = False
 
@@ -262,22 +288,22 @@ class _Machine:
         only ever re-run through `reschedule`, when something they read grew."""
         if self.exhausted:
             return
-        seen = self.seen
-        n = len(seen)
-        seen.setdefault(st, True)
-        if len(seen) == n:
+        n = len(self.states)
+        if self.ids.setdefault(st, n) != n:
             return
         if n >= self.budget:
-            del seen[st]
+            del self.ids[st]
             self.exhausted = True
             return
-        self.work.append(st)
+        self.states.append(st)
+        self.queued.append(True)
+        self.work.append(n)
 
-    def reschedule(self, st) -> None:
-        if self.exhausted or self.seen[st]:
+    def reschedule(self, sid: int) -> None:
+        if self.exhausted or self.queued[sid]:
             return
-        self.seen[st] = True
-        self.work.append(st)
+        self.queued[sid] = True
+        self.work.append(sid)
 
     def join(self, addr, v) -> None:
         """`store_join` of the one value `v`."""
@@ -294,35 +320,25 @@ class _Machine:
             new = vals - cur
             if not new:
                 continue
-            consts = [v for v in new if v[0] == _CONST]
-            if consts:
-                if self.nconst[addr] >= _CONST_WIDTH:
-                    new = {v for v in new if v[0] != _CONST}
-                    new.add(_SOME_INT)
-                    new -= cur
-                    if not new:
-                        continue
-                else:
-                    self.nconst[addr] += len(consts)
             cur |= new
             for dst, kind, outcome in self.redges.get(addr, ()):
                 refined = {_refine_value(v, kind, outcome) for v in new}
                 refined.discard(None)
                 if refined:
                     todo.append((dst, refined))
-            for st in self.vdeps.get(addr, ()):
-                self.reschedule(st)
+            for sid in self.vdeps.get(addr, ()):
+                self.reschedule(sid)
             if addr == _POOL:
                 for v in new:
-                    self.schedule(("hv", v))
+                    self.schedule((_HV, v))
 
     def kstore_join(self, kaddr, frame) -> None:
         cur = self.kstore[kaddr]
         if frame in cur:
             return
         cur.add(frame)
-        for st in self.kdeps.get(kaddr, ()):
-            self.reschedule(st)
+        for sid in self.kdeps.get(kaddr, ()):
+            self.pending.append((sid, frame))
 
     def ensure_redge(self, src, dst, kind, outcome) -> None:
         edge = (dst, kind, outcome)
@@ -339,101 +355,170 @@ class _Machine:
     def run(self) -> BlameSet:
         self.kstore[_K_HALT].add(("halt",))
         self.kstore[_K_HAVOC].add(("havocret",))
-        self.schedule(("ev", 0, (), _K_HALT))
-        work, seen = self.work, self.seen
-        while work and not self.exhausted:
-            st = work.popleft()
-            seen[st] = False
+        self.schedule((_EV, 0, (), _K_HALT))
+        work, pending = self.work, self.pending
+        states, queued = self.states, self.queued
+        while (work or pending) and not self.exhausted:
+            if pending:
+                sid, frame = pending.pop()
+                self.frame(sid, frame, states[sid][1])
+                continue
+            sid = work.popleft()
+            queued[sid] = False
+            st = states[sid]
             tag = st[0]
-            if tag == "ev":
-                self.step_eval(st)
-            elif tag == "va":
-                self.step_value(st)
-            else:  # "hv"
-                self.havoc(st, st[1])
-        return BlameSet(frozenset(self.found), self.exhausted, len(self.seen))
+            if tag == _EV:
+                self.step_eval(sid, st)
+            elif tag == _VA:
+                self.step_value(sid, st)
+            else:  # _HV
+                self.havoc(st[1])
+        return BlameSet(frozenset(self.found), self.exhausted, len(states))
 
     # -- transitions ----------------------------------------------------------
 
-    def havoc(self, st, v) -> None:
+    def havoc(self, v) -> None:
         """Exercise a value that escaped to unknown code: apply it to a
         fresh opaque argument, with the result escaping in turn (via the
         havoc continuation), so every monitor wrapped around it is driven
         through all of its branches.  First-order values have no
         application successor."""
         if _admits(v, _FN_T, True):
-            self.apply_abs(st, v, _HAVOC_ARG, _HAVOC_APP, _K_HAVOC)
+            self.apply_abs(v, _HAVOC_ARG, _HAVOC_APP, _K_HAVOC)
 
-    def step_eval(self, st) -> None:
-        _, lbl, env, kaddr = st
+    def atom(self, sid: int, lbl: int, env: tuple):
+        """The values of the term at `lbl` if it is atomic, else None.  A
+        variable reads its address, and an opaque term first dumps its
+        scope into the pool, an idempotent join; either makes state `sid`
+        a reader of those addresses, so it re-runs when they grow."""
         ins = self.code[lbl]
         op = ins[0]
         if op == _VAR:
             addr = _env_get(env, ins[1])
             if addr is None:
-                return  # open term: prune
-            self.vdeps[addr].add(st)
-            for v in self.store[addr]:
-                self.schedule(("va", v, kaddr))
-        elif op == _VAL:
-            self.schedule(("va", ins[1], kaddr))
-        elif op == _LAM:
+                return ()  # open term: prune
+            self.vdeps[addr].add(sid)
+            return tuple(self.store[addr])
+        if op == _VAL:
+            return (ins[1],)
+        if op == _LAM:
             _, param, body_lbl, keep = ins
             cenv = tuple([na for na in env if na[0] in keep])
-            self.schedule(("va", (_CLOS, lbl, param, body_lbl, cenv), kaddr))
-        elif op == _OPAQUE:
+            return ((_CLOS, lbl, param, body_lbl, cenv),)
+        if op == _OPAQUE:
             _, allowed, fresh = ins
             for name, addr in env:
                 if allowed is not None and name not in allowed:
                     continue
-                self.vdeps[addr].add(st)
+                self.vdeps[addr].add(sid)
                 self.store_join(_POOL, self.store[addr])
-            self.schedule(("va", fresh, kaddr))
+            return (fresh,)
+        return None
+
+    def step_eval(self, sid: int, st) -> None:
+        """Evaluate the term at a label.  A compound term evaluates each
+        atomic child in place and continues at once; only a compound child
+        gets a frame at its own label and a state of its own."""
+        _, lbl, env, kaddr = st
+        ins = self.code[lbl]
+        op = ins[0]
+        if op < _APP:
+            for v in self.atom(sid, lbl, env):
+                self.schedule((_VA, v, kaddr))
         elif op == _APP:
             _, fn_lbl, arg_lbl = ins
-            self.kstore_join(fn_lbl, ("arg", arg_lbl, env, lbl, kaddr))
-            self.schedule(("ev", fn_lbl, env, fn_lbl))
+            fns = self.atom(sid, fn_lbl, env)
+            if fns is None:
+                self.kstore_join(fn_lbl, ("arg", arg_lbl, env, lbl, kaddr))
+                self.schedule((_EV, fn_lbl, env, fn_lbl))
+            else:
+                self.call(sid, fns, arg_lbl, env, lbl, kaddr)
         elif op == _LET:
             _, name, rhs_lbl, body_lbl = ins
-            self.kstore_join(rhs_lbl, ("let", name, lbl, body_lbl, env, kaddr))
-            self.schedule(("ev", rhs_lbl, env, rhs_lbl))
+            vals = self.atom(sid, rhs_lbl, env)
+            if vals is None:
+                self.kstore_join(rhs_lbl, ("let", name, lbl, body_lbl, env, kaddr))
+                self.schedule((_EV, rhs_lbl, env, rhs_lbl))
+            else:
+                self.bind(vals, name, lbl, body_lbl, env, kaddr)
         elif op == _IF:
             _, test_lbl, then_lbl, else_lbl, info = ins
-            self.kstore_join(test_lbl, ("if", lbl, then_lbl, else_lbl, env, info, kaddr))
-            self.schedule(("ev", test_lbl, env, test_lbl))
+            vals = self.atom(sid, test_lbl, env)
+            if vals is None:
+                self.kstore_join(test_lbl,
+                                 ("if", lbl, then_lbl, else_lbl, env, info, kaddr))
+                self.schedule((_EV, test_lbl, env, test_lbl))
+            else:
+                self.branch(vals, lbl, then_lbl, else_lbl, env, info, kaddr)
         elif op == _MON:
             _, contract, pos, neg, body_lbl = ins
-            self.kstore_join(body_lbl, ("mon", contract, pos, neg, lbl, kaddr))
-            self.schedule(("ev", body_lbl, env, body_lbl))
+            vals = self.atom(sid, body_lbl, env)
+            if vals is None:
+                self.kstore_join(body_lbl, ("mon", contract, pos, neg, lbl, kaddr))
+                self.schedule((_EV, body_lbl, env, body_lbl))
+            else:
+                for v in vals:
+                    self.mon_check(contract, pos, neg, lbl, kaddr, v)
         else:  # _BLAME
             self.found.add(ins[1])
 
-    def step_value(self, st) -> None:
+    def step_value(self, sid: int, st) -> None:
         _, v, kaddr = st
-        self.kdeps[kaddr].add(st)
+        self.kdeps[kaddr].add(sid)
         for frame in list(self.kstore[kaddr]):
-            self.frame(st, frame, v)
+            self.frame(sid, frame, v)
 
-    def frame(self, st, frame, v) -> None:
+    def frame(self, sid: int, frame, v) -> None:
         tag = frame[0]
         if tag == "arg":
             _, arg_lbl, env, app_lbl, nxt = frame
-            self.kstore_join(arg_lbl, ("call", v, app_lbl, nxt))
-            self.schedule(("ev", arg_lbl, env, arg_lbl))
+            self.call(sid, (v,), arg_lbl, env, app_lbl, nxt)
         elif tag == "call":
             _, fv, app_lbl, nxt = frame
-            self.apply_abs(st, fv, v, app_lbl, nxt)
+            self.apply_abs(fv, v, app_lbl, nxt)
         elif tag == "calladdr":
             _, addr, app_lbl, nxt = frame
-            self.vdeps[addr].add(st)
+            self.vdeps[addr].add(sid)
             for fv in list(self.store[addr]):
-                self.apply_abs(st, fv, v, app_lbl, nxt)
+                self.apply_abs(fv, v, app_lbl, nxt)
         elif tag == "let":
             _, name, binder_lbl, body_lbl, env, nxt = frame
-            self.join(binder_lbl, v)
-            self.schedule(("ev", body_lbl, _env_set(env, name, binder_lbl), nxt))
+            self.bind((v,), name, binder_lbl, body_lbl, env, nxt)
         elif tag == "if":
             _, if_lbl, then_lbl, else_lbl, env, info, nxt = frame
+            self.branch((v,), if_lbl, then_lbl, else_lbl, env, info, nxt)
+        elif tag == "mon":
+            _, contract, pos, neg, site, nxt = frame
+            self.mon_check(contract, pos, neg, site, nxt, v)
+        elif tag == "havocret":
+            self.join(_POOL, v)
+        # "halt": program value, nothing to do
+
+    def call(self, sid: int, fns, arg_lbl, env, app_lbl, nxt) -> None:
+        """Apply each operator value in `fns` to the operand at `arg_lbl`.
+        Nothing evaluates the operand before there is an operator value."""
+        if not fns:
+            return
+        args = self.atom(sid, arg_lbl, env)
+        if args is None:
+            for fv in fns:
+                self.kstore_join(arg_lbl, ("call", fv, app_lbl, nxt))
+            self.schedule((_EV, arg_lbl, env, arg_lbl))
+            return
+        for fv in fns:
+            for av in args:
+                self.apply_abs(fv, av, app_lbl, nxt)
+
+    def bind(self, vals, name, binder_lbl, body_lbl, env, nxt) -> None:
+        if vals:
+            self.store_join(binder_lbl, {*vals})
+            self.schedule((_EV, body_lbl, _env_set(env, name, binder_lbl), nxt))
+
+    def branch(self, vals, if_lbl, then_lbl, else_lbl, env, info, nxt) -> None:
+        """Take every branch that some test value in `vals` selects; a
+        refinable test rebinds its variable in each branch to an address
+        that holds only the values consistent with the outcome."""
+        for v in vals:
             if v[0] == _BOOL:
                 branches = (True, False) if v[1] is None else (v[1],)
             elif v[0] == _OPQ:
@@ -449,39 +534,34 @@ class _Machine:
                         dst = ("rif", if_lbl, taken, name)
                         self.ensure_redge(src, dst, kind, taken)
                         env2 = _env_set(env, name, dst)
-                self.schedule(("ev", then_lbl if taken else else_lbl, env2, nxt))
-        elif tag == "mon":
-            _, contract, pos, neg, site, nxt = frame
-            self.mon_check(contract, pos, neg, site, nxt, v)
-        elif tag == "havocret":
-            self.join(_POOL, v)
-        # "halt": program value, nothing to do
+                self.schedule((_EV, then_lbl if taken else else_lbl, env2, nxt))
 
-    def apply_abs(self, st, fv, argv, app_lbl, nxt) -> None:
+    def apply_abs(self, fv, argv, app_lbl, nxt) -> None:
         tag = fv[0]
         if tag == _CLOS:
             _, lam, param, body, env = fv
             self.join(lam, argv)
-            self.schedule(("ev", body, _env_set(env, param, lam), nxt))
+            self.schedule((_EV, body, _env_set(env, param, lam), nxt))
         elif tag == _PRIM:
             kind = _INT_T if fv[1] == "int?" else _BOOL_T
             if _admits(argv, kind, True):
-                self.schedule(("va", (_BOOL, True), nxt))
+                self.schedule((_VA, (_BOOL, True), nxt))
             if _admits(argv, kind, False):
-                self.schedule(("va", (_BOOL, False), nxt))
+                self.schedule((_VA, (_BOOL, False), nxt))
         elif tag == _GUARD:
+            # Check the domain at once, then call the wrapped function
+            # through `kc` and check its result through `kr`; every call of
+            # the guard shares both continuations.
             _, c, inner, pos, neg, site = fv
             kr = ("kr", site)
             kc = ("kc", site)
-            kd = ("kd", site)
             self.kstore_join(kr, ("mon", c.cod, pos, neg, ("r", site), nxt))
             self.kstore_join(kc, ("calladdr", inner, app_lbl, kr))
-            self.kstore_join(kd, ("mon", c.dom, neg, pos, ("d", site), kc))
-            self.schedule(("va", argv, kd))
+            self.mon_check(c.dom, neg, pos, ("d", site), kc, argv)
         elif tag == _OPQ:
             if _admits(fv, _FN_T, True):
                 self.join(_POOL, argv)
-                self.schedule(("va", (_OPQ, ("app", app_lbl), 0), nxt))
+                self.schedule((_VA, (_OPQ, ("app", app_lbl), 0), nxt))
         # first-order values in operator position: stuck, prune
 
     def mon_check(self, contract, pos, neg, site, nxt, v) -> None:
@@ -490,17 +570,17 @@ class _Machine:
             kind = _INT_T if t is IntC else _BOOL_T
             passed = _refine_value(v, kind, True)
             if passed is not None:
-                self.schedule(("va", passed, nxt))
+                self.schedule((_VA, passed, nxt))
             if _admits(v, kind, False):
                 self.found.add(BlameLabel(pos, neg))
         elif t is AnyC:
-            self.schedule(("va", v, nxt))
+            self.schedule((_VA, v, nxt))
         else:  # ArrowC
             as_fn = _refine_value(v, _FN_T, True)
             if as_fn is not None:
                 inner = ("m", site)
                 self.join(inner, as_fn)
-                self.schedule(("va", (_GUARD, contract, inner, pos, neg, site), nxt))
+                self.schedule((_VA, (_GUARD, contract, inner, pos, neg, site), nxt))
             if _admits(v, _FN_T, False):
                 self.found.add(BlameLabel(pos, neg))
 

@@ -124,6 +124,7 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
             "agree": interp.answer_to_json(answer) == interp.answer_to_json(opt_answer),
             "optimization": report.as_json(),
             "analysis_seconds": {v.module: v.seconds for v in verdicts},
+            "analysis_states": {v.module: v.states for v in verdicts},
         })
     return {"entry": entry_dir.name, "configs": configs}
 

@@ -140,6 +140,7 @@ def cmd_analyze(args) -> int:
         "path": args.path,
         "verdicts": [v.as_json() for v in verdicts],
         "analysis_seconds": {v.module: v.seconds for v in verdicts},
+        "analysis_states": {v.module: v.states for v in verdicts},
     }
     return EXIT_OK if _emit_json(doc, args.json) else EXIT_DIAGNOSTICS
 

@@ -45,8 +45,10 @@ class Verdict:
     module: str
     safe_against: frozenset[str]
     exhausted: bool
-    # Wall time of the module's slice analysis; 0.0 when it was skipped.
+    # Wall time and abstract states of the module's slice analysis; 0.0
+    # and 0 when it was skipped.
     seconds: float = field(default=0.0, compare=False)
+    states: int = field(default=0, compare=False)
 
     def as_json(self) -> dict:
         return {"module": self.module,
@@ -216,7 +218,7 @@ def analyze_slice(p: Program, module: str,
 def compute_verdicts(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET) -> list[Verdict]:
     """One verdict per module, in program order, each with the wall time its
-    slice's compilation and analysis took."""
+    slice's compilation and analysis took and the states it explored."""
     parties = p.names()
     verdicts = []
     for m in p.modules:
@@ -228,12 +230,11 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
         bs = analyze_slice(p, m.name, budget)
         seconds = time.perf_counter() - t0
         if bs.exhausted:
-            verdicts.append(Verdict(m.name, frozenset(), exhausted=True,
-                                    seconds=seconds))
+            safe = frozenset()
         else:
-            blamed_toward = {l.holder for l in bs.labels if l.blamed == m.name}
-            verdicts.append(Verdict(m.name, others - blamed_toward,
-                                    exhausted=False, seconds=seconds))
+            safe = others - {l.holder for l in bs.labels if l.blamed == m.name}
+        verdicts.append(Verdict(m.name, safe, bs.exhausted, seconds=seconds,
+                                states=bs.states))
     return verdicts
 
 

@@ -2,9 +2,10 @@ import hashlib
 from itertools import combinations
 
 from conftest import ID_BOUNDARY, ID_BOUNDARY_SLICE_U1, parse_ok
+from gtlc import analysis
 from gtlc.analysis import (
-    _BOOL, _BOOL_T, _CLOS, _CONST, _FN_T, _GUARD, _INT, _INT_T, _OPQ, _PRIM,
-    _admits, _refine_value, analyze, reachable_states,
+    _BOOL, _BOOL_T, _CLOS, _FN_T, _GUARD, _INT, _INT_T, _OPQ, _PRIM, _SOME_INT,
+    _VAL, _admits, _lower, _refine_value, analyze, reachable_states,
 )
 from gtlc.bench import corpus_dir, lattice_configs
 from gtlc.frontend import parse_expr, parse_program
@@ -63,7 +64,9 @@ def test_refine_disjoint_base_types():
 
 
 def test_first_order_values_are_not_applicable():
-    assert not _admits((_CONST, 5), _FN_T, True)
+    # Every integer literal is the one abstract integer.
+    assert _lower(IntLit(5)) == [(_VAL, _SOME_INT)]
+    assert not _admits(_SOME_INT, _FN_T, True)
     assert _admits((_OPQ, "s", 0), _FN_T, True)
     assert not _admits((_OPQ, "s", _FN_T << 3), _FN_T, True)
 
@@ -106,7 +109,7 @@ def test_refinement_bits_match_the_set_rule():
                 assert _admits(v, _TEST_BIT[kind], outcome) is (want is not None)
     # A value of any other class passes exactly the test of its own tag.
     guard = (_GUARD, ArrowC(INT_C, INT_C), ("m", 0), "t", "u", 0)
-    for v, tag in [((_INT,), "int"), ((_CONST, 5), "int"), ((_BOOL, None), "bool"),
+    for v, tag in [((_INT,), "int"), ((_BOOL, None), "bool"),
                    ((_BOOL, False), "bool"), ((_CLOS, 0, "x", 1, ()), "fn"),
                    ((_PRIM, "int?"), "fn"), (guard, "fn")]:
         for kind in _TAGS:
@@ -234,29 +237,49 @@ def test_slicing_monotone_for_labels_mentioning_module():
             assert sliced.exhausted or mine <= sliced.labels, (seed, m.name)
 
 
-# sha256 over (program seed, expr_size, module, sorted labels, exhausted,
-# reachable_states) for every slice of the programs below.  It is the same
-# under every PYTHONHASHSEED tried, so it pins what the machine explores and
-# finds, not the order it explores in.
-GOLDEN_SLICE_DIGEST = "17c1cd78d737b8edab5cb96b1fa730dfbe1ef09b26719e5d1b5c09220b3ec0fd"
+# The slices of the golden digests: every module of 100 default programs
+# and 24 programs of expression size 64 with up to 16 modules.
+GOLDEN_CONFIGS = ([GenConfig(seed=s) for s in range(100)]
+                  + [GenConfig(seed=s, expr_size=64, max_modules=16) for s in range(24)])
+
+
+def golden_slices():
+    for cfg in GOLDEN_CONFIGS:
+        program = gen_program(cfg)
+        for m in program.modules:
+            yield cfg, m.name, compile_program(slice_for_module(program, m.name)).root
+
+
+# sha256 over (program seed, expr_size, module, sorted labels, exhausted) for
+# every golden slice.  It is the same under every PYTHONHASHSEED tried, and
+# it pins what the machine finds, not how it explores: a change to the
+# exploration must leave it as it is.
+GOLDEN_LABELS_DIGEST = "d4bf57035d0a5d11bc747c410d1ca3a331ef7a6c69dd9c995e3e0ad20f4c3e33"
+
+# sha256 over (program seed, expr_size, module, reachable_states) for every
+# golden slice: the number of states the machine explores, which a change
+# to the exploration re-records.
+GOLDEN_STATES_DIGEST = "152e27d55f440d90cb179e290203c4ec007835f6af3908b8be09bc7940e9caad"
 
 
 def test_slice_analysis_matches_golden_digest():
-    configs = [GenConfig(seed=s) for s in range(100)]
-    configs += [GenConfig(seed=s, expr_size=64, max_modules=16) for s in range(24)]
     h = hashlib.sha256()
     slices = 0
-    for cfg in configs:
-        program = gen_program(cfg)
-        for m in program.modules:
-            root = compile_program(slice_for_module(program, m.name)).root
-            bs = analyze(root)
-            labels = sorted((l.blamed, l.holder) for l in bs.labels)
-            h.update(repr((cfg.seed, cfg.expr_size, m.name, labels, bs.exhausted,
-                           reachable_states(root))).encode())
-            slices += 1
+    for cfg, module, root in golden_slices():
+        bs = analyze(root)
+        labels = sorted((l.blamed, l.holder) for l in bs.labels)
+        h.update(repr((cfg.seed, cfg.expr_size, module, labels, bs.exhausted)).encode())
+        slices += 1
     assert slices == 495
-    assert h.hexdigest() == GOLDEN_SLICE_DIGEST
+    assert h.hexdigest() == GOLDEN_LABELS_DIGEST
+
+
+def test_slice_states_match_golden_digest():
+    h = hashlib.sha256()
+    for cfg, module, root in golden_slices():
+        states = reachable_states(root)
+        h.update(repr((cfg.seed, cfg.expr_size, module, states)).encode())
+    assert h.hexdigest() == GOLDEN_STATES_DIGEST
 
 
 # Deeper than the host stack allows a recursive walk to go.
@@ -299,3 +322,34 @@ def test_deep_refinement_edge_chain():
     bs = analyze(root)
     assert not bs.exhausted
     assert bs.labels == frozenset()
+
+
+def guarded_call_chain(calls):
+    """(f (f ... (f opaque))), `calls` deep, with f a monitored identity."""
+    e = Opaque()
+    for _ in range(calls):
+        e = App(Var("f"), e)
+    return Let("f", Mon("t", "u", ArrowC(INT_C, INT_C), Lam("y", None, Var("y"))), e)
+
+
+def test_guarded_call_chain_takes_linear_frames(monkeypatch):
+    # Every call of f returns through the guard's one range continuation,
+    # which holds a frame per call site.  Each value waiting there must
+    # take each frame once, not again every time a call site adds one.
+    taken = 0
+    frame = analysis._Machine.frame
+
+    def counting(self, *args):
+        nonlocal taken
+        taken += 1
+        return frame(self, *args)
+
+    monkeypatch.setattr(analysis._Machine, "frame", counting)
+    counts = []
+    for calls in (400, 800):
+        taken = 0
+        bs = analyze(guarded_call_chain(calls))
+        assert not bs.exhausted
+        assert bs.labels == frozenset({BlameLabel("u", "t")})
+        counts.append(taken)
+    assert counts[1] <= 2.2 * counts[0], counts

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import gtlc
-from conftest import ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE
+from conftest import ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, parse_ok
 from gtlc.cli import main
 from gtlc.frontend import parse_expr
+from gtlc.optimize import analyze_slice
 from gtlc.syntax import structurally_equal
 
 
@@ -246,6 +247,18 @@ def test_analyze_all_verdicts(capsys, id_boundary_file):
     assert set(verdicts["t1"]["safe_against"]) == {"main", "u1", "u2"}
 
 
+def test_analyze_reports_states_per_module(capsys, id_boundary_file):
+    # Each module's analysis cost, in states next to its time: the states
+    # its slice's analysis explored.
+    _, out, _ = run_cli(capsys, "analyze", id_boundary_file)
+    doc = json.loads(out)
+    program = parse_ok(ID_BOUNDARY)
+    assert doc["analysis_states"] == {m.name: analyze_slice(program, m.name).states
+                                      for m in program.modules}
+    assert doc["analysis_states"].keys() == doc["analysis_seconds"].keys()
+    assert all(n > 0 for n in doc["analysis_states"].values())
+
+
 def test_optimize_report_and_emit(capsys, id_boundary_file):
     code, out, _ = run_cli(capsys, "optimize", id_boundary_file)
     doc = json.loads(out)
@@ -280,6 +293,11 @@ def test_bench_small_corpus(capsys, tmp_path, corpus_path):
     configs = by_name["idboundary"]["configs"]
     assert [c["id"] for c in configs] == ["00", "01", "10", "11"]
     assert configs[0]["overhead_unoptimized"] == 1.0
+    # Typed modules are trusted, so their slices are skipped: 0 states.
+    states = configs[3]["analysis_states"]
+    assert states.keys() == configs[3]["analysis_seconds"].keys()
+    assert states["t1"] == states["u1"] == 0
+    assert states["u2"] > 0 and states["main"] > 0
     assert all(c["agree"] for e in report["entries"] for c in e["configs"])
 
 
