@@ -6,7 +6,7 @@ from .frontend import Diagnostic, check_wellformed, parse_expr, parse_program
 from .gen import GenConfig, gen_program
 from .interp import Answer, BlamedA, Metrics, OutOfFuelA, StuckA, ValA, evaluate
 from .optimize import (
-    OptimizationReport, Verdict, copt, opt, optimize_program, slice_for_module,
+    OptimizationReport, Verdict, copt, optimize_program, slice_for_module,
 )
 from .syntax import (
     BlameLabel, Contract, Expr, Module, Polarity, Program, Ty, flip,
@@ -22,6 +22,6 @@ __all__ = [
     "OptimizationReport", "OutOfFuelA", "Polarity", "Program", "StuckA",
     "Ty", "ValA", "Verdict", "analyze", "check_wellformed", "compile_program",
     "compile_type", "copt", "erase", "evaluate", "flip", "format_expr",
-    "format_program", "gen_program", "opt", "optimize_program", "parse_expr",
+    "format_program", "gen_program", "optimize_program", "parse_expr",
     "parse_program", "slice_for_module", "structurally_equal",
 ]

@@ -13,15 +13,21 @@ become the trivial contract, arrow contracts recur with the usual reversal
 of parties in the domain, and an arrow reduced to trivial on both sides in
 positive position disappears entirely.
 
-`opt` states this rewrite for one proven pair, as the paper does.  The
-whole-program pass reaches the same result in a single walk: a monitor is
-touched only by the two pairs over its own parties, so each monitor's
-final contract is worked out on its own, and the walk records it for the
-report as it goes.
+The paper states this rewrite for one proven pair at a time, folded over
+the proven pairs to a fixpoint.  The whole-program pass reaches the same
+result in a single walk: a monitor is touched only by the two pairs over
+its own parties, so each monitor's final contract is worked out on its
+own, and the walk records it for the report as it goes.
 
-Typed modules can be trusted to be blame-free outright (`trust_typed`);
-their slices are then skipped.  An analysis that hits its state cap yields
-no verdicts for its module, so exhaustion can only cost optimization
+A module's verdict is used for nothing but dropping its own obligations at
+its boundaries.  With typed modules trusted to be blame-free outright
+(`trust_typed`), their slices are skipped, and so are the slices of the
+untyped modules whose verdict can change no monitor: those that no monitor
+obliges as its positive party, nor as its negative party with an arrow
+contract.  Such a module gets an empty verdict, which claims nothing and
+leaves every contract as its proof would.  Without `trust_typed`, every
+module is analyzed.  An analysis that hits its state cap yields no
+verdicts for its module, so exhaustion can only cost optimization
 opportunity, never soundness.
 """
 
@@ -37,7 +43,7 @@ from .syntax import (
     ANY_C, AnyC, ArrowC, App, BoolC, Contract, Expr, If, IntC, Lam, Let, Mon,
     Module, Opaque, Polarity, Program, Var, flip,
 )
-from .translate import CompiledProgram, compile_program
+from .translate import CompiledProgram, boundaries, compile_program, compile_type
 
 
 @dataclass
@@ -141,40 +147,12 @@ def copt(c: Contract, s: Polarity) -> Contract:
     raise TypeError(f"not a contract: {c!r}")
 
 
-def opt(e: Expr, x: str, x2: str) -> Expr:
-    """Rewrite monitors between `x` and `x2` given that no run can blame
-    `x` toward `x2`; everything else recurs structurally."""
-    match e:
-        case Mon(pos, neg, contract, body):
-            if pos == x and neg == x2:
-                contract = copt(contract, Polarity.POS)
-            elif pos == x2 and neg == x:
-                contract = copt(contract, Polarity.NEG)
-            return Mon(pos, neg, contract, opt(body, x, x2), span=e.span)
-        case App(fn, arg):
-            return App(opt(fn, x, x2), opt(arg, x, x2), span=e.span)
-        case If(test, then, orelse):
-            return If(opt(test, x, x2), opt(then, x, x2), opt(orelse, x, x2),
-                      span=e.span)
-        case Lam(param, ann, body):
-            return Lam(param, ann, opt(body, x, x2), span=e.span)
-        case Let(name, rhs, body):
-            return Let(name, opt(rhs, x, x2), opt(body, x, x2), span=e.span)
-        case _:
-            return e
-
-
-def normalize(e: Expr) -> Expr:
-    """Erase monitors whose contract became trivial, then collapse the
-    self-aliasing lets this leaves behind at former require boundaries."""
-    return _strip(e, lambda pos, neg, contract: contract)
-
-
 def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
-    """`normalize` after giving each monitor the contract `final(pos, neg,
-    contract)` returns for it.  `final` meets the monitors in pre-order,
-    the order of `scan_boundaries`, once each, so it can also record what
-    became of them."""
+    """Give each monitor the contract `final(pos, neg, contract)` returns
+    for it, erase the monitors left trivial, then collapse the self-aliasing
+    lets this leaves behind at former require boundaries.  `final` meets the
+    monitors in pre-order, the order of `scan_boundaries`, once each, so it
+    can also record what became of them."""
     match e:
         case Mon(pos, neg, contract, body):
             contract = final(pos, neg, contract)
@@ -215,16 +193,41 @@ def analyze_slice(p: Program, module: str,
                    budget)
 
 
+def obliged_modules(p: Program) -> set[str]:
+    """The modules whose verdict can change some monitor of `p`: a party of
+    a monitor whose contract loses something when that party's side is
+    dropped (`copt`).  That is every positive party, and every negative
+    party of an arrow contract.  Read off the requires (`boundaries`), the
+    boundaries `compile_program` monitors."""
+    out = set()
+    for m, monitored in boundaries(p):
+        for r, ty in monitored:
+            c = compile_type(ty)
+            if copt(c, Polarity.POS) != c:
+                out.add(r.target)
+            if copt(c, Polarity.NEG) != c:
+                out.add(m.name)
+    return out
+
+
 def compute_verdicts(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET) -> list[Verdict]:
     """One verdict per module, in program order, each with the wall time its
-    slice's compilation and analysis took and the states it explored."""
+    slice's compilation and analysis took and the states it explored.  With
+    `trust_typed`, a typed module is safe against every other module and an
+    untyped one outside `obliged_modules` is safe against none, both with
+    no slice analyzed (0 seconds, 0 states); every other module's slice is
+    analyzed."""
     parties = p.names()
+    obliged = obliged_modules(p) if trust_typed else set()
     verdicts = []
     for m in p.modules:
         others = frozenset(n for n in parties if n != m.name)
         if trust_typed and m.typed:
             verdicts.append(Verdict(m.name, others, exhausted=False))
+            continue
+        if trust_typed and m.name not in obliged:
+            verdicts.append(Verdict(m.name, frozenset(), exhausted=False))
             continue
         t0 = time.perf_counter()
         bs = analyze_slice(p, m.name, budget)
@@ -256,12 +259,13 @@ def optimize_program(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET,
                      verdicts: "list[Verdict] | None" = None,
                      ) -> tuple[CompiledProgram, OptimizationReport]:
-    """Analyze every module, then strip the contract obligations of every
-    proven-safe ordered pair from the compiled program in one walk: each
-    monitor gets its final contract (`_final_contract`), a monitor left
-    trivial is erased, and so is the self-aliasing let it leaves behind.
-    The result is what folding `opt` over the proven pairs to a fixpoint
-    and then normalizing gives, and the walk records each monitor's
+    """Take the verdicts (`compute_verdicts` unless they are given), then
+    strip the contract obligations of every proven-safe ordered pair from
+    the compiled program in one walk: each monitor gets its final contract
+    (`_final_contract`), a monitor left trivial is erased, and so is the
+    self-aliasing let it leaves behind.  The result is what folding the
+    paper's per-pair rewrite over the proven pairs to a fixpoint and then
+    erasing trivial monitors gives, and the walk records each monitor's
     disposition as it rewrites it."""
     compiled = compile_program(p)
     if verdicts is None:

@@ -13,12 +13,13 @@ of.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .syntax import (
     ArrowC, App, Blame, BoolLit, BOOL_C, Contract, Expr, If, IntLit, INT_C,
-    Lam, Let, Mon, Module, Opaque, Prim, Program, TArrow, TBool, TInt, Ty,
-    Var,
+    Lam, Let, Mon, Module, Opaque, Prim, Program, Require, TArrow, TBool, TInt,
+    Ty, Var,
 )
 
 @dataclass
@@ -69,21 +70,38 @@ def erase(e: Expr, scope: "frozenset[str] | None" = None) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _module_rhs(m: Module, prior: dict[str, Module], party: str | None) -> Expr:
+def boundaries(p: Program) -> Iterator[tuple[Module, list[tuple[Require, Ty]]]]:
+    """Each module of `p` in program order, with the requires it monitors,
+    in require order, each with the type its monitor's contract is compiled
+    from (`compile_type`).  A require is monitored when it crosses a
+    typed/untyped boundary: a typed module monitors its annotated imports
+    of untyped modules, and an untyped module its imports of typed modules.
+    The required module is the positive party and the requiring module the
+    negative one."""
+    prior: dict[str, Module] = {}
+    for m in p.modules:
+        monitored = []
+        for r in m.requires:
+            target = prior.get(r.target)
+            if target is None:
+                raise ValueError(f"require of unknown module {r.target!r}")
+            ty = r.ann if m.typed else target.ty
+            if ty is not None:
+                monitored.append((r, ty))
+        yield m, monitored
+        prior[m.name] = m
+
+
+def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
+                party: str | None) -> Expr:
     """The right-hand side for module `m`: its erased body wrapped in one
-    inner let per monitored require, in require order (first require
-    outermost), the let and its monitor carrying the require's span.
-    `prior` maps the names of the modules before `m`.  A require is
-    monitored only when `party` is None or one of its two parties."""
+    inner let per monitored require (`boundaries`), in require order (first
+    require outermost), the let and its monitor carrying the require's span.
+    A require is monitored only when `party` is None or one of its two
+    parties."""
     rhs = erase(m.body, frozenset(r.target for r in m.requires))
-    for r in reversed(m.requires):
-        target = prior.get(r.target)
-        if target is None:
-            raise ValueError(f"require of unknown module {r.target!r}")
-        # A typed module monitors its annotated imports of untyped modules;
-        # an untyped module monitors its imports of typed modules.
-        ty = r.ann if m.typed else target.ty
-        if ty is not None and party in (None, r.target, m.name):
+    for r, ty in reversed(monitored):
+        if party in (None, r.target, m.name):
             rhs = Let(r.target,
                       Mon(r.target, m.name, compile_type(ty), Var(r.target), span=r.span),
                       rhs, span=r.span)
@@ -94,11 +112,7 @@ def compile_program(p: Program, party: str | None = None) -> CompiledProgram:
     """Compile a well-formed program.  Evaluation order of module right-hand
     sides is program order, forced by the let nesting.  Given a `party`, only
     the boundaries that have it as a party are monitored."""
-    prior: dict[str, Module] = {}
-    rhss = []
-    for m in p.modules:
-        rhss.append(_module_rhs(m, prior, party))
-        prior[m.name] = m
+    rhss = [_module_rhs(m, monitored, party) for m, monitored in boundaries(p)]
     root: Expr = Var("main")
     for m, rhs in zip(reversed(p.modules), reversed(rhss)):
         root = Let(m.name, rhs, root)

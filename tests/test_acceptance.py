@@ -239,6 +239,15 @@ def test_criterion_6_check_elimination(corpus_path):
                          base["unoptimized"]["metrics"]["steps"])
     if steps != base_steps:
         failures.append(f"optimized hot loop takes {steps} steps, baseline {base_steps}")
+    # The deterministic claim beneath the timing: the optimized hot loop is
+    # the untyped baseline's program, so the ratio below can only measure
+    # the host.
+    hot_program, base_program = (
+        parse_ok((corpus_path / "hotloop" / f"{config}.gtl").read_text(encoding="utf-8"))
+        for config in ("1", "0"))
+    optimized, _ = optimize_program(hot_program)
+    if not structurally_equal(optimized.root, compile_program(base_program).root):
+        failures.append("optimized hot loop differs from the compiled untyped baseline")
     ratio = hot["overhead_optimized"]
     if ratio > 1.10:
         failures.append(f"optimized hot loop at {ratio:.3f}x baseline, bound 1.10x")

@@ -6,16 +6,17 @@ from conftest import (
 )
 from gtlc import optimize
 from gtlc.analysis import analyze, reachable_states
+from gtlc.bench import lattice_configs
 from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import (
     Verdict, _final_contract, _strip, analyze_slice, compute_verdicts, copt,
-    normalize, opt, optimize_program, slice_for_module,
+    optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
-    ANY_C, ArrowC, BOOL_C, BlameLabel, Expr, INT_C, Mon, Opaque, Polarity, Var,
-    format_program, structurally_equal,
+    ANY_C, App, ArrowC, BOOL_C, BlameLabel, Expr, If, INT_C, Lam, Let, Mon,
+    Opaque, Polarity, Var, format_expr, format_program, structurally_equal,
 )
 from gtlc.translate import compile_program, scan_boundaries
 
@@ -88,7 +89,8 @@ def _full_slice(p, module):
 
 
 def _verdicts_from_full_slices(p, trust_typed):
-    """`compute_verdicts` as it reads with every monitor kept in each slice."""
+    """`compute_verdicts` as it reads with every monitor kept in each slice,
+    and, under `trust_typed`, with every untyped module's slice analyzed."""
     parties = frozenset(p.names())
     out = []
     for m in p.modules:
@@ -106,7 +108,7 @@ def _verdicts_from_full_slices(p, trust_typed):
 
 
 def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
-    slices = 0
+    slices = skipped = 0
     for cfg in GOLDEN_CONFIGS:
         p = gen_program(cfg)
         for m in p.modules:
@@ -117,10 +119,26 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
             assert narrowed.labels == {l for l in full.labels if x in (l.blamed, l.holder)}, label
             assert narrowed.exhausted == full.exhausted, label
             slices += 1
-        for trust in (True, False):
-            assert compute_verdicts(p, trust_typed=trust) == \
-                _verdicts_from_full_slices(p, trust), (cfg.seed, trust)
+        assert compute_verdicts(p, trust_typed=False) == \
+            _verdicts_from_full_slices(p, False), (cfg.seed, False)
+        # Trusting typed modules also skips the untyped modules whose
+        # verdict no monitor consults, and that changes no contract.
+        full_trusted = _verdicts_from_full_slices(p, True)
+        trusted = compute_verdicts(p, trust_typed=True)
+        for v, full_v in zip(trusted, full_trusted):
+            label = (cfg.seed, cfg.expr_size, v.module)
+            if v.states > 0 or p.module_named(v.module).typed:
+                assert v == full_v, label
+            else:
+                assert v == Verdict(v.module, frozenset(), exhausted=False), label
+                assert v.seconds == 0.0, label
+                skipped += 1
+        compiled, report = optimize_program(p, verdicts=trusted)
+        full_compiled, full_report = optimize_program(p, verdicts=full_trusted)
+        assert structurally_equal(compiled.root, full_compiled.root), (cfg.seed, True)
+        assert report.dispositions == full_report.dispositions, (cfg.seed, True)
     assert slices == 495
+    assert skipped > 0
 
 
 def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors():
@@ -205,6 +223,38 @@ def test_copt_idempotent_exhaustively():
 
 
 # -- expression rewriting ----------------------------------------------------
+
+# The paper's rewrite for one proven pair, the oracle that the one-walk
+# rewrite of `optimize_program` is checked against.
+
+def opt(e: Expr, x: str, x2: str) -> Expr:
+    """Rewrite monitors between `x` and `x2` given that no run can blame
+    `x` toward `x2`; everything else recurs structurally."""
+    match e:
+        case Mon(pos, neg, contract, body):
+            if pos == x and neg == x2:
+                contract = copt(contract, Polarity.POS)
+            elif pos == x2 and neg == x:
+                contract = copt(contract, Polarity.NEG)
+            return Mon(pos, neg, contract, opt(body, x, x2), span=e.span)
+        case App(fn, arg):
+            return App(opt(fn, x, x2), opt(arg, x, x2), span=e.span)
+        case If(test, then, orelse):
+            return If(opt(test, x, x2), opt(then, x, x2), opt(orelse, x, x2),
+                      span=e.span)
+        case Lam(param, ann, body):
+            return Lam(param, ann, opt(body, x, x2), span=e.span)
+        case Let(name, rhs, body):
+            return Let(name, opt(rhs, x, x2), opt(body, x, x2), span=e.span)
+        case _:
+            return e
+
+
+def normalize(e: Expr) -> Expr:
+    """Erase monitors whose contract became trivial, then collapse the
+    self-aliasing lets this leaves behind at former require boundaries."""
+    return _strip(e, lambda pos, neg, contract: contract)
+
 
 def test_opt_golden_chain():
     compiled = compile_program(parse_ok(ID_BOUNDARY)).root
@@ -291,6 +341,85 @@ def test_verdicts_trust_typed_skips_analysis(id_boundary):
     verdicts = {v.module: v for v in compute_verdicts(id_boundary, trust_typed=True)}
     assert verdicts["t1"].safe_against == frozenset({"u1", "u2", "main"})
     assert "t1" not in verdicts["u2"].safe_against
+
+
+def _analyzed_modules(monkeypatch, p, trust_typed):
+    """The modules whose slice `compute_verdicts` analyzes."""
+    analyzed = []
+
+    def recording(p, module, *args, _analyze_slice=optimize.analyze_slice):
+        analyzed.append(module)
+        return _analyze_slice(p, module, *args)
+
+    monkeypatch.setattr(optimize, "analyze_slice", recording)
+    compute_verdicts(p, trust_typed=trust_typed)
+    monkeypatch.undo()
+    return analyzed
+
+
+def test_module_importing_only_a_typed_int_is_skipped(monkeypatch):
+    # u is only the negative party of a flat contract, and main of no
+    # monitor at all: no verdict of theirs can weaken a contract.
+    p = parse_ok("(module n Int 5)\n"
+                 "(module u (require n) n)\n"
+                 "(module main (require u) u)")
+    assert _analyzed_modules(monkeypatch, p, trust_typed=True) == []
+    verdicts = {v.module: v for v in compute_verdicts(p, trust_typed=True)}
+    assert verdicts["u"] == Verdict("u", frozenset(), exhausted=False)
+    assert verdicts["main"] == Verdict("main", frozenset(), exhausted=False)
+    assert verdicts["u"].states == verdicts["main"].states == 0
+    # Trusting n alone removes the flat contract, as the full analysis would.
+    _, report = optimize_program(p, trust_typed=True)
+    assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == [("n", "u", "removed")]
+
+
+def test_module_importing_a_typed_function_is_analyzed(monkeypatch):
+    # u owes f the domain of an arrow, so its verdict can drop that check.
+    p = parse_ok("(module f (-> Int Int) (λ (x : Int) x))\n"
+                 "(module u (require f) (f 1))\n"
+                 "(module main (require u) u)")
+    assert _analyzed_modules(monkeypatch, p, trust_typed=True) == ["u"]
+    _, report = optimize_program(p, trust_typed=True)
+    assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == [("f", "u", "removed")]
+
+
+def test_module_imported_by_a_typed_module_is_analyzed(monkeypatch):
+    # u is the positive party of t's import: its verdict can drop the flat
+    # check on the value it exports.  main, importing t's Int, is skipped.
+    p = parse_ok("(module u 5)\n"
+                 "(module t Int (require/typed u Int) u)\n"
+                 "(module main (require t) t)")
+    assert _analyzed_modules(monkeypatch, p, trust_typed=True) == ["u"]
+    _, report = optimize_program(p, trust_typed=True)
+    assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == \
+        [("u", "t", "removed"), ("t", "main", "removed")]
+
+
+def test_untrusted_verdicts_analyze_every_module(monkeypatch):
+    p = parse_ok("(module n Int 5)\n"
+                 "(module u (require n) n)\n"
+                 "(module main (require u) u)")
+    assert _analyzed_modules(monkeypatch, p, trust_typed=False) == ["n", "u", "main"]
+    assert all(v.states > 0 for v in compute_verdicts(p, trust_typed=False))
+
+
+def test_skipping_unconsulted_slices_changes_no_output(corpus_path):
+    # The skipped modules' verdicts differ from their slices', but no
+    # monitor consults them, so the tree and the dispositions are the same.
+    programs = [gen_program(GenConfig(seed=seed)) for seed in range(300)]
+    programs += [gen_program(GenConfig(seed=seed, expr_size=64, max_modules=16))
+                 for seed in range(1000, 1024)]
+    for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
+        programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
+    changed_verdicts = 0
+    for i, p in enumerate(programs):
+        compiled, report = optimize_program(p, trust_typed=True)
+        every = _verdicts_from_full_slices(p, trust_typed=True)
+        oracle, oracle_report = optimize_program(p, verdicts=every)
+        assert format_expr(compiled.root) == format_expr(oracle.root), i
+        assert report.dispositions == oracle_report.dispositions, i
+        changed_verdicts += sum(1 for v, w in zip(report.verdicts, every) if v != w)
+    assert changed_verdicts > 0
 
 
 def test_dispositions_match_rewritten_tree():
