@@ -25,16 +25,21 @@ test rebind `x` to a refined address, and monitor checks thread the
 refined value through.
 
 Lowered form.  Before exploring, the expression is lowered in one
-iterative pre-order walk: each node's label is its pre-order index, and
-`code[label]` is a flat instruction tuple holding the node's operator, its
-operands and its children's labels, e.g. `(_APP, fn_label, arg_label)` or
-`(_IF, test, then, else, refinable)`.  Literals carry their abstract value
-and opaque terms their fresh opaque value, built once.  Free-variable sets
-are kept only on lambdas, where they trim the captured environment; an
-opaque term counts as free every name it may reference, and a node with
-one child shares that child's set instead of copying it.  No pass
-recurses on the host stack, so nesting depth is bounded by memory, not by
-the interpreter's recursion limit.
+iterative pre-order walk (`lower`): each node's label is its pre-order
+index plus a `base` offset, and `code[label]` is a flat instruction tuple
+holding the node's operator, its operands and its children's labels, e.g.
+`(_APP, fn_label, arg_label)` or `(_IF, test, then, else, refinable)`.
+Literals carry their abstract value and opaque terms their fresh opaque
+value, built once.  Free-variable sets are kept only on lambdas, where
+they trim the captured environment; an opaque term counts as free every
+name it may reference, and a node with one child shares that child's set
+instead of copying it.  No pass recurses on the host stack, so nesting
+depth is bounded by memory, not by the interpreter's recursion limit.
+The machine reads children only through the labels an instruction holds,
+and starts at label 0, so code lowered at `base = len(code)` can be
+appended to other code and linked in by repointing one parent's child
+label: the optimizer builds each module's slice that way from one lowered
+skeleton of the program, and `analyze` takes such code as it is.
 
 Atomic operands.  A variable, literal, primitive, lambda or opaque term is
 atomic: its values come from the store or the code without a step of
@@ -133,9 +138,14 @@ def _refine_value(v: tuple, kind: int, outcome: bool) -> Optional[tuple]:
 
 _VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON, _BLAME = range(9)
 
+# A let lowers to `(_LET, name, rhs, body)`; the slots of its two child
+# labels, for code that relinks lowered code.
+LET_RHS, LET_BODY = 2, 3
 
-def _lower(root: Expr) -> list[tuple]:
-    """One instruction tuple per node, indexed by pre-order label."""
+
+def lower(root: Expr, base: int = 0) -> list[tuple]:
+    """One instruction tuple per node of `root`, the node at pre-order index
+    i labelled `base + i`, so the result belongs at `code[base:]`."""
     nodes: list[Expr] = []
     bound: set[str] = set()
     stack = [root]
@@ -160,56 +170,56 @@ def _lower(root: Expr) -> list[tuple]:
     # keep all of those.
     anything = frozenset(bound)
 
-    # Descendants have larger labels, so one backward sweep sees each
+    # Descendants have larger indices, so one backward sweep sees each
     # child's subtree size and free variables before its parent's.  A
-    # node's first child is the next label, and each later child follows
+    # node's first child is the next index, and each later child follows
     # the subtree of the one before it.
     n = len(nodes)
     size = [1] * n
     free: list[frozenset[str]] = [frozenset()] * n
     code: list[tuple] = [()] * n
-    for lbl in range(n - 1, -1, -1):
-        e = nodes[lbl]
+    for i in range(n - 1, -1, -1):
+        e = nodes[i]
         t = type(e)
-        k0 = lbl + 1
+        k0 = i + 1
         if t is Var:
-            free[lbl] = frozenset((e.name,))
-            code[lbl] = (_VAR, e.name)
+            free[i] = frozenset((e.name,))
+            code[i] = (_VAR, e.name)
         elif t is IntLit:
-            code[lbl] = (_VAL, _SOME_INT)
+            code[i] = (_VAL, _SOME_INT)
         elif t is BoolLit:
-            code[lbl] = (_VAL, (_BOOL, e.value))
+            code[i] = (_VAL, (_BOOL, e.value))
         elif t is Prim:
-            code[lbl] = (_VAL, (_PRIM, e.op))
+            code[i] = (_VAL, (_PRIM, e.op))
         elif t is Opaque:
-            free[lbl] = anything if e.allowed is None else e.allowed
-            code[lbl] = (_OPAQUE, e.allowed, (_OPQ, lbl, 0))
+            free[i] = anything if e.allowed is None else e.allowed
+            code[i] = (_OPAQUE, e.allowed, (_OPQ, base + i, 0))
         elif t is Blame:
-            code[lbl] = (_BLAME, e.label)
+            code[i] = (_BLAME, e.label)
         elif t is Lam:
-            size[lbl] += size[k0]
-            fv = free[lbl] = _without(free[k0], e.param)
-            code[lbl] = (_LAM, e.param, k0, fv)
+            size[i] += size[k0]
+            fv = free[i] = _without(free[k0], e.param)
+            code[i] = (_LAM, e.param, base + k0, fv)
         elif t is Mon:
-            size[lbl] += size[k0]
-            free[lbl] = free[k0]
-            code[lbl] = (_MON, e.contract, e.pos, e.neg, k0)
+            size[i] += size[k0]
+            free[i] = free[k0]
+            code[i] = (_MON, e.contract, e.pos, e.neg, base + k0)
         elif t is App:
             k1 = k0 + size[k0]
-            size[lbl] += size[k0] + size[k1]
-            free[lbl] = _union(free[k0], free[k1])
-            code[lbl] = (_APP, k0, k1)
+            size[i] += size[k0] + size[k1]
+            free[i] = _union(free[k0], free[k1])
+            code[i] = (_APP, base + k0, base + k1)
         elif t is Let:
             k1 = k0 + size[k0]
-            size[lbl] += size[k0] + size[k1]
-            free[lbl] = _union(free[k0], _without(free[k1], e.name))
-            code[lbl] = (_LET, e.name, k0, k1)
+            size[i] += size[k0] + size[k1]
+            free[i] = _union(free[k0], _without(free[k1], e.name))
+            code[i] = (_LET, e.name, base + k0, base + k1)
         elif t is If:
             k1 = k0 + size[k0]
             k2 = k1 + size[k1]
-            size[lbl] += size[k0] + size[k1] + size[k2]
-            free[lbl] = _union(_union(free[k0], free[k1]), free[k2])
-            code[lbl] = (_IF, k0, k1, k2, _refinable_test(e))
+            size[i] += size[k0] + size[k1] + size[k2]
+            free[i] = _union(_union(free[k0], free[k1]), free[k2])
+            code[i] = (_IF, base + k0, base + k1, base + k2, _refinable_test(e))
         else:
             raise TypeError(f"not a core expression: {t.__name__}")
     return code
@@ -259,8 +269,8 @@ _EV, _VA, _HV = range(3)
 
 
 class _Machine:
-    def __init__(self, root: Expr, budget: int):
-        self.code = _lower(root)
+    def __init__(self, code: list[tuple], budget: int):
+        self.code = code
         self.budget = budget
         self.store: dict = defaultdict(set)
         self.kstore: dict = defaultdict(set)
@@ -602,14 +612,16 @@ def _env_set(env: tuple, name: str, addr) -> tuple:
     return env + ((name, addr),)
 
 
-def analyze(root: Expr, budget: int = DEFAULT_BUDGET) -> BlameSet:
+def analyze(root: "Expr | list[tuple]", budget: int = DEFAULT_BUDGET) -> BlameSet:
     """Every blame label reachable by some concrete instantiation of the
-    opaque parts of `root`.  When the state cap is hit, `exhausted` is set
-    and callers must treat the label set as if it held every label."""
-    return _Machine(root, budget).run()
+    opaque parts of `root`, an expression or code it lowered to (`lower`),
+    run from label 0.  When the state cap is hit, `exhausted` is set and
+    callers must treat the label set as if it held every label."""
+    code = root if isinstance(root, list) else lower(root)
+    return _Machine(code, budget).run()
 
 
-def reachable_states(root: Expr, budget: int = DEFAULT_BUDGET) -> int:
+def reachable_states(root: "Expr | list[tuple]", budget: int = DEFAULT_BUDGET) -> int:
     """Size of the explored abstract state space.  `analyze(root).states`
     gives the same; this name is kept for the benchmark's census, which
     counts the states of every analyzed slice through it."""

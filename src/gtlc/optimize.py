@@ -2,16 +2,23 @@
 
 For each module X the optimizer analyzes a slice of the program in which
 every other module body is replaced by an opaque term (imports marked
-opaque in the source stay opaque in every slice), compiled without the
-monitors that do not have X as a party.  Such a monitor can only blame
-other modules, and without it a run goes on with the value unwrapped, so
-the slice still reaches every label naming X.  If the slice's blame set
-has no label blaming X toward some party X2, then no run of the full
-program can produce that label either, and every obligation of X at the
-X/X2 boundary can be dropped: flat contracts where X is the positive party
+opaque in the source stay opaque in every slice), without the monitors
+that do not have X as a party.  Such a monitor can only blame other
+modules, and without it a run goes on with the value unwrapped, so the
+slice still reaches every label naming X.  If the slice's blame set has
+no label blaming X toward some party X2, then no run of the full program
+can produce that label either, and every obligation of X at the X/X2
+boundary can be dropped: flat contracts where X is the positive party
 become the trivial contract, arrow contracts recur with the usual reversal
 of parties in the domain, and an arrow reduced to trivial on both sides in
 positive position disappears entirely.
+
+Slices differ only in which body is concrete and which monitors exist, so
+none is compiled on its own.  The program is compiled and lowered once as
+its skeleton, with every module body a hole (`Skeleton`).  A slice's code
+is a copy of the skeleton's in which each dropped monitor's `let` is
+bypassed (the instruction above it points at the let's body) and X's
+erased body, lowered at the end of the code, takes the place of its hole.
 
 The paper states this rewrite for one proven pair at a time, folded over
 the proven pairs to a fixpoint.  The whole-program pass reaches the same
@@ -38,12 +45,14 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .analysis import BlameSet, analyze, DEFAULT_BUDGET
+from .analysis import BlameSet, analyze, lower, DEFAULT_BUDGET, LET_BODY, LET_RHS
 from .syntax import (
     ANY_C, AnyC, ArrowC, App, BoolC, Contract, Expr, If, IntC, Lam, Let, Mon,
     Module, Opaque, Polarity, Program, Var, flip,
 )
-from .translate import CompiledProgram, boundaries, compile_program, compile_type
+from .translate import (
+    CompiledProgram, boundaries, compile_program, compile_type, module_body,
+)
 
 
 @dataclass
@@ -109,14 +118,15 @@ class OptimizationReport:
 # Slicing
 # ---------------------------------------------------------------------------
 
-def slice_for_module(p: Program, target: str) -> Program:
+def slice_for_module(p: Program, target: "str | None") -> Program:
     """Keep `target`'s body; replace every other body (and the body of any
-    module someone imported opaquely) with an opaque term.  Annotations and
-    requires are untouched, so compiled without a `party`, the slice keeps
-    every boundary monitor of `p`."""
-    if p.module_named(target) is None:
+    module someone imported opaquely) with an opaque term.  With `target`
+    None every body is a hole: the program's skeleton.  Annotations and
+    requires are untouched, so compiled, the slice keeps every boundary
+    monitor of `p`."""
+    if target is not None and p.module_named(target) is None:
         raise ValueError(f"unknown module {target!r}")
-    marked = {r.target for m in p.modules for r in m.requires if r.opaque}
+    marked = _opaquely_required(p)
     out = []
     for m in p.modules:
         if m.name == target and m.name not in marked:
@@ -124,6 +134,59 @@ def slice_for_module(p: Program, target: str) -> Program:
         else:
             out.append(Module(m.name, m.ty, m.requires, Opaque(), span=m.span))
     return Program(out)
+
+
+def _opaquely_required(p: Program) -> set[str]:
+    """The modules some module imports with `opaque-require`: their bodies
+    stay holes in every slice."""
+    return {r.target for m in p.modules for r in m.requires if r.opaque}
+
+
+class Skeleton:
+    """`p` with every module body a hole, compiled and lowered once, from
+    which `slice_code` builds the lowered code of each module's slice."""
+
+    def __init__(self, p: Program):
+        self.modules = {m.name: m for m in p.modules}
+        self.marked = _opaquely_required(p)
+        self.code = code = lower(compile_program(slice_for_module(p, None)).root)
+        # Per module: the label of its `let`, the labels of its require
+        # lets with the required module, outermost first, and its hole's.
+        self.layout: list[tuple[str, int, list[tuple[int, str]], int]] = []
+        at = 0
+        for m, monitored in boundaries(p):
+            lets, inner = [], code[at][LET_RHS]
+            for r, _ in monitored:
+                lets.append((inner, r.target))
+                inner = code[inner][LET_BODY]
+            self.layout.append((m.name, at, lets, inner))
+            at = code[at][LET_BODY]
+
+    def slice_code(self, target: str) -> list[tuple]:
+        """The code of `slice_for_module(p, target)` compiled and lowered
+        with only the monitors that have `target` as a party.  Each other
+        monitor's `let` is bypassed, and unless `target` is opaquely
+        required, its erased body, lowered at the end, replaces its hole."""
+        code = self.code.copy()
+        for name, at, lets, hole in self.layout:
+            end = hole
+            if name == target and name not in self.marked:
+                end = len(code)
+                code += lower(module_body(self.modules[name]), end)
+            slot = LET_RHS
+            for let, pos in lets:
+                if target == pos or target == name:
+                    _point(code, at, slot, let)
+                    at, slot = let, LET_BODY
+            _point(code, at, slot, end)
+        return code
+
+
+def _point(code: list[tuple], at: int, slot: int, child: int) -> None:
+    """Make the child label in `slot` of the instruction at `at` `child`."""
+    ins = code[at]
+    if ins[slot] != child:
+        code[at] = ins[:slot] + (child,) + ins[slot + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +246,15 @@ def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
 
 def analyze_slice(p: Program, module: str,
                   budget: int = DEFAULT_BUDGET) -> BlameSet:
-    """The blame set of `module`'s slice of `p`, compiled with `module` as
-    its party, so without the monitors between two other parties and every
-    label in it names `module`.  Leaving such a monitor out only lets runs
-    go on that would have blamed those others, passing values through
-    unwrapped, so the labels naming `module` are a superset of the whole
-    slice's and the verdicts stay sound."""
-    return analyze(compile_program(slice_for_module(p, module), module).root,
-                   budget)
+    """The blame set of `module`'s slice of `p` with only the monitors that
+    have `module` as a party (`Skeleton.slice_code`), so every label in it
+    names `module`.  Leaving another monitor out only lets runs go on that
+    would have blamed those others, passing values through unwrapped, so
+    the labels naming `module` are a superset of the whole slice's and the
+    verdicts stay sound."""
+    if p.module_named(module) is None:
+        raise ValueError(f"unknown module {module!r}")
+    return analyze(Skeleton(p).slice_code(module), budget)
 
 
 def obliged_modules(p: Program) -> set[str]:
@@ -213,13 +277,15 @@ def obliged_modules(p: Program) -> set[str]:
 def compute_verdicts(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET) -> list[Verdict]:
     """One verdict per module, in program order, each with the wall time its
-    slice's compilation and analysis took and the states it explored.  With
+    slice's building and analysis took and the states it explored.  With
     `trust_typed`, a typed module is safe against every other module and an
     untyped one outside `obliged_modules` is safe against none, both with
     no slice analyzed (0 seconds, 0 states); every other module's slice is
-    analyzed."""
+    analyzed.  The program's `Skeleton` is built once, before the first
+    slice analyzed, and its time is in no module's seconds."""
     parties = p.names()
     obliged = obliged_modules(p) if trust_typed else set()
+    skeleton = None
     verdicts = []
     for m in p.modules:
         others = frozenset(n for n in parties if n != m.name)
@@ -229,8 +295,10 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
         if trust_typed and m.name not in obliged:
             verdicts.append(Verdict(m.name, frozenset(), exhausted=False))
             continue
+        if skeleton is None:
+            skeleton = Skeleton(p)
         t0 = time.perf_counter()
-        bs = analyze_slice(p, m.name, budget)
+        bs = analyze(skeleton.slice_code(m.name), budget)
         seconds = time.perf_counter() - t0
         if bs.exhausted:
             safe = frozenset()

@@ -6,9 +6,7 @@ every import that crosses a typed/untyped boundary introduces an inner
 `let` that rebinds the imported name to a monitored version; imports on the
 same side of the boundary introduce no binding at all.  The module that
 defines a monitored value is the positive party of its contract and the
-importing module is the negative party.  A module's slice is compiled with
-that module as its `party`, which monitors only the boundaries it is a party
-of.
+importing module is the negative party.
 """
 
 from __future__ import annotations
@@ -92,27 +90,29 @@ def boundaries(p: Program) -> Iterator[tuple[Module, list[tuple[Require, Ty]]]]:
         prior[m.name] = m
 
 
-def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
-                party: str | None) -> Expr:
+def module_body(m: Module) -> Expr:
+    """`m`'s body erased, each opaque hole in it scoped to the modules `m`
+    requires: what unknown code in `m`'s place may reference."""
+    return erase(m.body, frozenset(r.target for r in m.requires))
+
+
+def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]]) -> Expr:
     """The right-hand side for module `m`: its erased body wrapped in one
     inner let per monitored require (`boundaries`), in require order (first
-    require outermost), the let and its monitor carrying the require's span.
-    A require is monitored only when `party` is None or one of its two
-    parties."""
-    rhs = erase(m.body, frozenset(r.target for r in m.requires))
+    require outermost), the let and its monitor carrying the require's
+    span."""
+    rhs = module_body(m)
     for r, ty in reversed(monitored):
-        if party in (None, r.target, m.name):
-            rhs = Let(r.target,
-                      Mon(r.target, m.name, compile_type(ty), Var(r.target), span=r.span),
-                      rhs, span=r.span)
+        rhs = Let(r.target,
+                  Mon(r.target, m.name, compile_type(ty), Var(r.target), span=r.span),
+                  rhs, span=r.span)
     return rhs
 
 
-def compile_program(p: Program, party: str | None = None) -> CompiledProgram:
+def compile_program(p: Program) -> CompiledProgram:
     """Compile a well-formed program.  Evaluation order of module right-hand
-    sides is program order, forced by the let nesting.  Given a `party`, only
-    the boundaries that have it as a party are monitored."""
-    rhss = [_module_rhs(m, monitored, party) for m, monitored in boundaries(p)]
+    sides is program order, forced by the let nesting."""
+    rhss = [_module_rhs(m, monitored) for m, monitored in boundaries(p)]
     root: Expr = Var("main")
     for m, rhs in zip(reversed(p.modules), reversed(rhss)):
         root = Let(m.name, rhs, root)

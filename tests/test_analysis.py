@@ -4,18 +4,19 @@ from itertools import combinations
 from conftest import ID_BOUNDARY, ID_BOUNDARY_SLICE_U1, parse_ok
 from gtlc import analysis
 from gtlc.analysis import (
-    _BOOL, _BOOL_T, _CLOS, _FN_T, _GUARD, _INT, _INT_T, _OPQ, _PRIM, _SOME_INT,
-    _VAL, _admits, _lower, _refine_value, analyze, reachable_states,
+    _APP, _BOOL, _BOOL_T, _CLOS, _FN_T, _GUARD, _IF, _INT, _INT_T, _LAM, _LET,
+    _MON, _OPAQUE, _OPQ, _PRIM, _SOME_INT, _VAL, _admits, _refine_value,
+    analyze, lower, reachable_states,
 )
 from gtlc.bench import corpus_dir, lattice_configs
 from gtlc.frontend import parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
-from gtlc.optimize import analyze_slice, slice_for_module
+from gtlc.optimize import Skeleton, analyze_slice, slice_for_module
 from gtlc.syntax import (
     App, ArrowC, BlameLabel, If, INT_C, IntLit, Lam, Let, Mon, Opaque, Prim, Var,
 )
-from gtlc.translate import compile_program
+from gtlc.translate import compile_program, module_body
 
 
 def analyze_source(text, **kw):
@@ -65,10 +66,74 @@ def test_refine_disjoint_base_types():
 
 def test_first_order_values_are_not_applicable():
     # Every integer literal is the one abstract integer.
-    assert _lower(IntLit(5)) == [(_VAL, _SOME_INT)]
+    assert lower(IntLit(5)) == [(_VAL, _SOME_INT)]
     assert not _admits(_SOME_INT, _FN_T, True)
     assert _admits((_OPQ, "s", 0), _FN_T, True)
     assert not _admits((_OPQ, "s", _FN_T << 3), _FN_T, True)
+
+
+# -- lowering ------------------------------------------------------------------
+
+def _shifted(ins, b):
+    """`ins` with every label it holds moved up by `b`: children, a
+    lambda's body and an opaque term's site."""
+    op = ins[0]
+    if op == _LAM:
+        return (op, ins[1], ins[2] + b, ins[3])
+    if op == _OPAQUE:
+        return (op, ins[1], (_OPQ, ins[2][1] + b, 0))
+    if op == _APP:
+        return (op, ins[1] + b, ins[2] + b)
+    if op == _LET:
+        return (op, ins[1], ins[2] + b, ins[3] + b)
+    if op == _IF:
+        return (op, ins[1] + b, ins[2] + b, ins[3] + b, ins[4])
+    if op == _MON:
+        return ins[:4] + (ins[4] + b,)
+    return ins
+
+
+def _lowering_programs():
+    programs = [gen_program(GenConfig(seed=s)) for s in range(20)]
+    programs += [gen_program(GenConfig(seed=s, expr_size=64, max_modules=16))
+                 for s in range(4)]
+    return programs + [parse_ok(ID_BOUNDARY), parse_ok(OPAQUE_UNDER_LAMBDA)]
+
+
+def _lowering_roots():
+    for p in _lowering_programs():
+        yield compile_program(p).root
+        for m in p.modules:
+            yield module_body(m)
+            yield compile_program(slice_for_module(p, m.name)).root
+
+
+def test_lowering_at_a_base_shifts_every_label():
+    for root in _lowering_roots():
+        at0 = lower(root)
+        for b in (1, 17, 1000):
+            assert lower(root, b) == [_shifted(ins, b) for ins in at0], b
+
+
+def test_analyzing_lowered_code_is_analyzing_the_expression():
+    for root in _lowering_roots():
+        bs, code_bs = analyze(root), analyze(lower(root))
+        assert (code_bs.labels, code_bs.exhausted, code_bs.states) == \
+            (bs.labels, bs.exhausted, bs.states)
+        assert code_bs.states > 0
+
+
+def test_every_opaque_of_a_slice_has_a_scope():
+    # A slice's holes and the opaque terms of its module's body are all
+    # scoped, so no lowering of a body alone needs the names bound around
+    # it (the `anything` of an unscoped opaque).
+    for p in _lowering_programs():
+        for m in p.modules:
+            for code in (lower(module_body(m)), Skeleton(p).slice_code(m.name)):
+                assert all(ins[1] is not None for ins in code if ins[0] == _OPAQUE)
+    body = parse_ok(OPAQUE_UNDER_LAMBDA).module_named("u")
+    assert [ins[1] for ins in lower(module_body(body)) if ins[0] == _OPAQUE] == \
+        [frozenset({"t", "_"})]
 
 
 _TAGS = ("int", "bool", "fn")

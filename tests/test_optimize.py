@@ -15,7 +15,7 @@ from gtlc.optimize import (
     optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
-    ANY_C, App, ArrowC, BOOL_C, BlameLabel, Expr, If, INT_C, Lam, Let, Mon,
+    ANY_C, App, ArrowC, BOOL_C, Expr, If, INT_C, Lam, Let, Mon,
     Opaque, Polarity, Var, format_expr, format_program, structurally_equal,
 )
 from gtlc.translate import compile_program, scan_boundaries
@@ -141,42 +141,24 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
     assert skipped > 0
 
 
-def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors():
-    # Compiling with a party gives the tree the full rewrite walk gives
-    # when it keeps a monitor iff the party is one of its parties.
-    for cfg in GOLDEN_CONFIGS[::4]:
-        p = gen_program(cfg)
+def test_slice_is_the_whole_slice_without_other_parties_monitors(corpus_path):
+    # Oracle: each slice built from the skeleton analyzes exactly like the
+    # compiled slice with a monitor kept iff the module is one of its
+    # parties, in labels, exhaustion and states.
+    programs = [gen_program(cfg) for cfg in GOLDEN_CONFIGS]
+    for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
+        programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
+    slices = 0
+    for i, p in enumerate(programs):
         for m in p.modules:
             x = m.name
-            sliced = slice_for_module(p, x)
-            whole = _strip(compile_program(sliced).root,
-                           lambda pos, neg, c: c if x in (pos, neg) else ANY_C)
-            root = compile_program(sliced, x).root
-            label = (cfg.seed, cfg.expr_size, x)
-            assert root == whole, label
-            assert ([b.span for b in scan_boundaries(root)]
-                    == [b.span for b in scan_boundaries(whole)]), label
-
-
-def test_slice_is_analyzed_without_other_parties_monitors(monkeypatch):
-    p = parse_ok("(module t (-> Int Int) (λ (x : Int) x))\n"
-                 "(module u (require t) (t 5))\n"
-                 "(module v (require t) (λ (_) (t #f)))\n"
-                 "(module main (require u) u)")
-    roots = []
-
-    def recording(root, *args, _analyze=optimize.analyze):
-        roots.append(root)
-        return _analyze(root, *args)
-
-    monkeypatch.setattr(optimize, "analyze", recording)
-    bs = analyze_slice(p, "u")
-    (root,) = roots
-    whole = compile_program(slice_for_module(p, "u")).root
-    assert [(b.pos, b.neg) for b in scan_boundaries(whole)] == [("t", "u"), ("t", "v")]
-    assert [(b.pos, b.neg) for b in scan_boundaries(root)] == [("t", "u")]
-    assert bs.labels == {BlameLabel("t", "u")}
-    assert BlameLabel("v", "t") in analyze(whole).labels
+            whole = compile_program(slice_for_module(p, x)).root
+            oracle = analyze(_strip(whole, lambda pos, neg, c: c if x in (pos, neg) else ANY_C))
+            bs = analyze_slice(p, x)
+            assert (bs.labels, bs.exhausted, bs.states) == \
+                (oracle.labels, oracle.exhausted, oracle.states), (i, x)
+            slices += 1
+    assert slices > 495
 
 
 # -- contract rewriting ------------------------------------------------------
@@ -347,11 +329,11 @@ def _analyzed_modules(monkeypatch, p, trust_typed):
     """The modules whose slice `compute_verdicts` analyzes."""
     analyzed = []
 
-    def recording(p, module, *args, _analyze_slice=optimize.analyze_slice):
+    def recording(self, module, _slice_code=optimize.Skeleton.slice_code):
         analyzed.append(module)
-        return _analyze_slice(p, module, *args)
+        return _slice_code(self, module)
 
-    monkeypatch.setattr(optimize, "analyze_slice", recording)
+    monkeypatch.setattr(optimize.Skeleton, "slice_code", recording)
     compute_verdicts(p, trust_typed=trust_typed)
     monkeypatch.undo()
     return analyzed
@@ -436,25 +418,48 @@ def test_dispositions_match_rewritten_tree():
             assert survivors == in_tree, (seed, trust)
 
 
-def test_compute_verdicts_reaches_layers_through_module_globals(monkeypatch, id_boundary):
-    # The benchmark times and counts each layer by wrapping these names in
-    # `optimize` (benchmark/layers.py), and fails a run in which one of them
-    # is never called; it reads the analyzed root as the first positional
-    # argument of `analyze`.
+def _layer_calls(monkeypatch, p, trust_typed):
+    """How often `compute_verdicts` calls each layer name the benchmark
+    wraps in `optimize` (benchmark/layers.py), and the first positional
+    argument of each `analyze` call, which the benchmark reads."""
     calls = Counter()
-    roots = []
+    codes = []
     for name in ("slice_for_module", "compile_program", "analyze"):
         def counted(*args, _fn=getattr(optimize, name), _name=name, **kw):
             calls[_name] += 1
             if _name == "analyze":
-                roots.append(args[0])
+                codes.append(args[0])
             return _fn(*args, **kw)
         monkeypatch.setattr(optimize, name, counted)
-    compute_verdicts(id_boundary, trust_typed=False)
-    n = len(id_boundary.modules)
-    assert calls == {"slice_for_module": n, "compile_program": n, "analyze": n}
-    assert all(isinstance(root, Expr) for root in roots)
-    assert all(reachable_states(root) == analyze(root).states > 0 for root in roots)
+    verdicts = compute_verdicts(p, trust_typed=trust_typed)
+    monkeypatch.undo()
+    return calls, codes, verdicts
+
+
+def test_compute_verdicts_reaches_layers_through_module_globals(monkeypatch, id_boundary):
+    # The benchmark times and counts each layer by wrapping these names,
+    # and fails a run in which one of them is never called.  The skeleton
+    # is sliced and compiled once per program, and each analyzed slice is
+    # one `analyze` of lowered code.
+    for p, trust_typed in ((id_boundary, False), (id_boundary, True),
+                           (gen_program(GenConfig(seed=3, expr_size=64, max_modules=16)), False)):
+        calls, codes, verdicts = _layer_calls(monkeypatch, p, trust_typed)
+        k = sum(1 for v in verdicts if v.states > 0)
+        assert k > 0
+        assert calls == {"slice_for_module": 1, "compile_program": 1, "analyze": k}
+        assert all(isinstance(code, list) and isinstance(code[0], tuple) for code in codes)
+        assert all(reachable_states(code) == analyze(code).states > 0 for code in codes)
+
+
+def test_compute_verdicts_compiles_nothing_when_nothing_is_analyzed(monkeypatch):
+    # Every module but main is typed and trusted, and main only imports an
+    # Int, so no verdict can change a monitor: no skeleton is built.
+    p = parse_ok("(module n Int 5)\n"
+                 "(module t Int (require n) n)\n"
+                 "(module main (require t) t)")
+    calls, codes, verdicts = _layer_calls(monkeypatch, p, trust_typed=True)
+    assert all(v.states == 0 for v in verdicts)
+    assert not calls
 
 
 def test_opaque_under_a_lambda_keeps_its_monitor():
