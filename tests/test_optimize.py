@@ -4,7 +4,7 @@ from collections import Counter
 from conftest import (
     ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, parse_ok,
 )
-from gtlc import optimize
+from gtlc import analysis, optimize
 from gtlc.analysis import analyze, reachable_states
 from gtlc.bench import lattice_configs
 from gtlc.frontend import parse_expr
@@ -15,7 +15,7 @@ from gtlc.optimize import (
     optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
-    ANY_C, App, ArrowC, BOOL_C, Expr, If, INT_C, Lam, Let, Mon,
+    ANY_C, App, ArrowC, BOOL_C, BlameLabel, Expr, If, INT_C, Lam, Let, Mon,
     Opaque, Polarity, Var, format_expr, format_program, structurally_equal,
 )
 from gtlc.translate import compile_program, scan_boundaries
@@ -141,10 +141,10 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
     assert skipped > 0
 
 
-def test_slice_is_the_whole_slice_without_other_parties_monitors(corpus_path):
-    # Oracle: each slice built from the skeleton analyzes exactly like the
-    # compiled slice with a monitor kept iff the module is one of its
-    # parties, in labels, exhaustion and states.
+def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors(corpus_path):
+    # Oracle: each slice built for its party from the skeleton analyzes
+    # exactly like the compiled slice rewritten to keep a monitor iff the
+    # party is one of its parties, in labels, exhaustion and states.
     programs = [gen_program(cfg) for cfg in GOLDEN_CONFIGS]
     for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
         programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
@@ -159,6 +159,42 @@ def test_slice_is_the_whole_slice_without_other_parties_monitors(corpus_path):
                 (oracle.labels, oracle.exhausted, oracle.states), (i, x)
             slices += 1
     assert slices > 495
+
+
+def _reachable_monitors(code):
+    """(pos, neg) of each monitor reachable from label 0 of lowered code,
+    in pre-order, the order of `scan_boundaries`."""
+    children = {analysis._LAM: (2,), analysis._MON: (4,), analysis._APP: (1, 2),
+                analysis._LET: (2, 3), analysis._IF: (1, 2, 3)}
+    out, stack = [], [0]
+    while stack:
+        ins = code[stack.pop()]
+        if ins[0] == analysis._MON:
+            out.append((ins[2], ins[3]))
+        stack += [ins[k] for k in reversed(children.get(ins[0], ()))]
+    return out
+
+
+def test_slice_is_analyzed_without_other_parties_monitors(monkeypatch):
+    p = parse_ok("(module t (-> Int Int) (λ (x : Int) x))\n"
+                 "(module u (require t) (t 5))\n"
+                 "(module v (require t) (λ (_) (t #f)))\n"
+                 "(module main (require u) u)")
+    codes = []
+
+    def recording(code, *args, _analyze=optimize.analyze):
+        codes.append(code)
+        return _analyze(code, *args)
+
+    monkeypatch.setattr(optimize, "analyze", recording)
+    bs = analyze_slice(p, "u")
+    (code,) = codes
+    whole = compile_program(slice_for_module(p, "u")).root
+    assert [(b.pos, b.neg) for b in scan_boundaries(whole)] == [("t", "u"), ("t", "v")]
+    assert _reachable_monitors(analysis.lower(whole)) == [("t", "u"), ("t", "v")]
+    assert _reachable_monitors(code) == [("t", "u")]
+    assert bs.labels == {BlameLabel("t", "u")}
+    assert BlameLabel("v", "t") in analyze(whole).labels
 
 
 # -- contract rewriting ------------------------------------------------------
