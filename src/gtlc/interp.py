@@ -20,6 +20,22 @@ int`), never by equality or `isinstance`.
 Counters track exactly the work the optimizer is meant to remove: one
 `flat_checks` tick per flat-contract test, one `wrappers_allocated` tick
 per guard allocation, one `wrapped_calls` tick per application of a guard.
+
+Steps.  One step is one transition of the machine.  An expression either
+pushes a frame and moves into a subexpression (application, `let`, `if`,
+monitor), or becomes a value and pops one frame; a value still in hand
+after a pop that moved into no expression (a primitive call, a contract
+check, a guard call that pushed its frames) pops the next frame in a step
+of its own, and the pop of an empty stack is the answer.  Where the next
+transitions are forced, the loop runs them in one iteration and still
+counts each: an application whose operator is a variable takes its own
+step, then the lookup with the pop of the argument frame it pushed (2
+steps); applying a guard whose domain is `int?`, `bool?` or `any/c`
+takes the call, the pop of the domain check and the pop of the call of
+the wrapped function (3 steps), and pushes only the range check.  A fused
+path is taken only when the fuel admits all of its steps, else the loop
+takes them one at a time, so answers, counters and the point where fuel
+runs out are the same as with single steps.
 """
 
 from __future__ import annotations
@@ -29,7 +45,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
-    AnyC, ArrowC, App, Blame, BlameLabel, BoolC, BoolLit, Expr, If, IntC,
+    ArrowC, App, Blame, BlameLabel, BoolC, BoolLit, Expr, If, IntC,
     IntLit, Lam, Let, Mon, Opaque, Prim, Var,
 )
 
@@ -128,9 +144,10 @@ _F_MON = 4    # (tag, contract, pos, neg)
 
 
 def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> tuple[Answer, Metrics]:
-    """Evaluate a closed core expression.  `fuel` bounds machine
-    transitions; running out is reported as its own outcome, distinct from
-    stuck states."""
+    """Evaluate a closed core expression.  `fuel` is the number of steps
+    (machine transitions, see the module docstring) allowed: an evaluation
+    that needs more stops after exactly `fuel` steps with `OutOfFuelA`, an
+    outcome of its own, distinct from stuck states."""
     m = Metrics()
     t0 = time.perf_counter()
     answer = _loop(e, fuel, m)
@@ -153,30 +170,43 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
         if control is not None:
             e = control
             t = type(e)
+            if t is App:
+                fn = e.fn
+                if type(fn) is Var and steps < fuel:
+                    v = env.get(fn.name)
+                    if v is not None:
+                        # Fused: the lookup with the pop of the ARG frame
+                        # this step would push.
+                        steps += 1
+                        stack.append((_F_CALL, v))
+                        control = e.arg
+                        continue
+                stack.append((_F_ARG, e.arg, env))
+                control = fn
+                continue
             if t is Var:
-                v = env.get(e.name)
-                if v is None:
+                value = env.get(e.name)
+                if value is None:
                     m.steps = steps
                     return StuckA(f"unbound variable {e.name!r}")
-                value, control = v, None
-            elif t is IntLit or t is BoolLit:
-                value, control = e.value, None
             elif t is Lam:
-                value, control = VClosure(e.param, e.body, env), None
-            elif t is App:
-                stack.append((_F_ARG, e.arg, env))
-                control = e.fn
+                value = VClosure(e.param, e.body, env)
+            elif t is IntLit or t is BoolLit:
+                value = e.value
             elif t is Let:
                 stack.append((_F_LET, e.name, e.body, env))
                 control = e.rhs
+                continue
             elif t is If:
                 stack.append((_F_IF, e.then, e.orelse, env))
                 control = e.test
+                continue
             elif t is Mon:
                 stack.append((_F_MON, e.contract, e.pos, e.neg))
                 control = e.body
+                continue
             elif t is Prim:
-                value, control = VPrim(e.op), None
+                value = VPrim(e.op)
             elif t is Blame:
                 m.steps = steps
                 return BlamedA(e.label)
@@ -186,8 +216,7 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
             else:
                 m.steps = steps
                 return StuckA(f"unknown expression {e!r}")
-            if control is not None:
-                continue
+            control = None
 
         # value in hand; consume a frame
         if not stack:
@@ -196,69 +225,84 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
         frame = stack.pop()
         tag = frame[0]
 
-        if tag is _F_ARG:
+        if tag is _F_CALL:
+            fv = frame[1]
+            contract = None
+        elif tag is _F_MON:
+            _, contract, pos, neg = frame
+            fv = None
+        elif tag is _F_ARG:
             _, arg_expr, fenv = frame
             stack.append((_F_CALL, value))
             control, env = arg_expr, fenv
-            value = None
-        elif tag is _F_CALL:
-            fv = frame[1]
-            tf = type(fv)
-            if tf is VClosure:
-                env = dict(fv.env)
-                env[fv.param] = value
-                control = fv.body
-                value = None
-            elif tf is VPrim:
-                if fv.op == "int?":
-                    value = type(value) is int
-                else:
-                    value = type(value) is bool
-            elif tf is VGuard:
-                m.wrapped_calls += 1
-                c = fv.contract
-                stack.append((_F_MON, c.cod, fv.pos, fv.neg))
-                stack.append((_F_CALL, fv.inner))
-                stack.append((_F_MON, c.dom, fv.neg, fv.pos))
-            else:
-                m.steps = steps
-                return StuckA("applied a non-function")
+            continue
         elif tag is _F_LET:
             _, name, body, lenv = frame
             env = dict(lenv)
             env[name] = value
             control = body
-            value = None
-        elif tag is _F_IF:
+            continue
+        else:  # _F_IF
             _, then, orelse, ienv = frame
             if type(value) is not bool:
                 m.steps = steps
                 return StuckA("if test was not a boolean")
             control = then if value else orelse
             env = ienv
-            value = None
-        else:  # _F_MON
-            _, contract, pos, neg = frame
-            tc = type(contract)
-            if tc is IntC:
-                m.flat_checks += 1
-                if type(value) is not int:
-                    m.steps = steps
-                    return BlamedA(BlameLabel(pos, neg))
-            elif tc is BoolC:
-                m.flat_checks += 1
-                if type(value) is not bool:
-                    m.steps = steps
-                    return BlamedA(BlameLabel(pos, neg))
-            elif tc is AnyC:
-                pass
-            else:  # ArrowC
-                if is_function(value):
+            continue
+
+        # Check `value` against `contract` with parties (pos, neg), if set
+        # (`any/c` checks nothing), then apply `fv` to it, if set.  Applying
+        # a guard whose domain is flat comes back round with the domain
+        # check and the wrapped function instead of pushing their frames, so
+        # nested guards loop.
+        while True:
+            if contract is not None:
+                tc = type(contract)
+                if tc is IntC:
+                    m.flat_checks += 1
+                    if type(value) is not int:
+                        m.steps = steps
+                        return BlamedA(BlameLabel(pos, neg))
+                elif tc is BoolC:
+                    m.flat_checks += 1
+                    if type(value) is not bool:
+                        m.steps = steps
+                        return BlamedA(BlameLabel(pos, neg))
+                elif tc is ArrowC:
+                    if not is_function(value):
+                        m.steps = steps
+                        return BlamedA(BlameLabel(pos, neg))
                     m.wrappers_allocated += 1
                     value = VGuard(contract, value, pos, neg)
+                if fv is None:
+                    break
+                steps += 1  # the fused pop of the inner call
+            tf = type(fv)
+            if tf is VClosure:
+                env = dict(fv.env)
+                env[fv.param] = value
+                control = fv.body
+                break
+            if tf is VPrim:
+                if fv.op == "int?":
+                    value = type(value) is int
                 else:
-                    m.steps = steps
-                    return BlamedA(BlameLabel(pos, neg))
+                    value = type(value) is bool
+                break
+            if tf is not VGuard:
+                m.steps = steps
+                return StuckA("applied a non-function")
+            m.wrapped_calls += 1
+            c = fv.contract
+            stack.append((_F_MON, c.cod, fv.pos, fv.neg))
+            contract = c.dom
+            if type(contract) is ArrowC or steps + 2 > fuel:
+                stack.append((_F_CALL, fv.inner))
+                stack.append((_F_MON, contract, fv.neg, fv.pos))
+                break
+            steps += 1  # the fused pop of the domain check
+            pos, neg, fv = fv.neg, fv.pos, fv.inner
 
 
 def format_value(v: Value) -> str:

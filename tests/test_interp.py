@@ -1,10 +1,13 @@
+import pytest
+
 from conftest import ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, parse_ok
-from gtlc.bench import answers_agree
+from gtlc.bench import answers_agree, lattice_configs
 from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import (
     BlamedA, OutOfFuelA, StuckA, ValA, answer_to_json, evaluate,
 )
+from gtlc.optimize import optimize_program
 from gtlc.syntax import BlameLabel
 from gtlc.translate import compile_program
 
@@ -149,3 +152,104 @@ def test_typed_modules_never_blamed_quick():
         answer, _ = evaluate(compile_program(p).root, fuel=300_000)
         if isinstance(answer, BlamedA):
             assert answer.label.blamed not in typed, f"seed {seed}"
+
+
+def counters(m):
+    return (m.steps, m.flat_checks, m.wrappers_allocated, m.wrapped_calls)
+
+
+def outcome(text, **kw):
+    """(answer, steps, flat_checks, wrappers_allocated, wrapped_calls)."""
+    answer, m = run(text, **kw)
+    j = answer_to_json(answer)
+    if j["kind"] == "value":
+        shown = j["display"]
+    elif j["kind"] == "blame":
+        shown = (j["blamed"], j["holder"])
+    else:
+        shown = j["kind"]
+    return (shown,) + counters(m)
+
+
+def assert_fuel_boundary(root, fuels=None):
+    """With S the unlimited step count, every fuel f < S (or each of
+    `fuels`) stops with OutOfFuelA after exactly f steps, with counters that
+    never fall as f grows and never pass their final values; fuel S gives
+    the unlimited answer and counters."""
+    answer, final = evaluate(root)
+    limit = counters(final)
+    previous = (0, 0, 0, 0)
+    for f in range(limit[0]) if fuels is None else fuels:
+        a, m = evaluate(root, fuel=f)
+        assert isinstance(a, OutOfFuelA) and m.steps == f, f
+        now = counters(m)
+        assert all(p <= x <= y for p, x, y in zip(previous, now, limit)), f
+        previous = now
+    a, m = evaluate(root, fuel=limit[0])
+    assert same(a, answer) and counters(m) == limit
+
+
+def test_fuel_boundary_on_generated_programs():
+    configs = [GenConfig(seed=seed) for seed in range(200)]
+    configs += [GenConfig(seed=seed, expr_size=64) for seed in range(20)]
+    for cfg in configs:
+        assert_fuel_boundary(compile_program(gen_program(cfg)).root)
+
+
+def test_fuel_boundary_on_corpus_compiled_and_optimized(corpus_path):
+    programs = [parse_ok(ID_BOUNDARY)]
+    for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir() and d.name != "hotloop"):
+        programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
+    for p in programs:
+        assert_fuel_boundary(compile_program(p).root)
+        assert_fuel_boundary(optimize_program(p)[0].root)
+
+
+def test_fuel_boundary_on_hot_loop_window(corpus_path):
+    base, typed = (parse_ok((corpus_path / "hotloop" / f"{c}.gtl").read_text(encoding="utf-8"))
+                   for c in ("0", "1"))
+    for root in (compile_program(base).root, compile_program(typed).root,
+                 optimize_program(typed)[0].root):
+        assert_fuel_boundary(root, range(10_000, 10_101))
+
+
+# Outcomes of guard calls, pinned as the interpreter measured them when it
+# took one transition per loop iteration: fusing transitions changes none.
+@pytest.mark.parametrize("text, expected", [
+    # Guard on guard: both applications fuse, and the inner one loops.
+    ("((mon (a b) (-> int? int?) (mon (c d) (-> int? int?) (λ (x) x))) 3)",
+     ("3", 14, 4, 2, 2)),
+    # An any/c domain, the weakened shape the optimizer emits.
+    ("((mon (a b) (-> any/c int?) (λ (x) 7)) #t)", ("7", 9, 1, 1, 1)),
+    ("((mon (a b) (-> any/c int?) (λ (x) x)) #t)", (("a", "b"), 8, 1, 1, 1)),
+    # A guard around a primitive.
+    ("((mon (a b) (-> int? bool?) int?) 5)", ("#t", 9, 2, 1, 1)),
+    ("((mon (a b) (-> bool? bool?) int?) 5)", (("b", "a"), 6, 1, 1, 1)),
+    # Domain blame names the guard whose domain failed.
+    ("((mon (a b) (-> int? int?) (mon (c d) (-> int? int?) (λ (x) x))) #f)",
+     (("b", "a"), 8, 1, 2, 1)),
+    ("((mon (a b) (-> any/c int?) (mon (c d) (-> int? int?) (λ (x) x))) #t)",
+     (("d", "c"), 10, 1, 2, 2)),
+    # A higher-order domain takes single steps.
+    ("((mon (a b) (-> (-> int? int?) int?) (λ (f) (f 1))) (λ (y) y))",
+     ("1", 15, 3, 2, 2)),
+    ("((mon (a b) (-> (-> int? int?) int?) (λ (f) (f 1))) (λ (y) #t))",
+     (("b", "a"), 13, 2, 2, 2)),
+    # Stuck in the body of a fused guard call.
+    ("((mon (a b) (-> bool? int?) (λ (x) y)) #t)", ("stuck", 8, 1, 1, 1)),
+])
+def test_guard_calls_pinned(text, expected):
+    assert outcome(text) == expected
+
+
+def test_fuel_runs_out_inside_guard_calls_pinned():
+    # (flat_checks, wrappers_allocated, wrapped_calls) at fuel 0 .. 13 of
+    # the guard on guard above.  Fuel 7 to 10 run out inside the two guard
+    # calls (steps 7-9 and 9-11), before all of a fused call's steps.
+    text = "((mon (a b) (-> int? int?) (mon (c d) (-> int? int?) (λ (x) x))) 3)"
+    pinned = [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0),
+              (0, 2, 0), (0, 2, 0), (0, 2, 1), (1, 2, 1), (1, 2, 2),
+              (2, 2, 2), (2, 2, 2), (3, 2, 2), (4, 2, 2)]
+    for f, expected in enumerate(pinned):
+        assert outcome(text, fuel=f) == ("fuel-exhausted", f) + expected
+    assert outcome(text, fuel=14) == ("3", 14, 4, 2, 2)
