@@ -21,10 +21,14 @@ bypassed (the instruction above it points at the let's body) and X's
 erased body, lowered at the end of the code, takes the place of its hole.
 
 The paper states this rewrite for one proven pair at a time, folded over
-the proven pairs to a fixpoint.  The whole-program pass reaches the same
-result in a single walk: a monitor is touched only by the two pairs over
-its own parties, so each monitor's final contract is worked out on its
-own, and the walk records it for the report as it goes.
+the proven pairs to a fixpoint.  A monitor is touched only by the two pairs
+over its own parties, so each monitor's final contract is worked out on its
+own.  And the only monitors are the require monitors that compilation
+makes, since the reader rejects `mon` in source.  So no compiled tree is
+rewritten: the contracts are eliminated as the program is compiled.
+`compile_program` asks for each monitor's final contract as it makes the
+monitor, the answer is recorded for the report, and a monitor left with
+`any/c` is not emitted, nor is its `let`.
 
 A module's verdict is used for nothing but dropping its own obligations at
 its boundaries.  With typed modules trusted to be blame-free outright
@@ -42,13 +46,12 @@ from __future__ import annotations
 
 import functools
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .analysis import BlameSet, analyze, lower, DEFAULT_BUDGET, LET_BODY, LET_RHS
 from .syntax import (
-    ANY_C, AnyC, ArrowC, App, BoolC, Contract, Expr, If, IntC, Lam, Let, Mon,
-    Module, Opaque, Polarity, Program, Var, flip,
+    ANY_C, AnyC, ArrowC, BoolC, Contract, IntC, Module, Opaque, Polarity,
+    Program, flip,
 )
 from .translate import (
     CompiledProgram, boundaries, compile_program, compile_type, module_body,
@@ -190,7 +193,7 @@ def _point(code: list[tuple], at: int, slot: int, child: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Contract and expression rewriting
+# Contract rewriting
 # ---------------------------------------------------------------------------
 
 @functools.cache
@@ -208,36 +211,6 @@ def copt(c: Contract, s: Polarity) -> Contract:
                 return ANY_C
             return ArrowC(d, r)
     raise TypeError(f"not a contract: {c!r}")
-
-
-def _strip(e: Expr, final: Callable[[str, str, Contract], Contract]) -> Expr:
-    """Give each monitor the contract `final(pos, neg, contract)` returns
-    for it, erase the monitors left trivial, then collapse the self-aliasing
-    lets this leaves behind at former require boundaries.  `final` meets the
-    monitors in pre-order, the order of `scan_boundaries`, once each, so it
-    can also record what became of them."""
-    match e:
-        case Mon(pos, neg, contract, body):
-            contract = final(pos, neg, contract)
-            body = _strip(body, final)
-            if contract == ANY_C:
-                return body
-            return Mon(pos, neg, contract, body, span=e.span)
-        case App(fn, arg):
-            return App(_strip(fn, final), _strip(arg, final), span=e.span)
-        case If(test, then, orelse):
-            return If(_strip(test, final), _strip(then, final), _strip(orelse, final),
-                      span=e.span)
-        case Lam(param, ann, body):
-            return Lam(param, ann, _strip(body, final), span=e.span)
-        case Let(name, rhs, body):
-            rhs = _strip(rhs, final)
-            body = _strip(body, final)
-            if isinstance(rhs, Var) and rhs.name == name:
-                return body
-            return Let(name, rhs, body, span=e.span)
-        case _:
-            return e
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +301,13 @@ def optimize_program(p: Program, trust_typed: bool = True,
                      verdicts: "list[Verdict] | None" = None,
                      ) -> tuple[CompiledProgram, OptimizationReport]:
     """Take the verdicts (`compute_verdicts` unless they are given), then
-    strip the contract obligations of every proven-safe ordered pair from
-    the compiled program in one walk: each monitor gets its final contract
-    (`_final_contract`), a monitor left trivial is erased, and so is the
-    self-aliasing let it leaves behind.  The result is what folding the
+    compile the program with the contract obligations of every proven-safe
+    ordered pair dropped: `compile_program` gives each monitor its final
+    contract (`_final_contract`) as it makes it, and emits neither a
+    monitor left trivial nor its let.  The result is what folding the
     paper's per-pair rewrite over the proven pairs to a fixpoint and then
-    erasing trivial monitors gives, and the walk records each monitor's
-    disposition as it rewrites it."""
-    compiled = compile_program(p)
+    erasing trivial monitors gives, and each monitor's disposition is
+    recorded as its contract is decided."""
     if verdicts is None:
         verdicts = compute_verdicts(p, trust_typed=trust_typed, budget=budget)
 
@@ -353,5 +325,4 @@ def optimize_program(p: Program, trust_typed: bool = True,
         dispositions.append(Disposition(pos, neg, before, after, kind))
         return after
 
-    root = _strip(compiled.root, final)
-    return CompiledProgram(root), OptimizationReport(dispositions, verdicts)
+    return compile_program(p, final), OptimizationReport(dispositions, verdicts)

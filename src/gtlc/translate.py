@@ -11,14 +11,17 @@ importing module is the negative party.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .syntax import (
-    ArrowC, App, Blame, BoolLit, BOOL_C, Contract, Expr, If, IntLit, INT_C,
-    Lam, Let, Mon, Module, Opaque, Prim, Program, Require, TArrow, TBool, TInt,
-    Ty, Var,
+    ANY_C, ArrowC, App, Blame, BoolLit, BOOL_C, Contract, Expr, If, IntLit,
+    INT_C, Lam, Let, Mon, Module, Opaque, Prim, Program, Require, TArrow,
+    TBool, TInt, Ty, Var,
 )
+
+# The contract a monitor gets, given its parties and its compiled contract.
+Final = Callable[[str, str, Contract], Contract]
 
 @dataclass
 class CompiledProgram:
@@ -96,23 +99,36 @@ def module_body(m: Module) -> Expr:
     return erase(m.body, frozenset(r.target for r in m.requires))
 
 
-def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]]) -> Expr:
+def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
+                final: "Final | None") -> Expr:
     """The right-hand side for module `m`: its erased body wrapped in one
     inner let per monitored require (`boundaries`), in require order (first
     require outermost), the let and its monitor carrying the require's
-    span."""
+    span.  With `final`, each monitor gets the contract `final(pos, neg,
+    contract)` returns, and one given `any/c` is left out with its let."""
+    kept = []
+    for r, ty in monitored:
+        contract = compile_type(ty)
+        if final is not None:
+            contract = final(r.target, m.name, contract)
+        if contract != ANY_C:
+            kept.append((r, contract))
     rhs = module_body(m)
-    for r, ty in reversed(monitored):
+    for r, contract in reversed(kept):
         rhs = Let(r.target,
-                  Mon(r.target, m.name, compile_type(ty), Var(r.target), span=r.span),
+                  Mon(r.target, m.name, contract, Var(r.target), span=r.span),
                   rhs, span=r.span)
     return rhs
 
 
-def compile_program(p: Program) -> CompiledProgram:
+def compile_program(p: Program, final: "Final | None" = None) -> CompiledProgram:
     """Compile a well-formed program.  Evaluation order of module right-hand
-    sides is program order, forced by the let nesting."""
-    rhss = [_module_rhs(m, monitored) for m, monitored in boundaries(p)]
+    sides is program order, forced by the let nesting.  `final`, when given,
+    decides each monitor's contract as `_module_rhs` makes it.  It is called
+    once per monitored require, in the `scan_boundaries` order of the
+    program compiled without it; the optimizer eliminates contracts this
+    way, passing what is left once the proven obligations are dropped."""
+    rhss = [_module_rhs(m, monitored, final) for m, monitored in boundaries(p)]
     root: Expr = Var("main")
     for m, rhs in zip(reversed(p.modules), reversed(rhss)):
         root = Let(m.name, rhs, root)
@@ -121,7 +137,7 @@ def compile_program(p: Program) -> CompiledProgram:
 
 def scan_boundaries(root: Expr) -> list[Mon]:
     """Every monitor in a compiled program, each marking a require boundary,
-    in pre-order: the order the optimizer's rewrite meets them in."""
+    in pre-order: the order `compile_program` makes them in."""
     found: list[Mon] = []
     stack = [root]
     while stack:

@@ -2,6 +2,7 @@ import pytest
 
 from gtlc import frontend
 from gtlc.bench import corpus_dir
+from gtlc.syntax import ANY_C, ArrowC, BOOL_C, INT_C
 
 # The four-module boundary program used throughout: a typed identity, a
 # client that uses it correctly, one that does not, and an entry point.
@@ -54,6 +55,15 @@ def parse_ok(text):
     wf = frontend.check_wellformed(program)
     assert not wf, wf
     return program
+
+
+def contracts_up_to(height):
+    """Every contract of height at most `height`, each once (leaves count
+    as height 1)."""
+    out = [ANY_C, INT_C, BOOL_C]
+    for _ in range(height - 1):
+        out = [ANY_C, INT_C, BOOL_C] + [ArrowC(d, r) for d in out for r in out]
+    return out
 
 
 @pytest.fixture(scope="session")

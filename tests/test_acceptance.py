@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (
     ID_BOUNDARY, ID_BOUNDARY_CORE, ID_BOUNDARY_OPTIMIZED_CORE,
-    ID_BOUNDARY_SLICE_U1, parse_ok,
+    ID_BOUNDARY_SLICE_U1, contracts_up_to, parse_ok,
 )
 from gtlc.analysis import analyze
 from gtlc.bench import (
@@ -23,7 +23,7 @@ from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import copt, optimize_program, slice_for_module
 from gtlc.syntax import (
-    ANY_C, ArrowC, BOOL_C, BlameLabel, INT_C, Polarity, structurally_equal,
+    ANY_C, ArrowC, BlameLabel, INT_C, Polarity, structurally_equal,
 )
 from gtlc.translate import compile_program
 
@@ -94,15 +94,6 @@ def test_criterion_1_golden_chain():
     _report(1, "golden chain on the boundary example", failures)
 
 
-def _contracts_up_to(height):
-    leaves = [INT_C, BOOL_C, ANY_C]
-    levels = [leaves]
-    for _ in range(height - 1):
-        smaller = [c for level in levels for c in level]
-        levels.append([ArrowC(d, c) for d in smaller for c in smaller])
-    return [c for level in levels for c in level]
-
-
 def test_criterion_2_contract_rewrite_unit_suite():
     failures = []
     t0 = time.perf_counter()
@@ -118,7 +109,7 @@ def test_criterion_2_contract_rewrite_unit_suite():
         if got != want:
             failures.append(f"copt({contract}, {side}) = {got}, want {want}")
 
-    contracts = _contracts_up_to(4)
+    contracts = contracts_up_to(4)
     for c in contracts:
         for s in Polarity:
             once = copt(c, s)

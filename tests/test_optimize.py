@@ -2,7 +2,8 @@ import itertools
 from collections import Counter
 
 from conftest import (
-    ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, parse_ok,
+    ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, contracts_up_to,
+    parse_ok,
 )
 from gtlc import analysis, optimize
 from gtlc.analysis import analyze, reachable_states
@@ -11,7 +12,7 @@ from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import (
-    Verdict, _final_contract, _strip, analyze_slice, compute_verdicts, copt,
+    Verdict, _final_contract, analyze_slice, compute_verdicts, copt,
     optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
@@ -152,8 +153,9 @@ def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_mo
     for i, p in enumerate(programs):
         for m in p.modules:
             x = m.name
-            whole = compile_program(slice_for_module(p, x)).root
-            oracle = analyze(_strip(whole, lambda pos, neg, c: c if x in (pos, neg) else ANY_C))
+            sliced = slice_for_module(p, x)
+            oracle = analyze(compile_program(
+                sliced, lambda pos, neg, c: c if x in (pos, neg) else ANY_C).root)
             bs = analyze_slice(p, x)
             assert (bs.labels, bs.exhausted, bs.states) == \
                 (oracle.labels, oracle.exhausted, oracle.states), (i, x)
@@ -218,23 +220,9 @@ def test_copt_trivial_arrow_collapses_at_pos():
     assert copt(ArrowC(ANY_C, ANY_C), NEG) == ArrowC(ANY_C, ANY_C)
 
 
-def _contracts_of_height(n):
-    if n == 1:
-        return [INT_C, BOOL_C, ANY_C]
-    smaller = _contracts_up_to(n - 1)
-    return [ArrowC(d, c) for d in smaller for c in smaller]
-
-
-def _contracts_up_to(n):
-    out = []
-    for k in range(1, n + 1):
-        out.extend(_contracts_of_height(k))
-    return out
-
-
 def test_copt_idempotent_exhaustively():
     # Every contract of height at most 4 (leaves count as height 1).
-    for c in _contracts_up_to(4):
+    for c in contracts_up_to(4):
         for s in Polarity:
             once = copt(c, s)
             assert copt(once, s) == once, (c, s)
@@ -242,8 +230,8 @@ def test_copt_idempotent_exhaustively():
 
 # -- expression rewriting ----------------------------------------------------
 
-# The paper's rewrite for one proven pair, the oracle that the one-walk
-# rewrite of `optimize_program` is checked against.
+# The paper's rewrite for one proven pair, the oracle that the contracts
+# `optimize_program` compiles in are checked against.
 
 def opt(e: Expr, x: str, x2: str) -> Expr:
     """Rewrite monitors between `x` and `x2` given that no run can blame
@@ -271,7 +259,23 @@ def opt(e: Expr, x: str, x2: str) -> Expr:
 def normalize(e: Expr) -> Expr:
     """Erase monitors whose contract became trivial, then collapse the
     self-aliasing lets this leaves behind at former require boundaries."""
-    return _strip(e, lambda pos, neg, contract: contract)
+    match e:
+        case Mon(pos, neg, contract, body):
+            body = normalize(body)
+            return body if contract == ANY_C else Mon(pos, neg, contract, body, span=e.span)
+        case App(fn, arg):
+            return App(normalize(fn), normalize(arg), span=e.span)
+        case If(test, then, orelse):
+            return If(normalize(test), normalize(then), normalize(orelse), span=e.span)
+        case Lam(param, ann, body):
+            return Lam(param, ann, normalize(body), span=e.span)
+        case Let(name, rhs, body):
+            rhs, body = normalize(rhs), normalize(body)
+            if isinstance(rhs, Var) and rhs.name == name:
+                return body
+            return Let(name, rhs, body, span=e.span)
+        case _:
+            return e
 
 
 def test_opt_golden_chain():
@@ -441,7 +445,6 @@ def test_skipping_unconsulted_slices_changes_no_output(corpus_path):
 
 
 def test_dispositions_match_rewritten_tree():
-    from gtlc.translate import scan_boundaries
     for seed in range(80):
         p = gen_program(GenConfig(seed=seed))
         for trust in (True, False):
@@ -521,7 +524,7 @@ def test_check_reduction_on_generated_programs():
         assert m1.wrappers_allocated <= m0.wrappers_allocated, f"seed {seed}"
 
 
-# -- the one-walk rewrite against the per-pair definition ---------------------
+# -- contracts eliminated while compiling, against the per-pair rewrite ---
 
 def _fold_to_fixpoint(e, pairs):
     """The paper's rewrite: `opt` for each proven pair in turn, repeated
@@ -576,17 +579,10 @@ def test_one_walk_matches_per_pair_fixpoint_large():
             _assert_matches_per_pair(p, trust, (seed, trust))
 
 
-def _contracts_up_to(height):
-    level = [ANY_C, INT_C, BOOL_C]
-    for _ in range(height - 1):
-        level = [ANY_C, INT_C, BOOL_C] + [ArrowC(d, r) for d in level for r in level]
-    return level
-
-
 def test_final_contract_is_the_copt_fixpoint():
     # `_final_contract` in closed form against applying each proven side's
     # `copt` until nothing changes.
-    for c in _contracts_up_to(3):
+    for c in contracts_up_to(3):
         for pos_safe, neg_safe in itertools.product((False, True), repeat=2):
             proven = {("p", "n")} if pos_safe else set()
             proven |= {("n", "p")} if neg_safe else set()

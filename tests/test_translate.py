@@ -186,6 +186,57 @@ def _blank_bodies(root, keep, program):
     return rebuild(out)
 
 
+# Three monitored requires: two in one module, so that require order
+# shows, and one in a later module.
+FINAL_PROGRAM = """\
+(module t (-> Int Int) (λ (x : Int) x))
+(module b Bool #t)
+(module u (require t) (require b) (if b (t 5) 0))
+(module v (require t) (λ (_) (t #f)))
+(module main (require u) u)
+"""
+
+
+def test_final_sees_each_monitor_once_in_scan_order():
+    p = parse_ok(FINAL_PROGRAM)
+    calls = []
+
+    def final(pos, neg, contract):
+        calls.append((pos, neg, contract))
+        return contract
+
+    compiled = compile_program(p, final)
+    plain = compile_program(p)
+    assert calls == [(b.pos, b.neg, b.contract) for b in scan_boundaries(plain.root)]
+    assert calls == [("t", "u", ArrowC(INT_C, INT_C)), ("b", "u", BOOL_C),
+                     ("t", "v", ArrowC(INT_C, INT_C))]
+    # Returning the contract it was given changes nothing.
+    assert compiled.root == plain.root
+    assert [b.span for b in compiled.boundary_index] == \
+        [b.span for b in plain.boundary_index]
+
+
+def test_final_contract_is_the_monitors_and_any_c_drops_monitor_and_let():
+    p = parse_ok(FINAL_PROGRAM)
+    given = {("t", "u"): ANY_C, ("b", "u"): BOOL_C, ("t", "v"): ArrowC(INT_C, ANY_C)}
+    compiled = compile_program(p, lambda pos, neg, contract: given[pos, neg])
+    assert structurally_equal(compiled.root, parse_expr("""\
+(let [t (λ (x) x)]
+  (let [b #t]
+    (let [u (let [b (mon (b u) bool? b)] (if b (t 5) 0))]
+      (let [v (let [t (mon (t v) (-> int? any/c) t)] (λ (_) (t #f)))]
+        (let [main u]
+          main)))))
+"""))
+    # The kept monitors, and their lets, carry their requires' spans.
+    u, v = p.modules[2], p.modules[3]
+    u_let = compiled.root.body.body.rhs
+    v_let = compiled.root.body.body.body.rhs
+    assert (u_let.span, u_let.rhs.span) == (u.requires[1].span,) * 2
+    assert (v_let.span, v_let.rhs.span) == (v.requires[0].span,) * 2
+    assert all(span is not None for span in (u_let.span, v_let.span))
+
+
 def test_require_of_a_later_module_is_rejected():
     # Only earlier modules can be required; compile_program assumes a
     # well-formed program but still refuses a forward require.
