@@ -29,8 +29,10 @@ iterative pre-order walk (`lower`): each node's label is its pre-order
 index plus a `base` offset, and `code[label]` is a flat instruction tuple
 holding the node's operator, its operands and its children's labels, e.g.
 `(_APP, fn_label, arg_label)` or `(_IF, test, then, else, refinable)`.
-Literals carry their abstract value and opaque terms their fresh opaque
-value, built once.  Free-variable sets are kept only on lambdas, where
+Literals carry their abstract value, built once, and opaque terms their
+scope.  Lambda annotations are ignored, so a typed body lowers as its
+erasure does, and given a scope, `lower` scopes each opaque term the way
+`translate.erase` does.  Free-variable sets are kept only on lambdas, where
 they trim the captured environment; an opaque term counts as free every
 name it may reference, and a node with one child shares that child's set
 instead of copying it.  No pass recurses on the host stack, so nesting
@@ -44,30 +46,38 @@ skeleton of the program, and `analyze` takes such code as it is.
 Atomic operands.  A variable, literal, primitive, lambda or opaque term is
 atomic: its values come from the store or the code without a step of
 their own (an opaque term's dump of its scope into the pool is a join,
-which is idempotent).  An application, `let`, `if` or monitor evaluates
-its atomic children in place, in the state that needs their values, and
-becomes a reader of the addresses they read; only a compound child gets a
-continuation address, a frame and states of its own.  States are numbered
-once, so the worklist and the dependency sets hold integers.  A frame that
-joins a continuation address later is passed the values already waiting
-there, each once, so a return address shared by many call sites costs
-linear, not quadratic, work.
+which is idempotent).  So is a monitor of an atomic term, every require
+monitor among them: it is checked in place, recording the blame of each
+failure it can reach, and an arrow contract makes its guard there.  An
+application, `let`, `if` or monitor evaluates its atomic children in
+place, in the state that needs their values, and becomes a reader of the
+addresses they read; only a compound child gets a continuation address, a
+frame and states of its own.  A `let` of an atomic term binds and goes on
+to its body in the same state, so a chain of such lets, like a slice's
+chain of holes, is one state, which re-runs the whole chain when an
+address it read grows.  States are numbered once, so the worklist and the
+dependency sets hold integers.  A frame that joins a continuation address
+later is passed the values already waiting there, each once, so a return
+address shared by many call sites costs linear, not quadratic, work.
 
 Values.  An abstract value is a plain tuple whose first item is a small
 integer tag naming its class, built inline and tested by that tag:
 `(_INT,)` is some integer (the model has no arithmetic, and its only tests
 are `int?` and `bool?`, so every integer literal is this one value),
 `(_BOOL, b)` a boolean (b is None when it may be either), `(_CLOS, lam,
-param, body, env)` a closure, `(_PRIM, op)` a predicate, `(_OPQ, site,
-refs)` an unknown value and `(_GUARD, contract, inner, pos, neg, site)` a
-monitored function.  A closure's `lam` is its lambda's label, which is
-also its parameter's address, and `env` is `((name, addr), ...)` sorted by
-name; a guard's `inner` is the store address of the function it wraps,
-anchored at the monitor's `site`.  Hashing and equality are tuple's, done
-in C, and distinct classes never compare equal.  A tag test is one bit:
-int? is 1, bool? 2, and being a function 4.  An opaque value's
-refinements `refs` are six bits: the bit of each test it passed, and that
-bit shifted left by 3 for each test it failed.
+param, body, env)` a closure, `(_PRIM, op)` a predicate, `(_OPQ, refs)` an
+unknown value and `(_GUARD, contract, inner, pos, neg, site)` a monitored
+function.  No transition asks where an unknown value came from, so it is
+only its refinements: a hole, the result of calling unknown code and the
+argument unknown code passes are one value, `(_OPQ, 0)`, until a test
+refines it.  A closure's `lam` is its lambda's label, which is also its
+parameter's address, and `env` is `((name, addr), ...)` sorted by name; a
+guard's `inner` is the store address of the function it wraps, anchored
+at the monitor's `site`.  Hashing and equality are tuple's, done in C, and
+distinct classes never compare equal.  A tag test is one bit: int? is 1,
+bool? 2, and being a function 4.  An opaque value's refinements `refs`
+are six bits: the bit of each test it passed, and that bit shifted left
+by 3 for each test it failed.
 """
 
 from __future__ import annotations
@@ -95,6 +105,8 @@ _INT_T, _BOOL_T, _FN_T = 1, 2, 4
 _PASSES = (_INT_T, _BOOL_T, _FN_T, _FN_T, None, _FN_T)
 
 _SOME_INT = (_INT,)
+# What a hole, an opaque call or unknown code's argument can be: anything.
+_SOME_VALUE = (_OPQ, 0)
 
 
 @dataclass(frozen=True)
@@ -119,7 +131,7 @@ def _admits(v: tuple, kind: int, outcome: bool) -> bool:
     tag = v[0]
     if tag != _OPQ:
         return (_PASSES[tag] == kind) is outcome
-    return not v[2] & ((kind << 3 | 7 ^ kind) if outcome else kind)
+    return not v[1] & ((kind << 3 | 7 ^ kind) if outcome else kind)
 
 
 def _refine_value(v: tuple, kind: int, outcome: bool) -> Optional[tuple]:
@@ -129,7 +141,7 @@ def _refine_value(v: tuple, kind: int, outcome: bool) -> Optional[tuple]:
         return None
     if v[0] != _OPQ:
         return v
-    return (_OPQ, v[1], v[2] | (kind if outcome else kind << 3))
+    return (_OPQ, v[1] | (kind if outcome else kind << 3))
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +155,15 @@ _VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON, _BLAME = range(9)
 LET_RHS, LET_BODY = 2, 3
 
 
-def lower(root: Expr, base: int = 0) -> list[tuple]:
+def lower(root: Expr, base: int = 0,
+          scope: "frozenset[str] | None" = None) -> list[tuple]:
     """One instruction tuple per node of `root`, the node at pre-order index
-    i labelled `base + i`, so the result belongs at `code[base:]`."""
+    i labelled `base + i`, so the result belongs at `code[base:]`.  Lambda
+    annotations are ignored.  With `scope`, each opaque term gets the scope
+    `erase(root, scope)` would give it, in place of its own."""
     nodes: list[Expr] = []
     bound: set[str] = set()
+    holes = 0
     stack = [root]
     while stack:
         e = stack.pop()
@@ -165,10 +181,14 @@ def lower(root: Expr, base: int = 0) -> list[tuple]:
             stack.append(e.body)
         elif t is Mon:
             stack.append(e.body)
+        elif t is Opaque:
+            holes += 1
     # An opaque term may reference whatever its `allowed` scope names, or,
     # without one, any variable the term binds; an enclosing lambda must
     # keep all of those.
     anything = frozenset(bound)
+    # The backward sweep meets the opaque terms last first.
+    scopes = _hole_scopes(root, scope) if scope is not None and holes else []
 
     # Descendants have larger indices, so one backward sweep sees each
     # child's subtree size and free variables before its parent's.  A
@@ -192,8 +212,9 @@ def lower(root: Expr, base: int = 0) -> list[tuple]:
         elif t is Prim:
             code[i] = (_VAL, (_PRIM, e.op))
         elif t is Opaque:
-            free[i] = anything if e.allowed is None else e.allowed
-            code[i] = (_OPAQUE, e.allowed, (_OPQ, base + i, 0))
+            allowed = scopes.pop() if scopes else e.allowed
+            free[i] = anything if allowed is None else allowed
+            code[i] = (_OPAQUE, allowed)
         elif t is Blame:
             code[i] = (_BLAME, e.label)
         elif t is Lam:
@@ -225,6 +246,29 @@ def lower(root: Expr, base: int = 0) -> list[tuple]:
     return code
 
 
+def _hole_scopes(root: Expr, scope: frozenset[str]) -> list[frozenset[str]]:
+    """The scope of each opaque term of `root`, in pre-order: `scope` plus
+    the names bound around it, as `erase` records them."""
+    out = []
+    stack = [(root, scope)]
+    while stack:
+        e, sc = stack.pop()
+        t = type(e)
+        if t is App:
+            stack += ((e.arg, sc), (e.fn, sc))
+        elif t is Let:
+            stack += ((e.body, sc | {e.name}), (e.rhs, sc))
+        elif t is If:
+            stack += ((e.orelse, sc), (e.then, sc), (e.test, sc))
+        elif t is Lam:
+            stack.append((e.body, sc | {e.param}))
+        elif t is Mon:
+            stack.append((e.body, sc))
+        elif t is Opaque:
+            out.append(sc)
+    return out
+
+
 def _union(a: frozenset, b: frozenset) -> frozenset:
     if b <= a:
         return a
@@ -253,14 +297,12 @@ def _refinable_test(node: If):
 # Addresses.  A let or a lambda binds its variable at its own label, and
 # the continuation that receives a compound subexpression's value lives at
 # that subexpression's label.  An atomic operand (a variable, literal,
-# primitive, lambda or opaque term) is evaluated in place by the state that
-# needs its value, so it has no continuation.  Every other address is a
-# tagged tuple.
+# primitive, lambda, opaque term, or monitor of one) is evaluated in place
+# by the state that needs its value, so it has no continuation.  Every
+# other address is a tagged tuple.
 _POOL = ("pool",)
 _K_HALT = ("halt",)
 _K_HAVOC = ("havoc",)
-_HAVOC_ARG = (_OPQ, ("havoc-arg",), 0)
-_HAVOC_APP = ("havoc-app",)
 
 # States: evaluate the term at a label in an environment for a continuation
 # address, pass a value to the frames at a continuation address, or apply a
@@ -394,14 +436,17 @@ class _Machine:
         through all of its branches.  First-order values have no
         application successor."""
         if _admits(v, _FN_T, True):
-            self.apply_abs(v, _HAVOC_ARG, _HAVOC_APP, _K_HAVOC)
+            self.apply_abs(v, _SOME_VALUE, _K_HAVOC)
 
     def atom(self, sid: int, lbl: int, env: tuple):
         """The values of the term at `lbl` if it is atomic, else None.  A
         variable reads its address, and an opaque term first dumps its
         scope into the pool, an idempotent join; either makes state `sid`
-        a reader of those addresses, so it re-runs when they grow."""
-        ins = self.code[lbl]
+        a reader of those addresses, so it re-runs when they grow.  A
+        monitor of an atomic term (of a chain of monitors, innermost
+        first) checks its values in place."""
+        code = self.code
+        ins = code[lbl]
         op = ins[0]
         if op == _VAR:
             addr = _env_get(env, ins[1])
@@ -416,41 +461,66 @@ class _Machine:
             cenv = tuple([na for na in env if na[0] in keep])
             return ((_CLOS, lbl, param, body_lbl, cenv),)
         if op == _OPAQUE:
-            _, allowed, fresh = ins
+            allowed = ins[1]
             for name, addr in env:
                 if allowed is not None and name not in allowed:
                     continue
                 self.vdeps[addr].add(sid)
                 self.store_join(_POOL, self.store[addr])
-            return (fresh,)
+            return (_SOME_VALUE,)
+        if op == _MON:
+            mons = []
+            while op == _MON:
+                mons.append((lbl, ins))
+                lbl = ins[4]
+                ins = code[lbl]
+                op = ins[0]
+            if op >= _APP:
+                return None
+            vals = self.atom(sid, lbl, env)
+            for site, (_, contract, pos, neg, _) in reversed(mons):
+                vals = {w for v in vals
+                        for w in self.mon_check(contract, pos, neg, site, v)}
+            return vals
         return None
 
     def step_eval(self, sid: int, st) -> None:
         """Evaluate the term at a label.  A compound term evaluates each
         atomic child in place and continues at once; only a compound child
-        gets a frame at its own label and a state of its own."""
+        gets a frame at its own label and a state of its own.  A `let` of
+        an atomic term binds and goes on to its body in the same state."""
         _, lbl, env, kaddr = st
-        ins = self.code[lbl]
+        code = self.code
+        ins = code[lbl]
         op = ins[0]
-        if op < _APP:
-            for v in self.atom(sid, lbl, env):
-                self.schedule((_VA, v, kaddr))
-        elif op == _APP:
-            _, fn_lbl, arg_lbl = ins
-            fns = self.atom(sid, fn_lbl, env)
-            if fns is None:
-                self.kstore_join(fn_lbl, ("arg", arg_lbl, env, lbl, kaddr))
-                self.schedule((_EV, fn_lbl, env, fn_lbl))
-            else:
-                self.call(sid, fns, arg_lbl, env, lbl, kaddr)
-        elif op == _LET:
+        while op == _LET:
             _, name, rhs_lbl, body_lbl = ins
             vals = self.atom(sid, rhs_lbl, env)
             if vals is None:
                 self.kstore_join(rhs_lbl, ("let", name, lbl, body_lbl, env, kaddr))
                 self.schedule((_EV, rhs_lbl, env, rhs_lbl))
+                return
+            if not vals:
+                return
+            self.store_join(lbl, {*vals})
+            env = _env_set(env, name, lbl)
+            lbl = body_lbl
+            ins = code[lbl]
+            op = ins[0]
+        if op < _APP or op == _MON:
+            vals = self.atom(sid, lbl, env)
+            if vals is not None:
+                for v in vals:
+                    self.schedule((_VA, v, kaddr))
+                return
+        if op == _APP:
+            _, fn_lbl, arg_lbl = ins
+            fns = self.atom(sid, fn_lbl, env)
+            if fns is None:
+                self.kstore_join(fn_lbl, ("arg", arg_lbl, env, kaddr))
+                self.schedule((_EV, fn_lbl, env, fn_lbl))
             else:
-                self.bind(vals, name, lbl, body_lbl, env, kaddr)
+                self.call(sid, fns, arg_lbl, env, kaddr)
         elif op == _IF:
             _, test_lbl, then_lbl, else_lbl, info = ins
             vals = self.atom(sid, test_lbl, env)
@@ -461,14 +531,10 @@ class _Machine:
             else:
                 self.branch(vals, lbl, then_lbl, else_lbl, env, info, kaddr)
         elif op == _MON:
+            # Its body is compound: `atom` would have checked it in place.
             _, contract, pos, neg, body_lbl = ins
-            vals = self.atom(sid, body_lbl, env)
-            if vals is None:
-                self.kstore_join(body_lbl, ("mon", contract, pos, neg, lbl, kaddr))
-                self.schedule((_EV, body_lbl, env, body_lbl))
-            else:
-                for v in vals:
-                    self.mon_check(contract, pos, neg, lbl, kaddr, v)
+            self.kstore_join(body_lbl, ("mon", contract, pos, neg, lbl, kaddr))
+            self.schedule((_EV, body_lbl, env, body_lbl))
         else:  # _BLAME
             self.found.add(ins[1])
 
@@ -481,30 +547,32 @@ class _Machine:
     def frame(self, sid: int, frame, v) -> None:
         tag = frame[0]
         if tag == "arg":
-            _, arg_lbl, env, app_lbl, nxt = frame
-            self.call(sid, (v,), arg_lbl, env, app_lbl, nxt)
+            _, arg_lbl, env, nxt = frame
+            self.call(sid, (v,), arg_lbl, env, nxt)
         elif tag == "call":
-            _, fv, app_lbl, nxt = frame
-            self.apply_abs(fv, v, app_lbl, nxt)
+            _, fv, nxt = frame
+            self.apply_abs(fv, v, nxt)
         elif tag == "calladdr":
-            _, addr, app_lbl, nxt = frame
+            _, addr, nxt = frame
             self.vdeps[addr].add(sid)
             for fv in list(self.store[addr]):
-                self.apply_abs(fv, v, app_lbl, nxt)
+                self.apply_abs(fv, v, nxt)
         elif tag == "let":
             _, name, binder_lbl, body_lbl, env, nxt = frame
-            self.bind((v,), name, binder_lbl, body_lbl, env, nxt)
+            self.store_join(binder_lbl, {v})
+            self.schedule((_EV, body_lbl, _env_set(env, name, binder_lbl), nxt))
         elif tag == "if":
             _, if_lbl, then_lbl, else_lbl, env, info, nxt = frame
             self.branch((v,), if_lbl, then_lbl, else_lbl, env, info, nxt)
         elif tag == "mon":
             _, contract, pos, neg, site, nxt = frame
-            self.mon_check(contract, pos, neg, site, nxt, v)
+            for w in self.mon_check(contract, pos, neg, site, v):
+                self.schedule((_VA, w, nxt))
         elif tag == "havocret":
             self.join(_POOL, v)
         # "halt": program value, nothing to do
 
-    def call(self, sid: int, fns, arg_lbl, env, app_lbl, nxt) -> None:
+    def call(self, sid: int, fns, arg_lbl, env, nxt) -> None:
         """Apply each operator value in `fns` to the operand at `arg_lbl`.
         Nothing evaluates the operand before there is an operator value."""
         if not fns:
@@ -512,17 +580,12 @@ class _Machine:
         args = self.atom(sid, arg_lbl, env)
         if args is None:
             for fv in fns:
-                self.kstore_join(arg_lbl, ("call", fv, app_lbl, nxt))
+                self.kstore_join(arg_lbl, ("call", fv, nxt))
             self.schedule((_EV, arg_lbl, env, arg_lbl))
             return
         for fv in fns:
             for av in args:
-                self.apply_abs(fv, av, app_lbl, nxt)
-
-    def bind(self, vals, name, binder_lbl, body_lbl, env, nxt) -> None:
-        if vals:
-            self.store_join(binder_lbl, {*vals})
-            self.schedule((_EV, body_lbl, _env_set(env, name, binder_lbl), nxt))
+                self.apply_abs(fv, av, nxt)
 
     def branch(self, vals, if_lbl, then_lbl, else_lbl, env, info, nxt) -> None:
         """Take every branch that some test value in `vals` selects; a
@@ -546,7 +609,7 @@ class _Machine:
                         env2 = _env_set(env, name, dst)
                 self.schedule((_EV, then_lbl if taken else else_lbl, env2, nxt))
 
-    def apply_abs(self, fv, argv, app_lbl, nxt) -> None:
+    def apply_abs(self, fv, argv, nxt) -> None:
         tag = fv[0]
         if tag == _CLOS:
             _, lam, param, body, env = fv
@@ -566,33 +629,36 @@ class _Machine:
             kr = ("kr", site)
             kc = ("kc", site)
             self.kstore_join(kr, ("mon", c.cod, pos, neg, ("r", site), nxt))
-            self.kstore_join(kc, ("calladdr", inner, app_lbl, kr))
-            self.mon_check(c.dom, neg, pos, ("d", site), kc, argv)
+            self.kstore_join(kc, ("calladdr", inner, kr))
+            for w in self.mon_check(c.dom, neg, pos, ("d", site), argv):
+                self.schedule((_VA, w, kc))
         elif tag == _OPQ:
             if _admits(fv, _FN_T, True):
                 self.join(_POOL, argv)
-                self.schedule((_VA, (_OPQ, ("app", app_lbl), 0), nxt))
+                self.schedule((_VA, _SOME_VALUE, nxt))
         # first-order values in operator position: stuck, prune
 
-    def mon_check(self, contract, pos, neg, site, nxt, v) -> None:
+    def mon_check(self, contract, pos, neg, site, v) -> tuple:
+        """The values `v` leaves a monitor of `contract` with, recording the
+        blame of each failure the monitor can reach."""
         t = type(contract)
+        if t is AnyC:
+            return (v,)
         if t is IntC or t is BoolC:
             kind = _INT_T if t is IntC else _BOOL_T
-            passed = _refine_value(v, kind, True)
-            if passed is not None:
-                self.schedule((_VA, passed, nxt))
+            out = _refine_value(v, kind, True)
             if _admits(v, kind, False):
                 self.found.add(BlameLabel(pos, neg))
-        elif t is AnyC:
-            self.schedule((_VA, v, nxt))
-        else:  # ArrowC
-            as_fn = _refine_value(v, _FN_T, True)
-            if as_fn is not None:
-                inner = ("m", site)
-                self.join(inner, as_fn)
-                self.schedule((_VA, (_GUARD, contract, inner, pos, neg, site), nxt))
-            if _admits(v, _FN_T, False):
-                self.found.add(BlameLabel(pos, neg))
+            return () if out is None else (out,)
+        # ArrowC
+        if _admits(v, _FN_T, False):
+            self.found.add(BlameLabel(pos, neg))
+        as_fn = _refine_value(v, _FN_T, True)
+        if as_fn is None:
+            return ()
+        inner = ("m", site)
+        self.join(inner, as_fn)
+        return ((_GUARD, contract, inner, pos, neg, site),)
 
 
 def _env_get(env: tuple, name: str):

@@ -18,7 +18,10 @@ none is compiled on its own.  The program is compiled and lowered once as
 its skeleton, with every module body a hole (`Skeleton`).  A slice's code
 is a copy of the skeleton's in which each dropped monitor's `let` is
 bypassed (the instruction above it points at the let's body) and X's
-erased body, lowered at the end of the code, takes the place of its hole.
+body, lowered at the end of the code, takes the place of its hole.  The
+body is lowered as written: lowering ignores lambda annotations and gives
+each opaque term of the body the scope erasing it would
+(`translate.module_scope` plus the names bound around it).
 
 The paper states this rewrite for one proven pair at a time, folded over
 the proven pairs to a fixpoint.  A monitor is touched only by the two pairs
@@ -54,7 +57,7 @@ from .syntax import (
     Program, flip,
 )
 from .translate import (
-    CompiledProgram, boundaries, compile_program, compile_type, module_body,
+    CompiledProgram, boundaries, compile_program, compile_type, module_scope,
 )
 
 
@@ -169,13 +172,15 @@ class Skeleton:
         """The code of `slice_for_module(p, target)` compiled and lowered
         with only the monitors that have `target` as a party.  Each other
         monitor's `let` is bypassed, and unless `target` is opaquely
-        required, its erased body, lowered at the end, replaces its hole."""
+        required, its body, lowered at the end as its erasure would be,
+        replaces its hole."""
         code = self.code.copy()
         for name, at, lets, hole in self.layout:
             end = hole
             if name == target and name not in self.marked:
+                m = self.modules[name]
                 end = len(code)
-                code += lower(module_body(self.modules[name]), end)
+                code += lower(m.body, end, module_scope(m))
             slot = LET_RHS
             for let, pos in lets:
                 if target == pos or target == name:

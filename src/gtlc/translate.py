@@ -93,10 +93,15 @@ def boundaries(p: Program) -> Iterator[tuple[Module, list[tuple[Require, Ty]]]]:
         prior[m.name] = m
 
 
+def module_scope(m: Module) -> frozenset[str]:
+    """The modules `m` requires: what unknown code in `m`'s place may
+    reference."""
+    return frozenset(r.target for r in m.requires)
+
+
 def module_body(m: Module) -> Expr:
-    """`m`'s body erased, each opaque hole in it scoped to the modules `m`
-    requires: what unknown code in `m`'s place may reference."""
-    return erase(m.body, frozenset(r.target for r in m.requires))
+    """`m`'s body erased, each opaque hole in it scoped (`module_scope`)."""
+    return erase(m.body, module_scope(m))
 
 
 def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
