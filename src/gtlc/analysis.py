@@ -30,16 +30,17 @@ index plus a `base` offset, and `code[label]` is a flat instruction tuple
 holding the node's operator, its operands and its children's labels, e.g.
 `(_APP, fn_label, arg_label)` or `(_IF, test, then, else, refinable)`.
 Literals carry their abstract value, built once, and opaque terms their
-scope.  Lambda annotations are ignored, so a typed body lowers as its
-erasure does, and given a scope, `lower` scopes each opaque term the way
-`translate.erase` does.  Free-variable sets are kept only on lambdas, where
-they trim the captured environment; an opaque term counts as free every
-name it may reference, and a node with one child shares that child's set
-instead of copying it.  No pass recurses on the host stack, so nesting
-depth is bounded by memory, not by the interpreter's recursion limit.
-The machine reads children only through the labels an instruction holds,
-and starts at label 0, so code lowered at `base = len(code)` can be
-appended to other code and linked in by repointing one parent's child
+own scope (`Opaque.allowed`), which `lower` never computes.  Lambda
+annotations are ignored, so a typed body lowers as its erasure does.
+Free-variable sets are kept only on lambdas, where they trim the captured
+environment.  An opaque term counts as free every name it may reference,
+and one without a scope every name, written None, so a lambda around it
+keeps its whole environment.  A node with one child shares that child's
+set instead of copying it.  No pass recurses on the host stack, so
+nesting depth is bounded by memory, not by the interpreter's recursion
+limit.  The machine reads children only through the labels an instruction
+holds, and starts at label 0, so code lowered at `base = len(code)` can
+be appended to other code and linked in by repointing one parent's child
 label: the optimizer builds each module's slice that way from one lowered
 skeleton of the program, and `analyze` takes such code as it is.
 
@@ -155,15 +156,11 @@ _VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON, _BLAME = range(9)
 LET_RHS, LET_BODY = 2, 3
 
 
-def lower(root: Expr, base: int = 0,
-          scope: "frozenset[str] | None" = None) -> list[tuple]:
+def lower(root: Expr, base: int = 0) -> list[tuple]:
     """One instruction tuple per node of `root`, the node at pre-order index
     i labelled `base + i`, so the result belongs at `code[base:]`.  Lambda
-    annotations are ignored.  With `scope`, each opaque term gets the scope
-    `erase(root, scope)` would give it, in place of its own."""
+    annotations are ignored, and each opaque term keeps its own scope."""
     nodes: list[Expr] = []
-    bound: set[str] = set()
-    holes = 0
     stack = [root]
     while stack:
         e = stack.pop()
@@ -172,31 +169,20 @@ def lower(root: Expr, base: int = 0,
         if t is App:
             stack += (e.arg, e.fn)
         elif t is Let:
-            bound.add(e.name)
             stack += (e.body, e.rhs)
         elif t is If:
             stack += (e.orelse, e.then, e.test)
-        elif t is Lam:
-            bound.add(e.param)
+        elif t is Lam or t is Mon:
             stack.append(e.body)
-        elif t is Mon:
-            stack.append(e.body)
-        elif t is Opaque:
-            holes += 1
-    # An opaque term may reference whatever its `allowed` scope names, or,
-    # without one, any variable the term binds; an enclosing lambda must
-    # keep all of those.
-    anything = frozenset(bound)
-    # The backward sweep meets the opaque terms last first.
-    scopes = _hole_scopes(root, scope) if scope is not None and holes else []
 
     # Descendants have larger indices, so one backward sweep sees each
     # child's subtree size and free variables before its parent's.  A
     # node's first child is the next index, and each later child follows
-    # the subtree of the one before it.
+    # the subtree of the one before it.  An opaque term counts as free
+    # every name its scope holds, and one without a scope every name: None.
     n = len(nodes)
     size = [1] * n
-    free: list[frozenset[str]] = [frozenset()] * n
+    free: list["frozenset[str] | None"] = [frozenset()] * n
     code: list[tuple] = [()] * n
     for i in range(n - 1, -1, -1):
         e = nodes[i]
@@ -212,9 +198,8 @@ def lower(root: Expr, base: int = 0,
         elif t is Prim:
             code[i] = (_VAL, (_PRIM, e.op))
         elif t is Opaque:
-            allowed = scopes.pop() if scopes else e.allowed
-            free[i] = anything if allowed is None else allowed
-            code[i] = (_OPAQUE, allowed)
+            free[i] = e.allowed
+            code[i] = (_OPAQUE, e.allowed)
         elif t is Blame:
             code[i] = (_BLAME, e.label)
         elif t is Lam:
@@ -246,30 +231,9 @@ def lower(root: Expr, base: int = 0,
     return code
 
 
-def _hole_scopes(root: Expr, scope: frozenset[str]) -> list[frozenset[str]]:
-    """The scope of each opaque term of `root`, in pre-order: `scope` plus
-    the names bound around it, as `erase` records them."""
-    out = []
-    stack = [(root, scope)]
-    while stack:
-        e, sc = stack.pop()
-        t = type(e)
-        if t is App:
-            stack += ((e.arg, sc), (e.fn, sc))
-        elif t is Let:
-            stack += ((e.body, sc | {e.name}), (e.rhs, sc))
-        elif t is If:
-            stack += ((e.orelse, sc), (e.then, sc), (e.test, sc))
-        elif t is Lam:
-            stack.append((e.body, sc | {e.param}))
-        elif t is Mon:
-            stack.append((e.body, sc))
-        elif t is Opaque:
-            out.append(sc)
-    return out
-
-
-def _union(a: frozenset, b: frozenset) -> frozenset:
+def _union(a: "frozenset | None", b: "frozenset | None") -> "frozenset | None":
+    if a is None or b is None:
+        return None
     if b <= a:
         return a
     if a <= b:
@@ -277,8 +241,8 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a | b
 
 
-def _without(s: frozenset, name: str) -> frozenset:
-    return s - {name} if name in s else s
+def _without(s: "frozenset | None", name: str) -> "frozenset | None":
+    return s - {name} if s is not None and name in s else s
 
 
 def _refinable_test(node: If):
@@ -458,8 +422,9 @@ class _Machine:
             return (ins[1],)
         if op == _LAM:
             _, param, body_lbl, keep = ins
-            cenv = tuple([na for na in env if na[0] in keep])
-            return ((_CLOS, lbl, param, body_lbl, cenv),)
+            if keep is not None:
+                env = tuple([na for na in env if na[0] in keep])
+            return ((_CLOS, lbl, param, body_lbl, env),)
         if op == _OPAQUE:
             allowed = ins[1]
             for name, addr in env:

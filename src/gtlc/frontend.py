@@ -26,6 +26,12 @@ module by module, after the `require-kind-mismatch` diagnostics of the
 requires before it.  An integer literal too long for the interpreter to
 convert is a grammar error at the literal.
 
+The reader also gives each opaque term of a module body its scope, the
+names a concrete instantiation of it may reference: the modules its module
+requires (`syntax.module_scope`) plus the lambda parameters bound around
+it.  No later pass computes a scope.  An opaque term read by `parse_expr`
+gets none, which means unrestricted.
+
 Well-formedness follows the inductive structure of the module sequence:
 typed bodies must check against their annotation in the environment induced
 by their requires, untyped bodies must be closed under theirs, module names
@@ -42,7 +48,7 @@ from typing import Optional
 from .syntax import (
     ANY_C, ArrowC, App, Blame, BlameLabel, BoolLit, BOOL_C, Contract, Expr,
     If, IntLit, INT_C, Lam, Let, Mon, Module, Opaque, Prim, Program, Require,
-    Span, TArrow, Ty, T_BOOL, T_INT, Var, free_vars,
+    Span, TArrow, Ty, T_BOOL, T_INT, Var, free_vars, module_scope,
 )
 
 DiagnosticKind = str  # parse | unbound | duplicate-module | require-kind-mismatch | type-error | main-missing
@@ -91,8 +97,7 @@ _INT_START = frozenset("-0123456789")  # "->" is reserved
 _ATOM_EXPRS = {"#t": lambda span: BoolLit(True, span=span),
                "#f": lambda span: BoolLit(False, span=span),
                "int?": lambda span: Prim("int?", span=span),
-               "bool?": lambda span: Prim("bool?", span=span),
-               "opaque": lambda span: Opaque(span=span)}
+               "bool?": lambda span: Prim("bool?", span=span)}
 _TYPES = {"Int": T_INT, "Bool": T_BOOL}
 _CONTRACTS = {"int?": INT_C, "bool?": BOOL_C, "any/c": ANY_C}
 
@@ -191,7 +196,11 @@ class _Reader:
                          self.ty(items[2], leaves, arrow, what))
         raise _error(f"expected {what}", self.span(i))
 
-    def expr(self, i: int, typed_body: bool, core: bool = False) -> Expr:
+    def expr(self, i: int, typed_body: bool, scope: Optional[frozenset[str]] = None,
+             core: bool = False) -> Expr:
+        """The expression at token i.  Each opaque term in it gets `scope`
+        plus the lambda parameters bound around it, or None when `scope` is
+        None, as it is for core text, the only text with `let`."""
         toks = self.toks
         t = toks[i]
         if t not in _MATCHING:
@@ -204,6 +213,8 @@ class _Reader:
                     raise _error("integer literal too long", span) from None
             if t in _ATOM_EXPRS:
                 return _ATOM_EXPRS[t](span)
+            if t == "opaque":
+                return Opaque(scope, span=span)
             if t in _RESERVED:
                 raise _error(f"{t!r} is not an expression", span)
             return Var(t, span=span)
@@ -217,9 +228,9 @@ class _Reader:
         if head == "if":
             if len(items) != 4:
                 raise _error("if expects 3 subexpressions", span)
-            return If(self.expr(items[1], typed_body, core),
-                      self.expr(items[2], typed_body, core),
-                      self.expr(items[3], typed_body, core), span=span)
+            return If(self.expr(items[1], typed_body, scope, core),
+                      self.expr(items[2], typed_body, scope, core),
+                      self.expr(items[3], typed_body, scope, core), span=span)
         if head in ("λ", "lambda"):
             params = self.items(items[1]) if len(items) == 3 else None
             if params is None:
@@ -235,14 +246,15 @@ class _Reader:
                                  self.span(items[1]))
                 name = self.name(params[0], "a parameter name")
                 ann = None
-            return Lam(name, ann, self.expr(items[2], typed_body, core), span=span)
+            inner = None if scope is None else scope | {name}
+            return Lam(name, ann, self.expr(items[2], typed_body, inner, core), span=span)
         if head == "let":
             binding = self.items(items[1]) if len(items) == 3 else None
             if binding is None or len(binding) != 2:
                 raise _error("malformed let", span)
             return Let(self.name(binding[0], "a binding name"),
-                       self.expr(binding[1], typed_body, core),
-                       self.expr(items[2], typed_body, core), span=span)
+                       self.expr(binding[1], typed_body, scope, core),
+                       self.expr(items[2], typed_body, scope, core), span=span)
         if head == "mon":
             parties = self.items(items[1]) if len(items) == 4 else None
             if parties is None or len(parties) != 2:
@@ -250,7 +262,7 @@ class _Reader:
             pos = self.name(parties[0], "a party name")
             neg = self.name(parties[1], "a party name")
             return Mon(pos, neg, self.ty(items[2], _CONTRACTS, ArrowC, "a contract"),
-                       self.expr(items[3], typed_body, core), span=span)
+                       self.expr(items[3], typed_body, scope, core), span=span)
         if head == "blame":
             if len(items) != 3:
                 raise _error("malformed blame", span)
@@ -258,8 +270,8 @@ class _Reader:
                                     self.name(items[2], "a party name")),
                          span=span)
         if len(items) == 2:
-            return App(self.expr(items[0], typed_body, core),
-                       self.expr(items[1], typed_body, core), span=span)
+            return App(self.expr(items[0], typed_body, scope, core),
+                       self.expr(items[1], typed_body, scope, core), span=span)
         raise _error(f"expected an application of one argument, got {len(items)} elements",
                      span)
 
@@ -318,7 +330,8 @@ class _Reader:
             req = self.require(r, typed_module=ty is not None, diags=diags)
             if req is not None:
                 requires.append(req)
-        body = self.expr(rest[-1], typed_body=ty is not None)
+        body = self.expr(rest[-1], typed_body=ty is not None,
+                         scope=module_scope(requires))
         return Module(name, ty, requires, body, span=self.span(i))
 
 

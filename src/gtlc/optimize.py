@@ -19,9 +19,8 @@ its skeleton, with every module body a hole (`Skeleton`).  A slice's code
 is a copy of the skeleton's in which each dropped monitor's `let` is
 bypassed (the instruction above it points at the let's body) and X's
 body, lowered at the end of the code, takes the place of its hole.  The
-body is lowered as written: lowering ignores lambda annotations and gives
-each opaque term of the body the scope erasing it would
-(`translate.module_scope` plus the names bound around it).
+body is lowered as written: lowering ignores lambda annotations, and each
+opaque term of the body keeps the scope the reader gave it.
 
 The paper states this rewrite for one proven pair at a time, folded over
 the proven pairs to a fixpoint.  A monitor is touched only by the two pairs
@@ -54,11 +53,9 @@ from dataclasses import dataclass, field
 from .analysis import BlameSet, analyze, lower, DEFAULT_BUDGET, LET_BODY, LET_RHS
 from .syntax import (
     ANY_C, AnyC, ArrowC, BoolC, Contract, IntC, Module, Opaque, Polarity,
-    Program, flip,
+    Program, flip, module_scope,
 )
-from .translate import (
-    CompiledProgram, boundaries, compile_program, compile_type, module_scope,
-)
+from .translate import CompiledProgram, boundaries, compile_program, compile_type
 
 
 @dataclass
@@ -126,10 +123,11 @@ class OptimizationReport:
 
 def slice_for_module(p: Program, target: "str | None") -> Program:
     """Keep `target`'s body; replace every other body (and the body of any
-    module someone imported opaquely) with an opaque term.  With `target`
-    None every body is a hole: the program's skeleton.  Annotations and
-    requires are untouched, so compiled, the slice keeps every boundary
-    monitor of `p`."""
+    module someone imported opaquely) with an opaque term, scoped to what
+    its module requires (`module_scope`).  With `target` None every body is
+    a hole: the program's skeleton.  Annotations and requires are
+    untouched, so compiled, the slice keeps every boundary monitor of
+    `p`."""
     if target is not None and p.module_named(target) is None:
         raise ValueError(f"unknown module {target!r}")
     marked = _opaquely_required(p)
@@ -138,7 +136,8 @@ def slice_for_module(p: Program, target: "str | None") -> Program:
         if m.name == target and m.name not in marked:
             out.append(m)
         else:
-            out.append(Module(m.name, m.ty, m.requires, Opaque(), span=m.span))
+            out.append(Module(m.name, m.ty, m.requires,
+                              Opaque(module_scope(m.requires)), span=m.span))
     return Program(out)
 
 
@@ -153,7 +152,7 @@ class Skeleton:
     which `slice_code` builds the lowered code of each module's slice."""
 
     def __init__(self, p: Program):
-        self.modules = {m.name: m for m in p.modules}
+        self.bodies = {m.name: m.body for m in p.modules}
         self.marked = _opaquely_required(p)
         self.code = code = lower(compile_program(slice_for_module(p, None)).root)
         # Per module: the label of its `let`, the labels of its require
@@ -172,15 +171,14 @@ class Skeleton:
         """The code of `slice_for_module(p, target)` compiled and lowered
         with only the monitors that have `target` as a party.  Each other
         monitor's `let` is bypassed, and unless `target` is opaquely
-        required, its body, lowered at the end as its erasure would be,
-        replaces its hole."""
+        required, its body, lowered as it is at the end, replaces its
+        hole."""
         code = self.code.copy()
         for name, at, lets, hole in self.layout:
             end = hole
             if name == target and name not in self.marked:
-                m = self.modules[name]
                 end = len(code)
-                code += lower(m.body, end, module_scope(m))
+                code += lower(self.bodies[name], end)
             slot = LET_RHS
             for let, pos in lets:
                 if target == pos or target == name:

@@ -184,9 +184,12 @@ class Lam:
 
 @dataclass
 class Opaque:
-    # Names an instantiation of this hole may reference (the enclosing
-    # module's requires plus local binders); None means unrestricted.
-    # Not part of structural equality.
+    # Names an instantiation of this hole may reference.  The reader gives
+    # a hole in a module body its module's scope (`module_scope`) plus the
+    # lambda parameters around it, and `slice_for_module` gives a module's
+    # whole-body hole its module's scope.  None, as for holes built through
+    # the API or read by `parse_expr`, means unrestricted: any name in
+    # scope where the hole is evaluated.  Not part of structural equality.
     allowed: Optional[frozenset[str]] = field(default=None, compare=False, repr=False)
     span: Optional[Span] = _span_field()
 
@@ -248,6 +251,12 @@ class Module:
     @property
     def typed(self) -> bool:
         return self.ty is not None
+
+
+def module_scope(requires: list[Require]) -> frozenset[str]:
+    """What unknown code in the body of a module with these requires may
+    reference, besides the names bound around it: the modules it requires."""
+    return frozenset(r.target for r in requires)
 
 
 @dataclass

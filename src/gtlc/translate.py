@@ -46,27 +46,21 @@ def compile_type(t: Ty) -> Contract:
     raise TypeError(f"not a type: {t!r}")
 
 
-def erase(e: Expr, scope: "frozenset[str] | None" = None) -> Expr:
-    """Strip lambda annotations; opaque terms map to themselves.  When
-    `scope` is given, each opaque hole records the names a concrete
-    instantiation of it may reference (scope plus enclosing binders), which
-    the analyzer uses to bound what unknown code can reach."""
+def erase(e: Expr) -> Expr:
+    """`e` with its lambda annotations stripped.  Every node keeps its span,
+    and a leaf, an opaque term among them, maps to itself."""
     match e:
         case Lam(param, _, body):
-            inner = None if scope is None else scope | {param}
-            return Lam(param, None, erase(body, inner))
+            return Lam(param, None, erase(body), span=e.span)
         case App(fn, arg):
-            return App(erase(fn, scope), erase(arg, scope))
+            return App(erase(fn), erase(arg), span=e.span)
         case If(test, then, orelse):
-            return If(erase(test, scope), erase(then, scope), erase(orelse, scope))
+            return If(erase(test), erase(then), erase(orelse), span=e.span)
         case Let(name, rhs, body):
-            inner = None if scope is None else scope | {name}
-            return Let(name, erase(rhs, scope), erase(body, inner))
+            return Let(name, erase(rhs), erase(body), span=e.span)
         case Mon(pos, neg, contract, body):
-            return Mon(pos, neg, contract, erase(body, scope))
-        case Opaque():
-            return Opaque(allowed=scope)
-        case Var(_) | IntLit(_) | BoolLit(_) | Prim(_) | Blame(_):
+            return Mon(pos, neg, contract, erase(body), span=e.span)
+        case Var(_) | IntLit(_) | BoolLit(_) | Prim(_) | Opaque() | Blame(_):
             return e
     raise TypeError(f"not an expression: {e!r}")
 
@@ -93,24 +87,14 @@ def boundaries(p: Program) -> Iterator[tuple[Module, list[tuple[Require, Ty]]]]:
         prior[m.name] = m
 
 
-def module_scope(m: Module) -> frozenset[str]:
-    """The modules `m` requires: what unknown code in `m`'s place may
-    reference."""
-    return frozenset(r.target for r in m.requires)
-
-
-def module_body(m: Module) -> Expr:
-    """`m`'s body erased, each opaque hole in it scoped (`module_scope`)."""
-    return erase(m.body, module_scope(m))
-
-
 def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
                 final: "Final | None") -> Expr:
-    """The right-hand side for module `m`: its erased body wrapped in one
-    inner let per monitored require (`boundaries`), in require order (first
-    require outermost), the let and its monitor carrying the require's
-    span.  With `final`, each monitor gets the contract `final(pos, neg,
-    contract)` returns, and one given `any/c` is left out with its let."""
+    """The right-hand side for module `m`: its body, erased if `m` is typed
+    and as it is if not, wrapped in one inner let per monitored require
+    (`boundaries`), in require order (first require outermost), the let
+    and its monitor carrying the require's span.  With `final`, each
+    monitor gets the contract `final(pos, neg, contract)` returns, and one
+    given `any/c` is left out with its let."""
     kept = []
     for r, ty in monitored:
         contract = compile_type(ty)
@@ -118,7 +102,7 @@ def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
             contract = final(r.target, m.name, contract)
         if contract != ANY_C:
             kept.append((r, contract))
-    rhs = module_body(m)
+    rhs = erase(m.body) if m.typed else m.body
     for r, contract in reversed(kept):
         rhs = Let(r.target,
                   Mon(r.target, m.name, contract, Var(r.target), span=r.span),
@@ -128,11 +112,14 @@ def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
 
 def compile_program(p: Program, final: "Final | None" = None) -> CompiledProgram:
     """Compile a well-formed program.  Evaluation order of module right-hand
-    sides is program order, forced by the let nesting.  `final`, when given,
-    decides each monitor's contract as `_module_rhs` makes it.  It is called
-    once per monitored require, in the `scan_boundaries` order of the
-    program compiled without it; the optimizer eliminates contracts this
-    way, passing what is left once the proven obligations are dropped."""
+    sides is program order, forced by the let nesting.  Untyped bodies are
+    not copied: the tree shares their nodes with `p`, so no pass may
+    mutate a node it did not build.  Typed bodies are erased (`erase`).
+    `final`, when given, decides each monitor's contract as `_module_rhs`
+    makes it.  It is called once per monitored require, in the
+    `scan_boundaries` order of the program compiled without it; the
+    optimizer eliminates contracts this way, passing what is left once the
+    proven obligations are dropped."""
     rhss = [_module_rhs(m, monitored, final) for m, monitored in boundaries(p)]
     root: Expr = Var("main")
     for m, rhs in zip(reversed(p.modules), reversed(rhss)):

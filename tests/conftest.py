@@ -1,8 +1,10 @@
+from typing import get_args
+
 import pytest
 
 from gtlc import frontend
 from gtlc.bench import corpus_dir
-from gtlc.syntax import ANY_C, ArrowC, BOOL_C, INT_C
+from gtlc.syntax import ANY_C, ArrowC, BOOL_C, INT_C, Expr
 
 # The four-module boundary program used throughout: a typed identity, a
 # client that uses it correctly, one that does not, and an entry point.
@@ -47,6 +49,29 @@ ID_BOUNDARY_OPTIMIZED_CORE = """\
       (let [main (u2 #f)]
         main))))
 """
+
+# Holes in typed and untyped bodies, under lambdas or not, with requires
+# or without.
+HOLES_UNDER_LAMBDAS = """\
+(module n Int 1)
+(module e Int opaque)
+(module t (-> Int (-> Bool Int)) (require n)
+  (λ (x : Int) (λ (y : Bool) (if y opaque (opaque x)))))
+(module u (require n) (require t) (λ (a) ((λ (b) (opaque b)) a)))
+(module h (require n) opaque)
+(module main (require u) u)
+"""
+
+EXPR_TYPES = get_args(Expr)
+
+
+def expr_nodes(e):
+    """Every expression node of `e`, in pre-order."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack += reversed([v for v in vars(e).values() if type(v) in EXPR_TYPES])
 
 
 def parse_ok(text):

@@ -1,7 +1,9 @@
 import hashlib
 from itertools import combinations
 
-from conftest import ID_BOUNDARY, ID_BOUNDARY_SLICE_U1, parse_ok
+from conftest import (
+    HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_SLICE_U1, expr_nodes, parse_ok,
+)
 from gtlc import analysis
 from gtlc.analysis import (
     _APP, _BOOL, _BOOL_T, _CLOS, _FN_T, _GUARD, _IF, _INT, _INT_T, _LAM, _LET,
@@ -18,7 +20,7 @@ from gtlc.syntax import (
     App, ArrowC, BlameLabel, If, INT_C, IntLit, Lam, Let, Module, Mon, Opaque,
     Prim, Program, Require, TArrow, TBool, TInt, Var,
 )
-from gtlc.translate import compile_program, module_body
+from gtlc.translate import compile_program
 
 
 def analyze_source(text, **kw):
@@ -104,7 +106,7 @@ def _lowering_roots():
     for p in _lowering_programs():
         yield compile_program(p).root
         for m in p.modules:
-            yield module_body(m)
+            yield m.body
             yield compile_program(slice_for_module(p, m.name)).root
 
 
@@ -124,19 +126,20 @@ def test_analyzing_lowered_code_is_analyzing_the_expression():
 
 
 def test_every_opaque_of_a_slice_has_a_scope():
-    # A slice's holes and the opaque terms of its module's body are all
-    # scoped, so no lowering of a body alone needs the names bound around
-    # it (the `anything` of an unscoped opaque).
+    # A slice's holes and the opaque terms the reader gives its module's
+    # body are all scoped, so lowering a parsed body alone keeps its
+    # lambdas' environments trimmed.
     for p in _lowering_programs():
         for m in p.modules:
-            for code in (lower(module_body(m)), Skeleton(p).slice_code(m.name)):
+            for code in (lower(m.body), Skeleton(p).slice_code(m.name)):
                 assert all(ins[1] is not None for ins in code if ins[0] == _OPAQUE)
-    body = parse_ok(OPAQUE_UNDER_LAMBDA).module_named("u")
-    assert [ins[1] for ins in lower(module_body(body)) if ins[0] == _OPAQUE] == \
+    u = parse_ok(OPAQUE_UNDER_LAMBDA).module_named("u")
+    assert [ins[1] for ins in lower(u.body) if ins[0] == _OPAQUE] == \
         [frozenset({"t", "_"})]
 
 
-# A typed program whose bodies have holes under lambdas and lets.
+# A typed program whose bodies have holes under lambdas and lets, built
+# through the API, so every hole is unscoped.
 HOLES_UNDER_BINDERS = Program([
     Module("t", TArrow(TInt(), TInt()), [],
            Lam("x", TInt(), Let("y", Opaque(),
@@ -156,9 +159,9 @@ def _corpus_programs():
 
 
 def test_slice_code_lowers_the_erased_body():
-    # A slice's module body is lowered as written, with each hole given the
-    # scope `erase` gives it: the code is that of lowering the erased body
-    # at the end of the skeleton's.
+    # A slice's module body is lowered as written: the code is that of
+    # lowering the body at the end of the skeleton's, and each hole keeps
+    # the scope the reader gave it.
     programs = [*_lowering_programs(), *_corpus_programs(), HOLES_UNDER_BINDERS]
     for p in programs:
         skeleton = Skeleton(p)
@@ -167,11 +170,22 @@ def test_slice_code_lowers_the_erased_body():
             code = skeleton.slice_code(m.name)
             if len(code) == base:  # opaquely required: its hole stays
                 continue
-            want = lower(module_body(m), base)
+            want = lower(m.body, base)
             assert code[base:] == want and repr(code[base:]) == repr(want), m.name
-    scopes = [ins[1] for ins in Skeleton(HOLES_UNDER_BINDERS).slice_code("t")
-              if ins[0] == _OPAQUE]
-    assert scopes[-2:] == [frozenset({"x"}), frozenset({"x", "y", "z"})]
+    # Each hole's scope is the reader's object, not a recomputed one.
+    p = parse_ok(HOLES_UNDER_LAMBDAS)
+    skeleton = Skeleton(p)
+    base = len(skeleton.code)
+    scopes = {}
+    for name in ("t", "u"):
+        holes = [e for e in expr_nodes(p.module_named(name).body)
+                 if isinstance(e, Opaque)]
+        scopes[name] = [ins[1] for ins in skeleton.slice_code(name)[base:]
+                        if ins[0] == _OPAQUE]
+        assert len(scopes[name]) == len(holes)
+        assert all(s is h.allowed for s, h in zip(scopes[name], holes)), name
+    assert scopes == {"t": [frozenset({"n", "x", "y"})] * 2,
+                      "u": [frozenset({"n", "t", "a", "b"})]}
 
 
 def test_a_hole_under_deep_lambdas_is_sliced():
@@ -181,7 +195,8 @@ def test_a_hole_under_deep_lambdas_is_sliced():
     p = Program([Module("n", TInt(), [], IntLit(1)),
                  Module("d", None, [Require("n")], body)])
     code = Skeleton(p).slice_code("d")
-    assert code[-1] == (_OPAQUE, frozenset({"n"} | {f"x{i}" for i in range(DEEP)}))
+    # Built through the API, the hole is unscoped.
+    assert code[-1] == (_OPAQUE, None)
 
 
 _TAGS = ("int", "bool", "fn")
@@ -327,6 +342,17 @@ def test_opaque_without_a_scope_under_a_lambda_reaches_every_binding():
     bs = analyze(parse_expr(
         "(let [f (mon (t u) (-> int? int?) (λ (x) x))] ((λ (_) opaque) 0))"))
     assert BlameLabel("u", "t") in bs.labels
+
+
+def test_an_unscoped_hole_in_a_body_reaches_what_its_module_requires():
+    # Built through the API, u's hole has no scope.  Its slice lowers u's
+    # body on its own, and the lambda around the hole must still keep t,
+    # which is bound outside the body: the hole may be `(t #f)`.
+    p = Program([
+        Module("t", TArrow(TInt(), TInt()), [], Lam("x", TInt(), Var("x"))),
+        Module("u", None, [Require("t")], App(Lam("_", None, Opaque()), IntLit(0))),
+    ])
+    assert BlameLabel("u", "t") in analyze_slice(p, "u").labels
 
 
 def test_slicing_monotone_for_labels_mentioning_module():

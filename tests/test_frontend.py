@@ -5,13 +5,13 @@ import sys
 import pytest
 
 from conftest import (
-    ID_BOUNDARY, ID_BOUNDARY_CORE, ID_BOUNDARY_OPTIMIZED_CORE,
-    ID_BOUNDARY_SLICE_U1_CORE, parse_ok,
+    HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_CORE,
+    ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1_CORE, expr_nodes, parse_ok,
 )
 from gtlc import frontend
 from gtlc.bench import corpus_dir
 from gtlc.frontend import (
-    check_wellformed, name_env, parse_program, ty_env, typecheck_expr,
+    check_wellformed, name_env, parse_expr, parse_program, ty_env, typecheck_expr,
 )
 from gtlc.gen import GenConfig, gen_program
 from gtlc.syntax import (
@@ -60,6 +60,27 @@ def test_comments():
 def test_core_forms_rejected_in_source():
     p, diags = parse_program("(module main (let [x 1] x))")
     assert p is None and any(d.kind == "parse" for d in diags)
+
+
+def _hole_scopes(e):
+    return [n.allowed for n in expr_nodes(e) if isinstance(n, Opaque)]
+
+
+def test_a_parsed_hole_is_scoped_to_its_requires_and_enclosing_parameters():
+    p = parse_ok(HOLES_UNDER_LAMBDAS)
+    assert {m.name: _hole_scopes(m.body) for m in p.modules} == {
+        "n": [],
+        "e": [frozenset()],
+        "t": [frozenset({"n", "x", "y"})] * 2,
+        "u": [frozenset({"n", "t", "a", "b"})],
+        "h": [frozenset({"n"})],
+        "main": [],
+    }
+
+
+def test_a_hole_read_by_parse_expr_is_unscoped():
+    e = parse_expr("(λ (x) (let [y opaque] (opaque x)))")
+    assert _hole_scopes(e) == [None, None]
 
 
 def test_ty_env_plain_typed_target():

@@ -1,15 +1,18 @@
 import pytest
 
 from conftest import (
-    ID_BOUNDARY, ID_BOUNDARY_CORE, ID_BOUNDARY_SLICE_U1,
-    ID_BOUNDARY_SLICE_U1_CORE, parse_ok,
+    EXPR_TYPES, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_CORE,
+    ID_BOUNDARY_SLICE_U1, ID_BOUNDARY_SLICE_U1_CORE, expr_nodes, parse_ok,
 )
-from gtlc.frontend import parse_expr, parse_program
+from gtlc.bench import corpus_dir
+from gtlc.frontend import check_wellformed, parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
-from gtlc.optimize import optimize_program, slice_for_module
+from gtlc.interp import evaluate
+from gtlc.optimize import compute_verdicts, optimize_program, slice_for_module
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Let, Module, Mon, Opaque,
-    Program, Require, TArrow, T_BOOL, T_INT, Var, structurally_equal,
+    Program, Require, TArrow, T_BOOL, T_INT, Var, format_program,
+    structurally_equal,
 )
 from gtlc.translate import compile_program, compile_type, erase, scan_boundaries
 
@@ -39,6 +42,66 @@ def test_erase():
     five = parse_expr("5")
     assert erase(five) == five
     assert isinstance(erase(Opaque()), Opaque)
+
+
+def test_compiled_bodies_keep_their_spans():
+    # t1 is typed and erased, u1 and u2 are untyped and shared: their
+    # nodes carry their source spans alike.
+    p = parse_ok(ID_BOUNDARY)
+    rhs = compile_program(p).root
+    for m in p.modules:
+        body = rhs.rhs
+        while isinstance(body, Let):  # a monitored require's let
+            body = body.body
+        spans = [e.span for e in expr_nodes(body)]
+        assert spans == [e.span for e in expr_nodes(m.body)], m.name
+        assert None not in spans
+        rhs = rhs.body
+
+
+def _snapshot(p):
+    """Every field of every module, require and expression node of `p`,
+    each node's children by identity."""
+    out = []
+    for m in p.modules:
+        out.append((id(m), dict(vars(m), body=id(m.body),
+                                requires=[(id(r), dict(vars(r))) for r in m.requires])))
+        for e in expr_nodes(m.body):
+            out.append((id(e), type(e), {k: id(v) if type(v) in EXPR_TYPES else v
+                                         for k, v in vars(e).items()}))
+    return out
+
+
+def _parsed_programs():
+    yield parse_ok(HOLES_UNDER_LAMBDAS)
+    for path in sorted(corpus_dir().glob("*/*.gtl")):
+        yield parse_ok(path.read_text(encoding="utf-8"))
+    for seed in range(40):
+        yield parse_ok(format_program(gen_program(GenConfig(seed=seed))))
+    for seed in range(4):
+        cfg = GenConfig(seed=seed, expr_size=64, max_modules=16)
+        yield parse_ok(format_program(gen_program(cfg)))
+
+
+def test_no_pass_mutates_the_parsed_program():
+    # Compiled trees share untyped bodies with the parsed program, whose
+    # nodes are mutable dataclasses: no pass may change them.
+    for p in _parsed_programs():
+        before = _snapshot(p)
+        assert not check_wellformed(p)
+        compiled = compile_program(p)
+        evaluate(compiled.root, fuel=10_000)
+        for trust in (True, False):
+            compute_verdicts(p, trust_typed=trust)
+            optimized, _ = optimize_program(p, trust_typed=trust)
+            evaluate(optimized.root, fuel=10_000)
+        assert _snapshot(p) == before
+        # Each untyped module's right-hand side holds its parsed body.
+        rhs = compiled.root
+        for m in p.modules:
+            if not m.typed:
+                assert any(e is m.body for e in expr_nodes(rhs.rhs)), m.name
+            rhs = rhs.body
 
 
 def test_compile_id_boundary_golden():
