@@ -20,37 +20,39 @@ monitor itself.  Errors internal to unknown code (stuck applications, a
 non-boolean `if` test) have no blame label and simply prune the path.
 
 Opaque values carry type-tag refinements so a value that passed `int?`
-cannot fail it later on the same path; branches of an `(if (int? x) ...)`
-test rebind `x` to a refined address, and monitor checks thread the
-refined value through.
+cannot fail it later on the same path; inside each branch of an
+`(if (int? x) ...)` test, `x` lives at a refined address, and monitor
+checks thread the refined value through.
 
 Lowered form.  Before exploring, the expression is lowered in one
 iterative pre-order walk (`lower`): each node's label is its pre-order
 index plus a `base` offset, and `code[label]` is a flat instruction tuple
 holding the node's operator, its operands and its children's labels, e.g.
 `(_APP, fn_label, arg_label)` or `(_IF, test, then, else, refinable)`.
-Literals carry their abstract value, built once, and opaque terms their
-own scope (`Opaque.allowed`), which `lower` never computes.  Lambda
-annotations are ignored, so a typed body lowers as its erasure does.
-Free-variable sets are kept only on lambdas, where they trim the captured
-environment.  An opaque term counts as free every name it may reference,
-and one without a scope every name, written None, so a lambda around it
-keeps its whole environment.  A node with one child shares that child's
-set instead of copying it.  No pass recurses on the host stack, so
-nesting depth is bounded by memory, not by the interpreter's recursion
-limit.  The machine reads children only through the labels an instruction
-holds, and starts at label 0, so code lowered at `base = len(code)` can
-be appended to other code and linked in by repointing one parent's child
-label: the optimizer builds each module's slice that way from one lowered
-skeleton of the program, and `analyze` takes such code as it is.
+The walk resolves each variable to its address, once: a `let` or lambda
+binds its variable at its own label, a refinable `if` gives the variable
+it tests a refined address inside each branch, and a name bound outside
+the lowered root lives where the `scope` given to `lower` says.  So a
+variable holds its address, or None when it is unbound; an opaque term
+the addresses of the visible names its own scope (`Opaque.allowed`)
+admits, or of every visible name when it has none; and a refinable `if`
+the address it tests and the test.  Literals carry their abstract value,
+built once.  Lambda annotations are ignored, so a typed body lowers as its
+erasure does.  No pass recurses on the host stack, so nesting depth is
+bounded by memory, not by the interpreter's recursion limit.  The machine
+reads children only through the labels an instruction holds, and starts
+at label 0, so code lowered at `base = len(code)` can be appended to
+other code and linked in by repointing one parent's child label: the
+optimizer builds each module's slice that way from one lowered skeleton
+of the program, and `analyze` takes such code as it is.
 
 Atomic operands.  A variable, literal, primitive, lambda or opaque term is
-atomic: its values come from the store or the code without a step of
-their own (an opaque term's dump of its scope into the pool is a join,
-which is idempotent).  So is a monitor of an atomic term, every require
-monitor among them: it is checked in place, recording the blame of each
-failure it can reach, and an arrow contract makes its guard there.  An
-application, `let`, `if` or monitor evaluates its atomic children in
+atomic: its values come from the store or the code without a step of their
+own (an opaque term's dump of the addresses it holds into the pool is a
+join, which is idempotent).  So is a monitor of an atomic term, every
+require monitor among them: it is checked in place, recording the blame of
+each failure it can reach, and an arrow contract makes its guard there.
+An application, `let`, `if` or monitor evaluates its atomic children in
 place, in the state that needs their values, and becomes a reader of the
 addresses they read; only a compound child gets a continuation address, a
 frame and states of its own.  A `let` of an atomic term binds and goes on
@@ -65,20 +67,22 @@ Values.  An abstract value is a plain tuple whose first item is a small
 integer tag naming its class, built inline and tested by that tag:
 `(_INT,)` is some integer (the model has no arithmetic, and its only tests
 are `int?` and `bool?`, so every integer literal is this one value),
-`(_BOOL, b)` a boolean (b is None when it may be either), `(_CLOS, lam,
-param, body, env)` a closure, `(_PRIM, op)` a predicate, `(_OPQ, refs)` an
-unknown value and `(_GUARD, contract, inner, pos, neg, site)` a monitored
-function.  No transition asks where an unknown value came from, so it is
-only its refinements: a hole, the result of calling unknown code and the
-argument unknown code passes are one value, `(_OPQ, 0)`, until a test
-refines it.  A closure's `lam` is its lambda's label, which is also its
-parameter's address, and `env` is `((name, addr), ...)` sorted by name; a
-guard's `inner` is the store address of the function it wraps, anchored
-at the monitor's `site`.  Hashing and equality are tuple's, done in C, and
-distinct classes never compare equal.  A tag test is one bit: int? is 1,
-bool? 2, and being a function 4.  An opaque value's refinements `refs`
-are six bits: the bit of each test it passed, and that bit shifted left
-by 3 for each test it failed.
+`(_BOOL, b)` a boolean (b is None when it may be either), `(_CLOS, lam)` a
+closure, `(_PRIM, op)` a predicate, `(_OPQ, refs)` an unknown value and
+`(_GUARD, contract, inner, pos, neg, site)` a monitored function.  No
+transition asks where an unknown value came from, so it is only its
+refinements: a hole, the result of calling unknown code and the argument
+unknown code passes are one value, `(_OPQ, 0)`, until a test refines it.
+A closure's `lam` is its lambda's label, which is also its parameter's
+address.  It needs no environment, and neither does a state or a frame:
+the machine is monovariant, so every variable's address is fixed by where
+it is bound, and `lower` has resolved each one already.  A guard's `inner`
+is the store address of the function it wraps, anchored at the monitor's
+`site`.  Hashing and equality are tuple's, done in C, and distinct classes
+never compare equal.  A tag test is one bit: int? is 1, bool? 2, and being
+a function 4.  An opaque value's refinements `refs` are six bits: the bit
+of each test it passed, and that bit shifted left by 3 for each test it
+failed.
 """
 
 from __future__ import annotations
@@ -151,103 +155,106 @@ def _refine_value(v: tuple, kind: int, outcome: bool) -> Optional[tuple]:
 
 _VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON, _BLAME = range(9)
 
-# A let lowers to `(_LET, name, rhs, body)`; the slots of its two child
-# labels, for code that relinks lowered code.
-LET_RHS, LET_BODY = 2, 3
+# A let lowers to `(_LET, rhs, body)`; the slots of its two child labels,
+# for code that relinks lowered code.
+LET_RHS, LET_BODY = 1, 2
 
 
-def lower(root: Expr, base: int = 0) -> list[tuple]:
+def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]:
     """One instruction tuple per node of `root`, the node at pre-order index
-    i labelled `base + i`, so the result belongs at `code[base:]`.  Lambda
-    annotations are ignored, and each opaque term keeps its own scope."""
-    nodes: list[Expr] = []
-    stack = [root]
+    i labelled `base + i`, so the result belongs at `code[base:]`.  Each
+    variable is resolved to its address: that of its innermost binder in
+    `root`, else the one `scope` maps it to, else None (unbound).  An
+    opaque term holds the addresses of the visible names its own scope
+    admits, and lambda annotations are ignored."""
+    # The walk keeps `env` (name -> address, None when unbound) as it
+    # enters and leaves binders: a (name, address) item on the stack
+    # rebinds `name`.  A leaf's instruction is complete when the walk
+    # reaches it; an `if`'s refinement waits in `at` for its children.
+    env = dict(scope or ())
+    nodes: list[tuple[Expr, object]] = []
+    stack: list = [root]
     while stack:
         e = stack.pop()
-        nodes.append(e)
         t = type(e)
-        if t is App:
+        if t is tuple:
+            env[e[0]] = e[1]
+            continue
+        at = None
+        if t is Var:
+            at = (_VAR, env.get(e.name))
+        elif t is Opaque:
+            names = env if e.allowed is None else e.allowed
+            at = (_OPAQUE, tuple([a for n in sorted(names) if (a := env.get(n)) is not None]))
+        elif t is IntLit:
+            at = (_VAL, _SOME_INT)
+        elif t is BoolLit:
+            at = (_VAL, (_BOOL, e.value))
+        elif t is Prim:
+            at = (_VAL, (_PRIM, e.op))
+        elif t is Blame:
+            at = (_BLAME, e.label)
+        elif t is App:
             stack += (e.arg, e.fn)
         elif t is Let:
-            stack += (e.body, e.rhs)
-        elif t is If:
-            stack += (e.orelse, e.then, e.test)
-        elif t is Lam or t is Mon:
+            stack += ((e.name, env.get(e.name)), e.body, (e.name, base + len(nodes)),
+                      e.rhs)
+        elif t is Lam:
+            stack += ((e.param, env.get(e.param)), e.body, (e.param, base + len(nodes)))
+        elif t is Mon:
             stack.append(e.body)
+        elif t is If:
+            test = _refinable_test(e)
+            src = test and env.get(test[0])
+            if src is None:
+                stack += (e.orelse, e.then, e.test)
+            else:
+                name, lbl = test[0], base + len(nodes)
+                at = (src, test[1])
+                stack += ((name, src), e.orelse, (name, ("rif", lbl, False)),
+                          e.then, (name, ("rif", lbl, True)), e.test)
+        else:
+            raise TypeError(f"not a core expression: {t.__name__}")
+        nodes.append((e, at))
 
     # Descendants have larger indices, so one backward sweep sees each
-    # child's subtree size and free variables before its parent's.  A
-    # node's first child is the next index, and each later child follows
-    # the subtree of the one before it.  An opaque term counts as free
-    # every name its scope holds, and one without a scope every name: None.
+    # child's subtree size before its parent's.  A node's first child is
+    # the next index, and each later child follows the subtree of the one
+    # before it.
     n = len(nodes)
     size = [1] * n
-    free: list["frozenset[str] | None"] = [frozenset()] * n
     code: list[tuple] = [()] * n
     for i in range(n - 1, -1, -1):
-        e = nodes[i]
+        e, at = nodes[i]
         t = type(e)
         k0 = i + 1
-        if t is Var:
-            free[i] = frozenset((e.name,))
-            code[i] = (_VAR, e.name)
-        elif t is IntLit:
-            code[i] = (_VAL, _SOME_INT)
-        elif t is BoolLit:
-            code[i] = (_VAL, (_BOOL, e.value))
-        elif t is Prim:
-            code[i] = (_VAL, (_PRIM, e.op))
-        elif t is Opaque:
-            free[i] = e.allowed
-            code[i] = (_OPAQUE, e.allowed)
-        elif t is Blame:
-            code[i] = (_BLAME, e.label)
-        elif t is Lam:
+        if t is Lam:
             size[i] += size[k0]
-            fv = free[i] = _without(free[k0], e.param)
-            code[i] = (_LAM, e.param, base + k0, fv)
+            code[i] = (_LAM, base + k0)
         elif t is Mon:
             size[i] += size[k0]
-            free[i] = free[k0]
             code[i] = (_MON, e.contract, e.pos, e.neg, base + k0)
         elif t is App:
             k1 = k0 + size[k0]
             size[i] += size[k0] + size[k1]
-            free[i] = _union(free[k0], free[k1])
             code[i] = (_APP, base + k0, base + k1)
         elif t is Let:
             k1 = k0 + size[k0]
             size[i] += size[k0] + size[k1]
-            free[i] = _union(free[k0], _without(free[k1], e.name))
-            code[i] = (_LET, e.name, base + k0, base + k1)
+            code[i] = (_LET, base + k0, base + k1)
         elif t is If:
             k1 = k0 + size[k0]
             k2 = k1 + size[k1]
             size[i] += size[k0] + size[k1] + size[k2]
-            free[i] = _union(_union(free[k0], free[k1]), free[k2])
-            code[i] = (_IF, base + k0, base + k1, base + k2, _refinable_test(e))
+            code[i] = (_IF, base + k0, base + k1, base + k2, at)
         else:
-            raise TypeError(f"not a core expression: {t.__name__}")
+            code[i] = at
     return code
-
-
-def _union(a: "frozenset | None", b: "frozenset | None") -> "frozenset | None":
-    if a is None or b is None:
-        return None
-    if b <= a:
-        return a
-    if a <= b:
-        return b
-    return a | b
-
-
-def _without(s: "frozenset | None", name: str) -> "frozenset | None":
-    return s - {name} if s is not None and name in s else s
 
 
 def _refinable_test(node: If):
     """(name, kind) when the test is a predicate applied to a variable, so
-    the branches can rebind the variable to a refined address."""
+    the branches can give the variable a refined address."""
     t = node.test
     if isinstance(t, App) and isinstance(t.fn, Prim) and isinstance(t.arg, Var):
         return (t.arg.name, _INT_T if t.fn.op == "int?" else _BOOL_T)
@@ -258,19 +265,21 @@ def _refinable_test(node: If):
 # The machine
 # ---------------------------------------------------------------------------
 
-# Addresses.  A let or a lambda binds its variable at its own label, and
-# the continuation that receives a compound subexpression's value lives at
-# that subexpression's label.  An atomic operand (a variable, literal,
-# primitive, lambda, opaque term, or monitor of one) is evaluated in place
-# by the state that needs its value, so it has no continuation.  Every
-# other address is a tagged tuple.
+# Addresses.  A let or a lambda binds its variable at its own label; the
+# variable a refinable `if` at `lbl` tests lives at ("rif", lbl, outcome)
+# in the branch of that outcome (`lower`); and the continuation that
+# receives a compound subexpression's value lives at that subexpression's
+# label.  An atomic operand (a variable, literal, primitive, lambda,
+# opaque term, or monitor of one) is evaluated in place by the state that
+# needs its value, so it has no continuation.  Every other address is a
+# tagged tuple.
 _POOL = ("pool",)
 _K_HALT = ("halt",)
 _K_HAVOC = ("havoc",)
 
-# States: evaluate the term at a label in an environment for a continuation
-# address, pass a value to the frames at a continuation address, or apply a
-# value that escaped to the pool.
+# States: evaluate the term at a label for a continuation address, pass a
+# value to the frames at a continuation address, or apply a value that
+# escaped to the pool.
 _EV, _VA, _HV = range(3)
 
 
@@ -371,7 +380,7 @@ class _Machine:
     def run(self) -> BlameSet:
         self.kstore[_K_HALT].add(("halt",))
         self.kstore[_K_HAVOC].add(("havocret",))
-        self.schedule((_EV, 0, (), _K_HALT))
+        self.schedule((_EV, 0, _K_HALT))
         work, pending = self.work, self.pending
         states, queued = self.states, self.queued
         while (work or pending) and not self.exhausted:
@@ -402,34 +411,28 @@ class _Machine:
         if _admits(v, _FN_T, True):
             self.apply_abs(v, _SOME_VALUE, _K_HAVOC)
 
-    def atom(self, sid: int, lbl: int, env: tuple):
+    def atom(self, sid: int, lbl: int):
         """The values of the term at `lbl` if it is atomic, else None.  A
-        variable reads its address, and an opaque term first dumps its
-        scope into the pool, an idempotent join; either makes state `sid`
-        a reader of those addresses, so it re-runs when they grow.  A
-        monitor of an atomic term (of a chain of monitors, innermost
-        first) checks its values in place."""
+        variable reads its address, and an opaque term first dumps the
+        values at the addresses it holds into the pool, an idempotent
+        join; either makes state `sid` a reader of those addresses, so it
+        re-runs when they grow.  A monitor of an atomic term (of a chain of
+        monitors, innermost first) checks its values in place."""
         code = self.code
         ins = code[lbl]
         op = ins[0]
         if op == _VAR:
-            addr = _env_get(env, ins[1])
+            addr = ins[1]
             if addr is None:
-                return ()  # open term: prune
+                return ()  # unbound: prune
             self.vdeps[addr].add(sid)
             return tuple(self.store[addr])
         if op == _VAL:
             return (ins[1],)
         if op == _LAM:
-            _, param, body_lbl, keep = ins
-            if keep is not None:
-                env = tuple([na for na in env if na[0] in keep])
-            return ((_CLOS, lbl, param, body_lbl, env),)
+            return ((_CLOS, lbl),)
         if op == _OPAQUE:
-            allowed = ins[1]
-            for name, addr in env:
-                if allowed is not None and name not in allowed:
-                    continue
+            for addr in ins[1]:
                 self.vdeps[addr].add(sid)
                 self.store_join(_POOL, self.store[addr])
             return (_SOME_VALUE,)
@@ -442,7 +445,7 @@ class _Machine:
                 op = ins[0]
             if op >= _APP:
                 return None
-            vals = self.atom(sid, lbl, env)
+            vals = self.atom(sid, lbl)
             for site, (_, contract, pos, neg, _) in reversed(mons):
                 vals = {w for v in vals
                         for w in self.mon_check(contract, pos, neg, site, v)}
@@ -454,52 +457,50 @@ class _Machine:
         atomic child in place and continues at once; only a compound child
         gets a frame at its own label and a state of its own.  A `let` of
         an atomic term binds and goes on to its body in the same state."""
-        _, lbl, env, kaddr = st
+        _, lbl, kaddr = st
         code = self.code
         ins = code[lbl]
         op = ins[0]
         while op == _LET:
-            _, name, rhs_lbl, body_lbl = ins
-            vals = self.atom(sid, rhs_lbl, env)
+            _, rhs_lbl, body_lbl = ins
+            vals = self.atom(sid, rhs_lbl)
             if vals is None:
-                self.kstore_join(rhs_lbl, ("let", name, lbl, body_lbl, env, kaddr))
-                self.schedule((_EV, rhs_lbl, env, rhs_lbl))
+                self.kstore_join(rhs_lbl, ("let", lbl, kaddr))
+                self.schedule((_EV, rhs_lbl, rhs_lbl))
                 return
             if not vals:
                 return
             self.store_join(lbl, {*vals})
-            env = _env_set(env, name, lbl)
             lbl = body_lbl
             ins = code[lbl]
             op = ins[0]
         if op < _APP or op == _MON:
-            vals = self.atom(sid, lbl, env)
+            vals = self.atom(sid, lbl)
             if vals is not None:
                 for v in vals:
                     self.schedule((_VA, v, kaddr))
                 return
         if op == _APP:
             _, fn_lbl, arg_lbl = ins
-            fns = self.atom(sid, fn_lbl, env)
+            fns = self.atom(sid, fn_lbl)
             if fns is None:
-                self.kstore_join(fn_lbl, ("arg", arg_lbl, env, kaddr))
-                self.schedule((_EV, fn_lbl, env, fn_lbl))
+                self.kstore_join(fn_lbl, ("arg", arg_lbl, kaddr))
+                self.schedule((_EV, fn_lbl, fn_lbl))
             else:
-                self.call(sid, fns, arg_lbl, env, kaddr)
+                self.call(sid, fns, arg_lbl, kaddr)
         elif op == _IF:
-            _, test_lbl, then_lbl, else_lbl, info = ins
-            vals = self.atom(sid, test_lbl, env)
+            test_lbl = ins[1]
+            vals = self.atom(sid, test_lbl)
             if vals is None:
-                self.kstore_join(test_lbl,
-                                 ("if", lbl, then_lbl, else_lbl, env, info, kaddr))
-                self.schedule((_EV, test_lbl, env, test_lbl))
+                self.kstore_join(test_lbl, ("if", lbl, kaddr))
+                self.schedule((_EV, test_lbl, test_lbl))
             else:
-                self.branch(vals, lbl, then_lbl, else_lbl, env, info, kaddr)
+                self.branch(vals, lbl, kaddr)
         elif op == _MON:
             # Its body is compound: `atom` would have checked it in place.
             _, contract, pos, neg, body_lbl = ins
             self.kstore_join(body_lbl, ("mon", contract, pos, neg, lbl, kaddr))
-            self.schedule((_EV, body_lbl, env, body_lbl))
+            self.schedule((_EV, body_lbl, body_lbl))
         else:  # _BLAME
             self.found.add(ins[1])
 
@@ -512,8 +513,8 @@ class _Machine:
     def frame(self, sid: int, frame, v) -> None:
         tag = frame[0]
         if tag == "arg":
-            _, arg_lbl, env, nxt = frame
-            self.call(sid, (v,), arg_lbl, env, nxt)
+            _, arg_lbl, nxt = frame
+            self.call(sid, (v,), arg_lbl, nxt)
         elif tag == "call":
             _, fv, nxt = frame
             self.apply_abs(fv, v, nxt)
@@ -523,12 +524,12 @@ class _Machine:
             for fv in list(self.store[addr]):
                 self.apply_abs(fv, v, nxt)
         elif tag == "let":
-            _, name, binder_lbl, body_lbl, env, nxt = frame
-            self.store_join(binder_lbl, {v})
-            self.schedule((_EV, body_lbl, _env_set(env, name, binder_lbl), nxt))
+            _, let_lbl, nxt = frame
+            self.store_join(let_lbl, {v})
+            self.schedule((_EV, self.code[let_lbl][LET_BODY], nxt))
         elif tag == "if":
-            _, if_lbl, then_lbl, else_lbl, env, info, nxt = frame
-            self.branch((v,), if_lbl, then_lbl, else_lbl, env, info, nxt)
+            _, if_lbl, nxt = frame
+            self.branch((v,), if_lbl, nxt)
         elif tag == "mon":
             _, contract, pos, neg, site, nxt = frame
             for w in self.mon_check(contract, pos, neg, site, v):
@@ -537,25 +538,26 @@ class _Machine:
             self.join(_POOL, v)
         # "halt": program value, nothing to do
 
-    def call(self, sid: int, fns, arg_lbl, env, nxt) -> None:
+    def call(self, sid: int, fns, arg_lbl, nxt) -> None:
         """Apply each operator value in `fns` to the operand at `arg_lbl`.
         Nothing evaluates the operand before there is an operator value."""
         if not fns:
             return
-        args = self.atom(sid, arg_lbl, env)
+        args = self.atom(sid, arg_lbl)
         if args is None:
             for fv in fns:
                 self.kstore_join(arg_lbl, ("call", fv, nxt))
-            self.schedule((_EV, arg_lbl, env, arg_lbl))
+            self.schedule((_EV, arg_lbl, arg_lbl))
             return
         for fv in fns:
             for av in args:
                 self.apply_abs(fv, av, nxt)
 
-    def branch(self, vals, if_lbl, then_lbl, else_lbl, env, info, nxt) -> None:
-        """Take every branch that some test value in `vals` selects; a
-        refinable test rebinds its variable in each branch to an address
-        that holds only the values consistent with the outcome."""
+    def branch(self, vals, if_lbl, nxt) -> None:
+        """Take every branch that some test value in `vals` selects; in each
+        branch of a refinable test, the variable's refined address holds
+        only the values consistent with the outcome."""
+        _, _, then_lbl, else_lbl, info = self.code[if_lbl]
         for v in vals:
             if v[0] == _BOOL:
                 branches = (True, False) if v[1] is None else (v[1],)
@@ -564,22 +566,17 @@ class _Machine:
             else:
                 branches = ()  # non-boolean test: stuck, prune
             for taken in branches:
-                env2 = env
                 if info is not None:
-                    name, kind = info
-                    src = _env_get(env, name)
-                    if src is not None:
-                        dst = ("rif", if_lbl, taken, name)
-                        self.ensure_redge(src, dst, kind, taken)
-                        env2 = _env_set(env, name, dst)
-                self.schedule((_EV, then_lbl if taken else else_lbl, env2, nxt))
+                    src, kind = info
+                    self.ensure_redge(src, ("rif", if_lbl, taken), kind, taken)
+                self.schedule((_EV, then_lbl if taken else else_lbl, nxt))
 
     def apply_abs(self, fv, argv, nxt) -> None:
         tag = fv[0]
         if tag == _CLOS:
-            _, lam, param, body, env = fv
+            lam = fv[1]
             self.join(lam, argv)
-            self.schedule((_EV, body, _env_set(env, param, lam), nxt))
+            self.schedule((_EV, self.code[lam][1], nxt))
         elif tag == _PRIM:
             kind = _INT_T if fv[1] == "int?" else _BOOL_T
             if _admits(argv, kind, True):
@@ -624,23 +621,6 @@ class _Machine:
         inner = ("m", site)
         self.join(inner, as_fn)
         return ((_GUARD, contract, inner, pos, neg, site),)
-
-
-def _env_get(env: tuple, name: str):
-    for n, a in env:
-        if n == name:
-            return a
-    return None
-
-
-def _env_set(env: tuple, name: str, addr) -> tuple:
-    """`env` with `name` bound to `addr`; environments are kept sorted by
-    name, one entry per name."""
-    for i, (n, _) in enumerate(env):
-        if n >= name:
-            rest = env[i + 1:] if n == name else env[i:]
-            return env[:i] + ((name, addr),) + rest
-    return env + ((name, addr),)
 
 
 def analyze(root: "Expr | list[tuple]", budget: int = DEFAULT_BUDGET) -> BlameSet:

@@ -17,10 +17,12 @@ Slices differ only in which body is concrete and which monitors exist, so
 none is compiled on its own.  The program is compiled and lowered once as
 its skeleton, with every module body a hole (`Skeleton`).  A slice's code
 is a copy of the skeleton's in which each dropped monitor's `let` is
-bypassed (the instruction above it points at the let's body) and X's
-body, lowered at the end of the code, takes the place of its hole.  The
-body is lowered as written: lowering ignores lambda annotations, and each
-opaque term of the body keeps the scope the reader gave it.
+bypassed (the instruction above it points at the let's body), each hole
+reads the lets the slice keeps, and X's body, lowered at the end of the
+code in the scope of the lets around its hole, takes the place of that
+hole.  The body is lowered as written: lowering ignores lambda
+annotations, and each opaque term of the body keeps the scope the reader
+gave it.
 
 The paper states this rewrite for one proven pair at a time, folded over
 the proven pairs to a fixpoint.  A monitor is touched only by the two pairs
@@ -149,36 +151,53 @@ def _opaquely_required(p: Program) -> set[str]:
 
 class Skeleton:
     """`p` with every module body a hole, compiled and lowered once, from
-    which `slice_code` builds the lowered code of each module's slice."""
+    which `slice_code` builds the lowered code of each module's slice.  A
+    module's hole, or its body in its own slice, sees the `let` of each
+    earlier module, overridden by the require lets the slice keeps."""
 
     def __init__(self, p: Program):
         self.bodies = {m.name: m.body for m in p.modules}
         self.marked = _opaquely_required(p)
-        self.code = code = lower(compile_program(slice_for_module(p, None)).root)
-        # Per module: the label of its `let`, the labels of its require
-        # lets with the required module, outermost first, and its hole's.
-        self.layout: list[tuple[str, int, list[tuple[int, str]], int]] = []
-        at = 0
-        for m, monitored in boundaries(p):
+        skeleton = slice_for_module(p, None)
+        self.code = code = lower(compile_program(skeleton).root)
+        # Per module: the label of its `let`, the labels of its require lets
+        # with the required module, outermost first, its hole's label, its
+        # hole's instruction in other modules' slices, and its body's scope.
+        self.layout: list[tuple[str, int, list[tuple[int, str]], int, dict, dict]] = []
+        at, earlier = 0, {}
+        for m, monitored in boundaries(skeleton):
             lets, inner = [], code[at][LET_RHS]
             for r, _ in monitored:
                 lets.append((inner, r.target))
                 inner = code[inner][LET_BODY]
-            self.layout.append((m.name, at, lets, inner))
+            rebound = {pos: let for let, pos in lets}
+            # The skeleton's hole sees every require let, as in the module's
+            # own slice.  In the slice of a module it monitors a require of,
+            # it sees that require's let, and in any other slice none.
+            holes = {}
+            if rebound:
+                holes[None] = lower(m.body, inner, earlier)[0]
+                for pos, let in rebound.items():
+                    holes[pos] = lower(m.body, inner, {**earlier, pos: let})[0]
+            self.layout.append((m.name, at, lets, inner, holes, {**earlier, **rebound}))
+            earlier[m.name] = at
             at = code[at][LET_BODY]
 
     def slice_code(self, target: str) -> list[tuple]:
         """The code of `slice_for_module(p, target)` compiled and lowered
         with only the monitors that have `target` as a party.  Each other
-        monitor's `let` is bypassed, and unless `target` is opaquely
-        required, its body, lowered as it is at the end, replaces its
-        hole."""
+        monitor's `let` is bypassed, each hole is given the addresses its
+        scope has in this slice, and unless `target` is opaquely required,
+        its body, lowered as it is at the end with the scope its hole
+        would have, replaces its hole."""
         code = self.code.copy()
-        for name, at, lets, hole in self.layout:
+        for name, at, lets, hole, holes, scope in self.layout:
             end = hole
             if name == target and name not in self.marked:
                 end = len(code)
-                code += lower(self.bodies[name], end)
+                code += lower(self.bodies[name], end, scope)
+            elif name != target and holes:
+                code[hole] = holes.get(target, holes[None])
             slot = LET_RHS
             for let, pos in lets:
                 if target == pos or target == name:

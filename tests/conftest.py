@@ -4,7 +4,10 @@ import pytest
 
 from gtlc import frontend
 from gtlc.bench import corpus_dir
-from gtlc.syntax import ANY_C, ArrowC, BOOL_C, INT_C, Expr
+from gtlc.syntax import (
+    ANY_C, App, ArrowC, BOOL_C, INT_C, Expr, If, Lam, Let, Module, Opaque, Program,
+    Require, TArrow, TBool, TInt, Var,
+)
 
 # The four-module boundary program used throughout: a typed identity, a
 # client that uses it correctly, one that does not, and an entry point.
@@ -59,6 +62,34 @@ HOLES_UNDER_LAMBDAS = """\
   (λ (x : Int) (λ (y : Bool) (if y opaque (opaque x)))))
 (module u (require n) (require t) (λ (a) ((λ (b) (opaque b)) a)))
 (module h (require n) opaque)
+(module main (require u) u)
+"""
+
+OPAQUE_UNDER_LAMBDA = """\
+(module t (-> Int Int) (λ (x : Int) x))
+(module u (require t) ((λ (_) opaque) 0))
+(module main (require u) u)
+"""
+
+
+# A typed program whose bodies have holes under lambdas and lets, built
+# through the API, so every hole is unscoped.
+HOLES_UNDER_BINDERS = Program([
+    Module("t", TArrow(TInt(), TInt()), [],
+           Lam("x", TInt(), Let("y", Opaque(),
+                                App(Lam("z", TBool(), Opaque()), Var("x"))))),
+    Module("u", None, [Require("t")],
+           Let("f", Lam("a", None, Opaque()), App(Var("f"), Opaque()))),
+    Module("main", TInt(), [Require("t"), Require("u", ann=TInt())],
+           If(Opaque(), App(Var("t"), Let("t", Opaque(), Var("t"))), Var("u"))),
+])
+
+
+# A module that requires the same module twice: the second require's let
+# rebinds the name the first one bound.
+REQUIRES_TWICE = """\
+(module t (-> Int Int) (λ (x : Int) x))
+(module u (require t) (require t) ((λ (_) opaque) (t #f)))
 (module main (require u) u)
 """
 

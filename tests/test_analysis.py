@@ -2,12 +2,13 @@ import hashlib
 from itertools import combinations
 
 from conftest import (
-    HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_SLICE_U1, expr_nodes, parse_ok,
+    HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_SLICE_U1,
+    OPAQUE_UNDER_LAMBDA, expr_nodes, parse_ok,
 )
 from gtlc import analysis
 from gtlc.analysis import (
     _APP, _BOOL, _BOOL_T, _CLOS, _FN_T, _GUARD, _IF, _INT, _INT_T, _LAM, _LET,
-    _MON, _OPAQUE, _OPQ, _PRIM, _SOME_INT, _SOME_VALUE, _VAL, _admits,
+    _MON, _OPAQUE, _OPQ, _PRIM, _SOME_INT, _SOME_VALUE, _VAL, _VAR, _admits,
     _refine_value,
     analyze, lower, reachable_states,
 )
@@ -18,7 +19,7 @@ from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import Skeleton, analyze_slice, slice_for_module
 from gtlc.syntax import (
     App, ArrowC, BlameLabel, If, INT_C, IntLit, Lam, Let, Module, Mon, Opaque,
-    Prim, Program, Require, TArrow, TBool, TInt, Var,
+    Prim, Program, Require, TArrow, TInt, Var,
 )
 from gtlc.translate import compile_program
 
@@ -78,18 +79,33 @@ def test_first_order_values_are_not_applicable():
 
 # -- lowering ------------------------------------------------------------------
 
+def _moved(addr, b):
+    """An address moved up by `b`: a binder's label, or the label of the
+    `if` in a refined address.  An unbound variable has none."""
+    if addr is None:
+        return None
+    if isinstance(addr, int):
+        return addr + b
+    tag, lbl, taken = addr
+    return (tag, lbl + b, taken)
+
+
 def _shifted(ins, b):
-    """`ins` with every label it holds moved up by `b`: its children's and
-    a lambda's body's.  An opaque term holds no label."""
+    """`ins` with every label it holds moved up by `b`: its children's, a
+    lambda's body's, and those in the addresses of a variable, of an
+    opaque term's scope and of the variable an `if` tests."""
     op = ins[0]
+    if op == _VAR:
+        return (op, _moved(ins[1], b))
+    if op == _OPAQUE:
+        return (op, tuple(_moved(a, b) for a in ins[1]))
     if op == _LAM:
-        return (op, ins[1], ins[2] + b, ins[3])
-    if op == _APP:
+        return (op, ins[1] + b)
+    if op in (_APP, _LET):
         return (op, ins[1] + b, ins[2] + b)
-    if op == _LET:
-        return (op, ins[1], ins[2] + b, ins[3] + b)
     if op == _IF:
-        return (op, ins[1] + b, ins[2] + b, ins[3] + b, ins[4])
+        info = ins[4] and (_moved(ins[4][0], b), ins[4][1])
+        return (op, ins[1] + b, ins[2] + b, ins[3] + b, info)
     if op == _MON:
         return ins[:4] + (ins[4] + b,)
     return ins
@@ -127,28 +143,74 @@ def test_analyzing_lowered_code_is_analyzing_the_expression():
 
 def test_every_opaque_of_a_slice_has_a_scope():
     # A slice's holes and the opaque terms the reader gives its module's
-    # body are all scoped, so lowering a parsed body alone keeps its
-    # lambdas' environments trimmed.
+    # body are all scoped, so each lowers to the addresses of no more
+    # names than its scope holds, and each module's hole to one address
+    # per module it requires, whichever slice it is in.
     for p in _lowering_programs():
+        skeleton = Skeleton(p)
         for m in p.modules:
-            for code in (lower(m.body), Skeleton(p).slice_code(m.name)):
-                assert all(ins[1] is not None for ins in code if ins[0] == _OPAQUE)
+            holes = [e for e in expr_nodes(m.body) if type(e) is Opaque]
+            assert all(h.allowed is not None for h in holes)
+            code = skeleton.slice_code(m.name)
+            for body in (lower(m.body), code[len(skeleton.code):]):
+                scopes = [ins[1] for ins in body if ins[0] == _OPAQUE]
+                assert all(len(s) <= len(h.allowed) for s, h in zip(scopes, holes))
+            for name, _, _, hole, _, _ in skeleton.layout:
+                requires = {r.target for r in p.module_named(name).requires}
+                assert len(code[hole][1]) == len(requires), (m.name, name)
+    # Lowered alone, u's body sees its lambda's parameter and, through the
+    # scope it is given, the module it requires; nothing else it is given.
     u = parse_ok(OPAQUE_UNDER_LAMBDA).module_named("u")
-    assert [ins[1] for ins in lower(u.body) if ins[0] == _OPAQUE] == \
-        [frozenset({"t", "_"})]
+    code = lower(u.body, 0, {"t": "t's let", "main": "main's let"})
+    assert [ins[1] for ins in code if ins[0] == _OPAQUE] == [(1, "t's let")]
 
 
-# A typed program whose bodies have holes under lambdas and lets, built
-# through the API, so every hole is unscoped.
-HOLES_UNDER_BINDERS = Program([
-    Module("t", TArrow(TInt(), TInt()), [],
-           Lam("x", TInt(), Let("y", Opaque(),
-                                App(Lam("z", TBool(), Opaque()), Var("x"))))),
-    Module("u", None, [Require("t")],
-           Let("f", Lam("a", None, Opaque()), App(Var("f"), Opaque()))),
-    Module("main", TInt(), [Require("t"), Require("u", ann=TInt())],
-           If(Opaque(), App(Var("t"), Let("t", Opaque(), Var("t"))), Var("u"))),
-])
+# -- name resolution ------------------------------------------------------------
+
+def test_a_let_shadows_a_lambda_parameter():
+    # (λ (x) (let [x x] x)): the rhs reads the parameter, the body the let.
+    code = lower(Lam("x", None, Let("x", Var("x"), Var("x"))))
+    assert code == [(_LAM, 1), (_LET, 2, 3), (_VAR, 0), (_VAR, 1)]
+
+
+def test_a_refined_address_is_visible_only_inside_its_branch():
+    # (λ (x) (let [y (if (int? x) x x)] x))
+    e = Lam("x", None, Let("y", If(App(Prim("int?"), Var("x")), Var("x"), Var("x")),
+                           Var("x")))
+    code = lower(e, 10)
+    assert code[2] == (_IF, 13, 16, 17, (10, _INT_T))
+    assert [code[i] for i in (5, 6, 7, 8)] == [
+        (_VAR, 10), (_VAR, ("rif", 12, True)), (_VAR, ("rif", 12, False)), (_VAR, 10)]
+    # A test of an unbound name refines nothing.
+    assert lower(If(App(Prim("bool?"), Var("z")), Var("z"), IntLit(0)))[0][4] is None
+
+
+def test_an_unbound_name_is_pruned():
+    assert lower(Var("z")) == [(_VAR, None)]
+    # The path that reads it ends there, so the monitor is never reached.
+    bs = analyze(Mon("t", "u", INT_C, Var("z")))
+    assert bs.labels == frozenset() and not bs.exhausted
+
+
+def test_a_scoped_hole_sees_only_its_names():
+    # (let [a 1] (λ (b) opaque)), the hole scoped to a and c.
+    e = Let("a", IntLit(1), Lam("b", None, Opaque(frozenset({"a", "c"}))))
+    assert lower(e)[-1] == (_OPAQUE, (0,))
+    assert lower(e, 0, {"c": "c's let", "d": "d's let"})[-1] == (_OPAQUE, (0, "c's let"))
+
+
+def test_an_unscoped_hole_sees_the_innermost_binding_of_every_name():
+    # (let [a 1] (λ (a) (λ (b) opaque))), with c bound outside.
+    e = Let("a", IntLit(1), Lam("a", None, Lam("b", None, Opaque())))
+    assert lower(e, 0, {"a": "outer a", "c": "c's let"})[-1] == \
+        (_OPAQUE, (2, 3, "c's let"))
+
+
+def test_a_scope_binds_a_free_name():
+    # (let [y m] (λ (m) m)): m is the scope's until the lambda rebinds it.
+    e = Let("y", Var("m"), Lam("m", None, Var("m")))
+    assert lower(e, 5, {"m": 2}) == [(_LET, 6, 7), (_VAR, 2), (_LAM, 8), (_VAR, 7)]
+    assert lower(e)[1] == (_VAR, None)
 
 
 def _corpus_programs():
@@ -158,10 +220,22 @@ def _corpus_programs():
                 yield parse_ok(config.read_text(encoding="utf-8"))
 
 
+def _body_scope(skeleton, target):
+    """Where the names bound outside `target`'s body live in its slice: at
+    the let of each earlier module, or at the require let of `target` that
+    last binds the name."""
+    scope = {}
+    for name, at, lets, _, _, _ in skeleton.layout:
+        if name == target:
+            return scope | {pos: let for let, pos in lets}
+        scope[name] = at
+    raise KeyError(target)
+
+
 def test_slice_code_lowers_the_erased_body():
     # A slice's module body is lowered as written: the code is that of
-    # lowering the body at the end of the skeleton's, and each hole keeps
-    # the scope the reader gave it.
+    # lowering the body at the end of the skeleton's, in the scope of the
+    # lets around its hole, and each hole keeps the scope the reader gave it.
     programs = [*_lowering_programs(), *_corpus_programs(), HOLES_UNDER_BINDERS]
     for p in programs:
         skeleton = Skeleton(p)
@@ -170,9 +244,11 @@ def test_slice_code_lowers_the_erased_body():
             code = skeleton.slice_code(m.name)
             if len(code) == base:  # opaquely required: its hole stays
                 continue
-            want = lower(m.body, base)
+            want = lower(m.body, base, _body_scope(skeleton, m.name))
             assert code[base:] == want and repr(code[base:]) == repr(want), m.name
-    # Each hole's scope is the reader's object, not a recomputed one.
+    # Each hole holds the addresses of the names the reader's scope gives
+    # it, in name order: t's holes see n's let and both parameters, and
+    # u's see both parameters and the require lets of n and t.
     p = parse_ok(HOLES_UNDER_LAMBDAS)
     skeleton = Skeleton(p)
     base = len(skeleton.code)
@@ -183,9 +259,12 @@ def test_slice_code_lowers_the_erased_body():
         scopes[name] = [ins[1] for ins in skeleton.slice_code(name)[base:]
                         if ins[0] == _OPAQUE]
         assert len(scopes[name]) == len(holes)
-        assert all(s is h.allowed for s, h in zip(scopes[name], holes)), name
-    assert scopes == {"t": [frozenset({"n", "x", "y"})] * 2,
-                      "u": [frozenset({"n", "t", "a", "b"})]}
+    outer = {name: _body_scope(skeleton, name) for name in ("t", "u")}
+    # t: (λ x (λ y (if y opaque (opaque x)))), the lambdas at base and
+    # base + 1; u: (λ a ((λ b (opaque b)) a)), at base and base + 2.
+    assert scopes == {"t": [(outer["t"]["n"], base, base + 1)] * 2,
+                      "u": [(base, base + 2, outer["u"]["n"], outer["u"]["t"])]}
+    assert outer["u"]["t"] != skeleton.layout[2][1]  # u monitors its t
 
 
 def test_a_hole_under_deep_lambdas_is_sliced():
@@ -194,9 +273,14 @@ def test_a_hole_under_deep_lambdas_is_sliced():
         body = Lam(f"x{i}", TInt(), body)
     p = Program([Module("n", TInt(), [], IntLit(1)),
                  Module("d", None, [Require("n")], body)])
-    code = Skeleton(p).slice_code("d")
-    # Built through the API, the hole is unscoped.
-    assert code[-1] == (_OPAQUE, None)
+    skeleton = Skeleton(p)
+    code = skeleton.slice_code("d")
+    # Built through the API, the hole is unscoped: it sees every parameter
+    # around it, the outermost lambda first, and d's require let of n.
+    base = len(skeleton.code)
+    (_, _, [(n_let, _)], _, _, _) = skeleton.layout[1]
+    seen = {f"x{i}": base + DEEP - 1 - i for i in range(DEEP)} | {"n": n_let}
+    assert code[-1] == (_OPAQUE, tuple(seen[name] for name in sorted(seen)))
 
 
 _TAGS = ("int", "bool", "fn")
@@ -238,7 +322,7 @@ def test_refinement_bits_match_the_set_rule():
     # A value of any other class passes exactly the test of its own tag.
     guard = (_GUARD, ArrowC(INT_C, INT_C), ("m", 0), "t", "u", 0)
     for v, tag in [((_INT,), "int"), ((_BOOL, None), "bool"),
-                   ((_BOOL, False), "bool"), ((_CLOS, 0, "x", 1, ()), "fn"),
+                   ((_BOOL, False), "bool"), ((_CLOS, 0), "fn"),
                    ((_PRIM, "int?"), "fn"), (guard, "fn")]:
         for kind in _TAGS:
             for outcome in (True, False):
@@ -321,13 +405,6 @@ def test_reexported_wrapper_blame_is_covered():
     assert BlameLabel("u", "t") in bs.labels
 
 
-OPAQUE_UNDER_LAMBDA = """\
-(module t (-> Int Int) (λ (x : Int) x))
-(module u (require t) ((λ (_) opaque) 0))
-(module main (require u) u)
-"""
-
-
 def test_opaque_under_a_lambda_reaches_its_scope():
     # The hole may be `(t #f)`, which blames u; the lambda around it must
     # not trim the monitored t out of what the hole can reach.
@@ -392,7 +469,8 @@ def test_a_chain_of_hole_lets_takes_states_independent_of_its_length():
 
 def test_two_holes_lower_to_one_opaque_value():
     code = lower(Let("a", Opaque(), Let("b", Opaque(), Var("a"))))
-    assert code[1] == code[3] == (_OPAQUE, None)
+    # The first sees no binding, the second a's; neither is told more.
+    assert (code[1], code[3]) == ((_OPAQUE, ()), (_OPAQUE, (0,)))
     machine = analysis._Machine(code, analysis.DEFAULT_BUDGET)
     assert machine.run().labels == frozenset()
     # Each let binds its variable at its own label.
@@ -457,6 +535,80 @@ def test_slice_states_match_golden_digest():
         states = reachable_states(root)
         h.update(repr((cfg.seed, cfg.expr_size, module, states)).encode())
     assert h.hexdigest() == GOLDEN_STATES_DIGEST
+
+
+# -- fixpoint ------------------------------------------------------------------
+
+def _found(machine):
+    """What a run has found: its states, its non-empty store and
+    continuation store entries, its refinement edges and its labels."""
+    def entries(table):
+        return {k: frozenset(v) for k, v in table.items() if v}
+    return (len(machine.states), entries(machine.store), entries(machine.kstore),
+            entries(machine.redges), frozenset(machine.found))
+
+
+def is_fixpoint(machine):
+    """Whether a finished run is a fixpoint: re-stepping every state it
+    reached, and passing on the frames that re-stepping queues, adds no
+    state, store value, frame, refinement edge or label."""
+    before = _found(machine)
+    states = machine.states
+    for sid, st in enumerate(list(states)):
+        if st[0] == analysis._EV:
+            machine.step_eval(sid, st)
+        elif st[0] == analysis._VA:
+            machine.step_value(sid, st)
+        else:
+            machine.havoc(st[1])
+        while machine.pending:
+            waiting, frame = machine.pending.pop()
+            machine.frame(waiting, frame, states[waiting][1])
+    return _found(machine) == before
+
+
+def _fixpoint_codes():
+    """The lowered code of every golden slice, then of every corpus slice
+    as the optimizer builds it."""
+    for _, _, root in golden_slices():
+        yield lower(root)
+    for p in _corpus_programs():
+        skeleton = Skeleton(p)
+        for m in p.modules:
+            yield skeleton.slice_code(m.name)
+
+
+def _run(code):
+    machine = analysis._Machine(code, analysis.DEFAULT_BUDGET)
+    return machine, machine.run()
+
+
+def test_every_slice_analysis_ends_at_a_fixpoint():
+    checked = 0
+    for code in _fixpoint_codes():
+        machine, bs = _run(code)
+        if not bs.exhausted:
+            assert is_fixpoint(machine), checked
+            checked += 1
+    assert checked > 495
+
+
+def _flags_some_slice():
+    return any(not is_fixpoint(machine) for machine, bs in map(_run, _fixpoint_codes())
+               if not bs.exhausted)
+
+
+def test_fixpoint_check_flags_a_run_that_skips_re_running_readers(monkeypatch):
+    monkeypatch.setattr(analysis._Machine, "reschedule", lambda self, sid: None)
+    assert _flags_some_slice()
+
+
+def test_fixpoint_check_flags_a_frame_not_passed_waiting_values(monkeypatch):
+    def kstore_join(self, kaddr, frame):
+        self.kstore[kaddr].add(frame)
+
+    monkeypatch.setattr(analysis._Machine, "kstore_join", kstore_join)
+    assert _flags_some_slice()
 
 
 # Deeper than the host stack allows a recursive walk to go.

@@ -2,7 +2,8 @@ import itertools
 from collections import Counter
 
 from conftest import (
-    ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, contracts_up_to,
+    HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE,
+    ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE, contracts_up_to,
     parse_ok,
 )
 from gtlc import analysis, optimize
@@ -145,10 +146,14 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
 def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors(corpus_path):
     # Oracle: each slice built for its party from the skeleton analyzes
     # exactly like the compiled slice rewritten to keep a monitor iff the
-    # party is one of its parties, in labels, exhaustion and states.
+    # party is one of its parties, in labels, exhaustion and states.  Holes
+    # under binders, scoped or not, and a module that requires another
+    # twice check that each hole and body sees the lets the slice keeps.
     programs = [gen_program(cfg) for cfg in GOLDEN_CONFIGS]
     for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
         programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
+    programs += [HOLES_UNDER_BINDERS, *map(parse_ok, (
+        HOLES_UNDER_LAMBDAS, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE))]
     slices = 0
     for i, p in enumerate(programs):
         for m in p.modules:
@@ -166,8 +171,8 @@ def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_mo
 def _reachable_monitors(code):
     """(pos, neg) of each monitor reachable from label 0 of lowered code,
     in pre-order, the order of `scan_boundaries`."""
-    children = {analysis._LAM: (2,), analysis._MON: (4,), analysis._APP: (1, 2),
-                analysis._LET: (2, 3), analysis._IF: (1, 2, 3)}
+    children = {analysis._LAM: (1,), analysis._MON: (4,), analysis._APP: (1, 2),
+                analysis._LET: (1, 2), analysis._IF: (1, 2, 3)}
     out, stack = [], [0]
     while stack:
         ins = code[stack.pop()]
