@@ -20,29 +20,30 @@ monitor itself.  Errors internal to unknown code (stuck applications, a
 non-boolean `if` test) have no blame label and simply prune the path.
 
 Opaque values carry type-tag refinements so a value that passed `int?`
-cannot fail it later on the same path; inside each branch of an
-`(if (int? x) ...)` test, `x` lives at a refined address, and monitor
-checks thread the refined value through.
+cannot fail it later on the same path.  Inside each branch of an
+`(if (int? x) ...)` test, every read of `x` carries the branch's outcome
+and refines what it reads by it, and monitor checks thread the refined
+value through.
 
 Lowered form.  Before exploring, the expression is lowered in one
 iterative pre-order walk (`lower`): each node's label is its pre-order
 index plus a `base` offset, and `code[label]` is a flat instruction tuple
 holding the node's operator, its operands and its children's labels, e.g.
-`(_APP, fn_label, arg_label)` or `(_IF, test, then, else, refinable)`.
-The walk resolves each variable to its address, once: a `let` or lambda
-binds its variable at its own label, a refinable `if` gives the variable
-it tests a refined address inside each branch, and a name bound outside
-the lowered root lives where the `scope` given to `lower` says.  So a
-variable holds its address, or None when it is unbound; an opaque term
-the addresses of the visible names its own scope (`Opaque.allowed`)
-admits, or of every visible name when it has none; and a refinable `if`
-the address it tests and the test.  Literals carry their abstract value,
-built once.  Lambda annotations are ignored, so a typed body lowers as its
-erasure does.  No pass recurses on the host stack, so nesting depth is
-bounded by memory, not by the interpreter's recursion limit.  The machine
-reads children only through the labels an instruction holds, and starts
-at label 0, so code lowered at `base = len(code)` can be appended to
-other code and linked in by repointing one parent's child label: the
+`(_APP, fn_label, arg_label)` or `(_IF, test, then, else)`.  The walk
+resolves each variable to its address, once: a `let` or lambda binds its
+variable at its own label, and a name bound outside the lowered root
+lives where the `scope` given to `lower` says.  Inside each branch of a
+refinable `if`, the variable it tests is read with the outcome of that
+branch.  So a variable holds its address, or None when it is unbound,
+and the refinements it is read with; and an opaque term holds such a
+pair for each visible name its own scope (`Opaque.allowed`) admits, or
+for every visible name when it has none.  Literals carry their abstract
+value, built once.  Lambda annotations are ignored, so a typed body lowers
+as its erasure does.  No pass recurses on the host stack, so nesting depth
+is bounded by memory, not by the interpreter's recursion limit.  The
+machine reads children only through the labels an instruction holds, and
+starts at label 0, so code lowered at `base = len(code)` can be appended
+to other code and linked in by repointing one parent's child label: the
 optimizer builds each module's slice that way from one lowered skeleton
 of the program, and `analyze` takes such code as it is.
 
@@ -82,7 +83,10 @@ is the store address of the function it wraps, anchored at the monitor's
 never compare equal.  A tag test is one bit: int? is 1, bool? 2, and being
 a function 4.  An opaque value's refinements `refs` are six bits: the bit
 of each test it passed, and that bit shifted left by 3 for each test it
-failed.
+failed.  A read is refined by bits of the same form (`_refine`): an
+opaque value records them, and a value of any other class, which passes
+the test of its own tag and fails the others, is kept when that is
+consistent with them and dropped when it is not.
 """
 
 from __future__ import annotations
@@ -105,9 +109,12 @@ DEFAULT_BUDGET = 1_000_000
 
 _INT, _BOOL, _CLOS, _PRIM, _OPQ, _GUARD = range(6)
 
-# Tag tests, and the one each non-opaque class passes, indexed by tag.
+# Tag tests, and the refinements of a value of each class, indexed by tag:
+# it passes the test of its tag and fails the other two.  An opaque value
+# carries its own.
 _INT_T, _BOOL_T, _FN_T = 1, 2, 4
-_PASSES = (_INT_T, _BOOL_T, _FN_T, _FN_T, None, _FN_T)
+_FACTS = tuple(None if t is None else t | (7 ^ t) << 3
+               for t in (_INT_T, _BOOL_T, _FN_T, _FN_T, None, _FN_T))
 
 _SOME_INT = (_INT,)
 # What a hole, an opaque call or unknown code's argument can be: anything.
@@ -129,24 +136,30 @@ class BlameSet:
         }
 
 
-def _admits(v: tuple, kind: int, outcome: bool) -> bool:
-    """Whether some portion of `v` is consistent with a test outcome.  The
-    tags are mutually disjoint, so passing one test contradicts having
-    failed it or having passed another."""
+def _admits(v: tuple, refs: int) -> bool:
+    """Whether some portion of `v` is consistent with the test outcomes
+    `refs`.  A non-opaque value passes the test of its own tag and fails
+    the others; the outcomes are consistent when no test is both passed
+    and failed, and at most one is passed, since the tags are disjoint."""
     tag = v[0]
-    if tag != _OPQ:
-        return (_PASSES[tag] == kind) is outcome
-    return not v[1] & ((kind << 3 | 7 ^ kind) if outcome else kind)
+    refs |= v[1] if tag == _OPQ else _FACTS[tag]
+    passed = refs & 7
+    return not (passed & refs >> 3 or passed & passed - 1)
 
 
-def _refine_value(v: tuple, kind: int, outcome: bool) -> Optional[tuple]:
-    """The portion of `v` consistent with a test outcome, or None; an
-    opaque value records the outcome in its refinements."""
-    if not _admits(v, kind, outcome):
+def _refine(v: tuple, refs: int) -> Optional[tuple]:
+    """The portion of `v` consistent with the test outcomes `refs`, or
+    None; an opaque value records them in its refinements."""
+    if not _admits(v, refs):
         return None
     if v[0] != _OPQ:
         return v
-    return (_OPQ, v[1] | (kind if outcome else kind << 3))
+    return (_OPQ, v[1] | refs)
+
+
+def _refined(vals, refs: int) -> set:
+    """The portions of the values `vals` consistent with `refs`."""
+    return {w for v in vals if (w := _refine(v, refs)) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +177,16 @@ def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]
     """One instruction tuple per node of `root`, the node at pre-order index
     i labelled `base + i`, so the result belongs at `code[base:]`.  Each
     variable is resolved to its address: that of its innermost binder in
-    `root`, else the one `scope` maps it to, else None (unbound).  An
-    opaque term holds the addresses of the visible names its own scope
+    `root`, else the one `scope` maps it to, else None (unbound).  It is
+    read with the refinements of the tests around it: inside each branch
+    of a refinable `if`, the bit of that branch's outcome.  An opaque term
+    holds an (address, refinements) pair per visible name its own scope
     admits, and lambda annotations are ignored."""
-    # The walk keeps `env` (name -> address, None when unbound) as it
-    # enters and leaves binders: a (name, address) item on the stack
-    # rebinds `name`.  A leaf's instruction is complete when the walk
-    # reaches it; an `if`'s refinement waits in `at` for its children.
-    env = dict(scope or ())
+    # The walk keeps `env` (name -> (address, refinements), None when
+    # unbound) as it enters and leaves binders and branches: a (name,
+    # binding) item on the stack rebinds `name`.  A leaf's instruction is
+    # complete when the walk reaches it.
+    env = {name: (addr, 0) for name, addr in (scope or {}).items()}
     nodes: list[tuple[Expr, object]] = []
     stack: list = [root]
     while stack:
@@ -182,10 +197,10 @@ def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]
             continue
         at = None
         if t is Var:
-            at = (_VAR, env.get(e.name))
+            at = (_VAR,) + (env.get(e.name) or (None, 0))
         elif t is Opaque:
             names = env if e.allowed is None else e.allowed
-            at = (_OPAQUE, tuple([a for n in sorted(names) if (a := env.get(n)) is not None]))
+            at = (_OPAQUE, tuple([r for n in sorted(names) if (r := env.get(n)) is not None]))
         elif t is IntLit:
             at = (_VAL, _SOME_INT)
         elif t is BoolLit:
@@ -197,22 +212,22 @@ def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]
         elif t is App:
             stack += (e.arg, e.fn)
         elif t is Let:
-            stack += ((e.name, env.get(e.name)), e.body, (e.name, base + len(nodes)),
-                      e.rhs)
+            stack += ((e.name, env.get(e.name)), e.body,
+                      (e.name, (base + len(nodes), 0)), e.rhs)
         elif t is Lam:
-            stack += ((e.param, env.get(e.param)), e.body, (e.param, base + len(nodes)))
+            stack += ((e.param, env.get(e.param)), e.body,
+                      (e.param, (base + len(nodes), 0)))
         elif t is Mon:
             stack.append(e.body)
         elif t is If:
             test = _refinable_test(e)
-            src = test and env.get(test[0])
-            if src is None:
+            ref = test and env.get(test[0])
+            if ref is None:
                 stack += (e.orelse, e.then, e.test)
             else:
-                name, lbl = test[0], base + len(nodes)
-                at = (src, test[1])
-                stack += ((name, src), e.orelse, (name, ("rif", lbl, False)),
-                          e.then, (name, ("rif", lbl, True)), e.test)
+                (name, kind), (addr, refs) = test, ref
+                stack += ((name, ref), e.orelse, (name, (addr, refs | kind << 3)),
+                          e.then, (name, (addr, refs | kind)), e.test)
         else:
             raise TypeError(f"not a core expression: {t.__name__}")
         nodes.append((e, at))
@@ -246,7 +261,7 @@ def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]
             k1 = k0 + size[k0]
             k2 = k1 + size[k1]
             size[i] += size[k0] + size[k1] + size[k2]
-            code[i] = (_IF, base + k0, base + k1, base + k2, at)
+            code[i] = (_IF, base + k0, base + k1, base + k2)
         else:
             code[i] = at
     return code
@@ -254,7 +269,7 @@ def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]
 
 def _refinable_test(node: If):
     """(name, kind) when the test is a predicate applied to a variable, so
-    the branches can give the variable a refined address."""
+    each branch can read the variable refined by its outcome."""
     t = node.test
     if isinstance(t, App) and isinstance(t.fn, Prim) and isinstance(t.arg, Var):
         return (t.arg.name, _INT_T if t.fn.op == "int?" else _BOOL_T)
@@ -265,14 +280,12 @@ def _refinable_test(node: If):
 # The machine
 # ---------------------------------------------------------------------------
 
-# Addresses.  A let or a lambda binds its variable at its own label; the
-# variable a refinable `if` at `lbl` tests lives at ("rif", lbl, outcome)
-# in the branch of that outcome (`lower`); and the continuation that
-# receives a compound subexpression's value lives at that subexpression's
-# label.  An atomic operand (a variable, literal, primitive, lambda,
-# opaque term, or monitor of one) is evaluated in place by the state that
-# needs its value, so it has no continuation.  Every other address is a
-# tagged tuple.
+# Addresses.  A let or a lambda binds its variable at its own label, and
+# the continuation that receives a compound subexpression's value lives at
+# that subexpression's label.  An atomic operand (a variable, literal,
+# primitive, lambda, opaque term, or monitor of one) is evaluated in place
+# by the state that needs its value, so it has no continuation.  Every
+# other address is a tagged tuple.
 _POOL = ("pool",)
 _K_HALT = ("halt",)
 _K_HAVOC = ("havoc",)
@@ -296,7 +309,6 @@ class _Machine:
         # state re-running over every frame at the address.
         self.kdeps: dict = defaultdict(set)
         self.pending: list = []   # (state id, frame)
-        self.redges: dict = defaultdict(list)  # addr -> [(dst, kind, outcome)]
         self.found: set[BlameLabel] = set()
         # Each state is numbered once, in `ids`; `states` and `queued`
         # (whether it waits in `work`) are indexed by that number.
@@ -336,26 +348,18 @@ class _Machine:
             self.store_join(addr, {v})
 
     def store_join(self, addr, vals) -> None:
-        """Join the set `vals` into `addr`.  What is new flows on along the
-        refinement edges out of `addr`, one pending join at a time."""
-        todo = [(addr, vals)]
-        while todo:
-            addr, vals = todo.pop()
-            cur = self.store[addr]
-            new = vals - cur
-            if not new:
-                continue
-            cur |= new
-            for dst, kind, outcome in self.redges.get(addr, ()):
-                refined = {_refine_value(v, kind, outcome) for v in new}
-                refined.discard(None)
-                if refined:
-                    todo.append((dst, refined))
-            for sid in self.vdeps.get(addr, ()):
-                self.reschedule(sid)
-            if addr == _POOL:
-                for v in new:
-                    self.schedule((_HV, v))
+        """Join the set `vals` into `addr`, re-running the states that read
+        it if it grew."""
+        cur = self.store[addr]
+        new = vals - cur
+        if not new:
+            return
+        cur |= new
+        for sid in self.vdeps.get(addr, ()):
+            self.reschedule(sid)
+        if addr == _POOL:
+            for v in new:
+                self.schedule((_HV, v))
 
     def kstore_join(self, kaddr, frame) -> None:
         cur = self.kstore[kaddr]
@@ -364,16 +368,6 @@ class _Machine:
         cur.add(frame)
         for sid in self.kdeps.get(kaddr, ()):
             self.pending.append((sid, frame))
-
-    def ensure_redge(self, src, dst, kind, outcome) -> None:
-        edge = (dst, kind, outcome)
-        if edge in self.redges[src]:
-            return
-        self.redges[src].append(edge)
-        refined = {_refine_value(v, kind, outcome) for v in self.store[src]}
-        refined.discard(None)
-        if refined:
-            self.store_join(dst, refined)
 
     # -- driver ---------------------------------------------------------------
 
@@ -408,33 +402,36 @@ class _Machine:
         havoc continuation), so every monitor wrapped around it is driven
         through all of its branches.  First-order values have no
         application successor."""
-        if _admits(v, _FN_T, True):
+        if _admits(v, _FN_T):
             self.apply_abs(v, _SOME_VALUE, _K_HAVOC)
 
     def atom(self, sid: int, lbl: int):
         """The values of the term at `lbl` if it is atomic, else None.  A
         variable reads its address, and an opaque term first dumps the
         values at the addresses it holds into the pool, an idempotent
-        join; either makes state `sid` a reader of those addresses, so it
+        join; either refines what it reads by the outcomes of the tests
+        around it, and makes state `sid` a reader of those addresses, so it
         re-runs when they grow.  A monitor of an atomic term (of a chain of
         monitors, innermost first) checks its values in place."""
         code = self.code
         ins = code[lbl]
         op = ins[0]
         if op == _VAR:
-            addr = ins[1]
+            _, addr, refs = ins
             if addr is None:
                 return ()  # unbound: prune
             self.vdeps[addr].add(sid)
-            return tuple(self.store[addr])
+            vals = self.store[addr]
+            return _refined(vals, refs) if refs else tuple(vals)
         if op == _VAL:
             return (ins[1],)
         if op == _LAM:
             return ((_CLOS, lbl),)
         if op == _OPAQUE:
-            for addr in ins[1]:
+            for addr, refs in ins[1]:
                 self.vdeps[addr].add(sid)
-                self.store_join(_POOL, self.store[addr])
+                vals = self.store[addr]
+                self.store_join(_POOL, _refined(vals, refs) if refs else vals)
             return (_SOME_VALUE,)
         if op == _MON:
             mons = []
@@ -554,21 +551,18 @@ class _Machine:
                 self.apply_abs(fv, av, nxt)
 
     def branch(self, vals, if_lbl, nxt) -> None:
-        """Take every branch that some test value in `vals` selects; in each
-        branch of a refinable test, the variable's refined address holds
-        only the values consistent with the outcome."""
-        _, _, then_lbl, else_lbl, info = self.code[if_lbl]
+        """Take every branch that some test value in `vals` selects.  The
+        reads inside a branch of a refinable test refine what they read by
+        its outcome themselves (`atom`)."""
+        _, _, then_lbl, else_lbl = self.code[if_lbl]
         for v in vals:
             if v[0] == _BOOL:
                 branches = (True, False) if v[1] is None else (v[1],)
             elif v[0] == _OPQ:
-                branches = (True, False) if _admits(v, _BOOL_T, True) else ()
+                branches = (True, False) if _admits(v, _BOOL_T) else ()
             else:
                 branches = ()  # non-boolean test: stuck, prune
             for taken in branches:
-                if info is not None:
-                    src, kind = info
-                    self.ensure_redge(src, ("rif", if_lbl, taken), kind, taken)
                 self.schedule((_EV, then_lbl if taken else else_lbl, nxt))
 
     def apply_abs(self, fv, argv, nxt) -> None:
@@ -579,9 +573,9 @@ class _Machine:
             self.schedule((_EV, self.code[lam][1], nxt))
         elif tag == _PRIM:
             kind = _INT_T if fv[1] == "int?" else _BOOL_T
-            if _admits(argv, kind, True):
+            if _admits(argv, kind):
                 self.schedule((_VA, (_BOOL, True), nxt))
-            if _admits(argv, kind, False):
+            if _admits(argv, kind << 3):
                 self.schedule((_VA, (_BOOL, False), nxt))
         elif tag == _GUARD:
             # Check the domain at once, then call the wrapped function
@@ -595,7 +589,7 @@ class _Machine:
             for w in self.mon_check(c.dom, neg, pos, ("d", site), argv):
                 self.schedule((_VA, w, kc))
         elif tag == _OPQ:
-            if _admits(fv, _FN_T, True):
+            if _admits(fv, _FN_T):
                 self.join(_POOL, argv)
                 self.schedule((_VA, _SOME_VALUE, nxt))
         # first-order values in operator position: stuck, prune
@@ -608,14 +602,14 @@ class _Machine:
             return (v,)
         if t is IntC or t is BoolC:
             kind = _INT_T if t is IntC else _BOOL_T
-            out = _refine_value(v, kind, True)
-            if _admits(v, kind, False):
+            out = _refine(v, kind)
+            if _admits(v, kind << 3):
                 self.found.add(BlameLabel(pos, neg))
             return () if out is None else (out,)
         # ArrowC
-        if _admits(v, _FN_T, False):
+        if _admits(v, _FN_T << 3):
             self.found.add(BlameLabel(pos, neg))
-        as_fn = _refine_value(v, _FN_T, True)
+        as_fn = _refine(v, _FN_T)
         if as_fn is None:
             return ()
         inner = ("m", site)

@@ -1,5 +1,5 @@
 import hashlib
-from itertools import combinations
+from itertools import combinations, permutations
 
 from conftest import (
     HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_SLICE_U1,
@@ -9,8 +9,7 @@ from gtlc import analysis
 from gtlc.analysis import (
     _APP, _BOOL, _BOOL_T, _CLOS, _FN_T, _GUARD, _IF, _INT, _INT_T, _LAM, _LET,
     _MON, _OPAQUE, _OPQ, _PRIM, _SOME_INT, _SOME_VALUE, _VAL, _VAR, _admits,
-    _refine_value,
-    analyze, lower, reachable_states,
+    _refine, analyze, lower, reachable_states,
 )
 from gtlc.bench import corpus_dir, lattice_configs
 from gtlc.frontend import parse_expr
@@ -18,8 +17,8 @@ from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import Skeleton, analyze_slice, slice_for_module
 from gtlc.syntax import (
-    App, ArrowC, BlameLabel, If, INT_C, IntLit, Lam, Let, Module, Mon, Opaque,
-    Prim, Program, Require, TArrow, TInt, Var,
+    App, ArrowC, BlameLabel, BOOL_C, BoolLit, If, INT_C, IntLit, Lam, Let,
+    Module, Mon, Opaque, Prim, Program, Require, TArrow, TInt, Var,
 )
 from gtlc.translate import compile_program
 
@@ -55,57 +54,51 @@ def test_slice_for_bad_client_overapproximates_concrete_blame():
 
 def test_refine_records_outcome():
     o = (_OPQ, 0)
-    assert _refine_value(o, _INT_T, True) == (_OPQ, _INT_T)
+    assert _refine(o, _INT_T) == (_OPQ, _INT_T)
 
 
 def test_refine_contradiction_pruned():
     o = (_OPQ, _INT_T)
-    assert _refine_value(o, _INT_T, False) is None
+    assert _refine(o, _INT_T << 3) is None
 
 
 def test_refine_disjoint_base_types():
     o = (_OPQ, _INT_T)
-    assert _refine_value(o, _BOOL_T, True) is None
-    assert _refine_value(o, _FN_T, True) is None
+    assert _refine(o, _BOOL_T) is None
+    assert _refine(o, _FN_T) is None
 
 
 def test_first_order_values_are_not_applicable():
     # Every integer literal is the one abstract integer.
     assert lower(IntLit(5)) == [(_VAL, _SOME_INT)]
-    assert not _admits(_SOME_INT, _FN_T, True)
-    assert _admits((_OPQ, 0), _FN_T, True)
-    assert not _admits((_OPQ, _FN_T << 3), _FN_T, True)
+    assert not _admits(_SOME_INT, _FN_T)
+    assert _admits((_OPQ, 0), _FN_T)
+    assert not _admits((_OPQ, _FN_T << 3), _FN_T)
 
 
 # -- lowering ------------------------------------------------------------------
 
 def _moved(addr, b):
-    """An address moved up by `b`: a binder's label, or the label of the
-    `if` in a refined address.  An unbound variable has none."""
-    if addr is None:
-        return None
-    if isinstance(addr, int):
-        return addr + b
-    tag, lbl, taken = addr
-    return (tag, lbl + b, taken)
+    """An address moved up by `b`: a binder's label.  An unbound variable
+    has none."""
+    return None if addr is None else addr + b
 
 
 def _shifted(ins, b):
     """`ins` with every label it holds moved up by `b`: its children's, a
-    lambda's body's, and those in the addresses of a variable, of an
-    opaque term's scope and of the variable an `if` tests."""
+    lambda's body's, and those in the addresses of a variable and of an
+    opaque term's scope.  Refinements stay as they are."""
     op = ins[0]
     if op == _VAR:
-        return (op, _moved(ins[1], b))
+        return (op, _moved(ins[1], b), ins[2])
     if op == _OPAQUE:
-        return (op, tuple(_moved(a, b) for a in ins[1]))
+        return (op, tuple((_moved(a, b), refs) for a, refs in ins[1]))
     if op == _LAM:
         return (op, ins[1] + b)
     if op in (_APP, _LET):
         return (op, ins[1] + b, ins[2] + b)
     if op == _IF:
-        info = ins[4] and (_moved(ins[4][0], b), ins[4][1])
-        return (op, ins[1] + b, ins[2] + b, ins[3] + b, info)
+        return (op, ins[1] + b, ins[2] + b, ins[3] + b)
     if op == _MON:
         return ins[:4] + (ins[4] + b,)
     return ins
@@ -144,8 +137,8 @@ def test_analyzing_lowered_code_is_analyzing_the_expression():
 def test_every_opaque_of_a_slice_has_a_scope():
     # A slice's holes and the opaque terms the reader gives its module's
     # body are all scoped, so each lowers to the addresses of no more
-    # names than its scope holds, and each module's hole to one address
-    # per module it requires, whichever slice it is in.
+    # names than its scope holds, and each module's hole to one address,
+    # unrefined, per module it requires, whichever slice it is in.
     for p in _lowering_programs():
         skeleton = Skeleton(p)
         for m in p.modules:
@@ -158,11 +151,12 @@ def test_every_opaque_of_a_slice_has_a_scope():
             for name, _, _, hole, _, _ in skeleton.layout:
                 requires = {r.target for r in p.module_named(name).requires}
                 assert len(code[hole][1]) == len(requires), (m.name, name)
+                assert all(refs == 0 for _, refs in code[hole][1]), (m.name, name)
     # Lowered alone, u's body sees its lambda's parameter and, through the
     # scope it is given, the module it requires; nothing else it is given.
     u = parse_ok(OPAQUE_UNDER_LAMBDA).module_named("u")
     code = lower(u.body, 0, {"t": "t's let", "main": "main's let"})
-    assert [ins[1] for ins in code if ins[0] == _OPAQUE] == [(1, "t's let")]
+    assert [ins[1] for ins in code if ins[0] == _OPAQUE] == [((1, 0), ("t's let", 0))]
 
 
 # -- name resolution ------------------------------------------------------------
@@ -170,23 +164,26 @@ def test_every_opaque_of_a_slice_has_a_scope():
 def test_a_let_shadows_a_lambda_parameter():
     # (λ (x) (let [x x] x)): the rhs reads the parameter, the body the let.
     code = lower(Lam("x", None, Let("x", Var("x"), Var("x"))))
-    assert code == [(_LAM, 1), (_LET, 2, 3), (_VAR, 0), (_VAR, 1)]
+    assert code == [(_LAM, 1), (_LET, 2, 3), (_VAR, 0, 0), (_VAR, 1, 0)]
 
 
 def test_a_refined_address_is_visible_only_inside_its_branch():
-    # (λ (x) (let [y (if (int? x) x x)] x))
+    # (λ (x) (let [y (if (int? x) x x)] x)): every read of x is at the
+    # parameter's address, and only the reads inside a branch carry that
+    # branch's outcome.
     e = Lam("x", None, Let("y", If(App(Prim("int?"), Var("x")), Var("x"), Var("x")),
                            Var("x")))
     code = lower(e, 10)
-    assert code[2] == (_IF, 13, 16, 17, (10, _INT_T))
+    assert code[2] == (_IF, 13, 16, 17)
     assert [code[i] for i in (5, 6, 7, 8)] == [
-        (_VAR, 10), (_VAR, ("rif", 12, True)), (_VAR, ("rif", 12, False)), (_VAR, 10)]
+        (_VAR, 10, 0), (_VAR, 10, _INT_T), (_VAR, 10, _INT_T << 3), (_VAR, 10, 0)]
     # A test of an unbound name refines nothing.
-    assert lower(If(App(Prim("bool?"), Var("z")), Var("z"), IntLit(0)))[0][4] is None
+    assert lower(If(App(Prim("bool?"), Var("z")), Var("z"), IntLit(0)))[4] == \
+        (_VAR, None, 0)
 
 
 def test_an_unbound_name_is_pruned():
-    assert lower(Var("z")) == [(_VAR, None)]
+    assert lower(Var("z")) == [(_VAR, None, 0)]
     # The path that reads it ends there, so the monitor is never reached.
     bs = analyze(Mon("t", "u", INT_C, Var("z")))
     assert bs.labels == frozenset() and not bs.exhausted
@@ -195,22 +192,23 @@ def test_an_unbound_name_is_pruned():
 def test_a_scoped_hole_sees_only_its_names():
     # (let [a 1] (λ (b) opaque)), the hole scoped to a and c.
     e = Let("a", IntLit(1), Lam("b", None, Opaque(frozenset({"a", "c"}))))
-    assert lower(e)[-1] == (_OPAQUE, (0,))
-    assert lower(e, 0, {"c": "c's let", "d": "d's let"})[-1] == (_OPAQUE, (0, "c's let"))
+    assert lower(e)[-1] == (_OPAQUE, ((0, 0),))
+    assert lower(e, 0, {"c": "c's let", "d": "d's let"})[-1] == \
+        (_OPAQUE, ((0, 0), ("c's let", 0)))
 
 
 def test_an_unscoped_hole_sees_the_innermost_binding_of_every_name():
     # (let [a 1] (λ (a) (λ (b) opaque))), with c bound outside.
     e = Let("a", IntLit(1), Lam("a", None, Lam("b", None, Opaque())))
     assert lower(e, 0, {"a": "outer a", "c": "c's let"})[-1] == \
-        (_OPAQUE, (2, 3, "c's let"))
+        (_OPAQUE, ((2, 0), (3, 0), ("c's let", 0)))
 
 
 def test_a_scope_binds_a_free_name():
     # (let [y m] (λ (m) m)): m is the scope's until the lambda rebinds it.
     e = Let("y", Var("m"), Lam("m", None, Var("m")))
-    assert lower(e, 5, {"m": 2}) == [(_LET, 6, 7), (_VAR, 2), (_LAM, 8), (_VAR, 7)]
-    assert lower(e)[1] == (_VAR, None)
+    assert lower(e, 5, {"m": 2}) == [(_LET, 6, 7), (_VAR, 2, 0), (_LAM, 8), (_VAR, 7, 0)]
+    assert lower(e)[1] == (_VAR, None, 0)
 
 
 def _corpus_programs():
@@ -247,8 +245,9 @@ def test_slice_code_lowers_the_erased_body():
             want = lower(m.body, base, _body_scope(skeleton, m.name))
             assert code[base:] == want and repr(code[base:]) == repr(want), m.name
     # Each hole holds the addresses of the names the reader's scope gives
-    # it, in name order: t's holes see n's let and both parameters, and
-    # u's see both parameters and the require lets of n and t.
+    # it, in name order and unrefined: t's holes see n's let and both
+    # parameters, and u's see both parameters and the require lets of n
+    # and t.
     p = parse_ok(HOLES_UNDER_LAMBDAS)
     skeleton = Skeleton(p)
     base = len(skeleton.code)
@@ -262,8 +261,11 @@ def test_slice_code_lowers_the_erased_body():
     outer = {name: _body_scope(skeleton, name) for name in ("t", "u")}
     # t: (λ x (λ y (if y opaque (opaque x)))), the lambdas at base and
     # base + 1; u: (λ a ((λ b (opaque b)) a)), at base and base + 2.
-    assert scopes == {"t": [(outer["t"]["n"], base, base + 1)] * 2,
-                      "u": [(base, base + 2, outer["u"]["n"], outer["u"]["t"])]}
+    def unrefined(*addrs):
+        return tuple((a, 0) for a in addrs)
+
+    assert scopes == {"t": [unrefined(outer["t"]["n"], base, base + 1)] * 2,
+                      "u": [unrefined(base, base + 2, outer["u"]["n"], outer["u"]["t"])]}
     assert outer["u"]["t"] != skeleton.layout[2][1]  # u monitors its t
 
 
@@ -280,7 +282,7 @@ def test_a_hole_under_deep_lambdas_is_sliced():
     base = len(skeleton.code)
     (_, _, [(n_let, _)], _, _, _) = skeleton.layout[1]
     seen = {f"x{i}": base + DEEP - 1 - i for i in range(DEEP)} | {"n": n_let}
-    assert code[-1] == (_OPAQUE, tuple(seen[name] for name in sorted(seen)))
+    assert code[-1] == (_OPAQUE, tuple((seen[name], 0) for name in sorted(seen)))
 
 
 _TAGS = ("int", "bool", "fn")
@@ -305,30 +307,104 @@ def _bits(refs):
                for f in refs)
 
 
+def _apply(refs, facts):
+    """`refs` with the test outcomes `facts` recorded one at a time, in
+    order, by the set rule, or None once the path is contradictory."""
+    for f in facts:
+        if refs is None:
+            break
+        refs = _refine_refs(refs, f.lstrip("!"), not f.startswith("!"))
+    return refs
+
+
 def test_refinement_bits_match_the_set_rule():
+    # Refining by a mask of six bits is recording each of its test
+    # outcomes one at a time, in any order, for all 64 masks.  An opaque
+    # value starts from any refinements a path can give it; a value of any
+    # other class passes exactly the test of its own tag, fails the
+    # others, and is left as it is when it is consistent.
     facts = _TAGS + tuple("!" + t for t in _TAGS)
-    subsets = [frozenset(c) for n in range(len(facts) + 1)
-               for c in combinations(facts, n)]
-    assert sorted(map(_bits, subsets)) == list(range(64))
-    for refs in subsets:
-        v = (_OPQ, _bits(refs))
-        for kind in _TAGS:
-            for outcome in (True, False):
-                want = _refine_refs(refs, kind, outcome)
-                if want is not None:
-                    want = (_OPQ, _bits(want))
-                assert _refine_value(v, _TEST_BIT[kind], outcome) == want
-                assert _admits(v, _TEST_BIT[kind], outcome) is (want is not None)
-    # A value of any other class passes exactly the test of its own tag.
+    masks = [frozenset(c) for n in range(len(facts) + 1)
+             for c in combinations(facts, n)]
+    assert sorted(map(_bits, masks)) == list(range(64))
+    orders = {mask: list(permutations(mask)) for mask in masks}
     guard = (_GUARD, ArrowC(INT_C, INT_C), ("m", 0), "t", "u", 0)
+    starts = [((_OPQ, _bits(refs)), refs) for refs in masks
+              if _apply(frozenset(), refs) is not None]
+    assert len(starts) == 20
     for v, tag in [((_INT,), "int"), ((_BOOL, None), "bool"),
                    ((_BOOL, False), "bool"), ((_CLOS, 0), "fn"),
                    ((_PRIM, "int?"), "fn"), (guard, "fn")]:
-        for kind in _TAGS:
-            for outcome in (True, False):
-                holds = (kind == tag) is outcome
-                assert _admits(v, _TEST_BIT[kind], outcome) is holds
-                assert _refine_value(v, _TEST_BIT[kind], outcome) == (v if holds else None)
+        starts.append((v, frozenset({tag} | {"!" + t for t in _TAGS if t != tag})))
+    for v, refs in starts:
+        for mask in masks:
+            (want,) = {_apply(refs, order) for order in orders[mask]}
+            if want is not None:
+                want = (_OPQ, _bits(want)) if v[0] == _OPQ else v
+            assert _refine(v, _bits(mask)) == want, (v, mask)
+            assert _admits(v, _bits(mask)) is (want is not None), (v, mask)
+
+
+# Hand-built programs whose labels depend on refining a variable where it
+# is read: (name, program, labels as (blamed, holder), states).  The labels
+# and state counts were recorded with the engine that kept a refined copy
+# of each tested variable at an address of its own, and are pinned here.
+_ID = Lam("y", None, Var("y"))
+_REFINEMENT_ORACLE = [
+    # g is a monitored (-> int? int?) identity, f = (λ (x) (if (int? x)
+    # opaque{x} 0)), and the program calls (f g) then (f 1).  The hole
+    # sees x only as an integer, so g never reaches unknown code.
+    ("a scoped hole in a refined branch",
+     Let("g", Mon("t", "u", ArrowC(INT_C, INT_C), _ID),
+         Let("f", Lam("x", None, If(App(Prim("int?"), Var("x")),
+                                    Opaque(frozenset({"x"})), IntLit(0))),
+             Let("_", App(Var("f"), Var("g")), App(Var("f"), IntLit(1))))),
+     set(), 17),
+    # f = (λ (x) (if (int? x) (λ (_) x) (λ (_) 0))): the closure of (f 1)
+    # reads x when it is called, after (f g) has grown x with a closure.
+    ("a closure made in a branch reads x after x has grown",
+     Let("g", _ID,
+         Let("f", Lam("x", None, If(App(Prim("int?"), Var("x")),
+                                    Lam("_", None, Var("x")), Lam("_", None, IntLit(0)))),
+             Let("h", App(Var("f"), IntLit(1)),
+                 Let("_", App(Var("f"), Var("g")),
+                     Mon("p", "q", INT_C, App(Var("h"), IntLit(0))))))),
+     set(), 23),
+    # x is an integer, a boolean or unknown; each branch of two nested
+    # tests checks what it must hold, and the branch of neither checks
+    # that it is a function, which fails: (g, h).  The unscoped hole of the
+    # last call sees f, so unknown code calls f too, and calls the guard f
+    # returns with a non-integer: (h, g).
+    ("nested tests of one variable with both outcomes",
+     Let("f", Lam("x", None,
+                  If(App(Prim("int?"), Var("x")),
+                     If(App(Prim("int?"), Var("x")),
+                        Mon("a", "b", INT_C, Var("x")), Mon("c", "d", INT_C, Var("x"))),
+                     If(App(Prim("bool?"), Var("x")),
+                        Mon("e", "f", BOOL_C, Var("x")),
+                        Mon("g", "h", ArrowC(INT_C, INT_C), Var("x"))))),
+         Let("_", App(Var("f"), IntLit(1)),
+             Let("_", App(Var("f"), BoolLit(True)), App(Var("f"), Opaque())))),
+     {("g", "h"), ("h", "g")}, 65),
+    # (let [x opaque] (if (bool? x) (mon bool? x) (mon int? x)))
+    ("a bool? test",
+     Let("x", Opaque(), If(App(Prim("bool?"), Var("x")),
+                           Mon("a", "b", BOOL_C, Var("x")), Mon("c", "d", INT_C, Var("x")))),
+     {("c", "d")}, 8),
+    # z is unbound: the test prunes its path, and so does reading z.
+    ("a test of an unbound name",
+     Let("x", Opaque(), If(App(Prim("int?"), Var("z")),
+                           Mon("a", "b", INT_C, Var("z")), Mon("c", "d", INT_C, Var("x")))),
+     set(), 2),
+]
+
+
+def test_refinement_oracle_on_hand_built_programs():
+    for name, program, labels, states in _REFINEMENT_ORACLE:
+        bs = analyze(program)
+        assert not bs.exhausted, name
+        assert {(l.blamed, l.holder) for l in bs.labels} == labels, name
+        assert bs.states == states, name
 
 
 def test_escaped_guard_is_exercised():
@@ -470,7 +546,7 @@ def test_a_chain_of_hole_lets_takes_states_independent_of_its_length():
 def test_two_holes_lower_to_one_opaque_value():
     code = lower(Let("a", Opaque(), Let("b", Opaque(), Var("a"))))
     # The first sees no binding, the second a's; neither is told more.
-    assert (code[1], code[3]) == ((_OPAQUE, ()), (_OPAQUE, (0,)))
+    assert (code[1], code[3]) == ((_OPAQUE, ()), (_OPAQUE, ((0, 0),)))
     machine = analysis._Machine(code, analysis.DEFAULT_BUDGET)
     assert machine.run().labels == frozenset()
     # Each let binds its variable at its own label.
@@ -541,17 +617,17 @@ def test_slice_states_match_golden_digest():
 
 def _found(machine):
     """What a run has found: its states, its non-empty store and
-    continuation store entries, its refinement edges and its labels."""
+    continuation store entries, and its labels."""
     def entries(table):
         return {k: frozenset(v) for k, v in table.items() if v}
     return (len(machine.states), entries(machine.store), entries(machine.kstore),
-            entries(machine.redges), frozenset(machine.found))
+            frozenset(machine.found))
 
 
 def is_fixpoint(machine):
     """Whether a finished run is a fixpoint: re-stepping every state it
     reached, and passing on the frames that re-stepping queues, adds no
-    state, store value, frame, refinement edge or label."""
+    state, store value, frame or label."""
     before = _found(machine)
     states = machine.states
     for sid, st in enumerate(list(states)):
@@ -642,9 +718,10 @@ def test_deep_if_chain_on_one_variable():
 
 
 def test_deep_refinement_edge_chain():
-    # The first call lays one refinement edge per test, from the parameter
-    # down the chain; the second call's argument then flows along all of
-    # them at once.
+    # Every read down the chain is of the parameter, refined by the tests
+    # above it.  The first call's integer reaches the end; the second
+    # call's unknown argument then grows the parameter, and each test's
+    # readers re-run and refine it there.
     root = Let("f", Lam("x", None, if_chain("x", DEEP)),
                Let("a", App(Var("f"), IntLit(1)),
                    Mon("t", "u", INT_C, App(Var("f"), Opaque()))))
