@@ -96,8 +96,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
-    AnyC, ArrowC, App, Blame, BlameLabel, BoolC, BoolLit, Expr, If, IntC,
-    IntLit, Lam, Let, Mon, Opaque, Prim, Var,
+    AnyC, ArrowC, App, BlameLabel, BoolC, BoolLit, Expr, If, IntC, IntLit,
+    Lam, Let, Mon, Opaque, Prim, Var,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -166,7 +166,7 @@ def _refined(vals, refs: int) -> set:
 # Lowering
 # ---------------------------------------------------------------------------
 
-_VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON, _BLAME = range(9)
+_VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON = range(8)
 
 # A let lowers to `(_LET, rhs, body)`; the slots of its two child labels,
 # for code that relinks lowered code.
@@ -207,8 +207,6 @@ def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]
             at = (_VAL, (_BOOL, e.value))
         elif t is Prim:
             at = (_VAL, (_PRIM, e.op))
-        elif t is Blame:
-            at = (_BLAME, e.label)
         elif t is App:
             stack += (e.arg, e.fn)
         elif t is Let:
@@ -372,7 +370,6 @@ class _Machine:
     # -- driver ---------------------------------------------------------------
 
     def run(self) -> BlameSet:
-        self.kstore[_K_HALT].add(("halt",))
         self.kstore[_K_HAVOC].add(("havocret",))
         self.schedule((_EV, 0, _K_HALT))
         work, pending = self.work, self.pending
@@ -493,13 +490,11 @@ class _Machine:
                 self.schedule((_EV, test_lbl, test_lbl))
             else:
                 self.branch(vals, lbl, kaddr)
-        elif op == _MON:
-            # Its body is compound: `atom` would have checked it in place.
+        else:
+            # A monitor of a compound body: `atom` checks an atomic one in place.
             _, contract, pos, neg, body_lbl = ins
             self.kstore_join(body_lbl, ("mon", contract, pos, neg, lbl, kaddr))
             self.schedule((_EV, body_lbl, body_lbl))
-        else:  # _BLAME
-            self.found.add(ins[1])
 
     def step_value(self, sid: int, st) -> None:
         _, v, kaddr = st
@@ -533,7 +528,6 @@ class _Machine:
                 self.schedule((_VA, w, nxt))
         elif tag == "havocret":
             self.join(_POOL, v)
-        # "halt": program value, nothing to do
 
     def call(self, sid: int, fns, arg_lbl, nxt) -> None:
         """Apply each operator value in `fns` to the operand at `arg_lbl`.

@@ -46,9 +46,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
-    ANY_C, ArrowC, App, Blame, BlameLabel, BoolLit, BOOL_C, Contract, Expr,
-    If, IntLit, INT_C, Lam, Let, Mon, Module, Opaque, Prim, Program, Require,
-    Span, TArrow, Ty, T_BOOL, T_INT, Var, free_vars, module_scope,
+    ANY_C, ArrowC, App, BoolLit, BOOL_C, Contract, Expr, If, IntLit, INT_C,
+    Lam, Let, Mon, Module, Opaque, Prim, Program, Require, Span, TArrow, Ty,
+    T_BOOL, T_INT, Var, free_vars, module_scope,
 )
 
 DiagnosticKind = str  # parse | unbound | duplicate-module | require-kind-mismatch | type-error | main-missing
@@ -89,7 +89,7 @@ _MATCHING = {"(": ")", "[": "]"}
 _CLOSE = frozenset(")]")
 
 _KEYWORDS = {"module", "require", "require/typed", "opaque-require",
-             "if", "let", "mon", "blame", "λ", "lambda", "opaque", ":",
+             "if", "let", "mon", "λ", "lambda", "opaque", ":",
              "int?", "bool?", "any/c"}
 # Atoms that are neither names nor integers.
 _RESERVED = _KEYWORDS | {"->", "Int", "Bool", "#t", "#f"}
@@ -223,7 +223,7 @@ class _Reader:
         items = self.forms(i + 1, end)
         span = (self.starts[i], self.starts[end] + 1)
         head = toks[i + 1]  # the closer, for an empty list
-        if head in ("let", "mon", "blame") and not core:
+        if head in ("let", "mon") and not core:
             raise _error(f"{head!r} is a core-language form, not source syntax", span)
         if head == "if":
             if len(items) != 4:
@@ -263,12 +263,6 @@ class _Reader:
             neg = self.name(parties[1], "a party name")
             return Mon(pos, neg, self.ty(items[2], _CONTRACTS, ArrowC, "a contract"),
                        self.expr(items[3], typed_body, scope, core), span=span)
-        if head == "blame":
-            if len(items) != 3:
-                raise _error("malformed blame", span)
-            return Blame(BlameLabel(self.name(items[1], "a party name"),
-                                    self.name(items[2], "a party name")),
-                         span=span)
         if len(items) == 2:
             return App(self.expr(items[0], typed_body, scope, core),
                        self.expr(items[1], typed_body, scope, core), span=span)
@@ -484,7 +478,7 @@ def _synth(env: TypeEnv, e: Expr) -> tuple[Optional[Ty], list[Diagnostic]]:
                 return None, diags + [_err(e, f"applied a non-function of type {ft}")]
             diags.extend(_check(env, arg, ft.dom))
             return (ft.cod if not diags else None), diags
-        case Let(_, _, _) | Mon(_, _, _, _) | Blame(_):
+        case Let(_, _, _) | Mon(_, _, _, _):
             return None, [_err(e, "core-language form in a surface program")]
     raise TypeError(f"not an expression: {e!r}")
 

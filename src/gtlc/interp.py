@@ -45,8 +45,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
-    ArrowC, App, Blame, BlameLabel, BoolC, BoolLit, Expr, If, IntC,
-    IntLit, Lam, Let, Mon, Opaque, Prim, Var,
+    ArrowC, App, BlameLabel, BoolC, BoolLit, Expr, If, IntC, IntLit, Lam,
+    Let, Mon, Opaque, Prim, Var,
 )
 
 DEFAULT_FUEL = 10_000_000
@@ -207,9 +207,6 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
                 continue
             elif t is Prim:
                 value = VPrim(e.op)
-            elif t is Blame:
-                m.steps = steps
-                return BlamedA(e.label)
             elif t is Opaque:
                 m.steps = steps
                 return StuckA("opaque term reached at run time")

@@ -2,10 +2,11 @@
 
 The surface language is a sequence of modules, each either typed (carrying a
 type annotation) or untyped.  The contract core is a plain lambda calculus
-extended with `let`, contract monitors carrying a positive and a negative
-party, blame terminals, and an opaque term standing for unknown code.  Both
-languages share one expression node family; which constructors are legal
-where is enforced by the frontend.
+(variables, literals, primitives, application, `if` and λ) extended with
+`let`, contract monitors carrying a positive and a negative party, and an
+opaque term standing for unknown code.  Blame is not a term: it is what a
+failed monitor check answers.  Both languages share one expression node
+family; which constructors are legal where is enforced by the frontend.
 
 All nodes are immutable after construction and safe to share across threads.
 Types and contracts are interned (hash-consed) in one table shared by every
@@ -215,13 +216,7 @@ class Mon:
     span: Optional[Span] = _span_field()
 
 
-@dataclass
-class Blame:
-    label: BlameLabel
-    span: Optional[Span] = _span_field()
-
-
-Expr = Union[Var, IntLit, BoolLit, Prim, App, If, Lam, Opaque, Let, Mon, Blame]
+Expr = Union[Var, IntLit, BoolLit, Prim, App, If, Lam, Opaque, Let, Mon]
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +334,6 @@ def _alpha(a: Expr, b: Expr, ea: dict[str, int], eb: dict[str, int], depth: int)
         case Mon(pos, neg, contract, body):
             return (pos == b.pos and neg == b.neg and contract == b.contract
                     and _alpha(body, b.body, ea, eb, depth))
-        case Blame(label):
-            return label == b.label
     raise TypeError(f"not an expression: {a!r}")
 
 
@@ -372,8 +365,6 @@ def format_expr(e: Expr) -> str:
             return f"(let [{name} {format_expr(rhs)}] {format_expr(body)})"
         case Mon(pos, neg, contract, body):
             return f"(mon ({pos} {neg}) {contract} {format_expr(body)})"
-        case Blame(label):
-            return f"(blame {label.blamed} {label.holder})"
     raise TypeError(f"not an expression: {e!r}")
 
 

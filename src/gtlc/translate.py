@@ -15,9 +15,9 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .syntax import (
-    ANY_C, ArrowC, App, Blame, BoolLit, BOOL_C, Contract, Expr, If, IntLit,
-    INT_C, Lam, Let, Mon, Module, Opaque, Prim, Program, Require, TArrow,
-    TBool, TInt, Ty, Var,
+    ANY_C, ArrowC, App, BoolLit, BOOL_C, Contract, Expr, If, IntLit, INT_C,
+    Lam, Let, Mon, Module, Opaque, Prim, Program, Require, TArrow, TBool,
+    TInt, Ty, Var,
 )
 
 # The contract a monitor gets, given its parties and its compiled contract.
@@ -60,7 +60,7 @@ def erase(e: Expr) -> Expr:
             return Let(name, erase(rhs), erase(body), span=e.span)
         case Mon(pos, neg, contract, body):
             return Mon(pos, neg, contract, erase(body), span=e.span)
-        case Var(_) | IntLit(_) | BoolLit(_) | Prim(_) | Opaque() | Blame(_):
+        case Var(_) | IntLit(_) | BoolLit(_) | Prim(_) | Opaque():
             return e
     raise TypeError(f"not an expression: {e!r}")
 
