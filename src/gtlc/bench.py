@@ -86,9 +86,8 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
                             "diagnostics": [str(d) for d in diags]})
             continue
         compiled = compile_program(program)
-        verdicts = optimize.compute_verdicts(program, trust_typed, budget)
         opt_compiled, report = optimize.optimize_program(
-            program, trust_typed=trust_typed, budget=budget, verdicts=verdicts)
+            program, trust_typed=trust_typed, budget=budget)
 
         roots = [compiled.root, opt_compiled.root]
         if baseline_root is not None:
@@ -123,8 +122,8 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
             "check_ratio": (opt_metrics.flat_checks / checks) if checks else None,
             "agree": interp.answer_to_json(answer) == interp.answer_to_json(opt_answer),
             "optimization": report.as_json(),
-            "analysis_seconds": {v.module: v.seconds for v in verdicts},
-            "analysis_states": {v.module: v.states for v in verdicts},
+            "analysis_seconds": {v.module: v.seconds for v in report.verdicts},
+            "analysis_states": {v.module: v.states for v in report.verdicts},
         })
     return {"entry": entry_dir.name, "configs": configs}
 

@@ -36,16 +36,20 @@ EXIT_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 
 def _load(path: str):
-    """Parse and check `path`.  A file that cannot be read or decoded yields
-    one diagnostic naming it."""
+    """Parse and check `path`: the program, or None once its diagnostics are
+    printed to stderr.  A file that cannot be read or decoded yields one
+    diagnostic naming it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
-        return None, [f"cannot read {path}: {err}"]
+        print(f"cannot read {path}: {err}", file=sys.stderr)
+        return None
     program, diags = parse_program(text)
     if program is not None:
-        diags = diags + check_wellformed(program)
-    return program, diags
+        diags += check_wellformed(program)
+    for d in diags:
+        print(d, file=sys.stderr)
+    return None if diags else program
 
 
 def _write(path: str, text: str) -> bool:
@@ -67,15 +71,9 @@ def _emit_json(doc: dict, json_path: str | None) -> bool:
     return not json_path or _write(json_path, rendered + "\n")
 
 
-def _print_diags(diags) -> None:
-    for d in diags:
-        print(str(d), file=sys.stderr)
-
-
 def cmd_check(args) -> int:
-    program, diags = _load(args.path)
-    if diags:
-        _print_diags(diags)
+    program = _load(args.path)
+    if program is None:
         return EXIT_DIAGNOSTICS
     print(f"ok: {len(program.modules)} modules")
     return EXIT_OK
@@ -94,9 +92,8 @@ def _exit_for(answer) -> int:
 
 
 def cmd_run(args) -> int:
-    program, diags = _load(args.path)
-    if diags:
-        _print_diags(diags)
+    program = _load(args.path)
+    if program is None:
         return EXIT_DIAGNOSTICS
     if args.optimized:
         compiled, report = optimize.optimize_program(
@@ -122,9 +119,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    program, diags = _load(args.path)
-    if diags:
-        _print_diags(diags)
+    program = _load(args.path)
+    if program is None:
         return EXIT_DIAGNOSTICS
     if args.module is not None:
         if program.module_named(args.module) is None:
@@ -146,9 +142,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    program, diags = _load(args.path)
-    if diags:
-        _print_diags(diags)
+    program = _load(args.path)
+    if program is None:
         return EXIT_DIAGNOSTICS
     compiled, report = optimize.optimize_program(
         program, trust_typed=args.trust_typed, budget=args.budget)

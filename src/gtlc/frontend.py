@@ -32,11 +32,13 @@ requires (`syntax.module_scope`) plus the lambda parameters bound around
 it.  No later pass computes a scope.  An opaque term read by `parse_expr`
 gets none, which means unrestricted.
 
-Well-formedness follows the inductive structure of the module sequence:
-typed bodies must check against their annotation in the environment induced
-by their requires, untyped bodies must be closed under theirs, module names
-are unique, requires point only backward, and an untyped `main` module must
-exist.
+Well-formedness follows the inductive structure of the module sequence.
+One function, `require_env`, resolves the requires of both kinds of module
+against the modules before it, the first definition of a name winning.
+Typed bodies must check against their annotation in the environment their
+requires induce; untyped bodies must be closed under theirs, which one
+iterative walk checks in time linear in the body.  Module names are unique,
+requires point only backward, and an untyped `main` module must exist.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Optional
 from .syntax import (
     ANY_C, ArrowC, App, BoolLit, BOOL_C, Contract, Expr, If, IntLit, INT_C,
     Lam, Let, Mon, Module, Opaque, Prim, Program, Require, Span, TArrow, Ty,
-    T_BOOL, T_INT, Var, free_vars, module_scope,
+    T_BOOL, T_INT, Var, module_scope,
 )
 
 DiagnosticKind = str  # parse | unbound | duplicate-module | require-kind-mismatch | type-error | main-missing
@@ -356,93 +358,92 @@ def parse_expr(text: str) -> Expr:
 # Environments induced by requires
 # ---------------------------------------------------------------------------
 
-TypeEnv = list[tuple[str, Ty]]
-NameEnv = list[str]
-
-
-def ty_env(requires: list[Require], prior: list[Module]) -> tuple[TypeEnv, list[Diagnostic]]:
-    """Environment for a typed module's body.  A plain require contributes
-    the target's own annotation (the target must be typed); an annotated
-    require contributes the stated type (the target must be untyped)."""
-    env: TypeEnv = []
-    diags: list[Diagnostic] = []
-    defined = {m.name: m for m in reversed(prior)}  # first definition wins
-    for r in requires:
+def require_env(m: Module,
+                defined: dict[str, Module]) -> tuple[dict[str, Optional[Ty]], list[Diagnostic]]:
+    """The names `m`'s requires bind, each mapped to the type `m`'s body
+    sees it at (None in an untyped body), and the diagnostics of the
+    requires.  `defined` maps each module name before `m` to its first
+    definition.  In a typed module a plain require contributes the target's
+    own annotation (the target must be typed) and an annotated require the
+    stated type (the target must be untyped)."""
+    env: dict[str, Optional[Ty]] = {}
+    diags = [Diagnostic("require-kind-mismatch", "annotated require in an untyped module",
+                        r.span or m.span or (0, 0))
+             for r in m.requires if r.ann is not None and not m.typed]
+    for r in m.requires:
         target = defined.get(r.target)
         span = r.span or (0, 0)
         if target is None:
             diags.append(Diagnostic(
                 "unbound", f"require of unknown module {r.target!r}", span))
-            continue
-        if r.ann is None:
+        elif not m.typed:
+            env[r.target] = None
+        elif r.ann is None:
             if target.ty is None:
                 diags.append(Diagnostic(
                     "require-kind-mismatch",
                     f"plain require of untyped module {r.target!r} from a typed module",
                     span))
             else:
-                env.append((r.target, target.ty))
-        else:
-            if target.ty is not None:
-                diags.append(Diagnostic(
-                    "require-kind-mismatch",
-                    f"require/typed targets the typed module {r.target!r}", span))
-            else:
-                env.append((r.target, r.ann))
-    return env, diags
-
-
-def name_env(requires: list[Require], prior: list[Module]) -> tuple[NameEnv, list[Diagnostic]]:
-    """Names visible in an untyped module's body, one per require, in order."""
-    env: NameEnv = []
-    diags: list[Diagnostic] = []
-    defined = {m.name for m in prior}
-    for r in requires:
-        span = r.span or (0, 0)
-        if r.target not in defined:
+                env[r.target] = target.ty
+        elif target.ty is not None:
             diags.append(Diagnostic(
-                "unbound", f"require of unknown module {r.target!r}", span))
+                "require-kind-mismatch",
+                f"require/typed targets the typed module {r.target!r}", span))
         else:
-            env.append(r.target)
+            env[r.target] = r.ann
     return env, diags
+
+
+def _unbound(body: Expr, names) -> list[str]:
+    """The names `body` reads that neither `names` nor a binder around the
+    read binds, sorted.  One walk with an explicit stack keeps the count of
+    binders in scope of each name: a (name, 1) item enters a binder and a
+    (name, -1) item leaves it.  A `let`'s right-hand side is outside it."""
+    bound = dict.fromkeys(names, 1)
+    free = set()
+    stack: list = [body]
+    while stack:
+        e = stack.pop()
+        t = type(e)
+        if t is tuple:
+            bound[e[0]] = bound.get(e[0], 0) + e[1]
+        elif t is Var:
+            if not bound.get(e.name):
+                free.add(e.name)
+        elif t is App:
+            stack += (e.arg, e.fn)
+        elif t is If:
+            stack += (e.orelse, e.then, e.test)
+        elif t is Lam:
+            stack += ((e.param, -1), e.body, (e.param, 1))
+        elif t is Let:
+            stack += ((e.name, -1), e.body, (e.name, 1), e.rhs)
+        elif t is Mon:
+            stack.append(e.body)
+    return sorted(free)
 
 
 # ---------------------------------------------------------------------------
 # Expression typing for typed module bodies
 # ---------------------------------------------------------------------------
-
-def _env_lookup(env: TypeEnv, name: str) -> Optional[Ty]:
-    for n, t in reversed(env):
-        if n == name:
-            return t
-    return None
-
+# Simply-typed: `_check` checks an expression against an expected type
+# (letting opaque terms take any type the context demands) and `_synth`
+# synthesizes one.  Primitives are typed per application: they accept an
+# argument of any type and return Bool, and cannot appear unapplied.
 
 def _err(e: Expr, message: str) -> Diagnostic:
     return Diagnostic("type-error", message, e.span or (0, 0))
 
 
-def typecheck_expr(env: TypeEnv, e: Expr,
-                   expected: Optional[Ty] = None) -> tuple[Optional[Ty], list[Diagnostic]]:
-    """Simply-typed checking of a typed module body.  With `expected` the
-    expression is checked against that type (letting opaque terms take any
-    type the context demands); without it the type is synthesized.
-    Primitives are typed per application: they accept an argument of any
-    type and return Bool, and cannot appear unapplied."""
-    if expected is None:
-        return _synth(env, e)
-    diags = _check(env, e, expected)
-    return (expected if not diags else None), diags
-
-
-def _synth(env: TypeEnv, e: Expr) -> tuple[Optional[Ty], list[Diagnostic]]:
+def _synth(env: dict[str, Ty], e: Expr) -> tuple[Optional[Ty], list[Diagnostic]]:
     match e:
         case IntLit(_):
             return T_INT, []
         case BoolLit(_):
             return T_BOOL, []
         case Var(name):
-            t = _env_lookup(env, name)
+            t = env.get(name)
             if t is None:
                 return None, [Diagnostic("unbound", f"unbound variable {name!r}",
                                          e.span or (0, 0))]
@@ -454,7 +455,7 @@ def _synth(env: TypeEnv, e: Expr) -> tuple[Optional[Ty], list[Diagnostic]]:
         case Lam(param, ann, body):
             if ann is None:
                 return None, [_err(e, "unannotated lambda in a typed module body")]
-            bt, diags = _synth(env + [(param, ann)], body)
+            bt, diags = _synth({**env, param: ann}, body)
             if bt is None:
                 return None, diags
             return TArrow(ann, bt), diags
@@ -483,7 +484,7 @@ def _synth(env: TypeEnv, e: Expr) -> tuple[Optional[Ty], list[Diagnostic]]:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _check(env: TypeEnv, e: Expr, expected: Ty) -> list[Diagnostic]:
+def _check(env: dict[str, Ty], e: Expr, expected: Ty) -> list[Diagnostic]:
     match e:
         case Opaque():
             return []
@@ -494,7 +495,7 @@ def _check(env: TypeEnv, e: Expr, expected: Ty) -> list[Diagnostic]:
                 return [_err(e, f"lambda where {expected} was expected")]
             if ann != expected.dom:
                 return [_err(e, f"parameter annotated {ann} but {expected.dom} expected")]
-            return _check(env + [(param, ann)], body, expected.cod)
+            return _check({**env, param: ann}, body, expected.cod)
         case If(test, then, orelse):
             diags = _check(env, test, T_BOOL)
             diags.extend(_check(env, then, expected))
@@ -526,31 +527,22 @@ def check_wellformed(p: Program) -> list[Diagnostic]:
     """All diagnostics for a program; empty means well-formed.  Does not stop
     at the first problem."""
     diags: list[Diagnostic] = []
-    seen: set[str] = set()
-    for i, m in enumerate(p.modules):
+    defined: dict[str, Module] = {}
+    for m in p.modules:
         span = m.span or (0, 0)
-        if m.name in seen:
+        if m.name in defined:
             diags.append(Diagnostic(
                 "duplicate-module", f"module {m.name!r} defined twice", span))
-        seen.add(m.name)
-        prior = p.modules[:i]
+        env, ediags = require_env(m, defined)
+        diags.extend(ediags)
         if m.typed:
-            env, ediags = ty_env(m.requires, prior)
-            diags.extend(ediags)
-            _, tdiags = typecheck_expr(env, m.body, expected=m.ty)
-            diags.extend(tdiags)
+            diags.extend(_check(env, m.body, m.ty))
         else:
-            for r in m.requires:
-                if r.ann is not None:
-                    diags.append(Diagnostic(
-                        "require-kind-mismatch",
-                        "annotated require in an untyped module", r.span or span))
-            names, ediags = name_env(m.requires, prior)
-            diags.extend(ediags)
-            for v in sorted(free_vars(m.body) - set(names)):
+            for v in _unbound(m.body, env):
                 diags.append(Diagnostic(
                     "unbound", f"unbound variable {v!r} in module {m.name!r}", span))
-    main = p.module_named("main")
+        defined.setdefault(m.name, m)
+    main = defined.get("main")
     if main is None:
         diags.append(Diagnostic("main-missing", "no module named 'main'", (0, 0)))
     elif main.typed:

@@ -272,24 +272,6 @@ class Program:
 # Structural helpers
 # ---------------------------------------------------------------------------
 
-def free_vars(e: Expr) -> frozenset[str]:
-    match e:
-        case Var(name):
-            return frozenset((name,))
-        case App(fn, arg):
-            return free_vars(fn) | free_vars(arg)
-        case If(test, then, orelse):
-            return free_vars(test) | free_vars(then) | free_vars(orelse)
-        case Lam(param, _, body):
-            return free_vars(body) - {param}
-        case Let(name, rhs, body):
-            return free_vars(rhs) | (free_vars(body) - {name})
-        case Mon(_, _, _, body):
-            return free_vars(body)
-        case _:
-            return frozenset()
-
-
 def structurally_equal(a: Expr, b: Expr) -> bool:
     """Alpha-equivalence: identical trees up to consistent renaming of
     lambda- and let-bound identifiers.  Parties, contracts and literals

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import sys
 from dataclasses import replace
 
@@ -12,12 +13,13 @@ from conftest import (
 from gtlc import frontend
 from gtlc.bench import corpus_dir
 from gtlc.frontend import (
-    check_wellformed, name_env, parse_expr, parse_program, ty_env, typecheck_expr,
+    _check, _synth, _unbound, check_wellformed, parse_expr, parse_program, require_env,
 )
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import ValA, evaluate
 from gtlc.syntax import (
-    Module, Opaque, Program, Require, TArrow, T_INT, format_expr, format_program,
+    App, Lam, Module, Opaque, Program, Require, TArrow, T_INT, Var, format_expr,
+    format_program,
 )
 from gtlc.translate import compile_program
 
@@ -114,9 +116,9 @@ def test_diagnostics_table():
             diags = diags + check_wellformed(program)
         assert _diag_record(diags) == want, text
     # The reader rejects these first, so they are built through the API.
-    assert _diag_record(typecheck_expr([], parse_expr("(let [x 1] x)"))[1]) == [
+    assert _diag_record(_synth({}, parse_expr("(let [x 1] x)"))[1]) == [
         ("type-error", "core-language form in a surface program", (0, 13))]
-    assert _diag_record(typecheck_expr([], parse_expr("(λ (x) x)"), ARROW_II)[1]) == [
+    assert _diag_record(_check({}, parse_expr("(λ (x) x)"), ARROW_II)) == [
         ("type-error", "unannotated lambda in a typed module body", (0, 9))]
     a, main = parse_ok("(module a 1) (module main (require a) a)").modules
     annotated = replace(main, requires=[replace(main.requires[0], ann=T_INT)])
@@ -145,67 +147,107 @@ def test_a_hole_read_by_parse_expr_is_unscoped():
     assert _hole_scopes(e) == [None, None]
 
 
+def _typed(*requires):
+    return Module("t", T_INT, list(requires), Opaque())
+
+
+def _untyped(*requires):
+    return Module("u", None, list(requires), Opaque())
+
+
 def test_ty_env_plain_typed_target():
     t1 = Module("t1", ARROW_II, [], Opaque())
-    env, diags = ty_env([Require("t1")], [t1])
-    assert env == [("t1", ARROW_II)] and not diags
+    env, diags = require_env(_typed(Require("t1")), {"t1": t1})
+    assert env == {"t1": ARROW_II} and not diags
 
 
 def test_ty_env_empty():
-    assert ty_env([], []) == ([], [])
+    assert require_env(_typed(), {}) == ({}, [])
 
 
 def test_ty_env_annotated_untyped_target():
     u9 = Module("u9", None, [], Opaque())
-    env, diags = ty_env([Require("u9", ann=T_INT)], [u9])
-    assert env == [("u9", T_INT)] and not diags
+    env, diags = require_env(_typed(Require("u9", ann=T_INT)), {"u9": u9})
+    assert env == {"u9": T_INT} and not diags
 
 
 def test_ty_env_kind_mismatches():
     t1 = Module("t1", ARROW_II, [], Opaque())
     u1 = Module("u1", None, [], Opaque())
-    _, diags = ty_env([Require("u1")], [t1, u1])
+    _, diags = require_env(_typed(Require("u1")), {"t1": t1, "u1": u1})
     assert any(d.kind == "require-kind-mismatch" for d in diags)
-    _, diags = ty_env([Require("t1", ann=T_INT)], [t1, u1])
+    _, diags = require_env(_typed(Require("t1", ann=T_INT)), {"t1": t1, "u1": u1})
     assert any(d.kind == "require-kind-mismatch" for d in diags)
 
 
 def test_name_env():
     t1 = Module("t1", ARROW_II, [], Opaque())
-    env, diags = name_env([Require("t1")], [t1])
-    assert env == ["t1"] and not diags
-    assert name_env([], []) == ([], [])
-    _, diags = name_env([Require("ghost")], [t1])
+    env, diags = require_env(_untyped(Require("t1")), {"t1": t1})
+    assert env == {"t1": None} and not diags
+    assert require_env(_untyped(), {}) == ({}, [])
+    _, diags = require_env(_untyped(Require("ghost")), {"t1": t1})
     assert any(d.kind == "unbound" for d in diags)
+    # Annotated requires, which the reader rejects in untyped modules, are
+    # reported before unknown modules.
+    _, diags = require_env(_untyped(Require("ghost"), Require("t1", ann=T_INT)), {"t1": t1})
+    assert [d.kind for d in diags] == ["require-kind-mismatch", "unbound"]
 
 
 def test_typecheck_unannotated_lambda_rejected():
-    ty, diags = typecheck_expr([], frontend.parse_expr("(λ (x) x)"))
+    ty, diags = _synth({}, frontend.parse_expr("(λ (x) x)"))
     assert ty is None and diags
 
 
 def test_typecheck_annotated_identity():
     p, _ = parse_program("(module t (-> Int Int) (λ (x : Int) x))")
-    ty, diags = typecheck_expr([], p.modules[0].body)
+    ty, diags = _synth({}, p.modules[0].body)
     assert ty == ARROW_II and not diags
 
 
 def test_typecheck_application_of_import():
     p, _ = parse_program("(module t Int (t1 5))")
     body = p.modules[0].body
-    ty, diags = typecheck_expr([("t1", ARROW_II)], body)
+    ty, diags = _synth({"t1": ARROW_II}, body)
     assert ty == T_INT and not diags
 
 
 def test_typecheck_bad_if_test():
     p, _ = parse_program("(module t Int (if 1 2 3))")
-    ty, diags = typecheck_expr([], p.modules[0].body)
+    ty, diags = _synth({}, p.modules[0].body)
     assert ty is None and any(d.kind == "type-error" for d in diags)
 
 
 def test_typecheck_opaque_takes_expected_type():
-    ty, diags = typecheck_expr([], Opaque(), expected=ARROW_II)
-    assert ty == ARROW_II and not diags
+    assert _check({}, Opaque(), ARROW_II) == []
+
+
+# (body, names its requires bind, the unbound names `_unbound` reports)
+_SCOPE_TABLE = [
+    ("(let [x x] x)", [], ["x"]),           # a let's right-hand side is outside it
+    ("(let [x 1] x)", [], []),
+    ("((λ (a) a) a)", ["a"], []),           # a parameter shadows a require
+    ("((λ (a) a) a)", [], ["a"]),           # and is out of scope after its lambda
+    ("((λ (a) (λ (a) a)) a)", [], ["a"]),
+    ("(mon (p q) int? y)", [], ["y"]),      # a monitor's body is walked
+    ("(if #t (λ (z) z) z)", [], ["z"]),      # a branch binds nothing in another
+    ("(b (a (c opaque)))", ["a"], ["b", "c"]),
+]
+
+
+def test_unbound_scope_rules():
+    for text, names, want in _SCOPE_TABLE:
+        assert _unbound(parse_expr(text), names) == want, text
+
+
+def test_a_deep_untyped_body_is_checked_without_recursion():
+    # 20,000 nested (λ (xi) (... xi)) with one free name at the bottom,
+    # built through the API: far deeper than Python's recursion limit.
+    body = Var("free")
+    for i in reversed(range(20_000)):
+        body = Lam(f"x{i}", None, App(body, Var(f"x{i}")))
+    diags = check_wellformed(Program([Module("main", None, [], body)]))
+    assert _diag_record(diags) == [
+        ("unbound", "unbound variable 'free' in module 'main'", (0, 0))]
 
 
 def test_wellformed_id_boundary():
@@ -242,6 +284,10 @@ def test_wellformed_typed_main_rejected():
 def test_wellformed_duplicate_modules():
     p, _ = parse_program("(module a 1)\n(module a 2)\n(module main 5)")
     assert any(d.kind == "duplicate-module" for d in check_wellformed(p))
+    # Requires see the first definition of a name.
+    p, _ = parse_program("(module a Int 1) (module a 2) (module t Int (require a) a)"
+                         " (module main 5)")
+    assert [d.kind for d in check_wellformed(p)] == ["duplicate-module"]
 
 
 def test_wellformed_require_typed_in_untyped_module():
@@ -403,6 +449,49 @@ def test_reader_matches_golden_digest():
         h.update(repr(record).encode())
     assert (len(texts), len(core)) == (2_356, 735)
     assert h.hexdigest() == GOLDEN_READER_DIGEST
+
+
+def _flip_texts():
+    """Typed programs with one `Int` or `Bool` token flipped: ten seeded
+    flips of each base that has such a token (48 of the 60)."""
+    rng = random.Random(2026)
+    texts = []
+    for s in range(60):
+        base = format_program(gen_program(GenConfig(seed=s, typed_fraction=1.0)))
+        tokens = [m.span() for m in re.finditer(r"\b(Int|Bool)\b", base)]
+        for _ in range(10 if tokens else 0):
+            i, j = rng.choice(tokens)
+            texts.append(base[:i] + ("Bool" if base[i:j] == "Int" else "Int") + base[j:])
+    return texts
+
+
+# sha256 over the diagnostics, as (kind, message, span), that
+# `parse_program` plus `check_wellformed` give every text of `_parity_texts`
+# that parses (483 of 2,356) and every text of `_flip_texts` (480).  The
+# parity texts give only 3 type errors, so the flips are what reach the
+# typechecker.  Recorded before requires were resolved by one function and
+# untyped bodies scoped by one iterative walk, and unchanged by that rewrite.
+GOLDEN_WF_DIGEST = "21a32f612312d3244910f106e7c9bd0f8b965e381c5335e0ce3fed0ab7315abe"
+
+
+def test_wellformedness_matches_golden_digest():
+    h = hashlib.sha256()
+    parsed = 0
+    for text in _parity_texts():
+        program, diags = parse_program(text)
+        if program is not None:
+            parsed += 1
+            h.update(repr(_diag_record(diags + check_wellformed(program))).encode())
+    flips = _flip_texts()
+    type_errors = 0
+    for text in flips:
+        program, diags = parse_program(text)
+        assert program is not None, text
+        diags = diags + check_wellformed(program)
+        type_errors += sum(d.kind == "type-error" for d in diags)
+        h.update(repr(_diag_record(diags)).encode())
+    assert (parsed, len(flips), type_errors) == (483, 480, 896)
+    assert h.hexdigest() == GOLDEN_WF_DIGEST
 
 
 def _spans_inside(diags, text):
