@@ -10,7 +10,7 @@ from .optimize import (
 )
 from .syntax import (
     BlameLabel, Contract, Expr, Module, Polarity, Program, Ty, flip,
-    format_expr, format_program, structurally_equal,
+    format_expr, format_program,
 )
 from .translate import CompiledProgram, compile_program, compile_type, erase
 
@@ -23,5 +23,5 @@ __all__ = [
     "Ty", "ValA", "Verdict", "analyze", "check_wellformed", "compile_program",
     "compile_type", "copt", "erase", "evaluate", "flip", "format_expr",
     "format_program", "gen_program", "optimize_program", "parse_expr",
-    "parse_program", "slice_for_module", "structurally_equal",
+    "parse_program", "slice_for_module",
 ]

@@ -16,7 +16,7 @@ fastest of the requested iterations over the baseline's fastest in the
 same rounds: the host only ever slows a run down, so the fastest run is
 the one least disturbed.  Check counts are the deterministic signal; wall
 time is informational.  Configurations whose optimized answer disagrees
-with the unoptimized one are flagged, never fatal.
+with the unoptimized one (`answers_agree`) are flagged, never fatal.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 
 from . import analysis, interp, optimize
 from .frontend import check_wellformed, parse_program
-from .syntax import Program
 from .translate import compile_program
 
 BENCH_FUEL = 100_000_000
@@ -120,7 +119,7 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
             "overhead_unoptimized": None if base_time is None else min(times) / base_time,
             "overhead_optimized": None if base_time is None else min(opt_times) / base_time,
             "check_ratio": (opt_metrics.flat_checks / checks) if checks else None,
-            "agree": interp.answer_to_json(answer) == interp.answer_to_json(opt_answer),
+            "agree": answers_agree(answer, opt_answer),
             "optimization": report.as_json(),
             "analysis_seconds": {v.module: v.seconds for v in report.verdicts},
             "analysis_states": {v.module: v.states for v in report.verdicts},
@@ -138,7 +137,7 @@ def bench_corpus(corpus: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
 
 
 # ---------------------------------------------------------------------------
-# Differential and soundness harness primitives
+# Agreement of run outcomes
 # ---------------------------------------------------------------------------
 
 def answers_agree(a: interp.Answer, b: interp.Answer) -> bool:
@@ -159,42 +158,6 @@ def answers_agree(a: interp.Answer, b: interp.Answer) -> bool:
     if interp.is_function(va):
         return interp.is_function(vb)
     return type(va) is type(vb) and va == vb
-
-
-def run_differential(program: Program, trust_typed: bool = True,
-                     fuel: int = 1_000_000,
-                     budget: int = analysis.DEFAULT_BUDGET) -> dict:
-    """Evaluate a program unoptimized and optimized and compare.  When one
-    side runs out of fuel, both are retried with a hundredfold budget before
-    the outcomes are compared."""
-    original = compile_program(program)
-    optimized, report = optimize.optimize_program(
-        program, trust_typed=trust_typed, budget=budget)
-    a0, m0 = interp.evaluate(original.root, fuel=fuel)
-    a1, m1 = interp.evaluate(optimized.root, fuel=fuel)
-    if isinstance(a0, interp.OutOfFuelA) or isinstance(a1, interp.OutOfFuelA):
-        a0, m0 = interp.evaluate(original.root, fuel=fuel * 100)
-        a1, m1 = interp.evaluate(optimized.root, fuel=fuel * 100)
-    return {
-        "agree": answers_agree(a0, a1),
-        "checks_reduced": (m1.flat_checks <= m0.flat_checks
-                           and m1.wrappers_allocated <= m0.wrappers_allocated),
-        "original": (a0, m0),
-        "optimized": (a1, m1),
-        "report": report,
-    }
-
-
-def party_slices_cover(program: Program, label,
-                       budget: int = analysis.DEFAULT_BUDGET) -> bool:
-    """Does the slice of each party of a blame label observed concretely,
-    the blamed module's and the holder's, account for it?  A slice whose
-    analysis is exhausted counts as covering it (fail-safe)."""
-    for party in (label.blamed, label.holder):
-        bs = optimize.analyze_slice(program, party, budget)
-        if not (bs.exhausted or label in bs.labels):
-            return False
-    return True
 
 
 def _ratio(x: float | None) -> str:

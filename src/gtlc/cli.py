@@ -24,7 +24,7 @@ from pathlib import Path
 from . import analysis, bench, interp, optimize
 from .frontend import check_wellformed, parse_program
 from .syntax import format_expr
-from .translate import compile_program
+from .translate import compile_program, erase
 
 EXIT_OK = 0
 EXIT_DIAGNOSTICS = 1
@@ -101,7 +101,7 @@ def cmd_run(args) -> int:
     else:
         compiled, report = compile_program(program), None
     if args.emit == "con":
-        print(format_expr(compiled.root))
+        print(format_expr(erase(compiled.root)))
         return EXIT_OK
     answer, metrics = interp.evaluate(compiled.root, fuel=args.fuel)
     doc = {
@@ -148,7 +148,7 @@ def cmd_optimize(args) -> int:
     compiled, report = optimize.optimize_program(
         program, trust_typed=args.trust_typed, budget=args.budget)
     if args.emit == "optimized":
-        print(format_expr(compiled.root))
+        print(format_expr(erase(compiled.root)))
         return EXIT_OK
     doc = {"schema": 1, "path": args.path, **report.as_json()}
     return EXIT_OK if _emit_json(doc, args.json) else EXIT_DIAGNOSTICS

@@ -20,9 +20,9 @@ is a copy of the skeleton's in which each dropped monitor's `let` is
 bypassed (the instruction above it points at the let's body), each hole
 reads the lets the slice keeps, and X's body, lowered at the end of the
 code in the scope of the lets around its hole, takes the place of that
-hole.  The body is lowered as written: lowering ignores lambda
-annotations, and each opaque term of the body keeps the scope the reader
-gave it.
+hole.  The body is lowered as written, as `compile_program` takes every
+body: lowering ignores lambda annotations, and each opaque term of the
+body keeps the scope the reader gave it.
 
 The paper states this rewrite for one proven pair at a time, folded over
 the proven pairs to a fixpoint.  A monitor is touched only by the two pairs

@@ -269,58 +269,8 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Structural helpers
-# ---------------------------------------------------------------------------
-
-def structurally_equal(a: Expr, b: Expr) -> bool:
-    """Alpha-equivalence: identical trees up to consistent renaming of
-    lambda- and let-bound identifiers.  Parties, contracts and literals
-    must match exactly."""
-    return _alpha(a, b, {}, {}, 0)
-
-
-def _alpha(a: Expr, b: Expr, ea: dict[str, int], eb: dict[str, int], depth: int) -> bool:
-    if type(a) is not type(b):
-        return False
-    match a:
-        case Var(name):
-            # Both bound at the same binder depth, or both free with the same name.
-            ia, ib = ea.get(name), eb.get(b.name)
-            if ia is None and ib is None:
-                return name == b.name
-            return ia == ib
-        case IntLit(v):
-            return v == b.value
-        case BoolLit(v):
-            return v == b.value
-        case Prim(op):
-            return op == b.op
-        case App(fn, arg):
-            return _alpha(fn, b.fn, ea, eb, depth) and _alpha(arg, b.arg, ea, eb, depth)
-        case If(t, th, el):
-            return (_alpha(t, b.test, ea, eb, depth)
-                    and _alpha(th, b.then, ea, eb, depth)
-                    and _alpha(el, b.orelse, ea, eb, depth))
-        case Lam(param, ann, body):
-            if ann != b.ann:
-                return False
-            return _alpha(body, b.body,
-                          {**ea, param: depth}, {**eb, b.param: depth}, depth + 1)
-        case Opaque():
-            return True
-        case Let(name, rhs, body):
-            if not _alpha(rhs, b.rhs, ea, eb, depth):
-                return False
-            return _alpha(body, b.body,
-                          {**ea, name: depth}, {**eb, b.name: depth}, depth + 1)
-        case Mon(pos, neg, contract, body):
-            return (pos == b.pos and neg == b.neg and contract == b.contract
-                    and _alpha(body, b.body, ea, eb, depth))
-    raise TypeError(f"not an expression: {a!r}")
-
-
-# ---------------------------------------------------------------------------
-# Pretty-printing (re-parseable concrete syntax)
+# Pretty-printing (concrete syntax; core text re-parses with `parse_expr`
+# when the tree has no lambda annotations)
 # ---------------------------------------------------------------------------
 
 def format_expr(e: Expr) -> str:

@@ -1,7 +1,11 @@
 """Compilation of module programs into the contract core.
 
 Each module becomes one `let` binding, nested in program order, with the
-variable `main` as the innermost body.  Within a module's right-hand side,
+variable `main` as the innermost body.  Every module body, typed or
+untyped, enters the core as written: the tree shares its nodes with the
+program, and no pass reads the lambda annotations a typed body keeps, so
+types matter only as the contracts at the boundaries (`erase` strips the
+annotations, for printing core text).  Within a module's right-hand side,
 every import that crosses a typed/untyped boundary introduces an inner
 `let` that rebinds the imported name to a monitored version; imports on the
 same side of the boundary introduce no binding at all.  The module that
@@ -47,8 +51,9 @@ def compile_type(t: Ty) -> Contract:
 
 
 def erase(e: Expr) -> Expr:
-    """`e` with its lambda annotations stripped.  Every node keeps its span,
-    and a leaf, an opaque term among them, maps to itself."""
+    """`e` with its lambda annotations stripped: the tree core text
+    (`format_expr`) can print.  Every node keeps its span, and a leaf, an
+    opaque term among them, maps to itself."""
     match e:
         case Lam(param, _, body):
             return Lam(param, None, erase(body), span=e.span)
@@ -89,12 +94,12 @@ def boundaries(p: Program) -> Iterator[tuple[Module, list[tuple[Require, Ty]]]]:
 
 def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
                 final: "Final | None") -> Expr:
-    """The right-hand side for module `m`: its body, erased if `m` is typed
-    and as it is if not, wrapped in one inner let per monitored require
-    (`boundaries`), in require order (first require outermost), the let
-    and its monitor carrying the require's span.  With `final`, each
-    monitor gets the contract `final(pos, neg, contract)` returns, and one
-    given `any/c` is left out with its let."""
+    """The right-hand side for module `m`: its body, wrapped in one inner
+    let per monitored require (`boundaries`), in require order (first
+    require outermost), the let and its monitor carrying the require's
+    span.  With `final`, each monitor gets the contract
+    `final(pos, neg, contract)` returns, and one given `any/c` is left out
+    with its let."""
     kept = []
     for r, ty in monitored:
         contract = compile_type(ty)
@@ -102,7 +107,7 @@ def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
             contract = final(r.target, m.name, contract)
         if contract != ANY_C:
             kept.append((r, contract))
-    rhs = erase(m.body) if m.typed else m.body
+    rhs = m.body
     for r, contract in reversed(kept):
         rhs = Let(r.target,
                   Mon(r.target, m.name, contract, Var(r.target), span=r.span),
@@ -112,14 +117,13 @@ def _module_rhs(m: Module, monitored: list[tuple[Require, Ty]],
 
 def compile_program(p: Program, final: "Final | None" = None) -> CompiledProgram:
     """Compile a well-formed program.  Evaluation order of module right-hand
-    sides is program order, forced by the let nesting.  Untyped bodies are
-    not copied: the tree shares their nodes with `p`, so no pass may
-    mutate a node it did not build.  Typed bodies are erased (`erase`).
-    `final`, when given, decides each monitor's contract as `_module_rhs`
-    makes it.  It is called once per monitored require, in the
-    `scan_boundaries` order of the program compiled without it; the
-    optimizer eliminates contracts this way, passing what is left once the
-    proven obligations are dropped."""
+    sides is program order, forced by the let nesting.  Only the module
+    spine is built; the bodies are shared with `p` (see above), so no pass
+    may mutate a node it did not build.  `final`, when given, decides each monitor's
+    contract as `_module_rhs` makes it.  It is called once per monitored
+    require, in the `scan_boundaries` order of the program compiled without
+    it; the optimizer eliminates contracts this way, passing what is left
+    once the proven obligations are dropped."""
     rhss = [_module_rhs(m, monitored, final) for m, monitored in boundaries(p)]
     root: Expr = Var("main")
     for m, rhs in zip(reversed(p.modules), reversed(rhss)):

@@ -2,12 +2,13 @@ from typing import get_args
 
 import pytest
 
-from gtlc import frontend
-from gtlc.bench import corpus_dir
+from gtlc import analysis, frontend, interp, optimize
+from gtlc.bench import answers_agree, corpus_dir
 from gtlc.syntax import (
-    ANY_C, App, ArrowC, BOOL_C, INT_C, Expr, If, Lam, Let, Module, Opaque, Program,
-    Require, TArrow, TBool, TInt, Var,
+    ANY_C, App, ArrowC, BOOL_C, BoolLit, INT_C, IntLit, Expr, If, Lam, Let, Mon,
+    Module, Opaque, Prim, Program, Require, TArrow, TBool, TInt, Var,
 )
+from gtlc.translate import compile_program
 
 # The four-module boundary program used throughout: a typed identity, a
 # client that uses it correctly, one that does not, and an entry point.
@@ -103,6 +104,89 @@ def expr_nodes(e):
         e = stack.pop()
         yield e
         stack += reversed([v for v in vars(e).values() if type(v) in EXPR_TYPES])
+
+
+def structurally_equal(a: Expr, b: Expr) -> bool:
+    """Alpha-equivalence: identical trees up to consistent renaming of
+    lambda- and let-bound identifiers.  Parties, contracts, literals and
+    lambda annotations must match exactly."""
+    return _alpha(a, b, {}, {}, 0)
+
+
+def _alpha(a: Expr, b: Expr, ea: dict[str, int], eb: dict[str, int], depth: int) -> bool:
+    if type(a) is not type(b):
+        return False
+    match a:
+        case Var(name):
+            # Both bound at the same binder depth, or both free with the same name.
+            ia, ib = ea.get(name), eb.get(b.name)
+            if ia is None and ib is None:
+                return name == b.name
+            return ia == ib
+        case IntLit(v):
+            return v == b.value
+        case BoolLit(v):
+            return v == b.value
+        case Prim(op):
+            return op == b.op
+        case App(fn, arg):
+            return _alpha(fn, b.fn, ea, eb, depth) and _alpha(arg, b.arg, ea, eb, depth)
+        case If(t, th, el):
+            return (_alpha(t, b.test, ea, eb, depth)
+                    and _alpha(th, b.then, ea, eb, depth)
+                    and _alpha(el, b.orelse, ea, eb, depth))
+        case Lam(param, ann, body):
+            if ann != b.ann:
+                return False
+            return _alpha(body, b.body,
+                          {**ea, param: depth}, {**eb, b.param: depth}, depth + 1)
+        case Opaque():
+            return True
+        case Let(name, rhs, body):
+            if not _alpha(rhs, b.rhs, ea, eb, depth):
+                return False
+            return _alpha(body, b.body,
+                          {**ea, name: depth}, {**eb, b.name: depth}, depth + 1)
+        case Mon(pos, neg, contract, body):
+            return (pos == b.pos and neg == b.neg and contract == b.contract
+                    and _alpha(body, b.body, ea, eb, depth))
+    raise TypeError(f"not an expression: {a!r}")
+
+
+def run_differential(program: Program, trust_typed: bool = True,
+                     fuel: int = 1_000_000,
+                     budget: int = analysis.DEFAULT_BUDGET) -> dict:
+    """Evaluate a program unoptimized and optimized and compare.  When one
+    side runs out of fuel, both are retried with a hundredfold budget before
+    the outcomes are compared."""
+    original = compile_program(program)
+    optimized, report = optimize.optimize_program(
+        program, trust_typed=trust_typed, budget=budget)
+    a0, m0 = interp.evaluate(original.root, fuel=fuel)
+    a1, m1 = interp.evaluate(optimized.root, fuel=fuel)
+    if isinstance(a0, interp.OutOfFuelA) or isinstance(a1, interp.OutOfFuelA):
+        a0, m0 = interp.evaluate(original.root, fuel=fuel * 100)
+        a1, m1 = interp.evaluate(optimized.root, fuel=fuel * 100)
+    return {
+        "agree": answers_agree(a0, a1),
+        "checks_reduced": (m1.flat_checks <= m0.flat_checks
+                           and m1.wrappers_allocated <= m0.wrappers_allocated),
+        "original": (a0, m0),
+        "optimized": (a1, m1),
+        "report": report,
+    }
+
+
+def party_slices_cover(program: Program, label,
+                       budget: int = analysis.DEFAULT_BUDGET) -> bool:
+    """Does the slice of each party of a blame label observed concretely,
+    the blamed module's and the holder's, account for it?  A slice whose
+    analysis is exhausted counts as covering it (fail-safe)."""
+    for party in (label.blamed, label.holder):
+        bs = optimize.analyze_slice(program, party, budget)
+        if not (bs.exhausted or label in bs.labels):
+            return False
+    return True
 
 
 def parse_ok(text):

@@ -12,21 +12,19 @@ import pytest
 
 from conftest import (
     ID_BOUNDARY, ID_BOUNDARY_CORE, ID_BOUNDARY_OPTIMIZED_CORE,
-    ID_BOUNDARY_SLICE_U1, contracts_up_to, parse_ok,
+    ID_BOUNDARY_SLICE_U1, contracts_up_to, parse_ok, party_slices_cover,
+    run_differential, structurally_equal,
 )
 from gtlc.analysis import analyze
-from gtlc.bench import (
-    _interleaved_runs, bench_entry, lattice_configs, party_slices_cover,
-    run_differential,
-)
+from gtlc.bench import _interleaved_runs, bench_entry, lattice_configs
 from gtlc.frontend import parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import copt, optimize_program, slice_for_module
 from gtlc.syntax import (
-    ANY_C, ArrowC, BlameLabel, INT_C, Polarity, structurally_equal,
+    ANY_C, ArrowC, BlameLabel, INT_C, Polarity,
 )
-from gtlc.translate import compile_program
+from gtlc.translate import compile_program, erase
 
 SEED_COUNT = 1000
 GEN_FUEL = 300_000
@@ -72,7 +70,7 @@ def test_criterion_1_golden_chain():
 
     program = parse_ok(ID_BOUNDARY)
     compiled = compile_program(program)
-    if not structurally_equal(compiled.root, parse_expr(ID_BOUNDARY_CORE)):
+    if not structurally_equal(erase(compiled.root), parse_expr(ID_BOUNDARY_CORE)):
         failures.append("compilation does not match the expected core program")
 
     answer, _ = evaluate(compiled.root)
@@ -87,7 +85,8 @@ def test_criterion_1_golden_chain():
         failures.append("slice analysis misses the provider's obligation")
 
     optimized, report = optimize_program(program)
-    if not structurally_equal(optimized.root, parse_expr(ID_BOUNDARY_OPTIMIZED_CORE)):
+    if not structurally_equal(erase(optimized.root),
+                              parse_expr(ID_BOUNDARY_OPTIMIZED_CORE)):
         failures.append("optimized program does not match the expected output")
     opt_answer, _ = evaluate(optimized.root)
     if opt_answer != BlamedA(BlameLabel("u2", "t1")):
@@ -231,14 +230,15 @@ def test_criterion_6_check_elimination(corpus_path):
     if steps != base_steps:
         failures.append(f"optimized hot loop takes {steps} steps, baseline {base_steps}")
     # The deterministic claim beneath the timing: the optimized hot loop is
-    # the untyped baseline's program, so the ratio below can only measure
-    # the host.
+    # the untyped baseline's program, up to the lambda annotations its
+    # typed bodies keep and no pass reads, so the ratio below can only
+    # measure the host.
     hot_program, base_program = (
         parse_ok((corpus_path / "hotloop" / f"{config}.gtl").read_text(encoding="utf-8"))
         for config in ("1", "0"))
     optimized, _ = optimize_program(hot_program)
     base_root = compile_program(base_program).root
-    if not structurally_equal(optimized.root, base_root):
+    if not structurally_equal(erase(optimized.root), base_root):
         failures.append("optimized hot loop differs from the compiled untyped baseline")
     # Wall time within 10% of the baseline's.  Runs of one program can
     # differ by 40% within seconds on a shared host, so the two run in

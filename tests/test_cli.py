@@ -8,11 +8,14 @@ from pathlib import Path
 import pytest
 
 import gtlc
-from conftest import ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, parse_ok
+from conftest import (
+    ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, parse_ok, structurally_equal,
+)
+from gtlc import bench, interp
 from gtlc.cli import main
 from gtlc.frontend import parse_expr
-from gtlc.optimize import analyze_slice
-from gtlc.syntax import structurally_equal
+from gtlc.optimize import analyze_slice, optimize_program
+from gtlc.translate import compile_program, erase
 
 
 @pytest.fixture()
@@ -271,6 +274,26 @@ def test_optimize_report_and_emit(capsys, id_boundary_file):
                               parse_expr(ID_BOUNDARY_OPTIMIZED_CORE))
 
 
+def test_emit_prints_the_core_without_annotations(capsys, corpus_path):
+    # Compiled trees keep the lambda annotations of typed bodies; core text
+    # has no syntax for them, so both emit sites print the erased tree, and
+    # it reads back as that tree.
+    files = sorted(corpus_path.glob("*/*.gtl"))
+    for path in files:
+        program = parse_ok(path.read_text(encoding="utf-8"))
+        code, out, _ = run_cli(capsys, "run", str(path), "--emit", "con")
+        assert code == 0
+        assert structurally_equal(parse_expr(out),
+                                  erase(compile_program(program).root)), path
+        for trust, flag in ((True, "--trust-typed"), (False, "--no-trust-typed")):
+            code, out, _ = run_cli(capsys, "optimize", str(path),
+                                   "--emit", "optimized", flag)
+            assert code == 0
+            root = optimize_program(program, trust_typed=trust)[0].root
+            assert structurally_equal(parse_expr(out), erase(root)), (path, trust)
+    assert len(files) == 12
+
+
 def test_json_report_roundtrips(capsys, id_boundary_file, tmp_path):
     out_path = tmp_path / "report.json"
     _, out, _ = run_cli(capsys, "run", id_boundary_file, "--json", str(out_path))
@@ -300,6 +323,25 @@ def test_bench_small_corpus(capsys, tmp_path, corpus_path):
     assert states["t1"] == states["u1"] == states["main"] == 0
     assert states["u2"] > 0
     assert all(c["agree"] for e in report["entries"] for c in e["configs"])
+
+
+def test_bench_agreement_is_answers_agree(monkeypatch, corpus_path):
+    # `gtlc bench` shares the tests' agreement rule: two stuck runs agree
+    # whatever their reasons, so every run made stuck with its own reason
+    # leaves every configuration agreeing.
+    evaluate, calls = interp.evaluate, []
+
+    def stuck(root, fuel):
+        _, metrics = evaluate(root, fuel=fuel)
+        calls.append(root)
+        return interp.StuckA(f"reason {len(calls)}"), metrics
+
+    monkeypatch.setattr(interp, "evaluate", stuck)
+    report = bench.bench_entry(corpus_path / "idboundary", iterations=1)
+    configs = report["configs"]
+    assert len(configs) == 4 and len(calls) == 11
+    assert all(c["optimized"]["answer"]["kind"] == "stuck" for c in configs)
+    assert all(c["agree"] for c in configs)
 
 
 @pytest.mark.parametrize("baseline", ["missing", "failed"])

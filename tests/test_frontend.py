@@ -21,7 +21,7 @@ from gtlc.syntax import (
     App, Lam, Module, Opaque, Program, Require, TArrow, T_INT, Var, format_expr,
     format_program,
 )
-from gtlc.translate import compile_program
+from gtlc.translate import compile_program, erase
 
 ARROW_II = TArrow(T_INT, T_INT)
 
@@ -414,7 +414,7 @@ def _parity_texts():
 def _core_texts():
     rng = random.Random(2025)
     bases = [ID_BOUNDARY_CORE, ID_BOUNDARY_SLICE_U1_CORE, ID_BOUNDARY_OPTIMIZED_CORE]
-    bases += [format_expr(compile_program(gen_program(GenConfig(seed=s))).root)
+    bases += [format_expr(erase(compile_program(gen_program(GenConfig(seed=s))).root))
               for s in range(30)]
     bases += ["(blame a b)", "(let [x (mon (a b) (-> any/c bool?) y)] (x 1)) 2"]
     texts = list(bases)

@@ -45,7 +45,7 @@ def test_generated_programs_are_opaque_free():
 def test_hardened_configurations_stay_sound():
     # Denser boundaries, deeper types, and extreme typed fractions; the
     # acceptance suite covers the default configuration at full size.
-    from gtlc.bench import party_slices_cover, run_differential
+    from conftest import party_slices_cover, run_differential
 
     variants = [
         dict(typed_fraction=0.6, boundary_density=0.85, violation_rate=0.4,

@@ -4,7 +4,7 @@ from collections import Counter
 from conftest import (
     HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE,
     ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE, contracts_up_to,
-    parse_ok,
+    parse_ok, structurally_equal,
 )
 from gtlc import analysis, optimize
 from gtlc.analysis import analyze, reachable_states
@@ -18,9 +18,9 @@ from gtlc.optimize import (
 )
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BlameLabel, Expr, If, INT_C, Lam, Let, Mon,
-    Opaque, Polarity, Var, format_expr, format_program, structurally_equal,
+    Opaque, Polarity, Var, format_expr, format_program,
 )
-from gtlc.translate import compile_program, scan_boundaries
+from gtlc.translate import compile_program, erase, scan_boundaries
 
 POS, NEG = Polarity.POS, Polarity.NEG
 
@@ -290,7 +290,7 @@ def test_opt_golden_chain():
     step = opt(step, "t1", "u1")  # the collapse needs the re-weakened arrow
     step = opt(step, "t1", "u2")
     out = normalize(step)
-    assert structurally_equal(out, parse_expr(ID_BOUNDARY_OPTIMIZED_CORE))
+    assert structurally_equal(erase(out), parse_expr(ID_BOUNDARY_OPTIMIZED_CORE))
 
 
 def test_opt_unrelated_parties_untouched():
@@ -318,7 +318,7 @@ def test_opt_idempotent_per_pair():
 def test_optimize_id_boundary_both_trust_modes(id_boundary):
     for trust in (True, False):
         compiled, report = optimize_program(id_boundary, trust_typed=trust)
-        assert structurally_equal(compiled.root,
+        assert structurally_equal(erase(compiled.root),
                                   parse_expr(ID_BOUNDARY_OPTIMIZED_CORE))
         assert report.monitors_before == 2
         assert report.monitors_after == 1
@@ -625,5 +625,5 @@ def test_both_directions_proven_erase_the_boundary():
         root, _ = _per_pair_optimize(p, verdicts)
         assert structurally_equal(compiled.root, root)
         if expected == ANY_C:
-            assert structurally_equal(compiled.root, parse_expr(
+            assert structurally_equal(erase(compiled.root), parse_expr(
                 "(let [a (λ (x) x)] (let [b (a 1)] (let [main b] main)))"))

@@ -7,7 +7,7 @@ from typing import get_args
 
 import pytest
 
-from conftest import expr_nodes
+from conftest import expr_nodes, structurally_equal
 from gtlc.analysis import analyze, lower
 from gtlc.frontend import parse_expr, parse_program
 from gtlc.interp import BlamedA, StuckA, evaluate
@@ -15,7 +15,7 @@ from gtlc.optimize import copt
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BlameLabel, BoolLit, Expr, If, INT_C, IntLit,
     Lam, Let, Mon, Opaque, Polarity, Prim, T_BOOL, T_INT, TArrow, TInt, Var,
-    flip, format_expr, structurally_equal,
+    flip, format_expr,
 )
 from gtlc.translate import erase, scan_boundaries
 

@@ -3,6 +3,7 @@ import pytest
 from conftest import (
     EXPR_TYPES, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_CORE,
     ID_BOUNDARY_SLICE_U1, ID_BOUNDARY_SLICE_U1_CORE, expr_nodes, parse_ok,
+    structurally_equal,
 )
 from gtlc.bench import corpus_dir
 from gtlc.frontend import check_wellformed, parse_expr, parse_program
@@ -10,9 +11,8 @@ from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import evaluate
 from gtlc.optimize import compute_verdicts, optimize_program, slice_for_module
 from gtlc.syntax import (
-    ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Let, Module, Mon, Opaque,
+    ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Lam, Let, Module, Mon, Opaque,
     Program, Require, TArrow, T_BOOL, T_INT, Var, format_program,
-    structurally_equal,
 )
 from gtlc.translate import compile_program, compile_type, erase, scan_boundaries
 
@@ -45,8 +45,8 @@ def test_erase():
 
 
 def test_compiled_bodies_keep_their_spans():
-    # t1 is typed and erased, u1 and u2 are untyped and shared: their
-    # nodes carry their source spans alike.
+    # Typed t1 and untyped u1 and u2 are shared alike: their nodes carry
+    # their source spans.
     p = parse_ok(ID_BOUNDARY)
     rhs = compile_program(p).root
     for m in p.modules:
@@ -84,7 +84,7 @@ def _parsed_programs():
 
 
 def test_no_pass_mutates_the_parsed_program():
-    # Compiled trees share untyped bodies with the parsed program, whose
+    # Compiled trees share module bodies with the parsed program, whose
     # nodes are mutable dataclasses: no pass may change them.
     for p in _parsed_programs():
         before = _snapshot(p)
@@ -96,17 +96,17 @@ def test_no_pass_mutates_the_parsed_program():
             optimized, _ = optimize_program(p, trust_typed=trust)
             evaluate(optimized.root, fuel=10_000)
         assert _snapshot(p) == before
-        # Each untyped module's right-hand side holds its parsed body.
+        # Each module's right-hand side, typed or untyped, holds its parsed
+        # body.
         rhs = compiled.root
         for m in p.modules:
-            if not m.typed:
-                assert any(e is m.body for e in expr_nodes(rhs.rhs)), m.name
+            assert any(e is m.body for e in expr_nodes(rhs.rhs)), m.name
             rhs = rhs.body
 
 
 def test_compile_id_boundary_golden():
     compiled = compile_program(parse_ok(ID_BOUNDARY))
-    assert structurally_equal(compiled.root, parse_expr(ID_BOUNDARY_CORE))
+    assert structurally_equal(erase(compiled.root), parse_expr(ID_BOUNDARY_CORE))
 
 
 def test_compile_trivial_program():
@@ -194,7 +194,7 @@ def test_all_typed_or_all_untyped_has_no_monitors():
 
 def test_compile_commutes_with_slicing():
     # Compiling a slice equals slicing the compiled program: replace each
-    # non-target module's erased body core with an opaque hole and compare.
+    # non-target module's body with an opaque hole and compare.
     for seed in range(40):
         p = gen_program(GenConfig(seed=seed))
         for m in p.modules:
@@ -283,7 +283,7 @@ def test_final_contract_is_the_monitors_and_any_c_drops_monitor_and_let():
     p = parse_ok(FINAL_PROGRAM)
     given = {("t", "u"): ANY_C, ("b", "u"): BOOL_C, ("t", "v"): ArrowC(INT_C, ANY_C)}
     compiled = compile_program(p, lambda pos, neg, contract: given[pos, neg])
-    assert structurally_equal(compiled.root, parse_expr("""\
+    assert structurally_equal(erase(compiled.root), parse_expr("""\
 (let [t (λ (x) x)]
   (let [b #t]
     (let [u (let [b (mon (b u) bool? b)] (if b (t 5) 0))]
@@ -298,6 +298,20 @@ def test_final_contract_is_the_monitors_and_any_c_drops_monitor_and_let():
     assert (u_let.span, u_let.rhs.span) == (u.requires[1].span,) * 2
     assert (v_let.span, v_let.rhs.span) == (v.requires[0].span,) * 2
     assert all(span is not None for span in (u_let.span, v_let.span))
+
+
+def test_a_deep_typed_body_compiles_without_recursion():
+    # A typed body of 2,000 nested annotated lambdas, which no monitor wraps,
+    # enters the core as it is: compile walks only the module spine.
+    body = Var("x0")
+    ty = T_INT
+    for i in reversed(range(2_000)):
+        body = Lam(f"x{i}", T_INT, body)
+        ty = TArrow(T_INT, ty)
+    p = Program([Module("t", ty, [], body), Module("main", None, [], IntLit(0))])
+    compiled = compile_program(p)
+    assert compiled.root.rhs is body
+    assert compiled.boundary_index == []
 
 
 def test_require_of_a_later_module_is_rejected():
