@@ -34,6 +34,23 @@ rewritten: the contracts are eliminated as the program is compiled.
 monitor, the answer is recorded for the report, and a monitor left with
 `any/c` is not emitted, nor is its `let`.
 
+Typed holes.  The analysis assumes one thing of a program: that its typed
+modules type check, which `check_wellformed` establishes before any
+program reaches the optimizer.  A require between two typed modules has no
+monitor, so without more a typed neighbour t's hole in typed module X's
+slice could yield any value, and call X's exports with any argument.  So
+X's slice (X typed, and not opaquely required) monitors each require
+between X and a typed t by the required module's type, with X's side
+dropped (`copt`): where X requires t, X's body sees t through t's
+obligations alone, and where t requires X, t's hole sees X through t's
+obligations as a caller alone.  Every check left blames t, which no run
+can do, since a well-typed module is never blamed (Wadler and Findler,
+*Well-Typed Programs Can't Be Blamed*).  So each narrows t's hole to what
+a well-typed module can do, as a contract bounds an unknown value in soft
+contract verification (Nguyễn, Tobin-Hochstadt and Van Horn), and its
+blame is not recorded (`analyze`'s `trusted`).  Untyped modules' slices
+keep no such monitor.
+
 A module's verdict is used for nothing but dropping its own obligations at
 its boundaries.  With typed modules trusted to be blame-free outright
 (`trust_typed`), their slices are skipped, and so are the slices of the
@@ -41,8 +58,11 @@ untyped modules whose verdict can change no monitor: those that no monitor
 obliges as its positive party, nor as its negative party with an arrow
 contract.  Such a module gets an empty verdict, which claims nothing and
 leaves every contract as its proof would.  Without `trust_typed`, every
-module is analyzed.  An analysis that hits its state cap yields no
-verdicts for its module, so exhaustion can only cost optimization
+module is analyzed, and with typed holes each typed module that is not
+opaquely required is proven safe against every other module on every
+program the tests sweep, so both settings drop the same obligations:
+`trust_typed` is a shortcut.  An analysis that hits its state cap yields
+no verdicts for its module, so exhaustion can only cost optimization
 opportunity, never soundness.
 """
 
@@ -54,8 +74,8 @@ from dataclasses import dataclass, field
 
 from .analysis import BlameSet, analyze, lower, DEFAULT_BUDGET, LET_BODY, LET_RHS
 from .syntax import (
-    ANY_C, AnyC, ArrowC, BoolC, Contract, IntC, Module, Opaque, Polarity,
-    Program, flip, module_scope,
+    ANY_C, AnyC, ArrowC, BoolC, Contract, IntC, IntLit, Let, Module, Mon,
+    Opaque, Polarity, Program, Var, flip, module_scope,
 )
 from .translate import CompiledProgram, boundaries, compile_program, compile_type
 
@@ -153,43 +173,108 @@ class Skeleton:
     """`p` with every module body a hole, compiled and lowered once, from
     which `slice_code` builds the lowered code of each module's slice.  A
     module's hole, or its body in its own slice, sees the `let` of each
-    earlier module, overridden by the require lets the slice keeps."""
+    earlier module, overridden by the require lets the slice keeps.
 
-    def __init__(self, p: Program):
+    Besides the require lets `compile_program` makes, each require between
+    two typed modules gets typed-hole lets, appended to the code
+    (`_typed_hole_lets`), unless `typed_holes` is off: `compute_verdicts`
+    turns it off when it trusts typed modules, since it then analyzes no
+    slice that would keep one."""
+
+    def __init__(self, p: Program, typed_holes: bool = True):
         self.bodies = {m.name: m.body for m in p.modules}
         self.marked = _opaquely_required(p)
+        types = {m.name: m.ty for m in p.modules if m.typed} if typed_holes else {}
+        self.typed = frozenset(types)
         skeleton = slice_for_module(p, None)
         self.code = code = lower(compile_program(skeleton).root)
-        # Per module: the label of its `let`, the labels of its require lets
-        # with the required module, outermost first, its hole's label, its
-        # hole's instruction in other modules' slices, and its body's scope.
-        self.layout: list[tuple[str, int, list[tuple[int, str]], int, dict, dict]] = []
+        # Per module: the label of its `let`, its require lets outermost
+        # first, each with the name it binds and the slices that keep it,
+        # its hole's label, its hole's instruction in other modules'
+        # slices, and its body's scope.
+        self.layout: list[tuple[str, int, list[tuple[int, str, tuple]], int, dict, dict]] = []
         at, earlier = 0, {}
         for m, monitored in boundaries(skeleton):
             lets, inner = [], code[at][LET_RHS]
             for r, _ in monitored:
-                lets.append((inner, r.target))
+                lets.append((inner, r.target, (r.target, m.name)))
                 inner = code[inner][LET_BODY]
-            rebound = {pos: let for let, pos in lets}
-            # The skeleton's hole sees every require let, as in the module's
-            # own slice.  In the slice of a module it monitors a require of,
-            # it sees that require's let, and in any other slice none.
+            if m.name in types:
+                lets += self._typed_hole_lets(m, types, earlier)
+            # Per slice that keeps some of these lets, the last one it
+            # keeps binding each name.
+            rebound: dict = {}
+            for let, name, keep in lets:
+                for target in keep:
+                    rebound.setdefault(target, {})[name] = let
+            own = rebound.pop(m.name, {})
+            # The skeleton's hole sees every require let the compiled
+            # skeleton has, as in the module's own slice.  In another
+            # slice it sees the lets that slice keeps.
             holes = {}
-            if rebound:
+            if lets:
                 holes[None] = lower(m.body, inner, earlier)[0]
-                for pos, let in rebound.items():
-                    holes[pos] = lower(m.body, inner, {**earlier, pos: let})[0]
-            self.layout.append((m.name, at, lets, inner, holes, {**earlier, **rebound}))
+                for target, names in rebound.items():
+                    holes[target] = lower(m.body, inner, {**earlier, **names})[0]
+            self.layout.append((m.name, at, lets, inner, holes, {**earlier, **own}))
             earlier[m.name] = at
             at = code[at][LET_BODY]
 
+    def _typed_hole_lets(self, m: Module, types: dict, earlier: dict) -> list[tuple]:
+        """Typed module `m`'s typed-hole lets, appended to the code: for each
+        require of a typed module t, in require order, a `let` rebinding t
+        to a monitor of t's type with one party's side dropped (`copt`).
+        In `m`'s slice it is `m`'s side, so `m`'s body sees t through t's
+        obligations alone; in t's slice it is t's, so `m`'s hole sees t
+        through `m`'s obligations alone.  Each check left blames a typed
+        module other than the slice's, which well-formedness has type
+        checked, so no run fails it: it narrows a hole to what a
+        well-typed module can do, and its blame is left out (`trusted`).
+        One kept in a slice of an opaquely required module, or left with
+        `any/c`, is not made.  The lets `m`'s slice keeps are lowered as
+        one chain, and so are the rest, since no two of those bind a name
+        for different slices."""
+        code = self.code
+        lets = []
+        required = [r.target for r in m.requires if r.target in types]
+        for side in (Polarity.NEG, Polarity.POS):
+            chain = []
+            for t in required:
+                party = m.name if side is Polarity.NEG else t
+                if party not in self.marked:
+                    contract = copt(compile_type(types[t]), side)
+                    if contract != ANY_C:
+                        chain.append((t, party, contract))
+            if not chain:
+                continue
+            # The innermost body is never run: `slice_code` points each
+            # kept let's body at what follows it in the slice.
+            e = IntLit(0)
+            for t, _, contract in reversed(chain):
+                e = Let(t, Mon(t, m.name, contract, Var(t)), e)
+            let = len(code)
+            code += lower(e, let, earlier)
+            for t, party, _ in chain:
+                lets.append((let, t, (party,)))
+                let = code[let][LET_BODY]
+        return lets
+
+    def trusted(self, target: str) -> frozenset[str]:
+        """The modules whose blame `target`'s slice leaves out: every other
+        typed module, when `target` is a typed module whose slice keeps
+        typed-hole lets (it is not opaquely required)."""
+        if target not in self.typed or target in self.marked:
+            return frozenset()
+        return self.typed - {target}
+
     def slice_code(self, target: str) -> list[tuple]:
         """The code of `slice_for_module(p, target)` compiled and lowered
-        with only the monitors that have `target` as a party.  Each other
-        monitor's `let` is bypassed, each hole is given the addresses its
-        scope has in this slice, and unless `target` is opaquely required,
-        its body, lowered as it is at the end with the scope its hole
-        would have, replaces its hole."""
+        with only the monitors that have `target` as a party, and the
+        typed-hole monitors of its slice.  Each other monitor's `let` is
+        bypassed, each hole is given the addresses its scope has in this
+        slice, and unless `target` is opaquely required, its body, lowered
+        as it is at the end with the scope its hole would have, replaces
+        its hole."""
         code = self.code.copy()
         for name, at, lets, hole, holes, scope in self.layout:
             end = hole
@@ -199,8 +284,8 @@ class Skeleton:
             elif name != target and holes:
                 code[hole] = holes.get(target, holes[None])
             slot = LET_RHS
-            for let, pos in lets:
-                if target == pos or target == name:
+            for let, _, keep in lets:
+                if target in keep:
                     _point(code, at, slot, let)
                     at, slot = let, LET_BODY
             _point(code, at, slot, end)
@@ -242,14 +327,17 @@ def copt(c: Contract, s: Polarity) -> Contract:
 def analyze_slice(p: Program, module: str,
                   budget: int = DEFAULT_BUDGET) -> BlameSet:
     """The blame set of `module`'s slice of `p` with only the monitors that
-    have `module` as a party (`Skeleton.slice_code`), so every label in it
-    names `module`.  Leaving another monitor out only lets runs go on that
-    would have blamed those others, passing values through unwrapped, so
-    the labels naming `module` are a superset of the whole slice's and the
-    verdicts stay sound."""
+    have `module` as a party, and its typed holes (`Skeleton.slice_code`),
+    so every label in it names `module`, and none blames a typed module
+    other than `module`.  Leaving another monitor out only lets runs go on
+    that would have blamed those others, passing values through unwrapped,
+    so the labels naming `module` are a superset of the whole slice's and
+    the verdicts stay sound.  `p` must have passed `check_wellformed`: the
+    typed holes assume that every typed module type checks."""
     if p.module_named(module) is None:
         raise ValueError(f"unknown module {module!r}")
-    return analyze(Skeleton(p).slice_code(module), budget)
+    skeleton = Skeleton(p)
+    return analyze(skeleton.slice_code(module), budget, skeleton.trusted(module))
 
 
 def obliged_modules(p: Program) -> set[str]:
@@ -276,8 +364,10 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
     `trust_typed`, a typed module is safe against every other module and an
     untyped one outside `obliged_modules` is safe against none, both with
     no slice analyzed (0 seconds, 0 states); every other module's slice is
-    analyzed.  The program's `Skeleton` is built once, before the first
-    slice analyzed, and its time is in no module's seconds."""
+    analyzed (`analyze_slice`).  `p` must have passed `check_wellformed`:
+    a typed module's slice assumes that its typed neighbours type check,
+    and nothing else.  The program's `Skeleton` is built once, before the
+    first slice analyzed, and its time is in no module's seconds."""
     parties = p.names()
     obliged = obliged_modules(p) if trust_typed else set()
     skeleton = None
@@ -291,9 +381,9 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
             verdicts.append(Verdict(m.name, frozenset(), exhausted=False))
             continue
         if skeleton is None:
-            skeleton = Skeleton(p)
+            skeleton = Skeleton(p, typed_holes=not trust_typed)
         t0 = time.perf_counter()
-        bs = analyze(skeleton.slice_code(m.name), budget)
+        bs = analyze(skeleton.slice_code(m.name), budget, skeleton.trusted(m.name))
         seconds = time.perf_counter() - t0
         if bs.exhausted:
             safe = frozenset()

@@ -9,12 +9,14 @@ import pytest
 
 import gtlc
 from conftest import (
-    ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, parse_ok, structurally_equal,
+    ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, TYPED_REEXPORT, parse_ok, structurally_equal,
 )
 from gtlc import bench, interp
 from gtlc.cli import main
 from gtlc.frontend import parse_expr
-from gtlc.optimize import analyze_slice, optimize_program
+from gtlc.analysis import analyze
+from gtlc.optimize import Skeleton, analyze_slice, optimize_program
+from gtlc.syntax import BlameLabel
 from gtlc.translate import compile_program, erase
 
 
@@ -260,6 +262,27 @@ def test_analyze_reports_states_per_module(capsys, id_boundary_file):
                                       for m in program.modules}
     assert doc["analysis_states"].keys() == doc["analysis_seconds"].keys()
     assert all(n > 0 for n in doc["analysis_states"].values())
+
+
+def test_analyze_module_blames_no_typed_neighbour(capsys, tmp_path):
+    # x requires typed t and re-exports it to untyped u.  x's slice sees t
+    # through t's obligations, whose checks can blame only t; no run
+    # blames a typed module, so no label of x's slice blames t.  Its
+    # states are those `gtlc analyze` reports for x.
+    path = tmp_path / "reexport.gtl"
+    path.write_text(TYPED_REEXPORT, encoding="utf-8")
+    program = parse_ok(TYPED_REEXPORT)
+    assert BlameLabel("t", "x") in analyze(Skeleton(program).slice_code("x")).labels
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--module", "x")
+    labels = json.loads(out)["labels"]
+    assert code == 0 and labels == [{"blamed": "u", "holder": "x"}]
+    assert labels == analyze_slice(program, "x").as_json()["labels"]
+    _, out, _ = run_cli(capsys, "analyze", str(path))
+    doc = json.loads(out)
+    assert doc["analysis_states"] == {m.name: analyze_slice(program, m.name).states
+                                      for m in program.modules}
+    verdicts = {v["module"]: set(v["safe_against"]) for v in doc["verdicts"]}
+    assert verdicts["x"] == {"t", "u", "main"}
 
 
 def test_optimize_report_and_emit(capsys, id_boundary_file):

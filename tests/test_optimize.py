@@ -3,8 +3,9 @@ from collections import Counter
 
 from conftest import (
     HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE,
-    ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE, contracts_up_to,
-    parse_ok, structurally_equal,
+    ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE, TYPED_NEIGHBOURS,
+    TYPED_REEXPORT, contracts_up_to, parse_ok, run_differential, structurally_equal,
+    typed_hole_slice,
 )
 from gtlc import analysis, optimize
 from gtlc.analysis import analyze, reachable_states
@@ -13,12 +14,12 @@ from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import (
-    Verdict, _final_contract, analyze_slice, compute_verdicts, copt,
+    Skeleton, Verdict, _final_contract, analyze_slice, compute_verdicts, copt,
     optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BlameLabel, Expr, If, INT_C, Lam, Let, Mon,
-    Opaque, Polarity, Var, format_expr, format_program,
+    Opaque, Polarity, Var, flip, format_expr, format_program,
 )
 from gtlc.translate import compile_program, erase, scan_boundaries
 
@@ -86,8 +87,10 @@ GOLDEN_CONFIGS = ([GenConfig(seed=s) for s in range(100)]
 
 
 def _full_slice(p, module):
-    """The blame set of `module`'s slice with every monitor kept."""
-    return analyze(compile_program(slice_for_module(p, module)).root)
+    """The blame set of `module`'s slice with every monitor kept, its
+    typed-hole monitors among them."""
+    root, trusted = typed_hole_slice(p, module)
+    return analyze(root, trusted=trusted)
 
 
 def _verdicts_from_full_slices(p, trust_typed):
@@ -146,21 +149,23 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
 def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors(corpus_path):
     # Oracle: each slice built for its party from the skeleton analyzes
     # exactly like the compiled slice rewritten to keep a monitor iff the
-    # party is one of its parties, in labels, exhaustion and states.  Holes
-    # under binders, scoped or not, and a module that requires another
-    # twice check that each hole and body sees the lets the slice keeps.
+    # party is one of its parties, and its typed holes added
+    # (`typed_hole_slice`), in labels, exhaustion and states.  Holes under
+    # binders, scoped or not, a module that requires another twice and
+    # typed modules that require typed ones check that each hole and body
+    # sees the lets the slice keeps.
     programs = [gen_program(cfg) for cfg in GOLDEN_CONFIGS]
     for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
         programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
     programs += [HOLES_UNDER_BINDERS, *map(parse_ok, (
-        HOLES_UNDER_LAMBDAS, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE))]
+        HOLES_UNDER_LAMBDAS, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE, TYPED_NEIGHBOURS))]
     slices = 0
     for i, p in enumerate(programs):
         for m in p.modules:
             x = m.name
-            sliced = slice_for_module(p, x)
-            oracle = analyze(compile_program(
-                sliced, lambda pos, neg, c: c if x in (pos, neg) else ANY_C).root)
+            root, trusted = typed_hole_slice(
+                p, x, lambda pos, neg, c: c if x in (pos, neg) else ANY_C)
+            oracle = analyze(root, trusted=trusted)
             bs = analyze_slice(p, x)
             assert (bs.labels, bs.exhausted, bs.states) == \
                 (oracle.labels, oracle.exhausted, oracle.states), (i, x)
@@ -202,6 +207,139 @@ def test_slice_is_analyzed_without_other_parties_monitors(monkeypatch):
     assert _reachable_monitors(code) == [("t", "u")]
     assert bs.labels == {BlameLabel("t", "u")}
     assert BlameLabel("v", "t") in analyze(whole).labels
+
+
+# -- typed holes ---------------------------------------------------------------
+
+# Typed t calls x, which passes its argument on to untyped u.
+CALLEE = """\
+(module u (λ (n) n))
+(module x (-> Int Int) (require/typed u (-> Int Int)) (λ (n : Int) (u n)))
+(module t Int (require x) (x 1))
+(module main (require t) t)
+"""
+
+# x's own hole passes typed t anything, or returns anything to t.
+OWN_HOLE_ARGUMENT = """\
+(module t (-> Int Int) (λ (n : Int) n))
+(module x Int (require t) (t opaque))
+(module main (require x) x)
+"""
+OWN_HOLE_RESULT = """\
+(module x (-> Int Int) (λ (n : Int) opaque))
+(module t Int (require x) (x 1))
+(module main (require t) t)
+"""
+
+# (program, module, the labels of its slice, the modules its verdict
+# without trust is safe against, the labels of its slice without typed
+# holes)
+TYPED_HOLES = [
+    # t's hole may be any value, but t's obligations, checked where x
+    # requires t, make it a function that returns an Int: x keeps its
+    # contract with u, which it breaks without typed holes.
+    (TYPED_REEXPORT, "x", {("u", "x")}, {"t", "u", "main"}, {("u", "x"), ("x", "u")}),
+    # An untyped module's slice has no typed holes: x's hole still breaks
+    # x's contract with u there.
+    (TYPED_REEXPORT, "u", {("x", "u")}, {"t", "x", "main"}, {("x", "u")}),
+    # t's hole may call x with anything, but t's obligations as a caller,
+    # checked where t requires x, pass x only Ints: x is not blamed toward
+    # u for what t passed it.
+    (CALLEE, "x", {("u", "x")}, {"t", "u", "main"}, {("u", "x"), ("x", "u")}),
+    (CALLEE, "u", {("x", "u")}, {"t", "x", "main"}, {("x", "u")}),
+    (CALLEE, "t", set(), {"u", "x", "main"}, {("t", "main")}),
+    # x's side is never checked at a typed neighbour: no run has a monitor
+    # between two typed modules, so none blames x toward t.
+    (OWN_HOLE_ARGUMENT, "x", set(), {"t", "main"}, {("x", "main")}),
+    (OWN_HOLE_RESULT, "x", set(), {"t", "main"}, set()),
+]
+
+
+def _typed_hole_misses():
+    """The rows of TYPED_HOLES whose module's slice labels or verdict
+    without trust read otherwise, with what they read."""
+    misses = []
+    for text, x, labels, safe, _ in TYPED_HOLES:
+        p = parse_ok(text)
+        got = {tuple(l) for l in analyze_slice(p, x).labels}
+        (verdict,) = [v for v in compute_verdicts(p, trust_typed=False) if v.module == x]
+        if got != labels or verdict.safe_against != safe:
+            misses.append((x, got, set(verdict.safe_against)))
+    return misses
+
+
+def test_typed_holes_by_hand():
+    assert _typed_hole_misses() == []
+    for text, x, _, _, without in TYPED_HOLES:
+        skeleton = Skeleton(parse_ok(text), typed_holes=False)
+        assert {tuple(l) for l in analyze(skeleton.slice_code(x)).labels} == without, x
+
+
+def test_typed_hole_table_catches_a_wrong_half_monitor(monkeypatch):
+    # Monitoring a typed neighbour with its whole contract blames x for its
+    # own side; dropping the neighbour's side instead lets its hole break
+    # x's contracts.
+    for mutant in (lambda c, side: c, lambda c, side: copt(c, flip(side))):
+        monkeypatch.setattr(optimize, "copt", mutant)
+        assert _typed_hole_misses(), mutant
+        monkeypatch.undo()
+    assert _typed_hole_misses() == []
+
+
+def test_slice_of_a_typed_module_blames_no_typed_neighbour():
+    # The typed-hole monitors only blame the typed neighbour, which no run
+    # can do: those labels are left out, and no other label of a typed
+    # module's slice blames a typed module but that one.
+    programs = [gen_program(cfg) for cfg in GOLDEN_CONFIGS]
+    programs += [parse_ok(TYPED_NEIGHBOURS)]
+    typed_slices = 0
+    for i, p in enumerate(programs):
+        typed = {m.name for m in p.modules if m.typed}
+        for x in typed:
+            assert all(l.blamed not in typed - {x} for l in analyze_slice(p, x).labels), (i, x)
+            typed_slices += 1
+    assert typed_slices > 200
+
+
+def _typed_hole_sweep(corpus_path):
+    """Generated programs at four typed fractions and two sizes, and every
+    corpus configuration."""
+    programs = []
+    for fraction in (0.3, 0.5, 0.8, 1.0):
+        programs += [gen_program(GenConfig(seed=s, typed_fraction=fraction))
+                     for s in range(150)]
+        programs += [gen_program(GenConfig(seed=s, typed_fraction=fraction,
+                                           expr_size=64, max_modules=16))
+                     for s in range(20)]
+    generated = len(programs)
+    for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
+        programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
+    return programs, generated
+
+
+def test_trust_typed_is_a_shortcut(corpus_path):
+    # With typed holes, every typed module that is not opaquely required is
+    # proven safe against every other module without trust, and the
+    # optimized program is the one that trusting typed modules gives.  A
+    # miss is analysis imprecision, or a fault in the type checker,
+    # `compile_type` or the analyzer.  The generated programs' optimized
+    # answers agree with the unoptimized ones; criterion 3 runs the
+    # corpus's.
+    programs, generated = _typed_hole_sweep(corpus_path)
+    proven = 0
+    for i, p in enumerate(programs):
+        marked = {r.target for m in p.modules for r in m.requires if r.opaque}
+        compiled, report = optimize_program(p, trust_typed=False)
+        for m, v in zip(p.modules, report.verdicts):
+            if m.typed and m.name not in marked:
+                assert v.safe_against == frozenset(p.names()) - {m.name}, (i, m.name)
+                proven += 1
+        trusted_compiled, trusted = optimize_program(p, trust_typed=True)
+        assert report.dispositions == trusted.dispositions, i
+        assert format_expr(compiled.root) == format_expr(trusted_compiled.root), i
+        if i < generated:
+            assert run_differential(p, trust_typed=False)["agree"], i
+    assert (len(programs), proven) == (692, 1202)
 
 
 # -- contract rewriting ------------------------------------------------------
