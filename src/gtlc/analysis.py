@@ -295,10 +295,9 @@ _EV, _VA, _HV = range(3)
 
 
 class _Machine:
-    def __init__(self, code: list[tuple], budget: int, trusted: frozenset = frozenset()):
+    def __init__(self, code: list[tuple], budget: int):
         self.code = code
         self.budget = budget
-        self.trusted = trusted
         self.store: dict = defaultdict(set)
         self.kstore: dict = defaultdict(set)
         # addr -> ids of the states that read it, re-run when it grows
@@ -591,20 +590,18 @@ class _Machine:
 
     def mon_check(self, contract, pos, neg, site, v) -> tuple:
         """The values `v` leaves a monitor of `contract` with, recording the
-        blame of each failure the monitor can reach, unless it blames a
-        trusted module: that failure is a path no run takes, and is only
-        pruned."""
+        blame of each failure the monitor can reach."""
         t = type(contract)
         if t is AnyC:
             return (v,)
         if t is IntC or t is BoolC:
             kind = _INT_T if t is IntC else _BOOL_T
             out = _refine(v, kind)
-            if _admits(v, kind << 3) and pos not in self.trusted:
+            if _admits(v, kind << 3):
                 self.found.add(BlameLabel(pos, neg))
             return () if out is None else (out,)
         # ArrowC
-        if _admits(v, _FN_T << 3) and pos not in self.trusted:
+        if _admits(v, _FN_T << 3):
             self.found.add(BlameLabel(pos, neg))
         as_fn = _refine(v, _FN_T)
         if as_fn is None:
@@ -614,18 +611,13 @@ class _Machine:
         return ((_GUARD, contract, inner, pos, neg, site),)
 
 
-def analyze(root: "Expr | list[tuple]", budget: int = DEFAULT_BUDGET,
-            trusted: frozenset = frozenset()) -> BlameSet:
+def analyze(root: "Expr | list[tuple]", budget: int = DEFAULT_BUDGET) -> BlameSet:
     """Every blame label reachable by some concrete instantiation of the
     opaque parts of `root`, an expression or code it lowered to (`lower`),
-    run from label 0, except the labels that blame a module in `trusted`:
-    modules assumed never to break a contract, so a check that would blame
-    one prunes its path and records nothing.  Which states are explored
-    does not depend on `trusted`.  When the state cap
-    is hit, `exhausted` is set and callers must treat the label set as if
-    it held every label."""
+    run from label 0.  When the state cap is hit, `exhausted` is set and
+    callers must treat the label set as if it held every label."""
     code = root if isinstance(root, list) else lower(root)
-    return _Machine(code, budget, trusted).run()
+    return _Machine(code, budget).run()
 
 
 def reachable_states(root: "Expr | list[tuple]", budget: int = DEFAULT_BUDGET) -> int:

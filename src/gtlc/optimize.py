@@ -34,36 +34,29 @@ rewritten: the contracts are eliminated as the program is compiled.
 monitor, the answer is recorded for the report, and a monitor left with
 `any/c` is not emitted, nor is its `let`.
 
-Typed holes.  The analysis assumes one thing of a program: that its typed
-modules type check, which `check_wellformed` establishes before any
-program reaches the optimizer.  A require between two typed modules has no
-monitor, so without more a typed neighbour t's hole in typed module X's
-slice could yield any value, and call X's exports with any argument.  So
-X's slice (X typed, and not opaquely required) monitors each require
-between X and a typed t by the required module's type, with X's side
-dropped (`copt`): where X requires t, X's body sees t through t's
-obligations alone, and where t requires X, t's hole sees X through t's
-obligations as a caller alone.  Every check left blames t, which no run
-can do, since a well-typed module is never blamed (Wadler and Findler,
-*Well-Typed Programs Can't Be Blamed*).  So each narrows t's hole to what
-a well-typed module can do, as a contract bounds an unknown value in soft
-contract verification (Nguyễn, Tobin-Hochstadt and Van Horn), and its
-blame is not recorded (`analyze`'s `trusted`).  Untyped modules' slices
-keep no such monitor.
+Typed modules.  A require between two typed modules has no monitor, so a
+typed module's slice lets a typed neighbour's hole yield any value and
+call the module's exports with any argument, and blames the module for
+what only an ill-typed neighbour could do.  The blame theorem (Wadler and
+Findler, *Well-Typed Programs Can't Be Blamed*) proves more without any
+slice: a typed module is safe against every other module when no unknown
+code can reach it unchecked (`blameless_modules`).  Such a module's slice
+is not analyzed.  This assumes only that the program passed
+`check_wellformed`.
 
 A module's verdict is used for nothing but dropping its own obligations at
 its boundaries.  With typed modules trusted to be blame-free outright
-(`trust_typed`), their slices are skipped, and so are the slices of the
-untyped modules whose verdict can change no monitor: those that no monitor
-obliges as its positive party, nor as its negative party with an arrow
-contract.  Such a module gets an empty verdict, which claims nothing and
-leaves every contract as its proof would.  Without `trust_typed`, every
-module is analyzed, and with typed holes each typed module that is not
-opaquely required is proven safe against every other module on every
-program the tests sweep, so both settings drop the same obligations:
-`trust_typed` is a shortcut.  An analysis that hits its state cap yields
-no verdicts for its module, so exhaustion can only cost optimization
-opportunity, never soundness.
+(`trust_typed`), opaque terms and all, their slices are skipped, and so
+are the slices of the untyped modules whose verdict can change no monitor:
+those that no monitor obliges as its positive party, nor as its negative
+party with an arrow contract.  Such a module gets an empty verdict, which
+claims nothing and leaves every contract as its proof would.  Without
+`trust_typed`, every module that is not blameless is analyzed, so on a
+program whose typed modules hold no `opaque` term and are not opaquely
+required, both settings drop the same obligations: `trust_typed` is a
+shortcut.  An analysis that hits its state cap yields no verdicts for its
+module, so exhaustion can only cost optimization opportunity, never
+soundness.
 """
 
 from __future__ import annotations
@@ -74,8 +67,8 @@ from dataclasses import dataclass, field
 
 from .analysis import BlameSet, analyze, lower, DEFAULT_BUDGET, LET_BODY, LET_RHS
 from .syntax import (
-    ANY_C, AnyC, ArrowC, BoolC, Contract, IntC, IntLit, Let, Module, Mon,
-    Opaque, Polarity, Program, Var, flip, module_scope,
+    ANY_C, AnyC, App, ArrowC, BoolC, Contract, Expr, If, IntC, Lam, Let, Module,
+    Mon, Opaque, Polarity, Program, flip, module_scope,
 )
 from .translate import CompiledProgram, boundaries, compile_program, compile_type
 
@@ -173,108 +166,43 @@ class Skeleton:
     """`p` with every module body a hole, compiled and lowered once, from
     which `slice_code` builds the lowered code of each module's slice.  A
     module's hole, or its body in its own slice, sees the `let` of each
-    earlier module, overridden by the require lets the slice keeps.
+    earlier module, overridden by the require lets the slice keeps."""
 
-    Besides the require lets `compile_program` makes, each require between
-    two typed modules gets typed-hole lets, appended to the code
-    (`_typed_hole_lets`), unless `typed_holes` is off: `compute_verdicts`
-    turns it off when it trusts typed modules, since it then analyzes no
-    slice that would keep one."""
-
-    def __init__(self, p: Program, typed_holes: bool = True):
+    def __init__(self, p: Program):
         self.bodies = {m.name: m.body for m in p.modules}
         self.marked = _opaquely_required(p)
-        types = {m.name: m.ty for m in p.modules if m.typed} if typed_holes else {}
-        self.typed = frozenset(types)
         skeleton = slice_for_module(p, None)
         self.code = code = lower(compile_program(skeleton).root)
-        # Per module: the label of its `let`, its require lets outermost
-        # first, each with the name it binds and the slices that keep it,
-        # its hole's label, its hole's instruction in other modules'
-        # slices, and its body's scope.
-        self.layout: list[tuple[str, int, list[tuple[int, str, tuple]], int, dict, dict]] = []
+        # Per module: the label of its `let`, the labels of its require lets
+        # with the required module, outermost first, its hole's label, its
+        # hole's instruction in other modules' slices, and its body's scope.
+        self.layout: list[tuple[str, int, list[tuple[int, str]], int, dict, dict]] = []
         at, earlier = 0, {}
         for m, monitored in boundaries(skeleton):
             lets, inner = [], code[at][LET_RHS]
             for r, _ in monitored:
-                lets.append((inner, r.target, (r.target, m.name)))
+                lets.append((inner, r.target))
                 inner = code[inner][LET_BODY]
-            if m.name in types:
-                lets += self._typed_hole_lets(m, types, earlier)
-            # Per slice that keeps some of these lets, the last one it
-            # keeps binding each name.
-            rebound: dict = {}
-            for let, name, keep in lets:
-                for target in keep:
-                    rebound.setdefault(target, {})[name] = let
-            own = rebound.pop(m.name, {})
-            # The skeleton's hole sees every require let the compiled
-            # skeleton has, as in the module's own slice.  In another
-            # slice it sees the lets that slice keeps.
+            rebound = {pos: let for let, pos in lets}
+            # The skeleton's hole sees every require let, as in the module's
+            # own slice.  In the slice of a module it monitors a require of,
+            # it sees that require's let, and in any other slice none.
             holes = {}
-            if lets:
+            if rebound:
                 holes[None] = lower(m.body, inner, earlier)[0]
-                for target, names in rebound.items():
-                    holes[target] = lower(m.body, inner, {**earlier, **names})[0]
-            self.layout.append((m.name, at, lets, inner, holes, {**earlier, **own}))
+                for pos, let in rebound.items():
+                    holes[pos] = lower(m.body, inner, {**earlier, pos: let})[0]
+            self.layout.append((m.name, at, lets, inner, holes, {**earlier, **rebound}))
             earlier[m.name] = at
             at = code[at][LET_BODY]
 
-    def _typed_hole_lets(self, m: Module, types: dict, earlier: dict) -> list[tuple]:
-        """Typed module `m`'s typed-hole lets, appended to the code: for each
-        require of a typed module t, in require order, a `let` rebinding t
-        to a monitor of t's type with one party's side dropped (`copt`).
-        In `m`'s slice it is `m`'s side, so `m`'s body sees t through t's
-        obligations alone; in t's slice it is t's, so `m`'s hole sees t
-        through `m`'s obligations alone.  Each check left blames a typed
-        module other than the slice's, which well-formedness has type
-        checked, so no run fails it: it narrows a hole to what a
-        well-typed module can do, and its blame is left out (`trusted`).
-        One kept in a slice of an opaquely required module, or left with
-        `any/c`, is not made.  The lets `m`'s slice keeps are lowered as
-        one chain, and so are the rest, since no two of those bind a name
-        for different slices."""
-        code = self.code
-        lets = []
-        required = [r.target for r in m.requires if r.target in types]
-        for side in (Polarity.NEG, Polarity.POS):
-            chain = []
-            for t in required:
-                party = m.name if side is Polarity.NEG else t
-                if party not in self.marked:
-                    contract = copt(compile_type(types[t]), side)
-                    if contract != ANY_C:
-                        chain.append((t, party, contract))
-            if not chain:
-                continue
-            # The innermost body is never run: `slice_code` points each
-            # kept let's body at what follows it in the slice.
-            e = IntLit(0)
-            for t, _, contract in reversed(chain):
-                e = Let(t, Mon(t, m.name, contract, Var(t)), e)
-            let = len(code)
-            code += lower(e, let, earlier)
-            for t, party, _ in chain:
-                lets.append((let, t, (party,)))
-                let = code[let][LET_BODY]
-        return lets
-
-    def trusted(self, target: str) -> frozenset[str]:
-        """The modules whose blame `target`'s slice leaves out: every other
-        typed module, when `target` is a typed module whose slice keeps
-        typed-hole lets (it is not opaquely required)."""
-        if target not in self.typed or target in self.marked:
-            return frozenset()
-        return self.typed - {target}
-
     def slice_code(self, target: str) -> list[tuple]:
         """The code of `slice_for_module(p, target)` compiled and lowered
-        with only the monitors that have `target` as a party, and the
-        typed-hole monitors of its slice.  Each other monitor's `let` is
-        bypassed, each hole is given the addresses its scope has in this
-        slice, and unless `target` is opaquely required, its body, lowered
-        as it is at the end with the scope its hole would have, replaces
-        its hole."""
+        with only the monitors that have `target` as a party.  Each other
+        monitor's `let` is bypassed, each hole is given the addresses its
+        scope has in this slice, and unless `target` is opaquely required,
+        its body, lowered as it is at the end with the scope its hole
+        would have, replaces its hole."""
         code = self.code.copy()
         for name, at, lets, hole, holes, scope in self.layout:
             end = hole
@@ -284,8 +212,8 @@ class Skeleton:
             elif name != target and holes:
                 code[hole] = holes.get(target, holes[None])
             slot = LET_RHS
-            for let, _, keep in lets:
-                if target in keep:
+            for let, pos in lets:
+                if target == pos or target == name:
                     _point(code, at, slot, let)
                     at, slot = let, LET_BODY
             _point(code, at, slot, end)
@@ -327,17 +255,14 @@ def copt(c: Contract, s: Polarity) -> Contract:
 def analyze_slice(p: Program, module: str,
                   budget: int = DEFAULT_BUDGET) -> BlameSet:
     """The blame set of `module`'s slice of `p` with only the monitors that
-    have `module` as a party, and its typed holes (`Skeleton.slice_code`),
-    so every label in it names `module`, and none blames a typed module
-    other than `module`.  Leaving another monitor out only lets runs go on
-    that would have blamed those others, passing values through unwrapped,
-    so the labels naming `module` are a superset of the whole slice's and
-    the verdicts stay sound.  `p` must have passed `check_wellformed`: the
-    typed holes assume that every typed module type checks."""
+    have `module` as a party (`Skeleton.slice_code`), so every label in it
+    names `module`.  Leaving another monitor out only lets runs go on that
+    would have blamed those others, passing values through unwrapped, so
+    the labels naming `module` are a superset of the whole slice's and the
+    verdicts stay sound."""
     if p.module_named(module) is None:
         raise ValueError(f"unknown module {module!r}")
-    skeleton = Skeleton(p)
-    return analyze(skeleton.slice_code(module), budget, skeleton.trusted(module))
+    return analyze(Skeleton(p).slice_code(module), budget)
 
 
 def obliged_modules(p: Program) -> set[str]:
@@ -357,33 +282,85 @@ def obliged_modules(p: Program) -> set[str]:
     return out
 
 
+def blameless_modules(p: Program) -> set[str]:
+    """The typed modules that no run of `p` can blame, by the blame theorem:
+    those of an island with no unknown code.  An island is a set of typed
+    modules joined by requires between two typed modules, which have no
+    monitor.  A value entering an island from an untyped module passes a
+    monitor that blames that module, and one leaving it is well-typed when
+    every body of the island type checks as written, so no monitor blames
+    a module of the island.  An `opaque` term in a typed body may be any
+    value, whatever type its context demands, and an opaquely required
+    module is code the verifier never looks inside: either spoils its
+    island, since what it yields may reach any module there unchecked.
+    `p` must have passed `check_wellformed`."""
+    typed = {m.name: m for m in p.modules if m.typed}
+    marked = _opaquely_required(p)
+    linked: dict[str, set[str]] = {name: set() for name in typed}
+    for m in typed.values():
+        for r in m.requires:
+            if r.target in typed:
+                linked[m.name].add(r.target)
+                linked[r.target].add(m.name)
+    spoiled = {n for n, m in typed.items() if n in marked or _has_opaque(m.body)}
+    stack = list(spoiled)
+    while stack:
+        for n in linked[stack.pop()] - spoiled:
+            spoiled.add(n)
+            stack.append(n)
+    return set(typed) - spoiled
+
+
+def _has_opaque(e: Expr) -> bool:
+    """Does `e` hold an opaque term?"""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        t = type(e)
+        if t is Opaque:
+            return True
+        if t is App:
+            stack += (e.fn, e.arg)
+        elif t is If:
+            stack += (e.test, e.then, e.orelse)
+        elif t is Let:
+            stack += (e.rhs, e.body)
+        elif t is Lam or t is Mon:
+            stack.append(e.body)
+    return False
+
+
 def compute_verdicts(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET) -> list[Verdict]:
     """One verdict per module, in program order, each with the wall time its
-    slice's building and analysis took and the states it explored.  With
-    `trust_typed`, a typed module is safe against every other module and an
-    untyped one outside `obliged_modules` is safe against none, both with
-    no slice analyzed (0 seconds, 0 states); every other module's slice is
-    analyzed (`analyze_slice`).  `p` must have passed `check_wellformed`:
-    a typed module's slice assumes that its typed neighbours type check,
-    and nothing else.  The program's `Skeleton` is built once, before the
+    slice's building and analysis took and the states it explored.  A
+    module in `blameless_modules`, or with `trust_typed` any typed module,
+    is safe against every other module, and with `trust_typed` an untyped
+    module outside `obliged_modules` is safe against none, all with no
+    slice analyzed (0 seconds, 0 states); every other module's slice is
+    analyzed.  `p` must have passed `check_wellformed`, as the blame
+    theorem assumes.  The program's `Skeleton` is built once, before the
     first slice analyzed, and its time is in no module's seconds."""
     parties = p.names()
     obliged = obliged_modules(p) if trust_typed else set()
+    if trust_typed:
+        blameless = {m.name for m in p.modules if m.typed}
+    else:
+        blameless = blameless_modules(p)
     skeleton = None
     verdicts = []
     for m in p.modules:
         others = frozenset(n for n in parties if n != m.name)
-        if trust_typed and m.typed:
+        if m.name in blameless:
             verdicts.append(Verdict(m.name, others, exhausted=False))
             continue
         if trust_typed and m.name not in obliged:
             verdicts.append(Verdict(m.name, frozenset(), exhausted=False))
             continue
         if skeleton is None:
-            skeleton = Skeleton(p, typed_holes=not trust_typed)
+            skeleton = Skeleton(p)
         t0 = time.perf_counter()
-        bs = analyze(skeleton.slice_code(m.name), budget, skeleton.trusted(m.name))
+        bs = analyze(skeleton.slice_code(m.name), budget)
         seconds = time.perf_counter() - t0
         if bs.exhausted:
             safe = frozenset()

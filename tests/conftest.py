@@ -6,9 +6,9 @@ from gtlc import analysis, frontend, interp, optimize
 from gtlc.bench import answers_agree, corpus_dir
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BoolLit, INT_C, IntLit, Expr, If, Lam, Let, Mon,
-    Module, Opaque, Polarity, Prim, Program, Require, TArrow, TBool, TInt, Var,
+    Module, Opaque, Prim, Program, Require, TArrow, TBool, TInt, Var,
 )
-from gtlc.translate import compile_program, compile_type
+from gtlc.translate import compile_program
 
 # The four-module boundary program used throughout: a typed identity, a
 # client that uses it correctly, one that does not, and an entry point.
@@ -195,44 +195,6 @@ def run_differential(program: Program, trust_typed: bool = True,
         "optimized": (a1, m1),
         "report": report,
     }
-
-
-def typed_hole_slice(p: Program, x: str, final=None) -> tuple[Expr, frozenset]:
-    """Module `x`'s slice of `p`, compiled (`final` deciding each require
-    monitor's contract, as in `compile_program`), with the typed-hole
-    monitors of a typed `x` that is not opaquely required added, and the
-    modules whose blame its analysis leaves out.  The monitors are built
-    on the tree: in each typed module m's right-hand side, inside its
-    require lets, one let per require of a typed module t that has `x` as
-    a party, in require order, rebinding t to a monitor of t's type with
-    `x`'s side dropped: the negative side when `x` is m, the positive one
-    when `x` is t.  A monitor left with `any/c` is not added."""
-    root = compile_program(optimize.slice_for_module(p, x), final).root
-    marked = {r.target for m in p.modules for r in m.requires if r.opaque}
-    typed = {m.name: m.ty for m in p.modules if m.typed}
-    if x not in typed or x in marked:
-        return root, frozenset()
-    rhss = []
-    spine = root
-    for m in p.modules:
-        rhs, lets = spine.rhs, []
-        while isinstance(rhs, Let) and isinstance(rhs.rhs, Mon):
-            lets.append(rhs)
-            rhs = rhs.body
-        for r in reversed(m.requires if m.typed else []):
-            if r.target not in typed or x not in (m.name, r.target):
-                continue
-            side = Polarity.NEG if x == m.name else Polarity.POS
-            contract = optimize.copt(compile_type(typed[r.target]), side)
-            if contract != ANY_C:
-                rhs = Let(r.target, Mon(r.target, m.name, contract, Var(r.target)), rhs)
-        for let in reversed(lets):
-            rhs = Let(let.name, let.rhs, rhs, span=let.span)
-        rhss.append(rhs)
-        spine = spine.body
-    for m, rhs in zip(reversed(p.modules), reversed(rhss)):
-        spine = Let(m.name, rhs, spine)
-    return spine, frozenset(typed) - {x}
 
 
 def party_slices_cover(program: Program, label,

@@ -220,12 +220,12 @@ def _corpus_programs():
 
 def _body_scope(skeleton, target):
     """Where the names bound outside `target`'s body live in its slice: at
-    the let of each earlier module, or at the require let of `target` its
-    slice keeps that last binds the name."""
+    the let of each earlier module, or at the require let of `target` that
+    last binds the name."""
     scope = {}
     for name, at, lets, _, _, _ in skeleton.layout:
         if name == target:
-            return scope | {bound: let for let, bound, keep in lets if target in keep}
+            return scope | {pos: let for let, pos in lets}
         scope[name] = at
     raise KeyError(target)
 
@@ -280,7 +280,7 @@ def test_a_hole_under_deep_lambdas_is_sliced():
     # Built through the API, the hole is unscoped: it sees every parameter
     # around it, the outermost lambda first, and d's require let of n.
     base = len(skeleton.code)
-    (_, _, [(n_let, _, _)], _, _, _) = skeleton.layout[1]
+    (_, _, [(n_let, _)], _, _, _) = skeleton.layout[1]
     seen = {f"x{i}": base + DEEP - 1 - i for i in range(DEEP)} | {"n": n_let}
     assert code[-1] == (_OPAQUE, tuple((seen[name], 0) for name in sorted(seen)))
 

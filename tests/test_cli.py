@@ -14,9 +14,7 @@ from conftest import (
 from gtlc import bench, interp
 from gtlc.cli import main
 from gtlc.frontend import parse_expr
-from gtlc.analysis import analyze
-from gtlc.optimize import Skeleton, analyze_slice, optimize_program
-from gtlc.syntax import BlameLabel
+from gtlc.optimize import analyze_slice, blameless_modules, optimize_program
 from gtlc.translate import compile_program, erase
 
 
@@ -254,35 +252,47 @@ def test_analyze_all_verdicts(capsys, id_boundary_file):
 
 def test_analyze_reports_states_per_module(capsys, id_boundary_file):
     # Each module's analysis cost, in states next to its time: the states
-    # its slice's analysis explored.
+    # its slice's analysis explored.  The typed identity t1 is blameless,
+    # so its slice is skipped and reads 0 in both; with unknown code in
+    # its body it is analyzed like the rest.
     _, out, _ = run_cli(capsys, "analyze", id_boundary_file)
     doc = json.loads(out)
     program = parse_ok(ID_BOUNDARY)
+    assert blameless_modules(program) == {"t1"}
+    assert doc["analysis_states"] == {
+        m.name: 0 if m.name == "t1" else analyze_slice(program, m.name).states
+        for m in program.modules}
+    assert doc["analysis_states"].keys() == doc["analysis_seconds"].keys()
+    assert doc["analysis_seconds"]["t1"] == 0
+    assert all(n > 0 for m, n in doc["analysis_states"].items() if m != "t1")
+    with_hole = ID_BOUNDARY.replace("(λ (x : Int) x)", "(λ (x : Int) opaque)")
+    path = Path(id_boundary_file).with_name("hole.gtl")
+    path.write_text(with_hole, encoding="utf-8")
+    _, out, _ = run_cli(capsys, "analyze", str(path))
+    doc = json.loads(out)
+    program = parse_ok(with_hole)
     assert doc["analysis_states"] == {m.name: analyze_slice(program, m.name).states
                                       for m in program.modules}
-    assert doc["analysis_states"].keys() == doc["analysis_seconds"].keys()
     assert all(n > 0 for n in doc["analysis_states"].values())
 
 
 def test_analyze_module_blames_no_typed_neighbour(capsys, tmp_path):
-    # x requires typed t and re-exports it to untyped u.  x's slice sees t
-    # through t's obligations, whose checks can blame only t; no run
-    # blames a typed module, so no label of x's slice blames t.  Its
-    # states are those `gtlc analyze` reports for x.
+    # Typed x re-exports typed t to untyped u.  Its slice, analyzed as
+    # `--module x` asks, lets t's hole be any value, so x is blamed toward
+    # u there, but never t.  `gtlc analyze` skips that slice: x is
+    # blameless, safe against every other module.
     path = tmp_path / "reexport.gtl"
     path.write_text(TYPED_REEXPORT, encoding="utf-8")
     program = parse_ok(TYPED_REEXPORT)
-    assert BlameLabel("t", "x") in analyze(Skeleton(program).slice_code("x")).labels
     code, out, _ = run_cli(capsys, "analyze", str(path), "--module", "x")
     labels = json.loads(out)["labels"]
-    assert code == 0 and labels == [{"blamed": "u", "holder": "x"}]
-    assert labels == analyze_slice(program, "x").as_json()["labels"]
+    assert code == 0 and labels == analyze_slice(program, "x").as_json()["labels"]
+    assert {(l["blamed"], l["holder"]) for l in labels} == {("u", "x"), ("x", "u")}
     _, out, _ = run_cli(capsys, "analyze", str(path))
     doc = json.loads(out)
-    assert doc["analysis_states"] == {m.name: analyze_slice(program, m.name).states
-                                      for m in program.modules}
     verdicts = {v["module"]: set(v["safe_against"]) for v in doc["verdicts"]}
     assert verdicts["x"] == {"t", "u", "main"}
+    assert doc["analysis_states"]["x"] == 0
 
 
 def test_optimize_report_and_emit(capsys, id_boundary_file):

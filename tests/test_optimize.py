@@ -1,25 +1,26 @@
+import dataclasses
 import itertools
 from collections import Counter
 
 from conftest import (
-    HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE,
-    ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE, TYPED_NEIGHBOURS,
-    TYPED_REEXPORT, contracts_up_to, parse_ok, run_differential, structurally_equal,
-    typed_hole_slice,
+    EXPR_TYPES, HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY,
+    ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE,
+    TYPED_NEIGHBOURS, TYPED_REEXPORT, contracts_up_to, parse_ok, run_differential,
+    structurally_equal,
 )
 from gtlc import analysis, optimize
 from gtlc.analysis import analyze, reachable_states
-from gtlc.bench import lattice_configs
+from gtlc.bench import answers_agree, lattice_configs
 from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import (
-    Skeleton, Verdict, _final_contract, analyze_slice, compute_verdicts, copt,
+    Verdict, _final_contract, analyze_slice, blameless_modules, compute_verdicts, copt,
     optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
-    ANY_C, App, ArrowC, BOOL_C, BlameLabel, Expr, If, INT_C, Lam, Let, Mon,
-    Opaque, Polarity, Var, flip, format_expr, format_program,
+    ANY_C, App, ArrowC, BOOL_C, BlameLabel, BoolLit, Expr, If, INT_C, IntLit, Lam, Let,
+    Mon, Opaque, Polarity, Var, format_expr, format_program,
 )
 from gtlc.translate import compile_program, erase, scan_boundaries
 
@@ -87,20 +88,38 @@ GOLDEN_CONFIGS = ([GenConfig(seed=s) for s in range(100)]
 
 
 def _full_slice(p, module):
-    """The blame set of `module`'s slice with every monitor kept, its
-    typed-hole monitors among them."""
-    root, trusted = typed_hole_slice(p, module)
-    return analyze(root, trusted=trusted)
+    """The blame set of `module`'s slice with every monitor kept."""
+    return analyze(compile_program(slice_for_module(p, module)).root)
+
+
+def _blameless(p):
+    """The typed modules not joined, by a chain of requires between two
+    typed modules, to one whose body holds an opaque term or that some
+    module requires opaquely: `blameless_modules`, worked out as a
+    fixpoint over the printed bodies."""
+    typed = {m.name for m in p.modules if m.typed}
+    links = [(m.name, r.target) for m in p.modules if m.typed
+             for r in m.requires if r.target in typed]
+    spoiled = {m.name for m in p.modules if m.typed and "opaque" in format_expr(m.body)}
+    spoiled |= {r.target for m in p.modules for r in m.requires if r.opaque} & typed
+    while True:
+        more = {b for a, b in links if a in spoiled} | {a for a, b in links if b in spoiled}
+        if more <= spoiled:
+            return typed - spoiled
+        spoiled |= more
 
 
 def _verdicts_from_full_slices(p, trust_typed):
     """`compute_verdicts` as it reads with every monitor kept in each slice,
-    and, under `trust_typed`, with every untyped module's slice analyzed."""
+    and, under `trust_typed`, with every untyped module's slice analyzed.
+    Without it, a blameless typed module (`_blameless`) is safe against
+    every other module unanalyzed."""
     parties = frozenset(p.names())
+    blameless = _blameless(p)
     out = []
     for m in p.modules:
         others = parties - {m.name}
-        if trust_typed and m.typed:
+        if m.typed and (trust_typed or m.name in blameless):
             out.append(Verdict(m.name, others, exhausted=False))
             continue
         bs = _full_slice(p, m.name)
@@ -149,11 +168,10 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
 def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors(corpus_path):
     # Oracle: each slice built for its party from the skeleton analyzes
     # exactly like the compiled slice rewritten to keep a monitor iff the
-    # party is one of its parties, and its typed holes added
-    # (`typed_hole_slice`), in labels, exhaustion and states.  Holes under
-    # binders, scoped or not, a module that requires another twice and
-    # typed modules that require typed ones check that each hole and body
-    # sees the lets the slice keeps.
+    # party is one of its parties, in labels, exhaustion and states.  Holes
+    # under binders, scoped or not, a module that requires another twice
+    # and typed modules that require typed ones check that each hole and
+    # body sees the lets the slice keeps.
     programs = [gen_program(cfg) for cfg in GOLDEN_CONFIGS]
     for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
         programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
@@ -163,9 +181,9 @@ def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_mo
     for i, p in enumerate(programs):
         for m in p.modules:
             x = m.name
-            root, trusted = typed_hole_slice(
-                p, x, lambda pos, neg, c: c if x in (pos, neg) else ANY_C)
-            oracle = analyze(root, trusted=trusted)
+            sliced = slice_for_module(p, x)
+            oracle = analyze(compile_program(
+                sliced, lambda pos, neg, c: c if x in (pos, neg) else ANY_C).root)
             bs = analyze_slice(p, x)
             assert (bs.labels, bs.exhausted, bs.states) == \
                 (oracle.labels, oracle.exhausted, oracle.states), (i, x)
@@ -209,7 +227,7 @@ def test_slice_is_analyzed_without_other_parties_monitors(monkeypatch):
     assert BlameLabel("v", "t") in analyze(whole).labels
 
 
-# -- typed holes ---------------------------------------------------------------
+# -- typed modules proven by the blame theorem ---------------------------------
 
 # Typed t calls x, which passes its argument on to untyped u.
 CALLEE = """\
@@ -219,76 +237,137 @@ CALLEE = """\
 (module main (require t) t)
 """
 
-# x's own hole passes typed t anything, or returns anything to t.
+# x passes typed t unknown code, which t returns to x.
 OWN_HOLE_ARGUMENT = """\
 (module t (-> Int Int) (λ (n : Int) n))
 (module x Int (require t) (t opaque))
 (module main (require x) x)
 """
+
+# Typed t calls x, which returns unknown code.
 OWN_HOLE_RESULT = """\
 (module x (-> Int Int) (λ (n : Int) opaque))
 (module t Int (require x) (x 1))
 (module main (require t) t)
 """
 
-# (program, module, the labels of its slice, the modules its verdict
-# without trust is safe against, the labels of its slice without typed
-# holes)
-TYPED_HOLES = [
-    # t's hole may be any value, but t's obligations, checked where x
-    # requires t, make it a function that returns an Int: x keeps its
-    # contract with u, which it breaks without typed holes.
-    (TYPED_REEXPORT, "x", {("u", "x")}, {"t", "u", "main"}, {("u", "x"), ("x", "u")}),
-    # An untyped module's slice has no typed holes: x's hole still breaks
-    # x's contract with u there.
-    (TYPED_REEXPORT, "u", {("x", "u")}, {"t", "x", "main"}, {("x", "u")}),
-    # t's hole may call x with anything, but t's obligations as a caller,
-    # checked where t requires x, pass x only Ints: x is not blamed toward
-    # u for what t passed it.
-    (CALLEE, "x", {("u", "x")}, {"t", "u", "main"}, {("u", "x"), ("x", "u")}),
-    (CALLEE, "u", {("x", "u")}, {"t", "x", "main"}, {("x", "u")}),
-    (CALLEE, "t", set(), {"u", "x", "main"}, {("t", "main")}),
-    # x's side is never checked at a typed neighbour: no run has a monitor
-    # between two typed modules, so none blames x toward t.
-    (OWN_HOLE_ARGUMENT, "x", set(), {"t", "main"}, {("x", "main")}),
-    (OWN_HOLE_RESULT, "x", set(), {"t", "main"}, set()),
+# x re-exports unknown code two typed modules away.
+NEIGHBOUR_HOLE = """\
+(module t Int opaque)
+(module s Int (require t) t)
+(module x Int (require s) s)
+(module main (require x) x)
+"""
+
+# x re-exports a typed module it requires opaquely.
+OPAQUE_NEIGHBOUR = """\
+(module t Int 1)
+(module x Int (opaque-require t) t)
+(module main (require x) x)
+"""
+
+# Typed a holds unknown code, and typed b reads it through untyped u's
+# monitor only.
+SEPARATE_ISLANDS = """\
+(module a Int opaque)
+(module u (require a) a)
+(module b (-> Int Int) (require/typed u Int) (λ (n : Int) u))
+(module main (require b) (b 1))
+"""
+
+# (program, its blameless modules, a module, the modules its verdict
+# without trust is safe against)
+TYPED_MODULES = [
+    # x's slice lets t's hole be any value, and so blames x toward u; the
+    # blame theorem proves x safe.
+    (TYPED_REEXPORT, {"t", "x"}, "x", {"t", "u", "main"}),
+    # An untyped module's verdict is its slice's, as ever.
+    (TYPED_REEXPORT, {"t", "x"}, "u", {"t", "x", "main"}),
+    # x's slice lets t's hole call x with anything; t passes only Ints.
+    (CALLEE, {"t", "x"}, "x", {"t", "u", "main"}),
+    (CALLEE, {"t", "x"}, "u", {"t", "x", "main"}),
+    # Unknown code in x's own body reaches t unchecked and comes back: with
+    # #t, t returns #t and the Int monitor between x and main blames x.
+    (OWN_HOLE_ARGUMENT, set(), "x", {"t"}),
+    # x's unknown code reaches t unchecked, and t is blamed toward main.
+    (OWN_HOLE_RESULT, set(), "t", {"x"}),
+    # So does unknown code in a typed neighbour, however far.
+    (NEIGHBOUR_HOLE, set(), "x", {"t", "s"}),
+    # The verifier never looks inside an opaquely required module.
+    (OPAQUE_NEIGHBOUR, set(), "x", {"t"}),
+    # A monitor blames u for what reaches b from a's unknown code.
+    (SEPARATE_ISLANDS, {"b"}, "b", {"a", "u", "main"}),
+    (SEPARATE_ISLANDS, {"b"}, "a", {"b", "main"}),
 ]
 
 
-def _typed_hole_misses():
-    """The rows of TYPED_HOLES whose module's slice labels or verdict
-    without trust read otherwise, with what they read."""
+def _table_misses():
+    """The rows of TYPED_MODULES whose blameless modules or verdict without
+    trust read otherwise, with what they read."""
     misses = []
-    for text, x, labels, safe, _ in TYPED_HOLES:
+    for text, blameless, x, safe in TYPED_MODULES:
         p = parse_ok(text)
-        got = {tuple(l) for l in analyze_slice(p, x).labels}
+        got = optimize.blameless_modules(p)
         (verdict,) = [v for v in compute_verdicts(p, trust_typed=False) if v.module == x]
-        if got != labels or verdict.safe_against != safe:
+        if got != blameless or verdict.safe_against != safe:
             misses.append((x, got, set(verdict.safe_against)))
     return misses
 
 
-def test_typed_holes_by_hand():
-    assert _typed_hole_misses() == []
-    for text, x, _, _, without in TYPED_HOLES:
-        skeleton = Skeleton(parse_ok(text), typed_holes=False)
-        assert {tuple(l) for l in analyze(skeleton.slice_code(x)).labels} == without, x
+def _fill(e, value):
+    """`e` with every opaque term replaced by `value`."""
+    if isinstance(e, Opaque):
+        return value
+    changes = {f.name: _fill(getattr(e, f.name), value) for f in dataclasses.fields(e)
+               if isinstance(getattr(e, f.name), EXPR_TYPES)}
+    return dataclasses.replace(e, **changes) if changes else e
 
 
-def test_typed_hole_table_catches_a_wrong_half_monitor(monkeypatch):
-    # Monitoring a typed neighbour with its whole contract blames x for its
-    # own side; dropping the neighbour's side instead lets its hole break
-    # x's contracts.
-    for mutant in (lambda c, side: c, lambda c, side: copt(c, flip(side))):
-        monkeypatch.setattr(optimize, "copt", mutant)
-        assert _typed_hole_misses(), mutant
+def _filled_disagreements():
+    """The programs of TYPED_MODULES, with each fill of their opaque terms,
+    whose unoptimized and untrusted optimized answers disagree."""
+    fills = (IntLit(0), BoolLit(True), Lam("n", None, Var("n")))
+    out = []
+    for text in dict.fromkeys(text for text, *_ in TYPED_MODULES):
+        p = parse_ok(text)
+        optimized, _ = optimize_program(p, trust_typed=False)
+        for value in fills:
+            a0, _ = evaluate(_fill(compile_program(p).root, value))
+            a1, _ = evaluate(_fill(optimized.root, value))
+            if not answers_agree(a0, a1):
+                out.append((text.splitlines()[0], format_expr(value)))
+    return out
+
+
+def test_typed_modules_by_hand():
+    assert _table_misses() == []
+    for text, _, x, _ in TYPED_MODULES:
+        p = parse_ok(text)
+        assert blameless_modules(p) == _blameless(p), x
+    assert _filled_disagreements() == []
+
+
+def test_typed_module_table_catches_a_loose_island(monkeypatch):
+    # Taking a typed module as blameless when its own body holds no opaque
+    # term, or when also no module requires it opaquely, misses unknown
+    # code that reaches it unchecked: the table fails, and so do the runs
+    # with the holes filled.
+    def own_body(p):
+        return {m.name for m in p.modules if m.typed and "opaque" not in format_expr(m.body)}
+
+    def own_module(p, _marked=optimize._opaquely_required):
+        return own_body(p) - _marked(p)
+
+    for mutant in (own_body, own_module):
+        monkeypatch.setattr(optimize, "blameless_modules", mutant)
+        assert _table_misses(), mutant
+        assert _filled_disagreements(), mutant
         monkeypatch.undo()
-    assert _typed_hole_misses() == []
+    assert _table_misses() == [] and _filled_disagreements() == []
 
 
 def test_slice_of_a_typed_module_blames_no_typed_neighbour():
-    # The typed-hole monitors only blame the typed neighbour, which no run
-    # can do: those labels are left out, and no other label of a typed
+    # No monitor lies between two typed modules, so no label of a typed
     # module's slice blames a typed module but that one.
     programs = [gen_program(cfg) for cfg in GOLDEN_CONFIGS]
     programs += [parse_ok(TYPED_NEIGHBOURS)]
@@ -301,7 +380,7 @@ def test_slice_of_a_typed_module_blames_no_typed_neighbour():
     assert typed_slices > 200
 
 
-def _typed_hole_sweep(corpus_path):
+def _typed_module_sweep(corpus_path):
     """Generated programs at four typed fractions and two sizes, and every
     corpus configuration."""
     programs = []
@@ -318,14 +397,13 @@ def _typed_hole_sweep(corpus_path):
 
 
 def test_trust_typed_is_a_shortcut(corpus_path):
-    # With typed holes, every typed module that is not opaquely required is
-    # proven safe against every other module without trust, and the
-    # optimized program is the one that trusting typed modules gives.  A
-    # miss is analysis imprecision, or a fault in the type checker,
-    # `compile_type` or the analyzer.  The generated programs' optimized
-    # answers agree with the unoptimized ones; criterion 3 runs the
-    # corpus's.
-    programs, generated = _typed_hole_sweep(corpus_path)
+    # No generated or corpus program has an opaque term in a typed body,
+    # so without trust every typed module that is not opaquely required is
+    # proven safe against every other module, and the optimized program is
+    # the one that trusting typed modules gives.  The generated programs'
+    # optimized answers agree with the unoptimized ones; criterion 3 runs
+    # the corpus's.
+    programs, generated = _typed_module_sweep(corpus_path)
     proven = 0
     for i, p in enumerate(programs):
         marked = {r.target for m in p.modules for r in m.requires if r.opaque}
@@ -495,9 +573,18 @@ def test_fully_verified_entry_loses_all_obligations(corpus_path):
 
 
 def test_exhausted_analysis_keeps_contracts(id_boundary):
-    compiled, report = optimize_program(id_boundary, trust_typed=False, budget=5)
+    # With unknown code in t1's body, which no run reaches, every slice is
+    # analyzed and exhausts, and every contract is kept.
+    p = parse_ok(ID_BOUNDARY.replace("(λ (x : Int) x)", "(λ (x : Int) (if #t x opaque))"))
+    compiled, report = optimize_program(p, trust_typed=False, budget=5)
     assert all(v.exhausted and not v.safe_against for v in report.verdicts)
     assert report.counts()["kept"] == report.monitors_before
+    answer, _ = evaluate(compiled.root)
+    assert isinstance(answer, BlamedA)
+    # Blameless t1 needs no analysis: only its own obligations are dropped.
+    compiled, report = optimize_program(id_boundary, trust_typed=False, budget=5)
+    assert [v.exhausted for v in report.verdicts] == [False, True, True, True]
+    assert all(d.after == copt(d.before, POS) for d in report.dispositions)
     answer, _ = evaluate(compiled.root)
     assert isinstance(answer, BlamedA)
 
@@ -561,11 +648,20 @@ def test_module_imported_by_a_typed_module_is_analyzed(monkeypatch):
 
 
 def test_untrusted_verdicts_analyze_every_module(monkeypatch):
-    p = parse_ok("(module n Int 5)\n"
+    # Every module but a blameless typed one: n is blameless with the body
+    # 5, and analyzed with an opaque one.
+    p = parse_ok("(module n Int opaque)\n"
                  "(module u (require n) n)\n"
                  "(module main (require u) u)")
     assert _analyzed_modules(monkeypatch, p, trust_typed=False) == ["n", "u", "main"]
     assert all(v.states > 0 for v in compute_verdicts(p, trust_typed=False))
+    p = parse_ok("(module n Int 5)\n"
+                 "(module u (require n) n)\n"
+                 "(module main (require u) u)")
+    assert _analyzed_modules(monkeypatch, p, trust_typed=False) == ["u", "main"]
+    verdicts = {v.module: v for v in compute_verdicts(p, trust_typed=False)}
+    assert verdicts["n"] == Verdict("n", frozenset({"u", "main"}), exhausted=False)
+    assert verdicts["n"].states == 0 and verdicts["n"].seconds == 0.0
 
 
 def test_skipping_unconsulted_slices_changes_no_output(corpus_path):
