@@ -71,8 +71,7 @@ def _timing(times: list[float]) -> dict:
 
 
 def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
-                budget: int = analysis.DEFAULT_BUDGET,
-                trust_typed: bool = True) -> dict:
+                budget: int = analysis.DEFAULT_BUDGET) -> dict:
     configs = []
     baseline_root = None
     for path in lattice_configs(entry_dir):
@@ -85,8 +84,7 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
                             "diagnostics": [str(d) for d in diags]})
             continue
         compiled = compile_program(program)
-        opt_compiled, report = optimize.optimize_program(
-            program, trust_typed=trust_typed, budget=budget)
+        opt_compiled, report = optimize.optimize_program(program, budget=budget)
 
         roots = [compiled.root, opt_compiled.root]
         if baseline_root is not None:
@@ -128,9 +126,8 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
 
 
 def bench_corpus(corpus: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
-                 budget: int = analysis.DEFAULT_BUDGET,
-                 trust_typed: bool = True) -> dict:
-    entries = [bench_entry(corpus / name, iterations, fuel, budget, trust_typed)
+                 budget: int = analysis.DEFAULT_BUDGET) -> dict:
+    entries = [bench_entry(corpus / name, iterations, fuel, budget)
                for name in list_entries(corpus)]
     return {"schema": 1, "corpus": str(corpus), "iterations": iterations,
             "entries": entries}

@@ -1,16 +1,20 @@
 """Command-line driver.
 
     gtlc check PROGRAM.gtl
-    gtlc run PROGRAM.gtl [--optimized] [--fuel N] [--emit con]
+    gtlc run PROGRAM.gtl [--optimized] [--emit con] [--fuel N] [--budget N]
     gtlc analyze PROGRAM.gtl [--module X] [--budget N]
-    gtlc optimize PROGRAM.gtl [--emit optimized]
-    gtlc bench CORPUS_DIR [--iterations N]
+    gtlc optimize PROGRAM.gtl [--emit optimized] [--budget N]
+    gtlc bench [CORPUS_DIR] [--iterations N] [--fuel N] [--budget N]
+
+No typed module is trusted: optimize, run --optimized and bench take a
+typed module as safe only when the blame theorem proves it, as analyze
+does.
 
 Exit codes: 0 ok; 1 diagnostics, usage errors included; 2 blame; 3 stuck;
 4 fuel exhausted; 5 internal error (one line on stderr); 141 stdout closed
 early.
-Reports are JSON on stdout under a top-level {"schema": 1} key; --json
-additionally writes the same document to a file.
+Reports are JSON on stdout under a top-level {"schema": 1} key; --json PATH,
+which every command but check takes, also writes the same document to PATH.
 """
 
 from __future__ import annotations
@@ -96,8 +100,7 @@ def cmd_run(args) -> int:
     if program is None:
         return EXIT_DIAGNOSTICS
     if args.optimized:
-        compiled, report = optimize.optimize_program(
-            program, trust_typed=args.trust_typed, budget=args.budget)
+        compiled, report = optimize.optimize_program(program, budget=args.budget)
     else:
         compiled, report = compile_program(program), None
     if args.emit == "con":
@@ -145,8 +148,7 @@ def cmd_optimize(args) -> int:
     program = _load(args.path)
     if program is None:
         return EXIT_DIAGNOSTICS
-    compiled, report = optimize.optimize_program(
-        program, trust_typed=args.trust_typed, budget=args.budget)
+    compiled, report = optimize.optimize_program(program, budget=args.budget)
     if args.emit == "optimized":
         print(format_expr(erase(compiled.root)))
         return EXIT_OK
@@ -158,8 +160,7 @@ def cmd_bench(args) -> int:
     corpus = Path(args.corpus) if args.corpus else bench.corpus_dir()
     try:
         report = bench.bench_corpus(corpus, iterations=args.iterations,
-                                    fuel=args.fuel, budget=args.budget,
-                                    trust_typed=args.trust_typed)
+                                    fuel=args.fuel, budget=args.budget)
     except (OSError, UnicodeDecodeError) as err:
         path = getattr(err, "filename", None) or corpus
         print(f"cannot read {path}: {err}", file=sys.stderr)
@@ -198,16 +199,12 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _add_common(sp, trust=True, fuel=None):
+def _add_common(sp, fuel=None):
     if fuel is not None:
         sp.add_argument("--fuel", type=_positive_int, default=fuel,
                         help="evaluation step budget")
     sp.add_argument("--budget", type=_positive_int, default=analysis.DEFAULT_BUDGET,
                     help="abstract state cap for the verifier")
-    if trust:
-        sp.add_argument("--trust-typed", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="treat typed modules as blame-free without analysis")
     sp.add_argument("--json", metavar="PATH", default=None,
                     help="also write the JSON report to PATH")
 
@@ -234,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("path")
     sp.add_argument("--module", default=None,
                     help="analyze the slice for one module; omit for all verdicts")
-    _add_common(sp, trust=False)
+    _add_common(sp)
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("optimize", help="verdict-driven contract elimination")

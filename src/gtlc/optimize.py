@@ -45,18 +45,17 @@ is not analyzed.  This assumes only that the program passed
 `check_wellformed`.
 
 A module's verdict is used for nothing but dropping its own obligations at
-its boundaries.  With typed modules trusted to be blame-free outright
-(`trust_typed`), opaque terms and all, their slices are skipped, and so
-are the slices of the untyped modules whose verdict can change no monitor:
-those that no monitor obliges as its positive party, nor as its negative
-party with an arrow contract.  Such a module gets an empty verdict, which
-claims nothing and leaves every contract as its proof would.  Without
-`trust_typed`, every module that is not blameless is analyzed, so on a
-program whose typed modules hold no `opaque` term and are not opaquely
-required, both settings drop the same obligations: `trust_typed` is a
-shortcut.  An analysis that hits its state cap yields no verdicts for its
-module, so exhaustion can only cost optimization opportunity, never
-soundness.
+its boundaries.  So a module that is not blameless and whose verdict can
+change no monitor, because no monitor obliges it as its positive party,
+nor as its negative party with an arrow contract, may skip its slice
+(`trust_typed`, the `gtlc optimize` setting).  It gets an empty verdict,
+which claims nothing and leaves every contract as its proof would.
+Without `trust_typed`, every module that is not blameless is analyzed,
+which is what `gtlc analyze` reports.  Either way no typed module is taken
+as safe unless the blame theorem proves it, and both settings drop the
+same obligations.  An analysis that hits its state cap yields no verdicts
+for its module, so exhaustion can only cost optimization opportunity,
+never soundness.
 """
 
 from __future__ import annotations
@@ -334,19 +333,19 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET) -> list[Verdict]:
     """One verdict per module, in program order, each with the wall time its
     slice's building and analysis took and the states it explored.  A
-    module in `blameless_modules`, or with `trust_typed` any typed module,
-    is safe against every other module, and with `trust_typed` an untyped
-    module outside `obliged_modules` is safe against none, all with no
-    slice analyzed (0 seconds, 0 states); every other module's slice is
-    analyzed.  `p` must have passed `check_wellformed`, as the blame
-    theorem assumes.  The program's `Skeleton` is built once, before the
-    first slice analyzed, and its time is in no module's seconds."""
+    module in `blameless_modules` is safe against every other module, with
+    no slice analyzed (0 seconds, 0 states), and no other typed module is
+    taken as safe.  `trust_typed` only selects which other slices are
+    analyzed.  True skips those that no monitor consults: a module outside
+    `obliged_modules` is safe against none, also unanalyzed, which is all
+    `gtlc optimize` needs.  False analyzes every module the blame theorem
+    does not prove, which is what `gtlc analyze` reports.  `p` must have
+    passed `check_wellformed`, as the blame theorem assumes.  The program's
+    `Skeleton` is built once, before the first slice analyzed, and its time
+    is in no module's seconds."""
     parties = p.names()
+    blameless = blameless_modules(p)
     obliged = obliged_modules(p) if trust_typed else set()
-    if trust_typed:
-        blameless = {m.name for m in p.modules if m.typed}
-    else:
-        blameless = blameless_modules(p)
     skeleton = None
     verdicts = []
     for m in p.modules:
@@ -396,7 +395,9 @@ def optimize_program(p: Program, trust_typed: bool = True,
     monitor left trivial nor its let.  The result is what folding the
     paper's per-pair rewrite over the proven pairs to a fixpoint and then
     erasing trivial monitors gives, and each monitor's disposition is
-    recorded as its contract is decided."""
+    recorded as its contract is decided.  `trust_typed` is passed on to
+    `compute_verdicts`; both settings drop the same obligations, and True
+    analyzes fewer slices to find them."""
     if verdicts is None:
         verdicts = compute_verdicts(p, trust_typed=trust_typed, budget=budget)
 

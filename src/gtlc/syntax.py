@@ -8,9 +8,12 @@ opaque term standing for unknown code.  Blame is not a term: it is what a
 failed monitor check answers.  Both languages share one expression node
 family; which constructors are legal where is enforced by the frontend.
 
-All nodes are immutable after construction and safe to share across threads.
-Types and contracts are interned (hash-consed) in one table shared by every
-thread, so equal values are one object and `==` and `hash` are identity.
+Types and contracts are frozen dataclasses, immutable after construction.
+Expression, module and program nodes are plain dataclasses: no pass mutates
+them, so compiled trees share the parsed module bodies
+(`test_no_pass_mutates_the_parsed_program` pins that).  Types and contracts
+are interned (hash-consed) in one table shared by every thread, so equal
+values are one object and `==` and `hash` are identity.
 """
 
 from __future__ import annotations

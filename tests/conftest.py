@@ -102,6 +102,13 @@ TYPED_REEXPORT = """\
 (module main (require u) u)
 """
 
+# x passes typed t unknown code, which t returns to x.
+OWN_HOLE_ARGUMENT = """\
+(module t (-> Int Int) (λ (n : Int) n))
+(module x Int (require t) (t opaque))
+(module main (require x) x)
+"""
+
 # Typed modules that require typed modules: one twice, one opaquely, and
 # both before and after an untyped module.
 TYPED_NEIGHBOURS = """\

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,12 +11,13 @@ import pytest
 
 import gtlc
 from conftest import (
-    ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, TYPED_REEXPORT, parse_ok, structurally_equal,
+    ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, OWN_HOLE_ARGUMENT, TYPED_REEXPORT, parse_ok,
+    structurally_equal,
 )
 from gtlc import bench, interp
-from gtlc.cli import main
+from gtlc.cli import build_parser, main
 from gtlc.frontend import parse_expr
-from gtlc.optimize import analyze_slice, blameless_modules, optimize_program
+from gtlc.optimize import analyze_slice, blameless_modules, obliged_modules, optimize_program
 from gtlc.translate import compile_program, erase
 
 
@@ -318,13 +321,52 @@ def test_emit_prints_the_core_without_annotations(capsys, corpus_path):
         assert code == 0
         assert structurally_equal(parse_expr(out),
                                   erase(compile_program(program).root)), path
-        for trust, flag in ((True, "--trust-typed"), (False, "--no-trust-typed")):
-            code, out, _ = run_cli(capsys, "optimize", str(path),
-                                   "--emit", "optimized", flag)
-            assert code == 0
-            root = optimize_program(program, trust_typed=trust)[0].root
-            assert structurally_equal(parse_expr(out), erase(root)), (path, trust)
+        code, out, _ = run_cli(capsys, "optimize", str(path), "--emit", "optimized")
+        assert code == 0
+        root = optimize_program(program)[0].root
+        assert structurally_equal(parse_expr(out), erase(root)), path
     assert len(files) == 12
+
+
+def test_optimize_proves_typed_modules_as_analyze_does(capsys, tmp_path):
+    # x passes its own unknown code through typed t and exports the result
+    # at Int: with #t, the monitor between x and main blames x.  So
+    # `gtlc optimize` keeps that check, and every verdict a monitor
+    # consults is the one `gtlc analyze` reports.  No command trusts typed
+    # modules, so none takes a flag to.
+    path = tmp_path / "own_hole.gtl"
+    path.write_text(OWN_HOLE_ARGUMENT, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "optimize", str(path))
+    assert code == 0
+    optimized = json.loads(out)
+    assert [(d["pos"], d["neg"], d["after"], d["kind"]) for d in optimized["dispositions"]] \
+        == [("x", "main", "int?", "kept")]
+    _, out, _ = run_cli(capsys, "analyze", str(path))
+    analyzed = {v["module"]: v for v in json.loads(out)["verdicts"]}
+    obliged = obliged_modules(parse_ok(OWN_HOLE_ARGUMENT))
+    assert obliged == {"x"}
+    for v in optimized["verdicts"]:
+        if v["module"] in obliged:
+            assert v == analyzed[v["module"]]
+    for flag in ("--trust-typed", "--no-trust-typed"):
+        proc = run_gtlc("optimize", str(path), flag)
+        assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+        assert f"unrecognized arguments: {flag}" in proc.stderr
+
+
+def _option_strings(parser):
+    """Every option string of `parser`'s subcommands, but -h and --help."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {flag for sub in commands.choices.values() for action in sub._actions
+            for flag in action.option_strings} - {"-h", "--help"}
+
+
+def test_readme_cli_section_names_every_flag():
+    # The README's CLI section lists exactly the flags the parser takes.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert documented == _option_strings(build_parser())
 
 
 def test_json_report_roundtrips(capsys, id_boundary_file, tmp_path):
@@ -349,8 +391,9 @@ def test_bench_small_corpus(capsys, tmp_path, corpus_path):
     configs = by_name["idboundary"]["configs"]
     assert [c["id"] for c in configs] == ["00", "01", "10", "11"]
     assert configs[0]["overhead_unoptimized"] == 1.0
-    # Typed modules are trusted, so their slices are skipped: 0 states.
-    # So is main's: it requires only untyped u2, so no monitor obliges it.
+    # The blame theorem proves typed t1 and u1, so their slices are
+    # skipped: 0 states.  So is main's: it requires only untyped u2, so no
+    # monitor obliges it.
     states = configs[3]["analysis_states"]
     assert states.keys() == configs[3]["analysis_seconds"].keys()
     assert states["t1"] == states["u1"] == states["main"] == 0

@@ -4,9 +4,9 @@ from collections import Counter
 
 from conftest import (
     EXPR_TYPES, HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY,
-    ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE,
-    TYPED_NEIGHBOURS, TYPED_REEXPORT, contracts_up_to, parse_ok, run_differential,
-    structurally_equal,
+    ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, OWN_HOLE_ARGUMENT,
+    REQUIRES_TWICE, TYPED_NEIGHBOURS, TYPED_REEXPORT, contracts_up_to, parse_ok,
+    run_differential, structurally_equal,
 )
 from gtlc import analysis, optimize
 from gtlc.analysis import analyze, reachable_states
@@ -16,7 +16,7 @@ from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
 from gtlc.optimize import (
     Verdict, _final_contract, analyze_slice, blameless_modules, compute_verdicts, copt,
-    optimize_program, slice_for_module,
+    obliged_modules, optimize_program, slice_for_module,
 )
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BlameLabel, BoolLit, Expr, If, INT_C, IntLit, Lam, Let,
@@ -75,9 +75,11 @@ def test_opaque_require_limits_optimization_not_soundness():
     assert d.kind == "weakened" and d.after == ArrowC(ANY_C, INT_C)
     verdicts = {v.module: v.safe_against for v in report.verdicts}
     assert verdicts["lib"] == frozenset()
-    # Trusting the type annotation overrides the mark.
-    _, trusted = optimize_program(p, trust_typed=True)
-    assert trusted.dispositions[0].kind == "removed"
+    # The default skips the slices no monitor consults, and the mark still
+    # keeps lib's obligations: no typed module is trusted.
+    _, default = optimize_program(p, trust_typed=True)
+    (d,) = default.dispositions
+    assert d.kind == "weakened" and d.after == ArrowC(ANY_C, INT_C)
 
 
 # -- analyzing a slice at its own boundaries ---------------------------------
@@ -109,17 +111,16 @@ def _blameless(p):
         spoiled |= more
 
 
-def _verdicts_from_full_slices(p, trust_typed):
-    """`compute_verdicts` as it reads with every monitor kept in each slice,
-    and, under `trust_typed`, with every untyped module's slice analyzed.
-    Without it, a blameless typed module (`_blameless`) is safe against
-    every other module unanalyzed."""
+def _verdicts_from_full_slices(p):
+    """`compute_verdicts` as it reads with every monitor kept in each slice
+    and with no slice skipped but a blameless typed module's (`_blameless`),
+    which is safe against every other module unanalyzed."""
     parties = frozenset(p.names())
     blameless = _blameless(p)
     out = []
     for m in p.modules:
         others = parties - {m.name}
-        if m.typed and (trust_typed or m.name in blameless):
+        if m.name in blameless:
             out.append(Verdict(m.name, others, exhausted=False))
             continue
         bs = _full_slice(p, m.name)
@@ -143,22 +144,22 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
             assert narrowed.labels == {l for l in full.labels if x in (l.blamed, l.holder)}, label
             assert narrowed.exhausted == full.exhausted, label
             slices += 1
-        assert compute_verdicts(p, trust_typed=False) == \
-            _verdicts_from_full_slices(p, False), (cfg.seed, False)
-        # Trusting typed modules also skips the untyped modules whose
-        # verdict no monitor consults, and that changes no contract.
-        full_trusted = _verdicts_from_full_slices(p, True)
-        trusted = compute_verdicts(p, trust_typed=True)
-        for v, full_v in zip(trusted, full_trusted):
+        full_verdicts = _verdicts_from_full_slices(p)
+        assert compute_verdicts(p, trust_typed=False) == full_verdicts, (cfg.seed, False)
+        # The default also skips the modules whose verdict no monitor
+        # consults, and that changes no contract.
+        default = compute_verdicts(p, trust_typed=True)
+        blameless = _blameless(p)
+        for v, full_v in zip(default, full_verdicts):
             label = (cfg.seed, cfg.expr_size, v.module)
-            if v.states > 0 or p.module_named(v.module).typed:
+            if v.states > 0 or v.module in blameless:
                 assert v == full_v, label
             else:
                 assert v == Verdict(v.module, frozenset(), exhausted=False), label
                 assert v.seconds == 0.0, label
                 skipped += 1
-        compiled, report = optimize_program(p, verdicts=trusted)
-        full_compiled, full_report = optimize_program(p, verdicts=full_trusted)
+        compiled, report = optimize_program(p, verdicts=default)
+        full_compiled, full_report = optimize_program(p, verdicts=full_verdicts)
         assert structurally_equal(compiled.root, full_compiled.root), (cfg.seed, True)
         assert report.dispositions == full_report.dispositions, (cfg.seed, True)
     assert slices == 495
@@ -237,13 +238,6 @@ CALLEE = """\
 (module main (require t) t)
 """
 
-# x passes typed t unknown code, which t returns to x.
-OWN_HOLE_ARGUMENT = """\
-(module t (-> Int Int) (λ (n : Int) n))
-(module x Int (require t) (t opaque))
-(module main (require x) x)
-"""
-
 # Typed t calls x, which returns unknown code.
 OWN_HOLE_RESULT = """\
 (module x (-> Int Int) (λ (n : Int) opaque))
@@ -275,8 +269,9 @@ SEPARATE_ISLANDS = """\
 (module main (require b) (b 1))
 """
 
-# (program, its blameless modules, a module, the modules its verdict
-# without trust is safe against)
+# (program, its blameless modules, a module, the modules its verdict is
+# safe against).  Every module named is blameless or obliged by a monitor,
+# so both settings of `trust_typed` give it the same verdict.
 TYPED_MODULES = [
     # x's slice lets t's hole be any value, and so blames x toward u; the
     # blame theorem proves x safe.
@@ -302,15 +297,16 @@ TYPED_MODULES = [
 
 
 def _table_misses():
-    """The rows of TYPED_MODULES whose blameless modules or verdict without
-    trust read otherwise, with what they read."""
+    """The rows of TYPED_MODULES whose blameless modules or verdict, in
+    either setting of `trust_typed`, read otherwise, with what they read."""
     misses = []
     for text, blameless, x, safe in TYPED_MODULES:
         p = parse_ok(text)
         got = optimize.blameless_modules(p)
-        (verdict,) = [v for v in compute_verdicts(p, trust_typed=False) if v.module == x]
-        if got != blameless or verdict.safe_against != safe:
-            misses.append((x, got, set(verdict.safe_against)))
+        for trust in (True, False):
+            (verdict,) = [v for v in compute_verdicts(p, trust_typed=trust) if v.module == x]
+            if got != blameless or verdict.safe_against != safe:
+                misses.append((x, trust, got, set(verdict.safe_against)))
     return misses
 
 
@@ -325,17 +321,19 @@ def _fill(e, value):
 
 def _filled_disagreements():
     """The programs of TYPED_MODULES, with each fill of their opaque terms,
-    whose unoptimized and untrusted optimized answers disagree."""
+    whose unoptimized and optimized answers disagree, in either setting of
+    `trust_typed`."""
     fills = (IntLit(0), BoolLit(True), Lam("n", None, Var("n")))
     out = []
     for text in dict.fromkeys(text for text, *_ in TYPED_MODULES):
         p = parse_ok(text)
-        optimized, _ = optimize_program(p, trust_typed=False)
-        for value in fills:
-            a0, _ = evaluate(_fill(compile_program(p).root, value))
-            a1, _ = evaluate(_fill(optimized.root, value))
-            if not answers_agree(a0, a1):
-                out.append((text.splitlines()[0], format_expr(value)))
+        for trust in (True, False):
+            optimized, _ = optimize_program(p, trust_typed=trust)
+            for value in fills:
+                a0, _ = evaluate(_fill(compile_program(p).root, value))
+                a1, _ = evaluate(_fill(optimized.root, value))
+                if not answers_agree(a0, a1):
+                    out.append((text.splitlines()[0], trust, format_expr(value)))
     return out
 
 
@@ -398,9 +396,11 @@ def _typed_module_sweep(corpus_path):
 
 def test_trust_typed_is_a_shortcut(corpus_path):
     # No generated or corpus program has an opaque term in a typed body,
-    # so without trust every typed module that is not opaquely required is
-    # proven safe against every other module, and the optimized program is
-    # the one that trusting typed modules gives.  The generated programs'
+    # so every typed module that is not opaquely required is proven safe
+    # against every other module.  The default setting only skips the
+    # slices no monitor consults: a module that is blameless or obliged
+    # gets the verdict `trust_typed=False` gives it, any other the empty
+    # one, and the optimized program is the same.  The generated programs'
     # optimized answers agree with the unoptimized ones; criterion 3 runs
     # the corpus's.
     programs, generated = _typed_module_sweep(corpus_path)
@@ -413,6 +413,12 @@ def test_trust_typed_is_a_shortcut(corpus_path):
                 assert v.safe_against == frozenset(p.names()) - {m.name}, (i, m.name)
                 proven += 1
         trusted_compiled, trusted = optimize_program(p, trust_typed=True)
+        consulted = obliged_modules(p) | _blameless(p)
+        for v, w in zip(trusted.verdicts, report.verdicts):
+            if v.module in consulted:
+                assert v == w, (i, v.module)
+            else:
+                assert v == Verdict(v.module, frozenset(), exhausted=False), (i, v.module)
         assert report.dispositions == trusted.dispositions, i
         assert format_expr(compiled.root) == format_expr(trusted_compiled.root), i
         if i < generated:
@@ -620,7 +626,7 @@ def test_module_importing_only_a_typed_int_is_skipped(monkeypatch):
     assert verdicts["u"] == Verdict("u", frozenset(), exhausted=False)
     assert verdicts["main"] == Verdict("main", frozenset(), exhausted=False)
     assert verdicts["u"].states == verdicts["main"].states == 0
-    # Trusting n alone removes the flat contract, as the full analysis would.
+    # Proving n alone removes the flat contract, as the full analysis would.
     _, report = optimize_program(p, trust_typed=True)
     assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == [("n", "u", "removed")]
 
@@ -675,7 +681,7 @@ def test_skipping_unconsulted_slices_changes_no_output(corpus_path):
     changed_verdicts = 0
     for i, p in enumerate(programs):
         compiled, report = optimize_program(p, trust_typed=True)
-        every = _verdicts_from_full_slices(p, trust_typed=True)
+        every = _verdicts_from_full_slices(p)
         oracle, oracle_report = optimize_program(p, verdicts=every)
         assert format_expr(compiled.root) == format_expr(oracle.root), i
         assert report.dispositions == oracle_report.dispositions, i
@@ -730,8 +736,8 @@ def test_compute_verdicts_reaches_layers_through_module_globals(monkeypatch, id_
 
 
 def test_compute_verdicts_compiles_nothing_when_nothing_is_analyzed(monkeypatch):
-    # Every module but main is typed and trusted, and main only imports an
-    # Int, so no verdict can change a monitor: no skeleton is built.
+    # Every module but main is typed and blameless, and main only imports
+    # an Int, so no verdict can change a monitor: no skeleton is built.
     p = parse_ok("(module n Int 5)\n"
                  "(module t Int (require n) n)\n"
                  "(module main (require t) t)")
