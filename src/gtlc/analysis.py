@@ -27,25 +27,20 @@ value through.
 
 Lowered form.  Before exploring, the expression is lowered in one
 iterative pre-order walk (`lower`): each node's label is its pre-order
-index plus a `base` offset, and `code[label]` is a flat instruction tuple
-holding the node's operator, its operands and its children's labels, e.g.
+index, and `code[label]` is a flat instruction tuple holding the node's
+operator, its operands and its children's labels, e.g.
 `(_APP, fn_label, arg_label)` or `(_IF, test, then, else)`.  The walk
 resolves each variable to its address, once: a `let` or lambda binds its
-variable at its own label, and a name bound outside the lowered root
-lives where the `scope` given to `lower` says.  Inside each branch of a
-refinable `if`, the variable it tests is read with the outcome of that
-branch.  So a variable holds its address, or None when it is unbound,
-and the refinements it is read with; and an opaque term holds such a
-pair for each visible name its own scope (`Opaque.allowed`) admits, or
-for every visible name when it has none.  Literals carry their abstract
-value, built once.  Lambda annotations are ignored, so a typed body lowers
-as its erasure does.  No pass recurses on the host stack, so nesting depth
-is bounded by memory, not by the interpreter's recursion limit.  The
-machine reads children only through the labels an instruction holds, and
-starts at label 0, so code lowered at `base = len(code)` can be appended
-to other code and linked in by repointing one parent's child label: the
-optimizer builds each module's slice that way from one lowered skeleton
-of the program, and `analyze` takes such code as it is.
+variable at its own label.  Inside each branch of a refinable `if`, the
+variable it tests is read with the outcome of that branch.  So a variable
+holds its address, or None when it is unbound, and the refinements it is
+read with; and an opaque term holds such a pair for each visible name its
+own scope (`Opaque.allowed`) admits, or for every visible name when it
+has none.  Literals carry their abstract value, built once.  Lambda
+annotations are ignored, so a typed body lowers as its erasure does.  No
+pass recurses on the host stack, so nesting depth is bounded by memory,
+not by the interpreter's recursion limit.  Lowered code is private to
+this module: `analyze` takes an expression and lowers it itself.
 
 Atomic operands.  A variable, literal, primitive, lambda or opaque term is
 atomic: its values come from the store or the code without a step of their
@@ -168,25 +163,20 @@ def _refined(vals, refs: int) -> set:
 
 _VAR, _VAL, _LAM, _OPAQUE, _APP, _LET, _IF, _MON = range(8)
 
-# A let lowers to `(_LET, rhs, body)`; the slots of its two child labels,
-# for code that relinks lowered code.
-LET_RHS, LET_BODY = 1, 2
 
-
-def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]:
+def lower(root: Expr) -> list[tuple]:
     """One instruction tuple per node of `root`, the node at pre-order index
-    i labelled `base + i`, so the result belongs at `code[base:]`.  Each
-    variable is resolved to its address: that of its innermost binder in
-    `root`, else the one `scope` maps it to, else None (unbound).  It is
-    read with the refinements of the tests around it: inside each branch
-    of a refinable `if`, the bit of that branch's outcome.  An opaque term
-    holds an (address, refinements) pair per visible name its own scope
-    admits, and lambda annotations are ignored."""
+    i labelled i.  Each variable is resolved to its address: that of its
+    innermost binder in `root`, else None (unbound).  It is read with the
+    refinements of the tests around it: inside each branch of a refinable
+    `if`, the bit of that branch's outcome.  An opaque term holds an
+    (address, refinements) pair per visible name its own scope admits,
+    and lambda annotations are ignored."""
     # The walk keeps `env` (name -> (address, refinements), None when
     # unbound) as it enters and leaves binders and branches: a (name,
     # binding) item on the stack rebinds `name`.  A leaf's instruction is
     # complete when the walk reaches it.
-    env = {name: (addr, 0) for name, addr in (scope or {}).items()}
+    env: dict = {}
     nodes: list[tuple[Expr, object]] = []
     stack: list = [root]
     while stack:
@@ -211,10 +201,10 @@ def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]
             stack += (e.arg, e.fn)
         elif t is Let:
             stack += ((e.name, env.get(e.name)), e.body,
-                      (e.name, (base + len(nodes), 0)), e.rhs)
+                      (e.name, (len(nodes), 0)), e.rhs)
         elif t is Lam:
             stack += ((e.param, env.get(e.param)), e.body,
-                      (e.param, (base + len(nodes), 0)))
+                      (e.param, (len(nodes), 0)))
         elif t is Mon:
             stack.append(e.body)
         elif t is If:
@@ -243,23 +233,23 @@ def lower(root: Expr, base: int = 0, scope: "dict | None" = None) -> list[tuple]
         k0 = i + 1
         if t is Lam:
             size[i] += size[k0]
-            code[i] = (_LAM, base + k0)
+            code[i] = (_LAM, k0)
         elif t is Mon:
             size[i] += size[k0]
-            code[i] = (_MON, e.contract, e.pos, e.neg, base + k0)
+            code[i] = (_MON, e.contract, e.pos, e.neg, k0)
         elif t is App:
             k1 = k0 + size[k0]
             size[i] += size[k0] + size[k1]
-            code[i] = (_APP, base + k0, base + k1)
+            code[i] = (_APP, k0, k1)
         elif t is Let:
             k1 = k0 + size[k0]
             size[i] += size[k0] + size[k1]
-            code[i] = (_LET, base + k0, base + k1)
+            code[i] = (_LET, k0, k1)
         elif t is If:
             k1 = k0 + size[k0]
             k2 = k1 + size[k1]
             size[i] += size[k0] + size[k1] + size[k2]
-            code[i] = (_IF, base + k0, base + k1, base + k2)
+            code[i] = (_IF, k0, k1, k2)
         else:
             code[i] = at
     return code
@@ -518,7 +508,8 @@ class _Machine:
         elif tag == "let":
             _, let_lbl, nxt = frame
             self.store_join(let_lbl, {v})
-            self.schedule((_EV, self.code[let_lbl][LET_BODY], nxt))
+            _, _, body_lbl = self.code[let_lbl]
+            self.schedule((_EV, body_lbl, nxt))
         elif tag == "if":
             _, if_lbl, nxt = frame
             self.branch((v,), if_lbl, nxt)
@@ -611,16 +602,15 @@ class _Machine:
         return ((_GUARD, contract, inner, pos, neg, site),)
 
 
-def analyze(root: "Expr | list[tuple]", budget: int = DEFAULT_BUDGET) -> BlameSet:
+def analyze(root: Expr, budget: int = DEFAULT_BUDGET) -> BlameSet:
     """Every blame label reachable by some concrete instantiation of the
-    opaque parts of `root`, an expression or code it lowered to (`lower`),
-    run from label 0.  When the state cap is hit, `exhausted` is set and
-    callers must treat the label set as if it held every label."""
-    code = root if isinstance(root, list) else lower(root)
-    return _Machine(code, budget).run()
+    opaque parts of `root`, run from its lowered code's label 0.  When the
+    state cap is hit, `exhausted` is set and callers must treat the label
+    set as if it held every label."""
+    return _Machine(lower(root), budget).run()
 
 
-def reachable_states(root: "Expr | list[tuple]", budget: int = DEFAULT_BUDGET) -> int:
+def reachable_states(root: Expr, budget: int = DEFAULT_BUDGET) -> int:
     """Size of the explored abstract state space.  `analyze(root).states`
     gives the same; this name is kept for the benchmark's census, which
     counts the states of every analyzed slice through it."""

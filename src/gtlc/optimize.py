@@ -2,27 +2,23 @@
 
 For each module X the optimizer analyzes a slice of the program in which
 every other module body is replaced by an opaque term (imports marked
-opaque in the source stay opaque in every slice), without the monitors
-that do not have X as a party.  Such a monitor can only blame other
-modules, and without it a run goes on with the value unwrapped, so the
-slice still reaches every label naming X.  If the slice's blame set has
-no label blaming X toward some party X2, then no run of the full program
-can produce that label either, and every obligation of X at the X/X2
-boundary can be dropped: flat contracts where X is the positive party
-become the trivial contract, arrow contracts recur with the usual reversal
-of parties in the domain, and an arrow reduced to trivial on both sides in
-positive position disappears entirely.
+opaque in the source stay opaque in every slice), and only the requires
+that X is a party of are kept, so the slice has only X's monitors.  Any
+other monitor could only blame other modules, and without it a run goes
+on with the value unwrapped, so the slice still reaches every label
+naming X.  If the slice's blame set has no label blaming X toward some
+party X2, then no run of the full program can produce that label either,
+and every obligation of X at the X/X2 boundary can be dropped: flat
+contracts where X is the positive party become the trivial contract,
+arrow contracts recur with the usual reversal of parties in the domain,
+and an arrow reduced to trivial on both sides in positive position
+disappears entirely.
 
-Slices differ only in which body is concrete and which monitors exist, so
-none is compiled on its own.  The program is compiled and lowered once as
-its skeleton, with every module body a hole (`Skeleton`).  A slice's code
-is a copy of the skeleton's in which each dropped monitor's `let` is
-bypassed (the instruction above it points at the let's body), each hole
-reads the lets the slice keeps, and X's body, lowered at the end of the
-code in the scope of the lets around its hole, takes the place of that
-hole.  The body is lowered as written, as `compile_program` takes every
-body: lowering ignores lambda annotations, and each opaque term of the
-body keeps the scope the reader gave it.
+Each slice is built at the source (`slice_for_module`) and compiled as
+any program is: `compile_program` shares the bodies, so a slice costs one
+module spine and the monitors it keeps, and X's body enters the core as
+written, each opaque term of it keeping the scope the reader gave it.
+Lowered code belongs to the analysis alone.
 
 The paper states this rewrite for one proven pair at a time, folded over
 the proven pairs to a fixpoint.  A monitor is touched only by the two pairs
@@ -64,7 +60,7 @@ import functools
 import time
 from dataclasses import dataclass, field
 
-from .analysis import BlameSet, analyze, lower, DEFAULT_BUDGET, LET_BODY, LET_RHS
+from .analysis import BlameSet, analyze, DEFAULT_BUDGET
 from .syntax import (
     ANY_C, AnyC, App, ArrowC, BoolC, Contract, Expr, If, IntC, Lam, Let, Module,
     Mon, Opaque, Polarity, Program, flip, module_scope,
@@ -77,8 +73,9 @@ class Verdict:
     module: str
     safe_against: frozenset[str]
     exhausted: bool
-    # Wall time and abstract states of the module's slice analysis; 0.0
-    # and 0 when it was skipped.
+    # Wall time of building, compiling and analyzing the module's slice,
+    # and the abstract states its analysis explored; 0.0 and 0 when it was
+    # skipped.
     seconds: float = field(default=0.0, compare=False)
     states: int = field(default=0, compare=False)
 
@@ -135,23 +132,23 @@ class OptimizationReport:
 # Slicing
 # ---------------------------------------------------------------------------
 
-def slice_for_module(p: Program, target: "str | None") -> Program:
-    """Keep `target`'s body; replace every other body (and the body of any
-    module someone imported opaquely) with an opaque term, scoped to what
-    its module requires (`module_scope`).  With `target` None every body is
-    a hole: the program's skeleton.  Annotations and requires are
-    untouched, so compiled, the slice keeps every boundary monitor of
-    `p`."""
-    if target is not None and p.module_named(target) is None:
+def slice_for_module(p: Program, target: str) -> Program:
+    """`target`'s slice of `p`: its body as written, unless some module
+    imports it opaquely, and every other body an opaque term scoped to what
+    its module requires (`module_scope` of all its requires).  Only the
+    requires that `target` is a party of are kept, so compiled, the slice
+    has exactly the boundary monitors of `p` that have `target` as a
+    party.  Annotations are untouched."""
+    if p.module_named(target) is None:
         raise ValueError(f"unknown module {target!r}")
     marked = _opaquely_required(p)
     out = []
     for m in p.modules:
-        if m.name == target and m.name not in marked:
-            out.append(m)
-        else:
-            out.append(Module(m.name, m.ty, m.requires,
-                              Opaque(module_scope(m.requires)), span=m.span))
+        body = m.body
+        if m.name != target or m.name in marked:
+            body = Opaque(module_scope(m.requires))
+        requires = [r for r in m.requires if target in (m.name, r.target)]
+        out.append(Module(m.name, m.ty, requires, body, span=m.span))
     return Program(out)
 
 
@@ -159,71 +156,6 @@ def _opaquely_required(p: Program) -> set[str]:
     """The modules some module imports with `opaque-require`: their bodies
     stay holes in every slice."""
     return {r.target for m in p.modules for r in m.requires if r.opaque}
-
-
-class Skeleton:
-    """`p` with every module body a hole, compiled and lowered once, from
-    which `slice_code` builds the lowered code of each module's slice.  A
-    module's hole, or its body in its own slice, sees the `let` of each
-    earlier module, overridden by the require lets the slice keeps."""
-
-    def __init__(self, p: Program):
-        self.bodies = {m.name: m.body for m in p.modules}
-        self.marked = _opaquely_required(p)
-        skeleton = slice_for_module(p, None)
-        self.code = code = lower(compile_program(skeleton).root)
-        # Per module: the label of its `let`, the labels of its require lets
-        # with the required module, outermost first, its hole's label, its
-        # hole's instruction in other modules' slices, and its body's scope.
-        self.layout: list[tuple[str, int, list[tuple[int, str]], int, dict, dict]] = []
-        at, earlier = 0, {}
-        for m, monitored in boundaries(skeleton):
-            lets, inner = [], code[at][LET_RHS]
-            for r, _ in monitored:
-                lets.append((inner, r.target))
-                inner = code[inner][LET_BODY]
-            rebound = {pos: let for let, pos in lets}
-            # The skeleton's hole sees every require let, as in the module's
-            # own slice.  In the slice of a module it monitors a require of,
-            # it sees that require's let, and in any other slice none.
-            holes = {}
-            if rebound:
-                holes[None] = lower(m.body, inner, earlier)[0]
-                for pos, let in rebound.items():
-                    holes[pos] = lower(m.body, inner, {**earlier, pos: let})[0]
-            self.layout.append((m.name, at, lets, inner, holes, {**earlier, **rebound}))
-            earlier[m.name] = at
-            at = code[at][LET_BODY]
-
-    def slice_code(self, target: str) -> list[tuple]:
-        """The code of `slice_for_module(p, target)` compiled and lowered
-        with only the monitors that have `target` as a party.  Each other
-        monitor's `let` is bypassed, each hole is given the addresses its
-        scope has in this slice, and unless `target` is opaquely required,
-        its body, lowered as it is at the end with the scope its hole
-        would have, replaces its hole."""
-        code = self.code.copy()
-        for name, at, lets, hole, holes, scope in self.layout:
-            end = hole
-            if name == target and name not in self.marked:
-                end = len(code)
-                code += lower(self.bodies[name], end, scope)
-            elif name != target and holes:
-                code[hole] = holes.get(target, holes[None])
-            slot = LET_RHS
-            for let, pos in lets:
-                if target == pos or target == name:
-                    _point(code, at, slot, let)
-                    at, slot = let, LET_BODY
-            _point(code, at, slot, end)
-        return code
-
-
-def _point(code: list[tuple], at: int, slot: int, child: int) -> None:
-    """Make the child label in `slot` of the instruction at `at` `child`."""
-    ins = code[at]
-    if ins[slot] != child:
-        code[at] = ins[:slot] + (child,) + ins[slot + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -253,15 +185,13 @@ def copt(c: Contract, s: Polarity) -> Contract:
 
 def analyze_slice(p: Program, module: str,
                   budget: int = DEFAULT_BUDGET) -> BlameSet:
-    """The blame set of `module`'s slice of `p` with only the monitors that
-    have `module` as a party (`Skeleton.slice_code`), so every label in it
-    names `module`.  Leaving another monitor out only lets runs go on that
-    would have blamed those others, passing values through unwrapped, so
-    the labels naming `module` are a superset of the whole slice's and the
-    verdicts stay sound."""
-    if p.module_named(module) is None:
-        raise ValueError(f"unknown module {module!r}")
-    return analyze(Skeleton(p).slice_code(module), budget)
+    """The blame set of `module`'s slice of `p` (`slice_for_module`), which
+    keeps only the monitors that have `module` as a party, so every label
+    in it names `module`.  Leaving another monitor out only lets runs go on
+    that would have blamed those others, passing values through unwrapped,
+    so the labels naming `module` are a superset of those of the slice
+    with every monitor kept, and the verdicts stay sound."""
+    return analyze(compile_program(slice_for_module(p, module)).root, budget)
 
 
 def obliged_modules(p: Program) -> set[str]:
@@ -340,13 +270,12 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
     `obliged_modules` is safe against none, also unanalyzed, which is all
     `gtlc optimize` needs.  False analyzes every module the blame theorem
     does not prove, which is what `gtlc analyze` reports.  `p` must have
-    passed `check_wellformed`, as the blame theorem assumes.  The program's
-    `Skeleton` is built once, before the first slice analyzed, and its time
-    is in no module's seconds."""
+    passed `check_wellformed`, as the blame theorem assumes.  Each slice is
+    built, compiled and analyzed by `analyze_slice` within its module's
+    seconds, so they sum to the whole slice analysis."""
     parties = p.names()
     blameless = blameless_modules(p)
     obliged = obliged_modules(p) if trust_typed else set()
-    skeleton = None
     verdicts = []
     for m in p.modules:
         others = frozenset(n for n in parties if n != m.name)
@@ -356,10 +285,8 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
         if trust_typed and m.name not in obliged:
             verdicts.append(Verdict(m.name, frozenset(), exhausted=False))
             continue
-        if skeleton is None:
-            skeleton = Skeleton(p)
         t0 = time.perf_counter()
-        bs = analyze(skeleton.slice_code(m.name), budget)
+        bs = analyze_slice(p, m.name, budget)
         seconds = time.perf_counter() - t0
         if bs.exhausted:
             safe = frozenset()

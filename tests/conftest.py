@@ -6,7 +6,7 @@ from gtlc import analysis, frontend, interp, optimize
 from gtlc.bench import answers_agree, corpus_dir
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BoolLit, INT_C, IntLit, Expr, If, Lam, Let, Mon,
-    Module, Opaque, Prim, Program, Require, TArrow, TBool, TInt, Var,
+    Module, Opaque, Prim, Program, Require, TArrow, TBool, TInt, Var, module_scope,
 )
 from gtlc.translate import compile_program
 
@@ -202,6 +202,19 @@ def run_differential(program: Program, trust_typed: bool = True,
         "optimized": (a1, m1),
         "report": report,
     }
+
+
+def full_slice(p: Program, x: str) -> Program:
+    """`x`'s slice of `p` with every require kept: x's body as written,
+    unless some module imports x opaquely, and every other body an opaque
+    term scoped to what its module requires.  Compiled, it has every
+    boundary monitor of `p`; `optimize.slice_for_module` keeps only those
+    that have x as a party."""
+    marked = {r.target for m in p.modules for r in m.requires if r.opaque}
+    return Program([
+        m if m.name == x and x not in marked
+        else Module(m.name, m.ty, m.requires, Opaque(module_scope(m.requires)), span=m.span)
+        for m in p.modules])
 
 
 def party_slices_cover(program: Program, label,

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import (
     ID_BOUNDARY, ID_BOUNDARY_CORE, ID_BOUNDARY_OPTIMIZED_CORE,
-    ID_BOUNDARY_SLICE_U1, contracts_up_to, parse_ok, party_slices_cover,
+    ID_BOUNDARY_SLICE_U1, contracts_up_to, full_slice, parse_ok, party_slices_cover,
     run_differential, structurally_equal,
 )
 from gtlc.analysis import analyze
@@ -20,7 +20,7 @@ from gtlc.bench import _interleaved_runs, bench_entry, lattice_configs
 from gtlc.frontend import parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
-from gtlc.optimize import copt, optimize_program, slice_for_module
+from gtlc.optimize import copt, optimize_program
 from gtlc.syntax import (
     ANY_C, ArrowC, BlameLabel, INT_C, Polarity,
 )
@@ -285,7 +285,7 @@ def test_criterion_8_analysis_terminates(corpus_programs):
 
     for name, program in corpus_programs:
         for m in program.modules:
-            root = compile_program(slice_for_module(program, m.name)).root
+            root = compile_program(full_slice(program, m.name)).root
             bs = analyze(root)
             if bs.exhausted:
                 failures.append(f"{name}, module {m.name}: hit the state cap")

@@ -1,13 +1,15 @@
+import ast
 import hashlib
 from itertools import combinations, permutations
+from pathlib import Path
 
 from conftest import (
     HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_SLICE_U1,
-    OPAQUE_UNDER_LAMBDA, expr_nodes, parse_ok,
+    OPAQUE_UNDER_LAMBDA, expr_nodes, full_slice, parse_ok,
 )
 from gtlc import analysis
 from gtlc.analysis import (
-    _APP, _BOOL, _BOOL_T, _CLOS, _FN_T, _GUARD, _IF, _INT, _INT_T, _LAM, _LET,
+    _BOOL, _BOOL_T, _CLOS, _FN_T, _GUARD, _IF, _INT, _INT_T, _LAM, _LET,
     _MON, _OPAQUE, _OPQ, _PRIM, _SOME_INT, _SOME_VALUE, _VAL, _VAR, _admits,
     _refine, analyze, lower, reachable_states,
 )
@@ -15,12 +17,12 @@ from gtlc.bench import corpus_dir, lattice_configs
 from gtlc.frontend import parse_expr
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, evaluate
-from gtlc.optimize import Skeleton, analyze_slice, slice_for_module
+from gtlc.optimize import analyze_slice, slice_for_module
 from gtlc.syntax import (
     App, ArrowC, BlameLabel, BOOL_C, BoolLit, If, INT_C, IntLit, Lam, Let,
     Module, Mon, Opaque, Prim, Program, Require, TArrow, TInt, Var,
 )
-from gtlc.translate import compile_program
+from gtlc.translate import compile_program, erase
 
 
 def analyze_source(text, **kw):
@@ -47,7 +49,7 @@ def test_slice_for_bad_client_overapproximates_concrete_blame():
     label = concrete.label
     assert label == BlameLabel("u2", "t1")
 
-    sliced = slice_for_module(program, label.blamed)
+    sliced = full_slice(program, label.blamed)
     bs = analyze(compile_program(sliced).root)
     assert label in bs.labels
 
@@ -78,32 +80,6 @@ def test_first_order_values_are_not_applicable():
 
 # -- lowering ------------------------------------------------------------------
 
-def _moved(addr, b):
-    """An address moved up by `b`: a binder's label.  An unbound variable
-    has none."""
-    return None if addr is None else addr + b
-
-
-def _shifted(ins, b):
-    """`ins` with every label it holds moved up by `b`: its children's, a
-    lambda's body's, and those in the addresses of a variable and of an
-    opaque term's scope.  Refinements stay as they are."""
-    op = ins[0]
-    if op == _VAR:
-        return (op, _moved(ins[1], b), ins[2])
-    if op == _OPAQUE:
-        return (op, tuple((_moved(a, b), refs) for a, refs in ins[1]))
-    if op == _LAM:
-        return (op, ins[1] + b)
-    if op in (_APP, _LET):
-        return (op, ins[1] + b, ins[2] + b)
-    if op == _IF:
-        return (op, ins[1] + b, ins[2] + b, ins[3] + b)
-    if op == _MON:
-        return ins[:4] + (ins[4] + b,)
-    return ins
-
-
 def _lowering_programs():
     programs = [gen_program(GenConfig(seed=s)) for s in range(20)]
     programs += [gen_program(GenConfig(seed=s, expr_size=64, max_modules=16))
@@ -111,27 +87,10 @@ def _lowering_programs():
     return programs + [parse_ok(ID_BOUNDARY), parse_ok(OPAQUE_UNDER_LAMBDA)]
 
 
-def _lowering_roots():
-    for p in _lowering_programs():
-        yield compile_program(p).root
-        for m in p.modules:
-            yield m.body
-            yield compile_program(slice_for_module(p, m.name)).root
-
-
-def test_lowering_at_a_base_shifts_every_label():
-    for root in _lowering_roots():
-        at0 = lower(root)
-        for b in (1, 17, 1000):
-            assert lower(root, b) == [_shifted(ins, b) for ins in at0], b
-
-
-def test_analyzing_lowered_code_is_analyzing_the_expression():
-    for root in _lowering_roots():
-        bs, code_bs = analyze(root), analyze(lower(root))
-        assert (code_bs.labels, code_bs.exhausted, code_bs.states) == \
-            (bs.labels, bs.exhausted, bs.states)
-        assert code_bs.states > 0
+def _labels(root):
+    """The label `lower` gives each node of `root`, by node identity: its
+    pre-order index."""
+    return {id(e): i for i, e in enumerate(expr_nodes(root))}
 
 
 def test_every_opaque_of_a_slice_has_a_scope():
@@ -140,23 +99,48 @@ def test_every_opaque_of_a_slice_has_a_scope():
     # names than its scope holds, and each module's hole to one address,
     # unrefined, per module it requires, whichever slice it is in.
     for p in _lowering_programs():
-        skeleton = Skeleton(p)
         for m in p.modules:
             holes = [e for e in expr_nodes(m.body) if type(e) is Opaque]
             assert all(h.allowed is not None for h in holes)
-            code = skeleton.slice_code(m.name)
-            for body in (lower(m.body), code[len(skeleton.code):]):
-                scopes = [ins[1] for ins in body if ins[0] == _OPAQUE]
-                assert all(len(s) <= len(h.allowed) for s, h in zip(scopes, holes))
-            for name, _, _, hole, _, _ in skeleton.layout:
-                requires = {r.target for r in p.module_named(name).requires}
-                assert len(code[hole][1]) == len(requires), (m.name, name)
-                assert all(refs == 0 for _, refs in code[hole][1]), (m.name, name)
-    # Lowered alone, u's body sees its lambda's parameter and, through the
-    # scope it is given, the module it requires; nothing else it is given.
+            sliced = slice_for_module(p, m.name)
+            root = compile_program(sliced).root
+            for tree in (m.body, root):  # lowered alone, then in its slice
+                code, at = lower(tree), _labels(tree)
+                assert all(len(code[at[id(h)]][1]) <= len(h.allowed)
+                           for h in holes if id(h) in at), m.name
+            for original, hole in zip(p.modules, sliced.modules):
+                if hole.body is original.body:
+                    continue
+                seen = code[at[id(hole.body)]][1]
+                requires = {r.target for r in original.requires}
+                assert len(seen) == len(requires), (m.name, original.name)
+                assert all(refs == 0 for _, refs in seen), (m.name, original.name)
+    # u's body, with t and main bound around it, sees its lambda's
+    # parameter and, through the scope the reader gave it, the module it
+    # requires; not main.
     u = parse_ok(OPAQUE_UNDER_LAMBDA).module_named("u")
-    code = lower(u.body, 0, {"t": "t's let", "main": "main's let"})
-    assert [ins[1] for ins in code if ins[0] == _OPAQUE] == [((1, 0), ("t's let", 0))]
+    code = lower(Let("t", IntLit(0), Let("main", IntLit(0), u.body)))
+    assert [ins[1] for ins in code if ins[0] == _OPAQUE] == [((5, 0), (0, 0))]
+
+
+def test_lowered_code_belongs_to_the_analysis():
+    # No module of gtlc but `analysis` refers to `lower`, to the slots of a
+    # lowered let, or to a private name of `analysis`, so the instruction
+    # layout is the analysis' own.
+    private = {"lower", "LET_RHS", "LET_BODY"}
+    found = []
+    for path in sorted(Path(analysis.__file__).parent.glob("*.py")):
+        if path.name == "analysis.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.ImportFrom) and node.module in ("analysis", "gtlc.analysis"):
+                names = [a.name for a in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "analysis"):
+                names = [node.attr]
+            found += [(path.name, n) for n in names if n in private or n.startswith("_")]
+    assert found == []
 
 
 # -- name resolution ------------------------------------------------------------
@@ -173,10 +157,10 @@ def test_a_refined_address_is_visible_only_inside_its_branch():
     # branch's outcome.
     e = Lam("x", None, Let("y", If(App(Prim("int?"), Var("x")), Var("x"), Var("x")),
                            Var("x")))
-    code = lower(e, 10)
-    assert code[2] == (_IF, 13, 16, 17)
+    code = lower(e)
+    assert code[2] == (_IF, 3, 6, 7)
     assert [code[i] for i in (5, 6, 7, 8)] == [
-        (_VAR, 10, 0), (_VAR, 10, _INT_T), (_VAR, 10, _INT_T << 3), (_VAR, 10, 0)]
+        (_VAR, 0, 0), (_VAR, 0, _INT_T), (_VAR, 0, _INT_T << 3), (_VAR, 0, 0)]
     # A test of an unbound name refines nothing.
     assert lower(If(App(Prim("bool?"), Var("z")), Var("z"), IntLit(0)))[4] == \
         (_VAR, None, 0)
@@ -193,21 +177,25 @@ def test_a_scoped_hole_sees_only_its_names():
     # (let [a 1] (λ (b) opaque)), the hole scoped to a and c.
     e = Let("a", IntLit(1), Lam("b", None, Opaque(frozenset({"a", "c"}))))
     assert lower(e)[-1] == (_OPAQUE, ((0, 0),))
-    assert lower(e, 0, {"c": "c's let", "d": "d's let"})[-1] == \
-        (_OPAQUE, ((0, 0), ("c's let", 0)))
+    # In (let [c 0] (let [d 0] e)), e's let is at 4.
+    assert lower(Let("c", IntLit(0), Let("d", IntLit(0), e)))[-1] == \
+        (_OPAQUE, ((4, 0), (0, 0)))
 
 
 def test_an_unscoped_hole_sees_the_innermost_binding_of_every_name():
-    # (let [a 1] (λ (a) (λ (b) opaque))), with c bound outside.
+    # (let [a 0] (let [c 0] (let [a 1] (λ (a) (λ (b) opaque))))): the
+    # lambdas are at 6 and 7, and c's let at 2.
     e = Let("a", IntLit(1), Lam("a", None, Lam("b", None, Opaque())))
-    assert lower(e, 0, {"a": "outer a", "c": "c's let"})[-1] == \
-        (_OPAQUE, ((2, 0), (3, 0), ("c's let", 0)))
+    assert lower(Let("a", IntLit(0), Let("c", IntLit(0), e)))[-1] == \
+        (_OPAQUE, ((6, 0), (7, 0), (2, 0)))
 
 
 def test_a_scope_binds_a_free_name():
-    # (let [y m] (λ (m) m)): m is the scope's until the lambda rebinds it.
+    # (let [y m] (λ (m) m)) in (let [m 0] ...): m is the outer let's until
+    # the lambda rebinds it.
     e = Let("y", Var("m"), Lam("m", None, Var("m")))
-    assert lower(e, 5, {"m": 2}) == [(_LET, 6, 7), (_VAR, 2, 0), (_LAM, 8), (_VAR, 7, 0)]
+    assert lower(Let("m", IntLit(0), e)) == [
+        (_LET, 1, 2), (_VAL, _SOME_INT), (_LET, 3, 4), (_VAR, 0, 0), (_LAM, 5), (_VAR, 4, 0)]
     assert lower(e)[1] == (_VAR, None, 0)
 
 
@@ -218,55 +206,57 @@ def _corpus_programs():
                 yield parse_ok(config.read_text(encoding="utf-8"))
 
 
-def _body_scope(skeleton, target):
-    """Where the names bound outside `target`'s body live in its slice: at
-    the let of each earlier module, or at the require let of `target` that
-    last binds the name."""
-    scope = {}
-    for name, at, lets, _, _, _ in skeleton.layout:
-        if name == target:
-            return scope | {pos: let for let, pos in lets}
-        scope[name] = at
-    raise KeyError(target)
+def _lets_around(root, body):
+    """Where the names bound around `body` live in the compiled `root`: at
+    the innermost let on the way down to it that binds each name."""
+    at = _labels(root)
+    out, node = {}, root
+    while node is not body:
+        out[node.name] = at[id(node)]
+        node = node.rhs if any(e is body for e in expr_nodes(node.rhs)) else node.body
+    return out
 
 
 def test_slice_code_lowers_the_erased_body():
-    # A slice's module body is lowered as written: the code is that of
-    # lowering the body at the end of the skeleton's, in the scope of the
-    # lets around its hole, and each hole keeps the scope the reader gave it.
+    # A slice's module body enters the core as written, shared with the
+    # program, and lowers as its erasure does; each hole keeps the scope
+    # the reader gave it.
     programs = [*_lowering_programs(), *_corpus_programs(), HOLES_UNDER_BINDERS]
     for p in programs:
-        skeleton = Skeleton(p)
-        base = len(skeleton.code)
         for m in p.modules:
-            code = skeleton.slice_code(m.name)
-            if len(code) == base:  # opaquely required: its hole stays
+            sliced = slice_for_module(p, m.name)
+            if sliced.module_named(m.name).body is not m.body:  # opaquely required
                 continue
-            want = lower(m.body, base, _body_scope(skeleton, m.name))
-            assert code[base:] == want and repr(code[base:]) == repr(want), m.name
+            root = compile_program(sliced).root
+            assert any(e is m.body for e in expr_nodes(root)), m.name
+            erased = Program([Module(k.name, k.ty, k.requires,
+                                     erase(k.body) if k.name == m.name else k.body)
+                              for k in sliced.modules])
+            want = lower(compile_program(erased).root)
+            assert lower(root) == want and repr(lower(root)) == repr(want), m.name
     # Each hole holds the addresses of the names the reader's scope gives
     # it, in name order and unrefined: t's holes see n's let and both
     # parameters, and u's see both parameters and the require lets of n
     # and t.
     p = parse_ok(HOLES_UNDER_LAMBDAS)
-    skeleton = Skeleton(p)
-    base = len(skeleton.code)
-    scopes = {}
+    scopes, lams, outer = {}, {}, {}
     for name in ("t", "u"):
-        holes = [e for e in expr_nodes(p.module_named(name).body)
-                 if isinstance(e, Opaque)]
-        scopes[name] = [ins[1] for ins in skeleton.slice_code(name)[base:]
-                        if ins[0] == _OPAQUE]
-        assert len(scopes[name]) == len(holes)
-    outer = {name: _body_scope(skeleton, name) for name in ("t", "u")}
-    # t: (λ x (λ y (if y opaque (opaque x)))), the lambdas at base and
-    # base + 1; u: (λ a ((λ b (opaque b)) a)), at base and base + 2.
+        body = p.module_named(name).body
+        root = compile_program(slice_for_module(p, name)).root
+        code, at = lower(root), _labels(root)
+        scopes[name] = [code[at[id(e)]][1] for e in expr_nodes(body) if type(e) is Opaque]
+        lams[name] = [at[id(e)] for e in expr_nodes(body) if type(e) is Lam]
+        outer[name] = _lets_around(root, body)
+        if name == "u":  # u monitors its t: the let that binds t is a monitor's
+            assert code[code[outer["u"]["t"]][1]][0] == _MON
+
     def unrefined(*addrs):
         return tuple((a, 0) for a in addrs)
 
-    assert scopes == {"t": [unrefined(outer["t"]["n"], base, base + 1)] * 2,
-                      "u": [unrefined(base, base + 2, outer["u"]["n"], outer["u"]["t"])]}
-    assert outer["u"]["t"] != skeleton.layout[2][1]  # u monitors its t
+    # t: (λ x (λ y (if y opaque (opaque x)))); u: (λ a ((λ b (opaque b)) a)).
+    (x, y), (a, b) = lams["t"], lams["u"]
+    assert scopes == {"t": [unrefined(outer["t"]["n"], x, y)] * 2,
+                      "u": [unrefined(a, b, outer["u"]["n"], outer["u"]["t"])]}
 
 
 def test_a_hole_under_deep_lambdas_is_sliced():
@@ -275,14 +265,15 @@ def test_a_hole_under_deep_lambdas_is_sliced():
         body = Lam(f"x{i}", TInt(), body)
     p = Program([Module("n", TInt(), [], IntLit(1)),
                  Module("d", None, [Require("n")], body)])
-    skeleton = Skeleton(p)
-    code = skeleton.slice_code("d")
+    root = compile_program(slice_for_module(p, "d")).root
+    code, at = lower(root), _labels(root)
     # Built through the API, the hole is unscoped: it sees every parameter
     # around it, the outermost lambda first, and d's require let of n.
-    base = len(skeleton.code)
-    (_, _, [(n_let, _)], _, _, _) = skeleton.layout[1]
-    seen = {f"x{i}": base + DEEP - 1 - i for i in range(DEEP)} | {"n": n_let}
-    assert code[-1] == (_OPAQUE, tuple((seen[name], 0) for name in sorted(seen)))
+    outermost, n_let = at[id(body)], _lets_around(root, body)["n"]
+    assert code[code[n_let][1]][0] == _MON
+    seen = {f"x{i}": outermost + DEEP - 1 - i for i in range(DEEP)} | {"n": n_let}
+    hole = code[outermost + DEEP]
+    assert hole == (_OPAQUE, tuple((seen[name], 0) for name in sorted(seen)))
 
 
 _TAGS = ("int", "bool", "fn")
@@ -442,7 +433,7 @@ def test_refinement_threads_through_branch():
 (module main (require user) user)
 """
     program = parse_ok(text)
-    bs = analyze(compile_program(slice_for_module(program, "user")).root)
+    bs = analyze(compile_program(full_slice(program, "user")).root)
     assert not any(l.blamed == "user" for l in bs.labels)
 
 
@@ -455,7 +446,7 @@ def test_terminates_on_corpus_without_cap():
     total_states = 0
     for program in _corpus_programs():
         for m in program.modules:
-            root = compile_program(slice_for_module(program, m.name)).root
+            root = compile_program(full_slice(program, m.name)).root
             bs = analyze(root)
             assert not bs.exhausted, m.name
             total_states += bs.states
@@ -477,7 +468,7 @@ def test_reexported_wrapper_blame_is_covered():
     program = parse_ok(text)
     concrete, _ = evaluate(compile_program(program).root)
     assert concrete == BlamedA(BlameLabel("u", "t"))
-    bs = analyze(compile_program(slice_for_module(program, "u")).root)
+    bs = analyze(compile_program(full_slice(program, "u")).root)
     assert BlameLabel("u", "t") in bs.labels
 
 
@@ -520,7 +511,7 @@ def test_slicing_monotone_for_labels_mentioning_module():
             mine = {l for l in full.labels if m.name in (l.blamed, l.holder)}
             if not mine:
                 continue
-            sliced = analyze(compile_program(slice_for_module(program, m.name)).root)
+            sliced = analyze(compile_program(full_slice(program, m.name)).root)
             assert sliced.exhausted or mine <= sliced.labels, (seed, m.name)
 
 
@@ -578,7 +569,7 @@ def golden_slices():
     for cfg in GOLDEN_CONFIGS:
         program = gen_program(cfg)
         for m in program.modules:
-            yield cfg, m.name, compile_program(slice_for_module(program, m.name)).root
+            yield cfg, m.name, compile_program(full_slice(program, m.name)).root
 
 
 # sha256 over (program seed, expr_size, module, sorted labels, exhausted) for
@@ -649,9 +640,8 @@ def _fixpoint_codes():
     for _, _, root in golden_slices():
         yield lower(root)
     for p in _corpus_programs():
-        skeleton = Skeleton(p)
         for m in p.modules:
-            yield skeleton.slice_code(m.name)
+            yield lower(compile_program(slice_for_module(p, m.name)).root)
 
 
 def _run(code):

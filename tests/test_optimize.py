@@ -5,10 +5,10 @@ from collections import Counter
 from conftest import (
     EXPR_TYPES, HOLES_UNDER_BINDERS, HOLES_UNDER_LAMBDAS, ID_BOUNDARY,
     ID_BOUNDARY_OPTIMIZED_CORE, ID_BOUNDARY_SLICE_U1, OPAQUE_UNDER_LAMBDA, OWN_HOLE_ARGUMENT,
-    REQUIRES_TWICE, TYPED_NEIGHBOURS, TYPED_REEXPORT, contracts_up_to, parse_ok,
-    run_differential, structurally_equal,
+    REQUIRES_TWICE, TYPED_NEIGHBOURS, TYPED_REEXPORT, contracts_up_to, full_slice,
+    parse_ok, run_differential, structurally_equal,
 )
-from gtlc import analysis, optimize
+from gtlc import optimize
 from gtlc.analysis import analyze, reachable_states
 from gtlc.bench import answers_agree, lattice_configs
 from gtlc.frontend import parse_expr
@@ -20,7 +20,7 @@ from gtlc.optimize import (
 )
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BlameLabel, BoolLit, Expr, If, INT_C, IntLit, Lam, Let,
-    Mon, Opaque, Polarity, Var, format_expr, format_program,
+    Mon, Opaque, Polarity, Var, format_expr, format_program, module_scope,
 )
 from gtlc.translate import compile_program, erase, scan_boundaries
 
@@ -30,10 +30,17 @@ POS, NEG = Polarity.POS, Polarity.NEG
 # -- slicing ---------------------------------------------------------------
 
 def test_slice_keeps_target_only():
+    # u1's body and require stay; u2 and main keep no require, as u1 is a
+    # party of neither, and with every require kept it is the full slice.
     p = parse_ok(ID_BOUNDARY)
     sliced = slice_for_module(p, "u1")
-    expected = parse_ok(ID_BOUNDARY_SLICE_U1)
+    expected = parse_ok("(module t1 (-> Int Int) opaque)\n"
+                        "(module u1 (require t1) (t1 5))\n"
+                        "(module u2 opaque)\n"
+                        "(module main opaque)")
     assert format_program(sliced) == format_program(expected)
+    assert format_program(full_slice(p, "u1")) == \
+        format_program(parse_ok(ID_BOUNDARY_SLICE_U1))
 
 
 def test_slice_one_module_program_unchanged():
@@ -91,7 +98,7 @@ GOLDEN_CONFIGS = ([GenConfig(seed=s) for s in range(100)]
 
 def _full_slice(p, module):
     """The blame set of `module`'s slice with every monitor kept."""
-    return analyze(compile_program(slice_for_module(p, module)).root)
+    return analyze(compile_program(full_slice(p, module)).root)
 
 
 def _blameless(p):
@@ -166,25 +173,55 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
     assert skipped > 0
 
 
-def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors(corpus_path):
-    # Oracle: each slice built for its party from the skeleton analyzes
-    # exactly like the compiled slice rewritten to keep a monitor iff the
-    # party is one of its parties, in labels, exhaustion and states.  Holes
-    # under binders, scoped or not, a module that requires another twice
-    # and typed modules that require typed ones check that each hole and
-    # body sees the lets the slice keeps.
+def _slice_programs(corpus_path):
+    """The golden programs, the corpus and the conftest tables: holes under
+    binders, scoped or not, a module that requires another twice, typed
+    modules that require typed ones or re-export them, and a typed module
+    that passes a typed neighbour its own hole."""
     programs = [gen_program(cfg) for cfg in GOLDEN_CONFIGS]
     for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
         programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
-    programs += [HOLES_UNDER_BINDERS, *map(parse_ok, (
-        HOLES_UNDER_LAMBDAS, OPAQUE_UNDER_LAMBDA, REQUIRES_TWICE, TYPED_NEIGHBOURS))]
+    return programs + [HOLES_UNDER_BINDERS, *map(parse_ok, (
+        HOLES_UNDER_LAMBDAS, ID_BOUNDARY, OPAQUE_UNDER_LAMBDA, OWN_HOLE_ARGUMENT,
+        REQUIRES_TWICE, TYPED_NEIGHBOURS, TYPED_REEXPORT))]
+
+
+def test_a_slice_has_exactly_its_partys_monitors(corpus_path):
+    # Compiled, x's slice has the monitors of the program that have x as a
+    # party, in the same order, and each other module's hole may reach what
+    # its module requires in the program, whichever requires the slice
+    # keeps.
     slices = 0
-    for i, p in enumerate(programs):
+    for i, p in enumerate(_slice_programs(corpus_path)):
+        monitors = [(b.pos, b.neg, b.contract) for b in scan_boundaries(compile_program(p).root)]
+        marked = {r.target for m in p.modules for r in m.requires if r.opaque}
         for m in p.modules:
             x = m.name
             sliced = slice_for_module(p, x)
+            kept = scan_boundaries(compile_program(sliced).root)
+            assert [(b.pos, b.neg, b.contract) for b in kept] == \
+                [mon for mon in monitors if x in mon[:2]], (i, x)
+            for original, hole in zip(p.modules, sliced.modules):
+                if original.name == x and x not in marked:
+                    assert hole.body is original.body, (i, x)
+                    continue
+                assert type(hole.body) is Opaque, (i, x, original.name)
+                assert hole.body.allowed == module_scope(original.requires), (i, x, original.name)
+            slices += 1
+    assert slices > 495
+
+
+def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors(corpus_path):
+    # Oracle: each slice analyzes exactly like the full slice compiled to
+    # keep a monitor iff the party is one of its parties, in labels,
+    # exhaustion and states, so each hole and body sees the lets the slice
+    # keeps.
+    slices = 0
+    for i, p in enumerate(_slice_programs(corpus_path)):
+        for m in p.modules:
+            x = m.name
             oracle = analyze(compile_program(
-                sliced, lambda pos, neg, c: c if x in (pos, neg) else ANY_C).root)
+                full_slice(p, x), lambda pos, neg, c: c if x in (pos, neg) else ANY_C).root)
             bs = analyze_slice(p, x)
             assert (bs.labels, bs.exhausted, bs.states) == \
                 (oracle.labels, oracle.exhausted, oracle.states), (i, x)
@@ -192,38 +229,23 @@ def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_mo
     assert slices > 495
 
 
-def _reachable_monitors(code):
-    """(pos, neg) of each monitor reachable from label 0 of lowered code,
-    in pre-order, the order of `scan_boundaries`."""
-    children = {analysis._LAM: (1,), analysis._MON: (4,), analysis._APP: (1, 2),
-                analysis._LET: (1, 2), analysis._IF: (1, 2, 3)}
-    out, stack = [], [0]
-    while stack:
-        ins = code[stack.pop()]
-        if ins[0] == analysis._MON:
-            out.append((ins[2], ins[3]))
-        stack += [ins[k] for k in reversed(children.get(ins[0], ()))]
-    return out
-
-
 def test_slice_is_analyzed_without_other_parties_monitors(monkeypatch):
     p = parse_ok("(module t (-> Int Int) (λ (x : Int) x))\n"
                  "(module u (require t) (t 5))\n"
                  "(module v (require t) (λ (_) (t #f)))\n"
                  "(module main (require u) u)")
-    codes = []
+    roots = []
 
-    def recording(code, *args, _analyze=optimize.analyze):
-        codes.append(code)
-        return _analyze(code, *args)
+    def recording(root, *args, _analyze=optimize.analyze):
+        roots.append(root)
+        return _analyze(root, *args)
 
     monkeypatch.setattr(optimize, "analyze", recording)
     bs = analyze_slice(p, "u")
-    (code,) = codes
-    whole = compile_program(slice_for_module(p, "u")).root
+    (root,) = roots
+    whole = compile_program(full_slice(p, "u")).root
     assert [(b.pos, b.neg) for b in scan_boundaries(whole)] == [("t", "u"), ("t", "v")]
-    assert _reachable_monitors(analysis.lower(whole)) == [("t", "u"), ("t", "v")]
-    assert _reachable_monitors(code) == [("t", "u")]
+    assert [(b.pos, b.neg) for b in scan_boundaries(root)] == [("t", "u")]
     assert bs.labels == {BlameLabel("t", "u")}
     assert BlameLabel("v", "t") in analyze(whole).labels
 
@@ -605,11 +627,11 @@ def _analyzed_modules(monkeypatch, p, trust_typed):
     """The modules whose slice `compute_verdicts` analyzes."""
     analyzed = []
 
-    def recording(self, module, _slice_code=optimize.Skeleton.slice_code):
+    def recording(p, module, _slice=optimize.slice_for_module):
         analyzed.append(module)
-        return _slice_code(self, module)
+        return _slice(p, module)
 
-    monkeypatch.setattr(optimize.Skeleton, "slice_code", recording)
+    monkeypatch.setattr(optimize, "slice_for_module", recording)
     compute_verdicts(p, trust_typed=trust_typed)
     monkeypatch.undo()
     return analyzed
@@ -707,41 +729,40 @@ def _layer_calls(monkeypatch, p, trust_typed):
     wraps in `optimize` (benchmark/layers.py), and the first positional
     argument of each `analyze` call, which the benchmark reads."""
     calls = Counter()
-    codes = []
+    roots = []
     for name in ("slice_for_module", "compile_program", "analyze"):
         def counted(*args, _fn=getattr(optimize, name), _name=name, **kw):
             calls[_name] += 1
             if _name == "analyze":
-                codes.append(args[0])
+                roots.append(args[0])
             return _fn(*args, **kw)
         monkeypatch.setattr(optimize, name, counted)
     verdicts = compute_verdicts(p, trust_typed=trust_typed)
     monkeypatch.undo()
-    return calls, codes, verdicts
+    return calls, roots, verdicts
 
 
 def test_compute_verdicts_reaches_layers_through_module_globals(monkeypatch, id_boundary):
     # The benchmark times and counts each layer by wrapping these names,
-    # and fails a run in which one of them is never called.  The skeleton
-    # is sliced and compiled once per program, and each analyzed slice is
-    # one `analyze` of lowered code.
+    # and fails a run in which one of them is never called.  Each analyzed
+    # slice is sliced, compiled and analyzed once, as an expression.
     for p, trust_typed in ((id_boundary, False), (id_boundary, True),
                            (gen_program(GenConfig(seed=3, expr_size=64, max_modules=16)), False)):
-        calls, codes, verdicts = _layer_calls(monkeypatch, p, trust_typed)
+        calls, roots, verdicts = _layer_calls(monkeypatch, p, trust_typed)
         k = sum(1 for v in verdicts if v.states > 0)
         assert k > 0
-        assert calls == {"slice_for_module": 1, "compile_program": 1, "analyze": k}
-        assert all(isinstance(code, list) and isinstance(code[0], tuple) for code in codes)
-        assert all(reachable_states(code) == analyze(code).states > 0 for code in codes)
+        assert calls == {"slice_for_module": k, "compile_program": k, "analyze": k}
+        assert all(isinstance(root, EXPR_TYPES) for root in roots)
+        assert all(reachable_states(root) == analyze(root).states > 0 for root in roots)
 
 
 def test_compute_verdicts_compiles_nothing_when_nothing_is_analyzed(monkeypatch):
     # Every module but main is typed and blameless, and main only imports
-    # an Int, so no verdict can change a monitor: no skeleton is built.
+    # an Int, so no verdict can change a monitor: no slice is built.
     p = parse_ok("(module n Int 5)\n"
                  "(module t Int (require n) n)\n"
                  "(module main (require t) t)")
-    calls, codes, verdicts = _layer_calls(monkeypatch, p, trust_typed=True)
+    calls, roots, verdicts = _layer_calls(monkeypatch, p, trust_typed=True)
     assert all(v.states == 0 for v in verdicts)
     assert not calls
 

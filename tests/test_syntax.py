@@ -8,7 +8,7 @@ from typing import get_args
 import pytest
 
 from conftest import expr_nodes, structurally_equal
-from gtlc.analysis import analyze, lower
+from gtlc.analysis import analyze
 from gtlc.frontend import parse_expr, parse_program
 from gtlc.interp import BlamedA, StuckA, evaluate
 from gtlc.optimize import copt
@@ -107,7 +107,7 @@ def test_every_expr_form_goes_through_every_pass():
         assert form in {type(n) for n in expr_nodes(e)}, text
         assert parse_expr(format_expr(e)) == e, text
         assert structurally_equal(e, e) and structurally_equal(erase(e), e), text
-        labels = analyze(lower(e)).labels
+        labels = analyze(e).labels
         answer, _ = evaluate(e)
         assert not isinstance(answer, StuckA) or form is Opaque, (text, answer)
         if isinstance(answer, BlamedA):

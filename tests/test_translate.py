@@ -2,14 +2,14 @@ import pytest
 
 from conftest import (
     EXPR_TYPES, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_CORE,
-    ID_BOUNDARY_SLICE_U1, ID_BOUNDARY_SLICE_U1_CORE, expr_nodes, parse_ok,
+    ID_BOUNDARY_SLICE_U1, ID_BOUNDARY_SLICE_U1_CORE, expr_nodes, full_slice, parse_ok,
     structurally_equal,
 )
 from gtlc.bench import corpus_dir
 from gtlc.frontend import check_wellformed, parse_expr, parse_program
 from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import evaluate
-from gtlc.optimize import compute_verdicts, optimize_program, slice_for_module
+from gtlc.optimize import compute_verdicts, optimize_program
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, INT_C, IntLit, Lam, Let, Module, Mon, Opaque,
     Program, Require, TArrow, T_BOOL, T_INT, Var, format_program,
@@ -198,7 +198,7 @@ def test_compile_commutes_with_slicing():
     for seed in range(40):
         p = gen_program(GenConfig(seed=seed))
         for m in p.modules:
-            sliced_then_compiled = compile_program(slice_for_module(p, m.name))
+            sliced_then_compiled = compile_program(full_slice(p, m.name))
             by_hand = compile_program(p).root
             by_hand = _blank_bodies(by_hand, keep=m.name, program=p)
             assert structurally_equal(sliced_then_compiled.root, by_hand), \
