@@ -52,12 +52,13 @@ An application, `let`, `if` or monitor evaluates its atomic children in
 place, in the state that needs their values, and becomes a reader of the
 addresses they read; only a compound child gets a continuation address, a
 frame and states of its own.  A `let` of an atomic term binds and goes on
-to its body in the same state, so a chain of such lets, like a slice's
-chain of holes, is one state, which re-runs the whole chain when an
-address it read grows.  States are numbered once, so the worklist and the
-dependency sets hold integers.  A frame that joins a continuation address
-later is passed the values already waiting there, each once, so a return
-address shared by many call sites costs linear, not quadratic, work.
+to its body in the same state, so a chain of such lets, like the holes of
+a module's parties in its slice, is one state, which re-runs the whole
+chain when an address it read grows.  States are numbered once, so the
+worklist and the dependency sets hold integers.  A frame that joins a
+continuation address later is passed the values already waiting there,
+each once, so a return address shared by many call sites costs linear,
+not quadratic, work.
 
 Values.  An abstract value is a plain tuple whose first item is a small
 integer tag naming its class, built inline and tested by that tag:

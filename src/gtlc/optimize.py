@@ -1,12 +1,14 @@
 """Verdict-driven contract elimination.
 
-For each module X the optimizer analyzes a slice of the program in which
-every other module body is replaced by an opaque term (imports marked
-opaque in the source stay opaque in every slice), and only the requires
-that X is a party of are kept, so the slice has only X's monitors.  Any
-other monitor could only blame other modules, and without it a run goes
-on with the value unwrapped, so the slice still reaches every label
-naming X.  If the slice's blame set has no label blaming X toward some
+For each module X the optimizer analyzes a slice of the program that
+holds X and its parties, the modules X shares a require with, each party's
+body replaced by an opaque term (imports marked opaque in the source stay
+opaque in every slice), and only the requires that X is a party of, so the
+slice has only X's monitors.  Any other monitor could only blame other
+modules, and without it a run goes on with the value unwrapped, so the
+slice still reaches every label naming X.  Any other module could reach X
+only through a party, whose opaque term already yields any value, so it is
+left out.  If the slice's blame set has no label blaming X toward some
 party X2, then no run of the full program can produce that label either,
 and every obligation of X at the X/X2 boundary can be dropped: flat
 contracts where X is the positive party become the trivial contract,
@@ -15,10 +17,10 @@ and an arrow reduced to trivial on both sides in positive position
 disappears entirely.
 
 Each slice is built at the source (`slice_for_module`) and compiled as
-any program is: `compile_program` shares the bodies, so a slice costs one
-module spine and the monitors it keeps, and X's body enters the core as
-written, each opaque term of it keeping the scope the reader gave it.
-Lowered code belongs to the analysis alone.
+any program is: `compile_program` shares the bodies, so a slice costs a
+module spine as long as X's parties and the monitors it keeps, and X's
+body enters the core as written, each opaque term of it keeping the scope
+the reader gave it.  Lowered code belongs to the analysis alone.
 
 The paper states this rewrite for one proven pair at a time, folded over
 the proven pairs to a fixpoint.  A monitor is touched only by the two pairs
@@ -62,8 +64,8 @@ from dataclasses import dataclass, field
 
 from .analysis import BlameSet, analyze, DEFAULT_BUDGET
 from .syntax import (
-    ANY_C, AnyC, App, ArrowC, BoolC, Contract, Expr, If, IntC, Lam, Let, Module,
-    Mon, Opaque, Polarity, Program, flip, module_scope,
+    ANY_C, AnyC, ArrowC, BoolC, Contract, IntC, Module, Opaque, Polarity, Program,
+    flip, module_scope, subterms,
 )
 from .translate import CompiledProgram, boundaries, compile_program, compile_type
 
@@ -133,21 +135,27 @@ class OptimizationReport:
 # ---------------------------------------------------------------------------
 
 def slice_for_module(p: Program, target: str) -> Program:
-    """`target`'s slice of `p`: its body as written, unless some module
-    imports it opaquely, and every other body an opaque term scoped to what
-    its module requires (`module_scope` of all its requires).  Only the
-    requires that `target` is a party of are kept, so compiled, the slice
-    has exactly the boundary monitors of `p` that have `target` as a
-    party.  Annotations are untouched."""
-    if p.module_named(target) is None:
+    """`target`'s slice of `p`: `target` and its parties, the modules it
+    shares a require with, in program order.  `target`'s body is as
+    written, unless some module imports it opaquely, and each party's body
+    an opaque term scoped to what its module requires (`module_scope` of
+    all its requires).  Only the requires that `target` is a party of are
+    kept, so compiled, the slice has exactly the boundary monitors of `p`
+    that have `target` as a party.  Every other module is left out, `main`
+    too unless it is a party (see above).  Annotations are untouched."""
+    x = p.module_named(target)
+    if x is None:
         raise ValueError(f"unknown module {target!r}")
     marked = _opaquely_required(p)
+    required = {r.target for r in x.requires}
     out = []
     for m in p.modules:
+        requires = [r for r in m.requires if target in (m.name, r.target)]
+        if m.name != target and not requires and m.name not in required:
+            continue
         body = m.body
         if m.name != target or m.name in marked:
             body = Opaque(module_scope(m.requires))
-        requires = [r for r in m.requires if target in (m.name, r.target)]
         out.append(Module(m.name, m.ty, requires, body, span=m.span))
     return Program(out)
 
@@ -189,8 +197,9 @@ def analyze_slice(p: Program, module: str,
     keeps only the monitors that have `module` as a party, so every label
     in it names `module`.  Leaving another monitor out only lets runs go on
     that would have blamed those others, passing values through unwrapped,
-    so the labels naming `module` are a superset of those of the slice
-    with every monitor kept, and the verdicts stay sound."""
+    and leaving a module out only drops an unknown value that a party's
+    hole yields already, so the labels naming `module` are a superset of
+    those of the full slice, and the verdicts stay sound."""
     return analyze(compile_program(slice_for_module(p, module)).root, budget)
 
 
@@ -231,32 +240,14 @@ def blameless_modules(p: Program) -> set[str]:
             if r.target in typed:
                 linked[m.name].add(r.target)
                 linked[r.target].add(m.name)
-    spoiled = {n for n, m in typed.items() if n in marked or _has_opaque(m.body)}
+    spoiled = {n for n, m in typed.items() if n in marked
+               or any(type(e) is Opaque for e in subterms(m.body))}
     stack = list(spoiled)
     while stack:
         for n in linked[stack.pop()] - spoiled:
             spoiled.add(n)
             stack.append(n)
     return set(typed) - spoiled
-
-
-def _has_opaque(e: Expr) -> bool:
-    """Does `e` hold an opaque term?"""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        t = type(e)
-        if t is Opaque:
-            return True
-        if t is App:
-            stack += (e.fn, e.arg)
-        elif t is If:
-            stack += (e.test, e.then, e.orelse)
-        elif t is Let:
-            stack += (e.rhs, e.body)
-        elif t is Lam or t is Mon:
-            stack.append(e.body)
-    return False
 
 
 def compute_verdicts(p: Program, trust_typed: bool = True,

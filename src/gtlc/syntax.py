@@ -18,6 +18,7 @@ values are one object and `==` and `hash` are identity.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional, Union
@@ -220,6 +221,25 @@ class Mon:
 
 
 Expr = Union[Var, IntLit, BoolLit, Prim, App, If, Lam, Opaque, Let, Mon]
+
+
+def subterms(e: Expr) -> Iterator[Expr]:
+    """`e` and every expression under it, in pre-order, children left to
+    right.  The walk keeps its own stack, so nesting depth is bounded by
+    memory, not by the interpreter's recursion limit."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        t = type(e)
+        if t is App:
+            stack += (e.arg, e.fn)
+        elif t is If:
+            stack += (e.orelse, e.then, e.test)
+        elif t is Let:
+            stack += (e.body, e.rhs)
+        elif t is Lam or t is Mon:
+            stack.append(e.body)
 
 
 # ---------------------------------------------------------------------------

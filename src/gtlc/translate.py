@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .syntax import (
     ANY_C, ArrowC, App, BoolLit, BOOL_C, Contract, Expr, If, IntLit, INT_C,
     Lam, Let, Mon, Module, Opaque, Prim, Program, Require, TArrow, TBool,
-    TInt, Ty, Var,
+    TInt, Ty, Var, subterms,
 )
 
 # The contract a monitor gets, given its parties and its compiled contract.
@@ -134,20 +134,4 @@ def compile_program(p: Program, final: "Final | None" = None) -> CompiledProgram
 def scan_boundaries(root: Expr) -> list[Mon]:
     """Every monitor in a compiled program, each marking a require boundary,
     in pre-order: the order `compile_program` makes them in."""
-    found: list[Mon] = []
-    stack = [root]
-    while stack:
-        e = stack.pop()
-        t = type(e)
-        if t is Mon:
-            found.append(e)
-            stack.append(e.body)
-        elif t is App:
-            stack += (e.arg, e.fn)
-        elif t is If:
-            stack += (e.orelse, e.then, e.test)
-        elif t is Let:
-            stack += (e.body, e.rhs)
-        elif t is Lam:
-            stack.append(e.body)
-    return found
+    return [e for e in subterms(root) if type(e) is Mon]

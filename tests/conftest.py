@@ -205,10 +205,11 @@ def run_differential(program: Program, trust_typed: bool = True,
 
 
 def full_slice(p: Program, x: str) -> Program:
-    """`x`'s slice of `p` with every require kept: x's body as written,
-    unless some module imports x opaquely, and every other body an opaque
-    term scoped to what its module requires.  Compiled, it has every
-    boundary monitor of `p`; `optimize.slice_for_module` keeps only those
+    """`x`'s slice of `p` with every module and every require kept: x's
+    body as written, unless some module imports x opaquely, and every other
+    body an opaque term scoped to what its module requires.  Compiled, it
+    has every boundary monitor of `p`; `optimize.slice_for_module` keeps
+    only x and the modules x shares a require with, and only the monitors
     that have x as a party."""
     marked = {r.target for m in p.modules for r in m.requires if r.opaque}
     return Program([

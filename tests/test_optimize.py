@@ -20,7 +20,7 @@ from gtlc.optimize import (
 )
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BlameLabel, BoolLit, Expr, If, INT_C, IntLit, Lam, Let,
-    Mon, Opaque, Polarity, Var, format_expr, format_program, module_scope,
+    Module, Mon, Opaque, Polarity, Var, format_expr, format_program, module_scope,
 )
 from gtlc.translate import compile_program, erase, scan_boundaries
 
@@ -30,15 +30,13 @@ POS, NEG = Polarity.POS, Polarity.NEG
 # -- slicing ---------------------------------------------------------------
 
 def test_slice_keeps_target_only():
-    # u1's body and require stay; u2 and main keep no require, as u1 is a
-    # party of neither, and with every require kept it is the full slice.
+    # u1's body and require stay, and t1, the one module it shares a
+    # require with, is a hole; u2 and main share none with u1 and are left
+    # out.  With every module and require kept it is the full slice.
     p = parse_ok(ID_BOUNDARY)
     sliced = slice_for_module(p, "u1")
-    expected = parse_ok("(module t1 (-> Int Int) opaque)\n"
-                        "(module u1 (require t1) (t1 5))\n"
-                        "(module u2 opaque)\n"
-                        "(module main opaque)")
-    assert format_program(sliced) == format_program(expected)
+    assert format_program(sliced) == ("(module t1 (-> Int Int) opaque)\n"
+                                      "(module u1 (require t1) (t1 5))\n")
     assert format_program(full_slice(p, "u1")) == \
         format_program(parse_ok(ID_BOUNDARY_SLICE_U1))
 
@@ -53,7 +51,8 @@ def test_slice_for_other_module():
     p = parse_ok(ID_BOUNDARY)
     sliced = slice_for_module(p, "u2")
     kinds = [isinstance(m.body, Opaque) for m in sliced.modules]
-    assert kinds == [True, True, False, True]
+    assert kinds == [True, False, True]
+    assert sliced.names() == ["t1", "u2", "main"]
 
 
 def test_slice_unknown_module():
@@ -186,11 +185,18 @@ def _slice_programs(corpus_path):
         REQUIRES_TWICE, TYPED_NEIGHBOURS, TYPED_REEXPORT))]
 
 
+def _parties(p, x):
+    """x and the modules of `p` it shares a require with, in program order."""
+    required = {r.target for r in p.module_named(x).requires}
+    return [m.name for m in p.modules
+            if m.name == x or m.name in required or any(r.target == x for r in m.requires)]
+
+
 def test_a_slice_has_exactly_its_partys_monitors(corpus_path):
     # Compiled, x's slice has the monitors of the program that have x as a
-    # party, in the same order, and each other module's hole may reach what
-    # its module requires in the program, whichever requires the slice
-    # keeps.
+    # party, in the same order.  Its modules are x and its parties, in
+    # program order, and each party's hole may reach what its module
+    # requires in the program, whichever requires the slice keeps.
     slices = 0
     for i, p in enumerate(_slice_programs(corpus_path)):
         monitors = [(b.pos, b.neg, b.contract) for b in scan_boundaries(compile_program(p).root)]
@@ -201,7 +207,9 @@ def test_a_slice_has_exactly_its_partys_monitors(corpus_path):
             kept = scan_boundaries(compile_program(sliced).root)
             assert [(b.pos, b.neg, b.contract) for b in kept] == \
                 [mon for mon in monitors if x in mon[:2]], (i, x)
-            for original, hole in zip(p.modules, sliced.modules):
+            assert sliced.names() == _parties(p, x), (i, x)
+            for hole in sliced.modules:
+                original = p.module_named(hole.name)
                 if original.name == x and x not in marked:
                     assert hole.body is original.body, (i, x)
                     continue
@@ -211,22 +219,65 @@ def test_a_slice_has_exactly_its_partys_monitors(corpus_path):
     assert slices > 495
 
 
+def _only_parties(p, x):
+    """x's full slice (`full_slice`) restricted to x and its parties, each
+    keeping the requires of a module the restriction keeps."""
+    kept = set(_parties(p, x))
+    return dataclasses.replace(p, modules=[
+        dataclasses.replace(m, requires=[r for r in m.requires if r.target in kept])
+        for m in full_slice(p, x).modules if m.name in kept])
+
+
+def _keeping_parties_of(x):
+    """A `final` that keeps a monitor iff x is one of its parties."""
+    return lambda pos, neg, c: c if x in (pos, neg) else ANY_C
+
+
 def test_slice_compiled_for_its_party_is_the_rewrite_that_drops_other_parties_monitors(corpus_path):
-    # Oracle: each slice analyzes exactly like the full slice compiled to
-    # keep a monitor iff the party is one of its parties, in labels,
-    # exhaustion and states, so each hole and body sees the lets the slice
-    # keeps.
+    # Oracle: each slice analyzes exactly like the full slice restricted to
+    # x and its parties, compiled to keep a monitor iff x is one of its
+    # parties, in labels, exhaustion and states, so each hole and body sees
+    # the lets the slice keeps.
     slices = 0
     for i, p in enumerate(_slice_programs(corpus_path)):
         for m in p.modules:
             x = m.name
-            oracle = analyze(compile_program(
-                full_slice(p, x), lambda pos, neg, c: c if x in (pos, neg) else ANY_C).root)
+            oracle = analyze(compile_program(_only_parties(p, x), _keeping_parties_of(x)).root)
             bs = analyze_slice(p, x)
             assert (bs.labels, bs.exhausted, bs.states) == \
                 (oracle.labels, oracle.exhausted, oracle.states), (i, x)
             slices += 1
     assert slices > 495
+
+
+def test_leaving_out_the_modules_x_shares_no_require_with_loses_no_label(corpus_path):
+    # Against the full slice with every module, compiled to keep x's
+    # monitors only: the same labels and exhaustion, in no more states.
+    slices = fewer = 0
+    for i, p in enumerate(_slice_programs(corpus_path)):
+        for m in p.modules:
+            x = m.name
+            every = analyze(compile_program(full_slice(p, x), _keeping_parties_of(x)).root)
+            bs = analyze_slice(p, x)
+            assert (bs.labels, bs.exhausted) == (every.labels, every.exhausted), (i, x)
+            assert bs.states <= every.states, (i, x)
+            slices += 1
+            fewer += bs.states < every.states
+    assert slices > 495
+    assert fewer > 0
+
+
+def test_an_unrelated_module_changes_no_other_slice(corpus_path):
+    # A module that requires nothing and that nothing requires is in no
+    # other module's slice, wherever it stands.
+    for i, p in enumerate(_slice_programs(corpus_path)):
+        at = p.names().index("main")
+        zz = Module("zz", None, [], IntLit(5))
+        grown = dataclasses.replace(p, modules=p.modules[:at] + [zz] + p.modules[at:])
+        for x in p.names():
+            assert format_program(slice_for_module(grown, x)) == \
+                format_program(slice_for_module(p, x)), (i, x)
+        assert slice_for_module(grown, "zz").names() == ["zz"], i
 
 
 def test_slice_is_analyzed_without_other_parties_monitors(monkeypatch):

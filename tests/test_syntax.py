@@ -10,14 +10,15 @@ import pytest
 from conftest import expr_nodes, structurally_equal
 from gtlc.analysis import analyze
 from gtlc.frontend import parse_expr, parse_program
+from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import BlamedA, StuckA, evaluate
 from gtlc.optimize import copt
 from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BlameLabel, BoolLit, Expr, If, INT_C, IntLit,
     Lam, Let, Mon, Opaque, Polarity, Prim, T_BOOL, T_INT, TArrow, TInt, Var,
-    flip, format_expr,
+    flip, format_expr, subterms,
 )
-from gtlc.translate import erase, scan_boundaries
+from gtlc.translate import compile_program, erase, scan_boundaries
 
 
 def test_flip():
@@ -118,6 +119,20 @@ def test_every_expr_form_goes_through_every_pass():
     typed, untyped = Lam("x", T_INT, Var("x")), parse_expr("(λ (x) x)")
     assert not structurally_equal(typed, untyped)
     assert structurally_equal(erase(typed), untyped)
+
+
+def test_subterms_is_the_pre_order_of_every_node():
+    # conftest's `expr_nodes`, which reads the children off the fields, is
+    # the reference.
+    roots = [parse_expr(text) for text in _FORM_SAMPLES.values()]
+    roots += [compile_program(gen_program(GenConfig(seed=s, expr_size=64))).root
+              for s in range(10)]
+    for root in roots:
+        assert list(map(id, subterms(root))) == list(map(id, expr_nodes(root)))
+    deep = Var("x")
+    for _ in range(20_000):
+        deep = Lam("x", None, deep)
+    assert sum(1 for _ in subterms(deep)) == 20_001
 
 
 def test_blame_label_fields():
