@@ -132,8 +132,7 @@ def cmd_analyze(args) -> int:
         bs = optimize.analyze_slice(program, args.module, args.budget)
         doc = {"schema": 1, "module": args.module, **bs.as_json()}
         return EXIT_OK if _emit_json(doc, args.json) else EXIT_DIAGNOSTICS
-    verdicts = optimize.compute_verdicts(program, trust_typed=False,
-                                         budget=args.budget)
+    verdicts = optimize.compute_verdicts(program, budget=args.budget)
     doc = {
         "schema": 1,
         "path": args.path,

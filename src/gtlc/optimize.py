@@ -43,17 +43,15 @@ is not analyzed.  This assumes only that the program passed
 `check_wellformed`.
 
 A module's verdict is used for nothing but dropping its own obligations at
-its boundaries.  So a module that is not blameless and whose verdict can
-change no monitor, because no monitor obliges it as its positive party,
-nor as its negative party with an arrow contract, may skip its slice
-(`trust_typed`, the `gtlc optimize` setting).  It gets an empty verdict,
-which claims nothing and leaves every contract as its proof would.
-Without `trust_typed`, every module that is not blameless is analyzed,
-which is what `gtlc analyze` reports.  Either way no typed module is taken
-as safe unless the blame theorem proves it, and both settings drop the
-same obligations.  An analysis that hits its state cap yields no verdicts
-for its module, so exhaustion can only cost optimization opportunity,
-never soundness.
+its boundaries, and only a monitor's positive party, or the negative party
+of an arrow contract, can be blamed (`obliged_modules`).  So a module that
+no monitor obliges is safe against every other module in every run, and
+is proven so with no slice, as a blameless one is.  Only the obliged
+modules that are not blameless are analyzed.  Short of exhaustion, every
+verdict is the one analyzing its slice would give, and no typed module is
+taken as safe unless the blame theorem proves it.  An analysis that hits
+its state cap yields no verdicts for its module, so exhaustion can only
+cost optimization opportunity, never soundness.
 """
 
 from __future__ import annotations
@@ -76,8 +74,8 @@ class Verdict:
     safe_against: frozenset[str]
     exhausted: bool
     # Wall time of building, compiling and analyzing the module's slice,
-    # and the abstract states its analysis explored; 0.0 and 0 when it was
-    # skipped.
+    # and the abstract states its analysis explored; 0.0 and 0 when the
+    # module was proven without a slice.
     seconds: float = field(default=0.0, compare=False)
     states: int = field(default=0, compare=False)
 
@@ -204,11 +202,12 @@ def analyze_slice(p: Program, module: str,
 
 
 def obliged_modules(p: Program) -> set[str]:
-    """The modules whose verdict can change some monitor of `p`: a party of
-    a monitor whose contract loses something when that party's side is
-    dropped (`copt`).  That is every positive party, and every negative
-    party of an arrow contract.  Read off the requires (`boundaries`), the
-    boundaries `compile_program` monitors."""
+    """The modules that some monitor of `p` obliges: a party of a monitor
+    whose contract loses something when that party's side is dropped
+    (`copt`).  That is every positive party, and every negative party of an
+    arrow contract.  Only these can be blamed, and only their verdicts can
+    change a monitor.  Read off the requires (`boundaries`), the boundaries
+    `compile_program` monitors."""
     out = set()
     for m, monitored in boundaries(p):
         for r, ty in monitored:
@@ -254,27 +253,20 @@ def compute_verdicts(p: Program, trust_typed: bool = True,
                      budget: int = DEFAULT_BUDGET) -> list[Verdict]:
     """One verdict per module, in program order, each with the wall time its
     slice's building and analysis took and the states it explored.  A
-    module in `blameless_modules` is safe against every other module, with
-    no slice analyzed (0 seconds, 0 states), and no other typed module is
-    taken as safe.  `trust_typed` only selects which other slices are
-    analyzed.  True skips those that no monitor consults: a module outside
-    `obliged_modules` is safe against none, also unanalyzed, which is all
-    `gtlc optimize` needs.  False analyzes every module the blame theorem
-    does not prove, which is what `gtlc analyze` reports.  `p` must have
-    passed `check_wellformed`, as the blame theorem assumes.  Each slice is
-    built, compiled and analyzed by `analyze_slice` within its module's
-    seconds, so they sum to the whole slice analysis."""
+    module in `blameless_modules`, or outside `obliged_modules`, is proven
+    safe against every other module with no slice (0 seconds, 0 states).
+    Every other module's slice is built, compiled and analyzed by
+    `analyze_slice` within its module's seconds, so they sum to the whole
+    slice analysis.  `trust_typed` is ignored: it is accepted so that
+    callers that still pass it keep working.  `p` must have passed
+    `check_wellformed`, as the blame theorem assumes."""
     parties = p.names()
-    blameless = blameless_modules(p)
-    obliged = obliged_modules(p) if trust_typed else set()
+    proven = blameless_modules(p) | (set(parties) - obliged_modules(p))
     verdicts = []
     for m in p.modules:
         others = frozenset(n for n in parties if n != m.name)
-        if m.name in blameless:
+        if m.name in proven:
             verdicts.append(Verdict(m.name, others, exhausted=False))
-            continue
-        if trust_typed and m.name not in obliged:
-            verdicts.append(Verdict(m.name, frozenset(), exhausted=False))
             continue
         t0 = time.perf_counter()
         bs = analyze_slice(p, m.name, budget)
@@ -313,11 +305,10 @@ def optimize_program(p: Program, trust_typed: bool = True,
     monitor left trivial nor its let.  The result is what folding the
     paper's per-pair rewrite over the proven pairs to a fixpoint and then
     erasing trivial monitors gives, and each monitor's disposition is
-    recorded as its contract is decided.  `trust_typed` is passed on to
-    `compute_verdicts`; both settings drop the same obligations, and True
-    analyzes fewer slices to find them."""
+    recorded as its contract is decided.  `trust_typed` is ignored, as
+    `compute_verdicts` ignores it."""
     if verdicts is None:
-        verdicts = compute_verdicts(p, trust_typed=trust_typed, budget=budget)
+        verdicts = compute_verdicts(p, budget=budget)
 
     proven = {(v.module, other) for v in verdicts for other in v.safe_against}
     dispositions: list[Disposition] = []

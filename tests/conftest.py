@@ -180,15 +180,13 @@ def _alpha(a: Expr, b: Expr, ea: dict[str, int], eb: dict[str, int], depth: int)
     raise TypeError(f"not an expression: {a!r}")
 
 
-def run_differential(program: Program, trust_typed: bool = True,
-                     fuel: int = 1_000_000,
+def run_differential(program: Program, fuel: int = 1_000_000,
                      budget: int = analysis.DEFAULT_BUDGET) -> dict:
     """Evaluate a program unoptimized and optimized and compare.  When one
     side runs out of fuel, both are retried with a hundredfold budget before
     the outcomes are compared."""
     original = compile_program(program)
-    optimized, report = optimize.optimize_program(
-        program, trust_typed=trust_typed, budget=budget)
+    optimized, report = optimize.optimize_program(program, budget=budget)
     a0, m0 = interp.evaluate(original.root, fuel=fuel)
     a1, m1 = interp.evaluate(optimized.root, fuel=fuel)
     if isinstance(a0, interp.OutOfFuelA) or isinstance(a1, interp.OutOfFuelA):

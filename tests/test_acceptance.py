@@ -131,20 +131,18 @@ def test_criterion_3_differential_equivalence(generated, corpus_programs):
     t0 = time.perf_counter()
 
     for seed, program, answer, metrics, _ in generated:
-        for trust in (True, False):
-            r = run_differential(program, trust_typed=trust, fuel=GEN_FUEL)
-            if not r["agree"]:
-                failures.append(f"seed {seed} trust={trust}: answers diverge")
-            if not r["checks_reduced"]:
-                failures.append(f"seed {seed} trust={trust}: check counts grew")
+        r = run_differential(program, fuel=GEN_FUEL)
+        if not r["agree"]:
+            failures.append(f"seed {seed}: answers diverge")
+        if not r["checks_reduced"]:
+            failures.append(f"seed {seed}: check counts grew")
 
     for name, program in corpus_programs:
-        for trust in (True, False):
-            r = run_differential(program, trust_typed=trust, fuel=CORPUS_FUEL)
-            if not r["agree"]:
-                failures.append(f"{name} trust={trust}: answers diverge")
-            if not r["checks_reduced"]:
-                failures.append(f"{name} trust={trust}: check counts grew")
+        r = run_differential(program, fuel=CORPUS_FUEL)
+        if not r["agree"]:
+            failures.append(f"{name}: answers diverge")
+        if not r["checks_reduced"]:
+            failures.append(f"{name}: check counts grew")
 
     elapsed = time.perf_counter() - t0
     if elapsed >= 300:
@@ -183,12 +181,9 @@ def test_criterion_5_typed_modules_never_blamed(generated, corpus_programs):
     failures = []
 
     for seed, program, answer, _, typed in generated:
-        outcomes = [answer]
-        for trust in (True, False):
-            compiled, _ = optimize_program(program, trust_typed=trust)
-            a, _ = evaluate(compiled.root, fuel=GEN_FUEL)
-            outcomes.append(a)
-        for a in outcomes:
+        compiled, _ = optimize_program(program)
+        optimized, _ = evaluate(compiled.root, fuel=GEN_FUEL)
+        for a in (answer, optimized):
             if isinstance(a, BlamedA) and a.label.blamed in typed:
                 failures.append(f"seed {seed}: typed module {a.label.blamed} blamed")
 

@@ -256,27 +256,30 @@ def test_analyze_all_verdicts(capsys, id_boundary_file):
 def test_analyze_reports_states_per_module(capsys, id_boundary_file):
     # Each module's analysis cost, in states next to its time: the states
     # its slice's analysis explored.  The typed identity t1 is blameless,
-    # so its slice is skipped and reads 0 in both; with unknown code in
-    # its body it is analyzed like the rest.
+    # and main is the party of no monitor, so both are proven with no slice
+    # and read 0 in both; with unknown code in its body t1 is analyzed like
+    # u1 and u2, and main still reads 0.
     _, out, _ = run_cli(capsys, "analyze", id_boundary_file)
     doc = json.loads(out)
     program = parse_ok(ID_BOUNDARY)
     assert blameless_modules(program) == {"t1"}
+    assert obliged_modules(program) == {"t1", "u1", "u2"}
     assert doc["analysis_states"] == {
-        m.name: 0 if m.name == "t1" else analyze_slice(program, m.name).states
+        m.name: 0 if m.name in ("t1", "main") else analyze_slice(program, m.name).states
         for m in program.modules}
     assert doc["analysis_states"].keys() == doc["analysis_seconds"].keys()
-    assert doc["analysis_seconds"]["t1"] == 0
-    assert all(n > 0 for m, n in doc["analysis_states"].items() if m != "t1")
+    assert doc["analysis_seconds"]["t1"] == doc["analysis_seconds"]["main"] == 0
+    assert doc["analysis_states"]["u1"] > 0 and doc["analysis_states"]["u2"] > 0
     with_hole = ID_BOUNDARY.replace("(λ (x : Int) x)", "(λ (x : Int) opaque)")
     path = Path(id_boundary_file).with_name("hole.gtl")
     path.write_text(with_hole, encoding="utf-8")
     _, out, _ = run_cli(capsys, "analyze", str(path))
     doc = json.loads(out)
     program = parse_ok(with_hole)
-    assert doc["analysis_states"] == {m.name: analyze_slice(program, m.name).states
-                                      for m in program.modules}
-    assert all(n > 0 for n in doc["analysis_states"].values())
+    assert doc["analysis_states"] == {
+        m.name: 0 if m.name == "main" else analyze_slice(program, m.name).states
+        for m in program.modules}
+    assert all(n > 0 for m, n in doc["analysis_states"].items() if m != "main")
 
 
 def test_analyze_module_blames_no_typed_neighbour(capsys, tmp_path):
@@ -331,9 +334,9 @@ def test_emit_prints_the_core_without_annotations(capsys, corpus_path):
 def test_optimize_proves_typed_modules_as_analyze_does(capsys, tmp_path):
     # x passes its own unknown code through typed t and exports the result
     # at Int: with #t, the monitor between x and main blames x.  So
-    # `gtlc optimize` keeps that check, and every verdict a monitor
-    # consults is the one `gtlc analyze` reports.  No command trusts typed
-    # modules, so none takes a flag to.
+    # `gtlc optimize` keeps that check, and gives every module the verdict
+    # `gtlc analyze` reports.  No command trusts typed modules, so none
+    # takes a flag to.
     path = tmp_path / "own_hole.gtl"
     path.write_text(OWN_HOLE_ARGUMENT, encoding="utf-8")
     code, out, _ = run_cli(capsys, "optimize", str(path))
@@ -342,12 +345,8 @@ def test_optimize_proves_typed_modules_as_analyze_does(capsys, tmp_path):
     assert [(d["pos"], d["neg"], d["after"], d["kind"]) for d in optimized["dispositions"]] \
         == [("x", "main", "int?", "kept")]
     _, out, _ = run_cli(capsys, "analyze", str(path))
-    analyzed = {v["module"]: v for v in json.loads(out)["verdicts"]}
-    obliged = obliged_modules(parse_ok(OWN_HOLE_ARGUMENT))
-    assert obliged == {"x"}
-    for v in optimized["verdicts"]:
-        if v["module"] in obliged:
-            assert v == analyzed[v["module"]]
+    assert obliged_modules(parse_ok(OWN_HOLE_ARGUMENT)) == {"x"}
+    assert optimized["verdicts"] == json.loads(out)["verdicts"]
     for flag in ("--trust-typed", "--no-trust-typed"):
         proc = run_gtlc("optimize", str(path), flag)
         assert proc.returncode == 1 and proc.stdout == "", proc.stderr

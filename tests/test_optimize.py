@@ -22,7 +22,7 @@ from gtlc.syntax import (
     ANY_C, App, ArrowC, BOOL_C, BlameLabel, BoolLit, Expr, If, INT_C, IntLit, Lam, Let,
     Module, Mon, Opaque, Polarity, Var, format_expr, format_program, module_scope,
 )
-from gtlc.translate import compile_program, erase, scan_boundaries
+from gtlc.translate import boundaries, compile_program, erase, scan_boundaries
 
 POS, NEG = Polarity.POS, Polarity.NEG
 
@@ -74,18 +74,14 @@ def test_opaquely_required_modules_stay_opaque():
 def test_opaque_require_limits_optimization_not_soundness():
     p = parse_ok("(module lib (-> Int Int) (λ (x : Int) x))\n"
                  "(module main (opaque-require lib) (lib 5))")
-    # The marked module is never analyzed, so its own obligations survive;
-    # the client still gets its side dropped.
-    _, report = optimize_program(p, trust_typed=False)
+    # The marked module's body is never analyzed, so its own obligations
+    # survive: no typed module is trusted.  The client still gets its side
+    # dropped.
+    _, report = optimize_program(p)
     (d,) = report.dispositions
     assert d.kind == "weakened" and d.after == ArrowC(ANY_C, INT_C)
     verdicts = {v.module: v.safe_against for v in report.verdicts}
     assert verdicts["lib"] == frozenset()
-    # The default skips the slices no monitor consults, and the mark still
-    # keeps lib's obligations: no typed module is trusted.
-    _, default = optimize_program(p, trust_typed=True)
-    (d,) = default.dispositions
-    assert d.kind == "weakened" and d.after == ArrowC(ANY_C, INT_C)
 
 
 # -- analyzing a slice at its own boundaries ---------------------------------
@@ -120,7 +116,8 @@ def _blameless(p):
 def _verdicts_from_full_slices(p):
     """`compute_verdicts` as it reads with every monitor kept in each slice
     and with no slice skipped but a blameless typed module's (`_blameless`),
-    which is safe against every other module unanalyzed."""
+    which is safe against every other module unanalyzed.  A module that no
+    monitor obliges is analyzed here too."""
     parties = frozenset(p.names())
     blameless = _blameless(p)
     out = []
@@ -139,7 +136,7 @@ def _verdicts_from_full_slices(p):
 
 
 def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
-    slices = skipped = 0
+    slices = proven = 0
     for cfg in GOLDEN_CONFIGS:
         p = gen_program(cfg)
         for m in p.modules:
@@ -150,26 +147,17 @@ def test_narrowed_slice_keeps_exactly_the_labels_naming_its_module():
             assert narrowed.labels == {l for l in full.labels if x in (l.blamed, l.holder)}, label
             assert narrowed.exhausted == full.exhausted, label
             slices += 1
-        full_verdicts = _verdicts_from_full_slices(p)
-        assert compute_verdicts(p, trust_typed=False) == full_verdicts, (cfg.seed, False)
-        # The default also skips the modules whose verdict no monitor
-        # consults, and that changes no contract.
-        default = compute_verdicts(p, trust_typed=True)
-        blameless = _blameless(p)
-        for v, full_v in zip(default, full_verdicts):
-            label = (cfg.seed, cfg.expr_size, v.module)
-            if v.states > 0 or v.module in blameless:
-                assert v == full_v, label
-            else:
-                assert v == Verdict(v.module, frozenset(), exhausted=False), label
-                assert v.seconds == 0.0, label
-                skipped += 1
-        compiled, report = optimize_program(p, verdicts=default)
-        full_compiled, full_report = optimize_program(p, verdicts=full_verdicts)
-        assert structurally_equal(compiled.root, full_compiled.root), (cfg.seed, True)
-        assert report.dispositions == full_report.dispositions, (cfg.seed, True)
+        # Every verdict is its full slice's, also where no monitor obliges
+        # the module and its slice is not analyzed.
+        verdicts = compute_verdicts(p)
+        assert verdicts == _verdicts_from_full_slices(p), (cfg.seed, cfg.expr_size)
+        unobliged = set(p.names()) - obliged_modules(p) - _blameless(p)
+        for v in verdicts:
+            if v.module in unobliged:
+                assert (v.states, v.seconds) == (0, 0.0), (cfg.seed, cfg.expr_size, v.module)
+                proven += 1
     assert slices == 495
-    assert skipped > 0
+    assert proven > 0
 
 
 def _slice_programs(corpus_path):
@@ -343,8 +331,7 @@ SEPARATE_ISLANDS = """\
 """
 
 # (program, its blameless modules, a module, the modules its verdict is
-# safe against).  Every module named is blameless or obliged by a monitor,
-# so both settings of `trust_typed` give it the same verdict.
+# safe against).  Every module named is blameless or obliged by a monitor.
 TYPED_MODULES = [
     # x's slice lets t's hole be any value, and so blames x toward u; the
     # blame theorem proves x safe.
@@ -370,16 +357,15 @@ TYPED_MODULES = [
 
 
 def _table_misses():
-    """The rows of TYPED_MODULES whose blameless modules or verdict, in
-    either setting of `trust_typed`, read otherwise, with what they read."""
+    """The rows of TYPED_MODULES whose blameless modules or verdict read
+    otherwise, with what they read."""
     misses = []
     for text, blameless, x, safe in TYPED_MODULES:
         p = parse_ok(text)
         got = optimize.blameless_modules(p)
-        for trust in (True, False):
-            (verdict,) = [v for v in compute_verdicts(p, trust_typed=trust) if v.module == x]
-            if got != blameless or verdict.safe_against != safe:
-                misses.append((x, trust, got, set(verdict.safe_against)))
+        (verdict,) = [v for v in compute_verdicts(p) if v.module == x]
+        if got != blameless or verdict.safe_against != safe:
+            misses.append((x, got, set(verdict.safe_against)))
     return misses
 
 
@@ -394,19 +380,17 @@ def _fill(e, value):
 
 def _filled_disagreements():
     """The programs of TYPED_MODULES, with each fill of their opaque terms,
-    whose unoptimized and optimized answers disagree, in either setting of
-    `trust_typed`."""
+    whose unoptimized and optimized answers disagree."""
     fills = (IntLit(0), BoolLit(True), Lam("n", None, Var("n")))
     out = []
     for text in dict.fromkeys(text for text, *_ in TYPED_MODULES):
         p = parse_ok(text)
-        for trust in (True, False):
-            optimized, _ = optimize_program(p, trust_typed=trust)
-            for value in fills:
-                a0, _ = evaluate(_fill(compile_program(p).root, value))
-                a1, _ = evaluate(_fill(optimized.root, value))
-                if not answers_agree(a0, a1):
-                    out.append((text.splitlines()[0], trust, format_expr(value)))
+        optimized, _ = optimize_program(p)
+        for value in fills:
+            a0, _ = evaluate(_fill(compile_program(p).root, value))
+            a1, _ = evaluate(_fill(optimized.root, value))
+            if not answers_agree(a0, a1):
+                out.append((text.splitlines()[0], format_expr(value)))
     return out
 
 
@@ -470,33 +454,36 @@ def _typed_module_sweep(corpus_path):
 def test_trust_typed_is_a_shortcut(corpus_path):
     # No generated or corpus program has an opaque term in a typed body,
     # so every typed module that is not opaquely required is proven safe
-    # against every other module.  The default setting only skips the
-    # slices no monitor consults: a module that is blameless or obliged
-    # gets the verdict `trust_typed=False` gives it, any other the empty
-    # one, and the optimized program is the same.  The generated programs'
+    # against every other module.  So is every module that no monitor
+    # obliges, typed or not, with no slice analyzed.  Every other module is
+    # analyzed, and its verdict is its slice's.  The generated programs'
     # optimized answers agree with the unoptimized ones; criterion 3 runs
     # the corpus's.
     programs, generated = _typed_module_sweep(corpus_path)
-    proven = 0
+    proven = unobliged = 0
     for i, p in enumerate(programs):
         marked = {r.target for m in p.modules for r in m.requires if r.opaque}
-        compiled, report = optimize_program(p, trust_typed=False)
+        obliged = obliged_modules(p)
+        compiled, report = optimize_program(p)
         for m, v in zip(p.modules, report.verdicts):
+            others = frozenset(p.names()) - {m.name}
             if m.typed and m.name not in marked:
-                assert v.safe_against == frozenset(p.names()) - {m.name}, (i, m.name)
+                assert v.safe_against == others and v.states == 0, (i, m.name)
                 proven += 1
-        trusted_compiled, trusted = optimize_program(p, trust_typed=True)
-        consulted = obliged_modules(p) | _blameless(p)
-        for v, w in zip(trusted.verdicts, report.verdicts):
-            if v.module in consulted:
-                assert v == w, (i, v.module)
+            elif m.name not in obliged:
+                assert v == Verdict(m.name, others, exhausted=False), (i, m.name)
+                assert v.states == 0, (i, m.name)
+                unobliged += 1
             else:
-                assert v == Verdict(v.module, frozenset(), exhausted=False), (i, v.module)
-        assert report.dispositions == trusted.dispositions, i
-        assert format_expr(compiled.root) == format_expr(trusted_compiled.root), i
+                bs = analyze_slice(p, m.name)
+                safe = others - {l.holder for l in bs.labels if l.blamed == m.name}
+                assert v == Verdict(m.name, frozenset() if bs.exhausted else safe,
+                                    exhausted=bs.exhausted), (i, m.name)
+                assert v.states == bs.states > 0, (i, m.name)
         if i < generated:
-            assert run_differential(p, trust_typed=False)["agree"], i
+            assert run_differential(p)["agree"], i
     assert (len(programs), proven) == (692, 1202)
+    assert unobliged > 0
 
 
 # -- contract rewriting ------------------------------------------------------
@@ -611,13 +598,12 @@ def test_opt_idempotent_per_pair():
 # -- whole-program optimization ----------------------------------------------
 
 def test_optimize_id_boundary_both_trust_modes(id_boundary):
-    for trust in (True, False):
-        compiled, report = optimize_program(id_boundary, trust_typed=trust)
-        assert structurally_equal(erase(compiled.root),
-                                  parse_expr(ID_BOUNDARY_OPTIMIZED_CORE))
-        assert report.monitors_before == 2
-        assert report.monitors_after == 1
-        assert report.counts() == {"kept": 0, "weakened": 1, "removed": 1}
+    compiled, report = optimize_program(id_boundary)
+    assert structurally_equal(erase(compiled.root),
+                              parse_expr(ID_BOUNDARY_OPTIMIZED_CORE))
+    assert report.monitors_before == 2
+    assert report.monitors_after == 1
+    assert report.counts() == {"kept": 0, "weakened": 1, "removed": 1}
 
 
 def test_optimize_fully_untyped_program():
@@ -630,7 +616,7 @@ def test_optimize_fully_untyped_program():
 def test_disposition_counts_partition_boundaries():
     for seed in range(40):
         p = gen_program(GenConfig(seed=seed))
-        _, report = optimize_program(p, trust_typed=False)
+        _, report = optimize_program(p)
         counts = report.counts()
         assert counts["kept"] + counts["weakened"] + counts["removed"] == \
             report.monitors_before
@@ -645,36 +631,45 @@ def test_fully_verified_entry_loses_all_obligations(corpus_path):
             bs = analyze(compile_program(slice_for_module(p, m.name)).root)
             assert not bs.exhausted
             assert not any(l.blamed == m.name for l in bs.labels), (config, m.name)
-        compiled, report = optimize_program(p, trust_typed=False)
+        compiled, report = optimize_program(p)
         assert report.monitors_after == 0, config
         answer, metrics = evaluate(compiled.root)
         assert metrics.flat_checks == 0 and metrics.wrappers_allocated == 0
 
 
 def test_exhausted_analysis_keeps_contracts(id_boundary):
-    # With unknown code in t1's body, which no run reaches, every slice is
-    # analyzed and exhausts, and every contract is kept.
+    # With unknown code in t1's body, which no run reaches, every slice
+    # that is analyzed exhausts: t1's, u1's and u2's, the parties of the
+    # two monitors.  main is no party of any monitor, so it is proven safe
+    # with no slice, and that drops nothing: every contract is kept.
     p = parse_ok(ID_BOUNDARY.replace("(λ (x : Int) x)", "(λ (x : Int) (if #t x opaque))"))
-    compiled, report = optimize_program(p, trust_typed=False, budget=5)
-    assert all(v.exhausted and not v.safe_against for v in report.verdicts)
+    compiled, report = optimize_program(p, budget=5)
+    assert report.verdicts == [Verdict("t1", frozenset(), exhausted=True),
+                               Verdict("u1", frozenset(), exhausted=True),
+                               Verdict("u2", frozenset(), exhausted=True),
+                               Verdict("main", frozenset({"t1", "u1", "u2"}), exhausted=False)]
+    assert [v.states > 0 for v in report.verdicts] == [True, True, True, False]
     assert report.counts()["kept"] == report.monitors_before
     answer, _ = evaluate(compiled.root)
     assert isinstance(answer, BlamedA)
     # Blameless t1 needs no analysis: only its own obligations are dropped.
-    compiled, report = optimize_program(id_boundary, trust_typed=False, budget=5)
-    assert [v.exhausted for v in report.verdicts] == [False, True, True, True]
+    compiled, report = optimize_program(id_boundary, budget=5)
+    assert [v.exhausted for v in report.verdicts] == [False, True, True, False]
     assert all(d.after == copt(d.before, POS) for d in report.dispositions)
     answer, _ = evaluate(compiled.root)
     assert isinstance(answer, BlamedA)
 
 
 def test_verdicts_trust_typed_skips_analysis(id_boundary):
-    verdicts = {v.module: v for v in compute_verdicts(id_boundary, trust_typed=True)}
+    # Blameless t1 and unobliged main are proven without a slice.
+    verdicts = {v.module: v for v in compute_verdicts(id_boundary)}
     assert verdicts["t1"].safe_against == frozenset({"u1", "u2", "main"})
+    assert verdicts["main"].safe_against == frozenset({"t1", "u1", "u2"})
+    assert verdicts["t1"].states == verdicts["main"].states == 0
     assert "t1" not in verdicts["u2"].safe_against
 
 
-def _analyzed_modules(monkeypatch, p, trust_typed):
+def _analyzed_modules(monkeypatch, p):
     """The modules whose slice `compute_verdicts` analyzes."""
     analyzed = []
 
@@ -683,24 +678,25 @@ def _analyzed_modules(monkeypatch, p, trust_typed):
         return _slice(p, module)
 
     monkeypatch.setattr(optimize, "slice_for_module", recording)
-    compute_verdicts(p, trust_typed=trust_typed)
+    compute_verdicts(p)
     monkeypatch.undo()
     return analyzed
 
 
 def test_module_importing_only_a_typed_int_is_skipped(monkeypatch):
     # u is only the negative party of a flat contract, and main of no
-    # monitor at all: no verdict of theirs can weaken a contract.
+    # monitor at all: no monitor can blame them, so both are proven safe
+    # against every other module with no slice.
     p = parse_ok("(module n Int 5)\n"
                  "(module u (require n) n)\n"
                  "(module main (require u) u)")
-    assert _analyzed_modules(monkeypatch, p, trust_typed=True) == []
-    verdicts = {v.module: v for v in compute_verdicts(p, trust_typed=True)}
-    assert verdicts["u"] == Verdict("u", frozenset(), exhausted=False)
-    assert verdicts["main"] == Verdict("main", frozenset(), exhausted=False)
+    assert _analyzed_modules(monkeypatch, p) == []
+    verdicts = {v.module: v for v in compute_verdicts(p)}
+    assert verdicts["u"] == Verdict("u", frozenset({"n", "main"}), exhausted=False)
+    assert verdicts["main"] == Verdict("main", frozenset({"n", "u"}), exhausted=False)
     assert verdicts["u"].states == verdicts["main"].states == 0
     # Proving n alone removes the flat contract, as the full analysis would.
-    _, report = optimize_program(p, trust_typed=True)
+    _, report = optimize_program(p)
     assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == [("n", "u", "removed")]
 
 
@@ -709,8 +705,8 @@ def test_module_importing_a_typed_function_is_analyzed(monkeypatch):
     p = parse_ok("(module f (-> Int Int) (λ (x : Int) x))\n"
                  "(module u (require f) (f 1))\n"
                  "(module main (require u) u)")
-    assert _analyzed_modules(monkeypatch, p, trust_typed=True) == ["u"]
-    _, report = optimize_program(p, trust_typed=True)
+    assert _analyzed_modules(monkeypatch, p) == ["u"]
+    _, report = optimize_program(p)
     assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == [("f", "u", "removed")]
 
 
@@ -720,62 +716,153 @@ def test_module_imported_by_a_typed_module_is_analyzed(monkeypatch):
     p = parse_ok("(module u 5)\n"
                  "(module t Int (require/typed u Int) u)\n"
                  "(module main (require t) t)")
-    assert _analyzed_modules(monkeypatch, p, trust_typed=True) == ["u"]
-    _, report = optimize_program(p, trust_typed=True)
+    assert _analyzed_modules(monkeypatch, p) == ["u"]
+    _, report = optimize_program(p)
     assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == \
         [("u", "t", "removed"), ("t", "main", "removed")]
 
 
 def test_untrusted_verdicts_analyze_every_module(monkeypatch):
-    # Every module but a blameless typed one: n is blameless with the body
-    # 5, and analyzed with an opaque one.
+    # Every module that is obliged and not blameless, and no other: n, the
+    # positive party of u's Int import, is analyzed with an opaque body and
+    # blameless with the body 5.  u and main are obliged by no monitor.
     p = parse_ok("(module n Int opaque)\n"
                  "(module u (require n) n)\n"
                  "(module main (require u) u)")
-    assert _analyzed_modules(monkeypatch, p, trust_typed=False) == ["n", "u", "main"]
-    assert all(v.states > 0 for v in compute_verdicts(p, trust_typed=False))
+    assert _analyzed_modules(monkeypatch, p) == ["n"]
+    verdicts = {v.module: v for v in compute_verdicts(p)}
+    assert verdicts["n"] == Verdict("n", frozenset({"main"}), exhausted=False)
+    assert verdicts["n"].states > 0
+    assert verdicts["u"] == Verdict("u", frozenset({"n", "main"}), exhausted=False)
+    assert verdicts["main"] == Verdict("main", frozenset({"n", "u"}), exhausted=False)
+    assert verdicts["u"].states == verdicts["main"].states == 0
     p = parse_ok("(module n Int 5)\n"
                  "(module u (require n) n)\n"
                  "(module main (require u) u)")
-    assert _analyzed_modules(monkeypatch, p, trust_typed=False) == ["u", "main"]
-    verdicts = {v.module: v for v in compute_verdicts(p, trust_typed=False)}
+    assert _analyzed_modules(monkeypatch, p) == []
+    verdicts = {v.module: v for v in compute_verdicts(p)}
     assert verdicts["n"] == Verdict("n", frozenset({"u", "main"}), exhausted=False)
     assert verdicts["n"].states == 0 and verdicts["n"].seconds == 0.0
 
 
-def test_skipping_unconsulted_slices_changes_no_output(corpus_path):
-    # The skipped modules' verdicts differ from their slices', but no
-    # monitor consults them, so the tree and the dispositions are the same.
+def _oracle_programs(corpus_path):
+    """Generated programs at two sizes and every corpus configuration."""
     programs = [gen_program(GenConfig(seed=seed)) for seed in range(300)]
     programs += [gen_program(GenConfig(seed=seed, expr_size=64, max_modules=16))
                  for seed in range(1000, 1024)]
     for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
         programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
-    changed_verdicts = 0
-    for i, p in enumerate(programs):
-        compiled, report = optimize_program(p, trust_typed=True)
+    return programs
+
+
+def test_skipping_unconsulted_slices_changes_no_output(corpus_path):
+    # The modules no monitor obliges are proven without their slices, and
+    # each verdict is the one the full slice gives: so are the tree and the
+    # dispositions.
+    unobliged = 0
+    for i, p in enumerate(_oracle_programs(corpus_path)):
+        compiled, report = optimize_program(p)
         every = _verdicts_from_full_slices(p)
+        assert report.verdicts == every, i
         oracle, oracle_report = optimize_program(p, verdicts=every)
         assert format_expr(compiled.root) == format_expr(oracle.root), i
         assert report.dispositions == oracle_report.dispositions, i
-        changed_verdicts += sum(1 for v, w in zip(report.verdicts, every) if v != w)
-    assert changed_verdicts > 0
+        unobliged += len(set(p.names()) - obliged_modules(p) - _blameless(p))
+    assert unobliged > 0
+
+
+# Untyped u calls typed f with #t: the domain check of f's arrow blames u,
+# which is only the negative party of that arrow.
+ARROW_DOMAIN_BLAME = """\
+(module f (-> Int Int) (λ (x : Int) x))
+(module u (require f) (f #t))
+(module main (require u) u)
+"""
+
+
+def _unobliged_misses(programs, fuel=300_000):
+    """What the proof that a module outside `obliged_modules` can never be
+    blamed gets wrong on `programs`: each unoptimized run, within `fuel`
+    steps, that blames such a module, and each slice of such a module that
+    has a label blaming it or that is exhausted."""
+    misses = []
+    for i, p in enumerate(programs):
+        unobliged = set(p.names()) - optimize.obliged_modules(p)
+        answer, _ = evaluate(compile_program(p).root, fuel=fuel)
+        if isinstance(answer, BlamedA) and answer.label.blamed in unobliged:
+            misses.append((i, "run", answer.label))
+        for x in sorted(unobliged):
+            bs = analyze_slice(p, x)
+            if bs.exhausted or any(l.blamed == x for l in bs.labels):
+                misses.append((i, x, bs.exhausted, sorted(bs.labels)))
+    return misses
+
+
+def test_a_module_no_monitor_obliges_is_never_blamed(corpus_path):
+    # Only a monitor's positive party, or the negative party of an arrow
+    # contract, can be blamed.  So neither a run nor a slice's analysis
+    # ever blames a module that no monitor obliges, and proving it safe
+    # without its slice loses nothing.
+    programs = _oracle_programs(corpus_path) + [parse_ok(ARROW_DOMAIN_BLAME)]
+    assert _unobliged_misses(programs) == []
+    blaming = sum(isinstance(evaluate(compile_program(p).root, fuel=300_000)[0], BlamedA)
+                  for p in programs)
+    unobliged = sum(len(set(p.names()) - obliged_modules(p)) for p in programs)
+    assert (len(programs), blaming, unobliged) == (337, 59, 512)
+
+
+def test_unobliged_oracle_needs_the_negative_arrow_clause(monkeypatch):
+    # Without the clause that obliges the negative party of an arrow, u
+    # is taken as unobliged and proven safe toward f, although its run is
+    # blamed: the oracle fails, and the optimized run no longer blames.
+    p = parse_ok(ARROW_DOMAIN_BLAME)
+    answer, _ = evaluate(compile_program(p).root)
+    assert isinstance(answer, BlamedA) and answer.label == BlameLabel("u", "f")
+    assert _unobliged_misses([p]) == []
+    assert run_differential(p)["agree"]
+
+    def positive_parties_only(p):
+        return {r.target for _, monitored in boundaries(p) for r, _ in monitored}
+
+    monkeypatch.setattr(optimize, "obliged_modules", positive_parties_only)
+    assert [miss[:2] for miss in _unobliged_misses([p])] == [(0, "run"), (0, "u")]
+    assert not run_differential(p)["agree"]
+
+
+def test_trust_typed_is_accepted_and_ignored(corpus_path, id_boundary):
+    # Callers that still pass `trust_typed` get the verdicts and the
+    # optimized tree of a call without it, whatever they pass.
+    programs = [id_boundary] + [gen_program(GenConfig(seed=seed)) for seed in range(40)]
+    for entry in sorted(d for d in corpus_path.iterdir() if d.is_dir()):
+        programs += [parse_ok(f.read_text(encoding="utf-8")) for f in lattice_configs(entry)]
+    for i, p in enumerate(programs):
+        verdicts = compute_verdicts(p)
+        compiled, report = optimize_program(p)
+        tree = format_expr(compiled.root)
+        for trust in (True, False):
+            label = (i, trust)
+            again = compute_verdicts(p, trust_typed=trust)
+            assert again == verdicts, label
+            assert [v.states for v in again] == [v.states for v in verdicts], label
+            compiled_t, report_t = optimize_program(p, trust_typed=trust)
+            assert report_t.verdicts == report.verdicts, label
+            assert report_t.dispositions == report.dispositions, label
+            assert format_expr(compiled_t.root) == tree, label
 
 
 def test_dispositions_match_rewritten_tree():
     for seed in range(80):
         p = gen_program(GenConfig(seed=seed))
-        for trust in (True, False):
-            compiled, report = optimize_program(p, trust_typed=trust)
-            assert len(scan_boundaries(compiled.root)) == report.monitors_after
-            survivors = sorted((d.pos, d.neg, str(d.after))
-                               for d in report.dispositions if d.kind != "removed")
-            in_tree = sorted((b.pos, b.neg, str(b.contract))
-                             for b in compiled.boundary_index)
-            assert survivors == in_tree, (seed, trust)
+        compiled, report = optimize_program(p)
+        assert len(scan_boundaries(compiled.root)) == report.monitors_after
+        survivors = sorted((d.pos, d.neg, str(d.after))
+                           for d in report.dispositions if d.kind != "removed")
+        in_tree = sorted((b.pos, b.neg, str(b.contract))
+                         for b in compiled.boundary_index)
+        assert survivors == in_tree, seed
 
 
-def _layer_calls(monkeypatch, p, trust_typed):
+def _layer_calls(monkeypatch, p):
     """How often `compute_verdicts` calls each layer name the benchmark
     wraps in `optimize` (benchmark/layers.py), and the first positional
     argument of each `analyze` call, which the benchmark reads."""
@@ -788,7 +875,7 @@ def _layer_calls(monkeypatch, p, trust_typed):
                 roots.append(args[0])
             return _fn(*args, **kw)
         monkeypatch.setattr(optimize, name, counted)
-    verdicts = compute_verdicts(p, trust_typed=trust_typed)
+    verdicts = compute_verdicts(p)
     monkeypatch.undo()
     return calls, roots, verdicts
 
@@ -797,9 +884,8 @@ def test_compute_verdicts_reaches_layers_through_module_globals(monkeypatch, id_
     # The benchmark times and counts each layer by wrapping these names,
     # and fails a run in which one of them is never called.  Each analyzed
     # slice is sliced, compiled and analyzed once, as an expression.
-    for p, trust_typed in ((id_boundary, False), (id_boundary, True),
-                           (gen_program(GenConfig(seed=3, expr_size=64, max_modules=16)), False)):
-        calls, roots, verdicts = _layer_calls(monkeypatch, p, trust_typed)
+    for p in (id_boundary, gen_program(GenConfig(seed=3, expr_size=64, max_modules=16))):
+        calls, roots, verdicts = _layer_calls(monkeypatch, p)
         k = sum(1 for v in verdicts if v.states > 0)
         assert k > 0
         assert calls == {"slice_for_module": k, "compile_program": k, "analyze": k}
@@ -813,7 +899,7 @@ def test_compute_verdicts_compiles_nothing_when_nothing_is_analyzed(monkeypatch)
     p = parse_ok("(module n Int 5)\n"
                  "(module t Int (require n) n)\n"
                  "(module main (require t) t)")
-    calls, roots, verdicts = _layer_calls(monkeypatch, p, trust_typed=True)
+    calls, roots, verdicts = _layer_calls(monkeypatch, p)
     assert all(v.states == 0 for v in verdicts)
     assert not calls
 
@@ -824,11 +910,9 @@ def test_opaque_under_a_lambda_keeps_its_monitor():
     p = parse_ok("(module t (-> Int Int) (λ (x : Int) x))\n"
                  "(module u (require t) ((λ (_) opaque) 0))\n"
                  "(module main (require u) u)")
-    for trust in (True, False):
-        compiled, report = optimize_program(p, trust_typed=trust)
-        assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == \
-            [("t", "u", "weakened")]
-        assert [b.contract for b in compiled.boundary_index] == [ArrowC(INT_C, ANY_C)]
+    compiled, report = optimize_program(p)
+    assert [(d.pos, d.neg, d.kind) for d in report.dispositions] == [("t", "u", "weakened")]
+    assert [b.contract for b in compiled.boundary_index] == [ArrowC(INT_C, ANY_C)]
 
 
 def test_check_reduction_on_generated_programs():
@@ -873,9 +957,9 @@ def _per_pair_optimize(p, verdicts):
     return root, dispositions
 
 
-def _assert_matches_per_pair(p, trust, label):
-    verdicts = compute_verdicts(p, trust_typed=trust)
-    compiled, report = optimize_program(p, trust_typed=trust, verdicts=verdicts)
+def _assert_matches_per_pair(p, label):
+    verdicts = compute_verdicts(p)
+    compiled, report = optimize_program(p, verdicts=verdicts)
     root, dispositions = _per_pair_optimize(p, verdicts)
     assert structurally_equal(compiled.root, root), label
     assert [(d.pos, d.neg, d.before, d.after, d.kind)
@@ -884,16 +968,13 @@ def _assert_matches_per_pair(p, trust, label):
 
 def test_one_walk_matches_per_pair_fixpoint():
     for seed in range(200):
-        p = gen_program(GenConfig(seed=seed))
-        for trust in (True, False):
-            _assert_matches_per_pair(p, trust, (seed, trust))
+        _assert_matches_per_pair(gen_program(GenConfig(seed=seed)), seed)
 
 
 def test_one_walk_matches_per_pair_fixpoint_large():
     for seed in range(48):
-        p = gen_program(GenConfig(seed=seed, expr_size=64, max_modules=10))
-        for trust in (True, False):
-            _assert_matches_per_pair(p, trust, (seed, trust))
+        _assert_matches_per_pair(
+            gen_program(GenConfig(seed=seed, expr_size=64, max_modules=10)), seed)
 
 
 def test_final_contract_is_the_copt_fixpoint():

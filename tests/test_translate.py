@@ -91,10 +91,9 @@ def test_no_pass_mutates_the_parsed_program():
         assert not check_wellformed(p)
         compiled = compile_program(p)
         evaluate(compiled.root, fuel=10_000)
-        for trust in (True, False):
-            compute_verdicts(p, trust_typed=trust)
-            optimized, _ = optimize_program(p, trust_typed=trust)
-            evaluate(optimized.root, fuel=10_000)
+        compute_verdicts(p)
+        optimized, _ = optimize_program(p)
+        evaluate(optimized.root, fuel=10_000)
         assert _snapshot(p) == before
         # Each module's right-hand side, typed or untyped, holds its parsed
         # body.
@@ -143,10 +142,7 @@ def test_monitors_carry_their_require_spans(corpus_path):
     for path in sorted(corpus_path.glob("*/*.gtl")):
         text = path.read_text(encoding="utf-8")
         program = parse_ok(text)
-        roots = [compile_program(program).root]
-        roots += [optimize_program(program, trust_typed=trust)[0].root
-                  for trust in (True, False)]
-        for root in roots:
+        for root in (compile_program(program).root, optimize_program(program)[0].root):
             for mon in scan_boundaries(root):
                 form = text[mon.span[0]:mon.span[1]]
                 assert form.startswith(heads) and form.endswith(")"), (path, form)
