@@ -30,15 +30,19 @@ The reader also gives each opaque term of a module body its scope, the
 names a concrete instantiation of it may reference: the modules its module
 requires (`syntax.module_scope`) plus the lambda parameters bound around
 it.  No later pass computes a scope.  An opaque term read by `parse_expr`
-gets none, which means unrestricted.
+gets none, which means unrestricted.  The scope is all the reader passes
+down; whether the module is typed is set once per module, and the
+`require-kind-mismatch` diagnostics go to the reader's one list.
 
 Well-formedness follows the inductive structure of the module sequence.
 One function, `require_env`, resolves the requires of both kinds of module
 against the modules before it, the first definition of a name winning.
 Typed bodies must check against their annotation in the environment their
-requires induce; untyped bodies must be closed under theirs, which one
-iterative walk checks in time linear in the body.  Module names are unique,
-requires point only backward, and an untyped `main` module must exist.
+requires induce, every check appending to one list of diagnostics;
+untyped bodies must be closed under theirs and hold no core-language form,
+which iterative walks check in time linear in the body.  Module names are
+unique, requires point only backward, and an untyped `main` module must
+exist.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Optional
 from .syntax import (
     ANY_C, ArrowC, App, BoolLit, BOOL_C, Contract, Expr, If, IntLit, INT_C,
     Lam, Let, Mon, Module, Opaque, Prim, Program, Require, Span, TArrow, Ty,
-    T_BOOL, T_INT, Var, module_scope,
+    T_BOOL, T_INT, Var, module_scope, subterms,
 )
 
 DiagnosticKind = str  # parse | unbound | duplicate-module | require-kind-mismatch | type-error | main-missing
@@ -102,6 +106,17 @@ _ATOM_EXPRS = {"#t": lambda span: BoolLit(True, span=span),
                "bool?": lambda span: Prim("bool?", span=span)}
 _TYPES = {"Int": T_INT, "Bool": T_BOOL}
 _CONTRACTS = {"int?": INT_C, "bool?": BOOL_C, "any/c": ANY_C}
+# Per require form: its allowed lengths (3 is annotated), the message for
+# any other, and the message for an annotated one in an untyped module.
+# `opaque-require` means what the plain form of its length means, plus the
+# mark the verifier honours.
+_REQUIRES = {
+    "require": ((2,), "require expects a module name", None),
+    "require/typed": ((3,), "require/typed expects a module name and a type",
+                      "require/typed is only legal in typed modules"),
+    "opaque-require": ((2, 3), "malformed opaque-require",
+                       "annotated opaque-require is only legal in typed modules"),
+}
 
 
 def _error(message: str, span: Span) -> ParseError:
@@ -113,9 +128,10 @@ class _Reader:
     token i, `starts[i]` its offset, and `nxt[i]` the index just past the
     form that starts at i (past its closer, for an opener).  A form is
     named by the index of its first token; the top-level forms are 0,
-    nxt[0], ... up to len(toks)."""
+    nxt[0], ... up to len(toks).  `typed` is set per module; `diags`
+    collects the `require-kind-mismatch` diagnostics."""
 
-    __slots__ = ("toks", "starts", "nxt")
+    __slots__ = ("toks", "starts", "nxt", "typed", "diags")
 
     def __init__(self, text: str):
         toks: list[str] = []
@@ -155,6 +171,7 @@ class _Reader:
         while toks and not toks[-1]:  # the `\Z` matches
             toks.pop()
         self.toks, self.starts, self.nxt = toks, starts, nxt
+        self.typed, self.diags = False, []
 
     def forms(self, i: int, end: int) -> list[int]:
         """The indices of the forms from token i up to token `end`."""
@@ -198,11 +215,10 @@ class _Reader:
                          self.ty(items[2], leaves, arrow, what))
         raise _error(f"expected {what}", self.span(i))
 
-    def expr(self, i: int, typed_body: bool, scope: Optional[frozenset[str]] = None,
-             core: bool = False) -> Expr:
+    def expr(self, i: int, scope: Optional[frozenset[str]]) -> Expr:
         """The expression at token i.  Each opaque term in it gets `scope`
         plus the lambda parameters bound around it, or None when `scope` is
-        None, as it is for core text, the only text with `let`."""
+        None, as it is for core text, the only text with `let` and `mon`."""
         toks = self.toks
         t = toks[i]
         if t not in _MATCHING:
@@ -225,19 +241,18 @@ class _Reader:
         items = self.forms(i + 1, end)
         span = (self.starts[i], self.starts[end] + 1)
         head = toks[i + 1]  # the closer, for an empty list
-        if head in ("let", "mon") and not core:
+        if head in ("let", "mon") and scope is not None:
             raise _error(f"{head!r} is a core-language form, not source syntax", span)
         if head == "if":
             if len(items) != 4:
                 raise _error("if expects 3 subexpressions", span)
-            return If(self.expr(items[1], typed_body, scope, core),
-                      self.expr(items[2], typed_body, scope, core),
-                      self.expr(items[3], typed_body, scope, core), span=span)
+            return If(self.expr(items[1], scope), self.expr(items[2], scope),
+                      self.expr(items[3], scope), span=span)
         if head in ("λ", "lambda"):
             params = self.items(items[1]) if len(items) == 3 else None
             if params is None:
                 raise _error("malformed lambda", span)
-            if typed_body:
+            if self.typed:
                 if len(params) != 3 or toks[params[1]] != ":":
                     raise _error("typed lambda expects (name : type)", self.span(items[1]))
                 name = self.name(params[0], "a parameter name")
@@ -249,14 +264,13 @@ class _Reader:
                 name = self.name(params[0], "a parameter name")
                 ann = None
             inner = None if scope is None else scope | {name}
-            return Lam(name, ann, self.expr(items[2], typed_body, inner, core), span=span)
+            return Lam(name, ann, self.expr(items[2], inner), span=span)
         if head == "let":
             binding = self.items(items[1]) if len(items) == 3 else None
             if binding is None or len(binding) != 2:
                 raise _error("malformed let", span)
             return Let(self.name(binding[0], "a binding name"),
-                       self.expr(binding[1], typed_body, scope, core),
-                       self.expr(items[2], typed_body, scope, core), span=span)
+                       self.expr(binding[1], scope), self.expr(items[2], scope), span=span)
         if head == "mon":
             parties = self.items(items[1]) if len(items) == 4 else None
             if parties is None or len(parties) != 2:
@@ -264,49 +278,30 @@ class _Reader:
             pos = self.name(parties[0], "a party name")
             neg = self.name(parties[1], "a party name")
             return Mon(pos, neg, self.ty(items[2], _CONTRACTS, ArrowC, "a contract"),
-                       self.expr(items[3], typed_body, scope, core), span=span)
+                       self.expr(items[3], scope), span=span)
         if len(items) == 2:
-            return App(self.expr(items[0], typed_body, scope, core),
-                       self.expr(items[1], typed_body, scope, core), span=span)
+            return App(self.expr(items[0], scope), self.expr(items[1], scope), span=span)
         raise _error(f"expected an application of one argument, got {len(items)} elements",
                      span)
 
-    def require(self, i: int, typed_module: bool,
-                diags: list[Diagnostic]) -> Optional[Require]:
+    def require(self, i: int) -> Optional[Require]:
         items = self.items(i)
         head = self.toks[i + 1] if items else None
-        if head not in ("require", "require/typed", "opaque-require"):
+        if head not in _REQUIRES:
             raise _error("expected a require form", self.span(i))
+        lengths, malformed, untyped = _REQUIRES[head]
         span = self.span(i)
-        if head == "require":
-            if len(items) != 2:
-                raise _error("require expects a module name", span)
-            return Require(self.name(items[1], "a module name"), span=span)
-        if head == "require/typed":
-            if len(items) != 3:
-                raise _error("require/typed expects a module name and a type", span)
-            if not typed_module:
-                diags.append(Diagnostic(
-                    "require-kind-mismatch",
-                    "require/typed is only legal in typed modules", span))
-                return None
-            return Require(self.name(items[1], "a module name"),
-                           ann=self.ty(items[2]), span=span)
-        # opaque-require: same run-time meaning as the require form its
-        # arity matches, plus the mark the verifier honours.
-        if len(items) == 2:
-            return Require(self.name(items[1], "a module name"), opaque=True, span=span)
-        if len(items) == 3:
-            if not typed_module:
-                diags.append(Diagnostic(
-                    "require-kind-mismatch",
-                    "annotated opaque-require is only legal in typed modules", span))
-                return None
-            return Require(self.name(items[1], "a module name"),
-                           ann=self.ty(items[2]), opaque=True, span=span)
-        raise _error("malformed opaque-require", span)
+        if len(items) not in lengths:
+            raise _error(malformed, span)
+        annotated = len(items) == 3
+        if annotated and not self.typed:
+            self.diags.append(Diagnostic("require-kind-mismatch", untyped, span))
+            return None
+        return Require(self.name(items[1], "a module name"),
+                       ann=self.ty(items[2]) if annotated else None,
+                       opaque=head == "opaque-require", span=span)
 
-    def module(self, i: int, diags: list[Diagnostic]) -> Module:
+    def module(self, i: int) -> Module:
         items = self.items(i)
         if not items or self.toks[i + 1] != "module":
             raise _error("expected a (module ...) form", self.span(i))
@@ -321,13 +316,9 @@ class _Reader:
             rest = rest[1:]
             if not rest:
                 raise _error("typed module needs a body", self.span(i))
-        requires = []
-        for r in rest[:-1]:
-            req = self.require(r, typed_module=ty is not None, diags=diags)
-            if req is not None:
-                requires.append(req)
-        body = self.expr(rest[-1], typed_body=ty is not None,
-                         scope=module_scope(requires))
+        self.typed = ty is not None
+        requires = [req for r in rest[:-1] if (req := self.require(r)) is not None]
+        body = self.expr(rest[-1], module_scope(requires))
         return Module(name, ty, requires, body, span=self.span(i))
 
 
@@ -338,7 +329,8 @@ def parse_program(text: str) -> tuple[Optional[Program], list[Diagnostic]]:
     diags: list[Diagnostic] = []
     try:
         reader = _Reader(text)
-        modules = [reader.module(i, diags) for i in reader.forms(0, len(reader.toks))]
+        diags = reader.diags
+        modules = [reader.module(i) for i in reader.forms(0, len(reader.toks))]
     except ParseError as err:
         return None, diags + [err.diagnostic]
     return Program(modules), diags
@@ -351,7 +343,7 @@ def parse_expr(text: str) -> Expr:
     forms = reader.forms(0, len(reader.toks))
     if len(forms) != 1:
         raise _error(f"expected one expression, got {len(forms)}", (0, len(text)))
-    return reader.expr(0, typed_body=False, core=True)
+    return reader.expr(0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -436,87 +428,89 @@ def _err(e: Expr, message: str) -> Diagnostic:
     return Diagnostic("type-error", message, e.span or (0, 0))
 
 
-def _synth(env: dict[str, Ty], e: Expr) -> tuple[Optional[Ty], list[Diagnostic]]:
+def _synth(env: dict[str, Ty], e: Expr, diags: list[Diagnostic]) -> Optional[Ty]:
+    """The type of `e`; None exactly when its diagnostics, appended to
+    `diags`, are not empty."""
     match e:
         case IntLit(_):
-            return T_INT, []
+            return T_INT
         case BoolLit(_):
-            return T_BOOL, []
+            return T_BOOL
         case Var(name):
             t = env.get(name)
             if t is None:
-                return None, [Diagnostic("unbound", f"unbound variable {name!r}",
-                                         e.span or (0, 0))]
-            return t, []
+                diags.append(Diagnostic("unbound", f"unbound variable {name!r}",
+                                        e.span or (0, 0)))
+            return t
         case Prim(op):
-            return None, [_err(e, f"{op} must be applied")]
+            diags.append(_err(e, f"{op} must be applied"))
         case Opaque():
-            return None, [_err(e, "cannot infer a type for an opaque term")]
+            diags.append(_err(e, "cannot infer a type for an opaque term"))
         case Lam(param, ann, body):
             if ann is None:
-                return None, [_err(e, "unannotated lambda in a typed module body")]
-            bt, diags = _synth({**env, param: ann}, body)
-            if bt is None:
-                return None, diags
-            return TArrow(ann, bt), diags
+                diags.append(_err(e, "unannotated lambda in a typed module body"))
+                return None
+            bt = _synth({**env, param: ann}, body, diags)
+            return None if bt is None else TArrow(ann, bt)
         case If(test, then, orelse):
-            diags = _check(env, test, T_BOOL)
-            tt, d1 = _synth(env, then)
-            diags.extend(d1)
-            if tt is None:
-                return None, diags
-            diags.extend(_check(env, orelse, tt))
-            return (tt if not diags else None), diags
+            n = len(diags)
+            _check(env, test, T_BOOL, diags)
+            tt = _synth(env, then, diags)
+            if tt is not None:
+                _check(env, orelse, tt, diags)
+                if len(diags) == n:
+                    return tt
         case App(fn, arg):
             if isinstance(fn, Prim):
-                at, diags = _synth(env, arg)
-                return (T_BOOL if at is not None else None), diags
-            ft, diags = _synth(env, fn)
+                return None if _synth(env, arg, diags) is None else T_BOOL
+            ft = _synth(env, fn, diags)
             if ft is None:
                 # An opaque operator can still be typed if the argument determines nothing.
-                return None, diags
+                return None
             if not isinstance(ft, TArrow):
-                return None, diags + [_err(e, f"applied a non-function of type {ft}")]
-            diags.extend(_check(env, arg, ft.dom))
-            return (ft.cod if not diags else None), diags
+                diags.append(_err(e, f"applied a non-function of type {ft}"))
+                return None
+            n = len(diags)
+            _check(env, arg, ft.dom, diags)
+            if len(diags) == n:
+                return ft.cod
         case Let(_, _, _) | Mon(_, _, _, _):
-            return None, [_err(e, "core-language form in a surface program")]
-    raise TypeError(f"not an expression: {e!r}")
+            diags.append(_err(e, "core-language form in a surface program"))
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    return None
 
 
-def _check(env: dict[str, Ty], e: Expr, expected: Ty) -> list[Diagnostic]:
+def _check(env: dict[str, Ty], e: Expr, expected: Ty, diags: list[Diagnostic]) -> None:
+    """Append to `diags` the diagnostics of checking `e` against `expected`."""
     match e:
         case Opaque():
-            return []
+            pass
         case Lam(param, ann, body):
             if ann is None:
-                return [_err(e, "unannotated lambda in a typed module body")]
-            if not isinstance(expected, TArrow):
-                return [_err(e, f"lambda where {expected} was expected")]
-            if ann != expected.dom:
-                return [_err(e, f"parameter annotated {ann} but {expected.dom} expected")]
-            return _check({**env, param: ann}, body, expected.cod)
+                diags.append(_err(e, "unannotated lambda in a typed module body"))
+            elif not isinstance(expected, TArrow):
+                diags.append(_err(e, f"lambda where {expected} was expected"))
+            elif ann != expected.dom:
+                diags.append(_err(e, f"parameter annotated {ann} but {expected.dom} expected"))
+            else:
+                _check({**env, param: ann}, body, expected.cod, diags)
         case If(test, then, orelse):
-            diags = _check(env, test, T_BOOL)
-            diags.extend(_check(env, then, expected))
-            diags.extend(_check(env, orelse, expected))
-            return diags
+            _check(env, test, T_BOOL, diags)
+            _check(env, then, expected, diags)
+            _check(env, orelse, expected, diags)
         case App(fn, arg) if isinstance(fn, Opaque):
             # (opaque ARG) checks at any type once the argument synthesizes.
-            at, diags = _synth(env, arg)
-            return diags
+            _synth(env, arg, diags)
         case App(fn, arg) if isinstance(fn, Prim):
             if expected != T_BOOL:
-                return [_err(e, f"{fn.op} returns Bool, not {expected}")]
-            _, diags = _synth(env, arg)
-            return diags
+                diags.append(_err(e, f"{fn.op} returns Bool, not {expected}"))
+            else:
+                _synth(env, arg, diags)
         case _:
-            t, diags = _synth(env, e)
-            if t is None:
-                return diags
-            if t != expected:
-                diags = diags + [_err(e, f"expected {expected}, found {t}")]
-            return diags
+            t = _synth(env, e, diags)
+            if t is not None and t != expected:
+                diags.append(_err(e, f"expected {expected}, found {t}"))
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +530,15 @@ def check_wellformed(p: Program) -> list[Diagnostic]:
         env, ediags = require_env(m, defined)
         diags.extend(ediags)
         if m.typed:
-            diags.extend(_check(env, m.body, m.ty))
+            _check(env, m.body, m.ty, diags)
         else:
             for v in _unbound(m.body, env):
                 diags.append(Diagnostic(
                     "unbound", f"unbound variable {v!r} in module {m.name!r}", span))
+            for e in subterms(m.body):
+                if type(e) is Let or type(e) is Mon:
+                    diags.append(_err(e, "core-language form in a surface program"))
+                    break
         defined.setdefault(m.name, m)
     main = defined.get("main")
     if main is None:

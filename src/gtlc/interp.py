@@ -20,6 +20,10 @@ int`), never by equality or `isinstance`.
 Counters track exactly the work the optimizer is meant to remove: one
 `flat_checks` tick per flat-contract test, one `wrappers_allocated` tick
 per guard allocation, one `wrapped_calls` tick per application of a guard.
+They and the step count are locals of the run loop, written to `Metrics`
+once, in the `finally` that every exit of the loop passes through.
+
+A primitive is its own value: evaluating a `Prim` node yields that node.
 
 Steps.  One step is one transition of the machine.  An expression either
 pushes a frame and moves into a subexpression (application, `let`, `if`,
@@ -41,7 +45,7 @@ runs out are the same as with single steps.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from .syntax import (
@@ -64,16 +68,6 @@ class VClosure:
         return f"VClosure({self.param})"
 
 
-class VPrim:
-    __slots__ = ("op",)
-
-    def __init__(self, op: str):
-        self.op = op
-
-    def __repr__(self):
-        return f"VPrim({self.op})"
-
-
 class VGuard:
     __slots__ = ("contract", "inner", "pos", "neg")
 
@@ -87,11 +81,11 @@ class VGuard:
         return f"VGuard({self.contract}, {self.inner!r}, {self.pos}, {self.neg})"
 
 
-Value = Union[int, bool, VClosure, VPrim, VGuard]
+Value = Union[int, bool, VClosure, Prim, VGuard]
 
 
 def is_function(v: Value) -> bool:
-    return isinstance(v, (VClosure, VPrim, VGuard))
+    return isinstance(v, (VClosure, Prim, VGuard))
 
 
 @dataclass
@@ -126,13 +120,7 @@ class Metrics:
     wall_time: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "flat_checks": self.flat_checks,
-            "wrappers_allocated": self.wrappers_allocated,
-            "wrapped_calls": self.wrapped_calls,
-            "steps": self.steps,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
 
 # Frame tags.
@@ -159,147 +147,141 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
     stack: list = []
     env: dict = {}
     value: Optional[Value] = None
-    steps = 0
+    steps = flat_checks = wrappers_allocated = wrapped_calls = 0
 
-    while True:
-        if steps >= fuel:
-            m.steps = steps
-            return OutOfFuelA()
-        steps += 1
-
-        if control is not None:
-            e = control
-            t = type(e)
-            if t is App:
-                fn = e.fn
-                if type(fn) is Var and steps < fuel:
-                    v = env.get(fn.name)
-                    if v is not None:
-                        # Fused: the lookup with the pop of the ARG frame
-                        # this step would push.
-                        steps += 1
-                        stack.append((_F_CALL, v))
-                        control = e.arg
-                        continue
-                stack.append((_F_ARG, e.arg, env))
-                control = fn
-                continue
-            if t is Var:
-                value = env.get(e.name)
-                if value is None:
-                    m.steps = steps
-                    return StuckA(f"unbound variable {e.name!r}")
-            elif t is Lam:
-                value = VClosure(e.param, e.body, env)
-            elif t is IntLit or t is BoolLit:
-                value = e.value
-            elif t is Let:
-                stack.append((_F_LET, e.name, e.body, env))
-                control = e.rhs
-                continue
-            elif t is If:
-                stack.append((_F_IF, e.then, e.orelse, env))
-                control = e.test
-                continue
-            elif t is Mon:
-                stack.append((_F_MON, e.contract, e.pos, e.neg))
-                control = e.body
-                continue
-            elif t is Prim:
-                value = VPrim(e.op)
-            elif t is Opaque:
-                m.steps = steps
-                return StuckA("opaque term reached at run time")
-            else:
-                m.steps = steps
-                return StuckA(f"unknown expression {e!r}")
-            control = None
-
-        # value in hand; consume a frame
-        if not stack:
-            m.steps = steps
-            return ValA(value)
-        frame = stack.pop()
-        tag = frame[0]
-
-        if tag is _F_CALL:
-            fv = frame[1]
-            contract = None
-        elif tag is _F_MON:
-            _, contract, pos, neg = frame
-            fv = None
-        elif tag is _F_ARG:
-            _, arg_expr, fenv = frame
-            stack.append((_F_CALL, value))
-            control, env = arg_expr, fenv
-            continue
-        elif tag is _F_LET:
-            _, name, body, lenv = frame
-            env = dict(lenv)
-            env[name] = value
-            control = body
-            continue
-        else:  # _F_IF
-            _, then, orelse, ienv = frame
-            if type(value) is not bool:
-                m.steps = steps
-                return StuckA("if test was not a boolean")
-            control = then if value else orelse
-            env = ienv
-            continue
-
-        # Check `value` against `contract` with parties (pos, neg), if set
-        # (`any/c` checks nothing), then apply `fv` to it, if set.  Applying
-        # a guard whose domain is flat comes back round with the domain
-        # check and the wrapped function instead of pushing their frames, so
-        # nested guards loop.
+    try:
         while True:
-            if contract is not None:
-                tc = type(contract)
-                if tc is IntC:
-                    m.flat_checks += 1
-                    if type(value) is not int:
-                        m.steps = steps
-                        return BlamedA(BlameLabel(pos, neg))
-                elif tc is BoolC:
-                    m.flat_checks += 1
-                    if type(value) is not bool:
-                        m.steps = steps
-                        return BlamedA(BlameLabel(pos, neg))
-                elif tc is ArrowC:
-                    if not is_function(value):
-                        m.steps = steps
-                        return BlamedA(BlameLabel(pos, neg))
-                    m.wrappers_allocated += 1
-                    value = VGuard(contract, value, pos, neg)
-                if fv is None:
-                    break
-                steps += 1  # the fused pop of the inner call
-            tf = type(fv)
-            if tf is VClosure:
-                env = dict(fv.env)
-                env[fv.param] = value
-                control = fv.body
-                break
-            if tf is VPrim:
-                if fv.op == "int?":
-                    value = type(value) is int
+            if steps >= fuel:
+                return OutOfFuelA()
+            steps += 1
+
+            if control is not None:
+                e = control
+                t = type(e)
+                if t is App:
+                    fn = e.fn
+                    if type(fn) is Var and steps < fuel:
+                        v = env.get(fn.name)
+                        if v is not None:
+                            # Fused: the lookup with the pop of the ARG frame
+                            # this step would push.
+                            steps += 1
+                            stack.append((_F_CALL, v))
+                            control = e.arg
+                            continue
+                    stack.append((_F_ARG, e.arg, env))
+                    control = fn
+                    continue
+                if t is Var:
+                    value = env.get(e.name)
+                    if value is None:
+                        return StuckA(f"unbound variable {e.name!r}")
+                elif t is Lam:
+                    value = VClosure(e.param, e.body, env)
+                elif t is IntLit or t is BoolLit:
+                    value = e.value
+                elif t is Let:
+                    stack.append((_F_LET, e.name, e.body, env))
+                    control = e.rhs
+                    continue
+                elif t is If:
+                    stack.append((_F_IF, e.then, e.orelse, env))
+                    control = e.test
+                    continue
+                elif t is Mon:
+                    stack.append((_F_MON, e.contract, e.pos, e.neg))
+                    control = e.body
+                    continue
+                elif t is Prim:
+                    value = e
+                elif t is Opaque:
+                    return StuckA("opaque term reached at run time")
                 else:
-                    value = type(value) is bool
-                break
-            if tf is not VGuard:
-                m.steps = steps
-                return StuckA("applied a non-function")
-            m.wrapped_calls += 1
-            c = fv.contract
-            stack.append((_F_MON, c.cod, fv.pos, fv.neg))
-            contract = c.dom
-            if type(contract) is ArrowC or steps + 2 > fuel:
-                stack.append((_F_CALL, fv.inner))
-                stack.append((_F_MON, contract, fv.neg, fv.pos))
-                break
-            steps += 1  # the fused pop of the domain check
-            pos, neg, fv = fv.neg, fv.pos, fv.inner
+                    return StuckA(f"unknown expression {e!r}")
+                control = None
+
+            # value in hand; consume a frame
+            if not stack:
+                return ValA(value)
+            frame = stack.pop()
+            tag = frame[0]
+
+            if tag is _F_CALL:
+                fv = frame[1]
+                contract = None
+            elif tag is _F_MON:
+                _, contract, pos, neg = frame
+                fv = None
+            elif tag is _F_ARG:
+                _, arg_expr, fenv = frame
+                stack.append((_F_CALL, value))
+                control, env = arg_expr, fenv
+                continue
+            elif tag is _F_LET:
+                _, name, body, lenv = frame
+                env = dict(lenv)
+                env[name] = value
+                control = body
+                continue
+            else:  # _F_IF
+                _, then, orelse, ienv = frame
+                if type(value) is not bool:
+                    return StuckA("if test was not a boolean")
+                control = then if value else orelse
+                env = ienv
+                continue
+
+            # Check `value` against `contract` with parties (pos, neg), if set
+            # (`any/c` checks nothing), then apply `fv` to it, if set.  Applying
+            # a guard whose domain is flat comes back round with the domain
+            # check and the wrapped function instead of pushing their frames, so
+            # nested guards loop.
+            while True:
+                if contract is not None:
+                    tc = type(contract)
+                    if tc is IntC:
+                        flat_checks += 1
+                        if type(value) is not int:
+                            return BlamedA(BlameLabel(pos, neg))
+                    elif tc is BoolC:
+                        flat_checks += 1
+                        if type(value) is not bool:
+                            return BlamedA(BlameLabel(pos, neg))
+                    elif tc is ArrowC:
+                        if not is_function(value):
+                            return BlamedA(BlameLabel(pos, neg))
+                        wrappers_allocated += 1
+                        value = VGuard(contract, value, pos, neg)
+                    if fv is None:
+                        break
+                    steps += 1  # the fused pop of the inner call
+                tf = type(fv)
+                if tf is VClosure:
+                    env = dict(fv.env)
+                    env[fv.param] = value
+                    control = fv.body
+                    break
+                if tf is Prim:
+                    if fv.op == "int?":
+                        value = type(value) is int
+                    else:
+                        value = type(value) is bool
+                    break
+                if tf is not VGuard:
+                    return StuckA("applied a non-function")
+                wrapped_calls += 1
+                c = fv.contract
+                stack.append((_F_MON, c.cod, fv.pos, fv.neg))
+                contract = c.dom
+                if type(contract) is ArrowC or steps + 2 > fuel:
+                    stack.append((_F_CALL, fv.inner))
+                    stack.append((_F_MON, contract, fv.neg, fv.pos))
+                    break
+                steps += 1  # the fused pop of the domain check
+                pos, neg, fv = fv.neg, fv.pos, fv.inner
+    finally:
+        m.steps, m.flat_checks = steps, flat_checks
+        m.wrappers_allocated, m.wrapped_calls = wrappers_allocated, wrapped_calls
 
 
 def format_value(v: Value) -> str:

@@ -188,6 +188,26 @@ def test_run_value_exit(capsys, tmp_path):
     assert doc["metrics"]["flat_checks"] == 0
 
 
+def test_run_primitive_value(capsys, tmp_path):
+    # A program whose value is a primitive answers a procedure.
+    path = tmp_path / "prim.gtl"
+    path.write_text("(module main int?)", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(path))
+    assert code == 0
+    assert json.loads(out)["answer"] == {
+        "kind": "value", "display": "#<procedure>", "value": {"type": "function"}}
+    root = compile_program(parse_ok("(module main int?)")).root
+    a, b = interp.evaluate(root)[0], interp.evaluate(root)[0]
+    assert bench.answers_agree(a, b)
+    assert not bench.answers_agree(a, interp.ValA(1))
+    # A primitive passes an arrow contract and is applied through its guard.
+    guarded = ("(module u int?) (module t (-> Int Bool) (require/typed u (-> Int Bool)) u)"
+               " (module main (require t) (if (t 5) (t #t) 0))")
+    answer, m = interp.evaluate(compile_program(parse_ok(guarded)).root)
+    assert interp.answer_to_json(answer) == {"kind": "blame", "blamed": "main", "holder": "t"}
+    assert (m.flat_checks, m.wrappers_allocated, m.wrapped_calls, m.steps) == (5, 2, 3, 28)
+
+
 def test_run_stuck_exit(capsys, tmp_path):
     path = tmp_path / "stuck.gtl"
     path.write_text("(module main (5 5))", encoding="utf-8")

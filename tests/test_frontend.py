@@ -19,7 +19,7 @@ from gtlc.gen import GenConfig, gen_program
 from gtlc.interp import ValA, evaluate
 from gtlc.syntax import (
     App, Lam, Module, Opaque, Program, Require, TArrow, T_INT, Var, format_expr,
-    format_program,
+    format_program, subterms,
 )
 from gtlc.translate import compile_program, erase
 
@@ -116,9 +116,13 @@ def test_diagnostics_table():
             diags = diags + check_wellformed(program)
         assert _diag_record(diags) == want, text
     # The reader rejects these first, so they are built through the API.
-    assert _diag_record(_synth({}, parse_expr("(let [x 1] x)"))[1]) == [
+    diags = []
+    assert _synth({}, parse_expr("(let [x 1] x)"), diags) is None
+    assert _diag_record(diags) == [
         ("type-error", "core-language form in a surface program", (0, 13))]
-    assert _diag_record(_check({}, parse_expr("(λ (x) x)"), ARROW_II)) == [
+    diags = []
+    _check({}, parse_expr("(λ (x) x)"), ARROW_II, diags)
+    assert _diag_record(diags) == [
         ("type-error", "unannotated lambda in a typed module body", (0, 9))]
     a, main = parse_ok("(module a 1) (module main (require a) a)").modules
     annotated = replace(main, requires=[replace(main.requires[0], ann=T_INT)])
@@ -194,31 +198,70 @@ def test_name_env():
 
 
 def test_typecheck_unannotated_lambda_rejected():
-    ty, diags = _synth({}, frontend.parse_expr("(λ (x) x)"))
+    diags = []
+    ty = _synth({}, frontend.parse_expr("(λ (x) x)"), diags)
     assert ty is None and diags
 
 
 def test_typecheck_annotated_identity():
     p, _ = parse_program("(module t (-> Int Int) (λ (x : Int) x))")
-    ty, diags = _synth({}, p.modules[0].body)
+    diags = []
+    ty = _synth({}, p.modules[0].body, diags)
     assert ty == ARROW_II and not diags
 
 
 def test_typecheck_application_of_import():
     p, _ = parse_program("(module t Int (t1 5))")
     body = p.modules[0].body
-    ty, diags = _synth({"t1": ARROW_II}, body)
+    diags = []
+    ty = _synth({"t1": ARROW_II}, body, diags)
     assert ty == T_INT and not diags
 
 
 def test_typecheck_bad_if_test():
     p, _ = parse_program("(module t Int (if 1 2 3))")
-    ty, diags = _synth({}, p.modules[0].body)
+    diags = []
+    ty = _synth({}, p.modules[0].body, diags)
     assert ty is None and any(d.kind == "type-error" for d in diags)
 
 
 def test_typecheck_opaque_takes_expected_type():
-    assert _check({}, Opaque(), ARROW_II) == []
+    diags = []
+    _check({}, Opaque(), ARROW_II, diags)
+    assert diags == []
+
+
+def _typed_bodies():
+    """(environment, body) of every typed module of the corpus, of `gen`
+    seeds 0-299 at `typed_fraction=1.0` and of `_flip_texts`, in the
+    environment its requires induce."""
+    programs = [parse_ok(f.read_text(encoding="utf-8"))
+                for f in sorted(corpus_dir().glob("*/*.gtl"))]
+    programs += [gen_program(GenConfig(seed=s, typed_fraction=1.0)) for s in range(300)]
+    programs += [parse_program(text)[0] for text in _flip_texts()]
+    for p in programs:
+        defined = {}
+        for m in p.modules:
+            if m.typed:
+                yield require_env(m, defined)[0], m.body
+            defined.setdefault(m.name, m)
+
+
+def test_synth_returns_a_type_exactly_when_it_appends_no_diagnostic():
+    # Over each body and every subterm of it, in the body's environment, so
+    # names bound inside the body read as unbound and fail too.
+    bodies = terms = typed = 0
+    for env, body in _typed_bodies():
+        bodies += 1
+        for e in subterms(body):
+            # A sentinel first entry shows that `_synth` only appends.
+            diags = ["sentinel"]
+            ty = _synth(env, e, diags)
+            assert diags[0] == "sentinel"
+            assert (ty is not None) == (len(diags) == 1), format_expr(e)
+            terms += 1
+            typed += ty is not None
+    assert (bodies, terms, typed) == (1_828, 16_410, 14_633)
 
 
 # (body, names its requires bind, the unbound names `_unbound` reports)
@@ -294,6 +337,17 @@ def test_wellformed_require_typed_in_untyped_module():
     _, diags = parse_program("(module a 1)\n"
                              "(module main (require/typed a Int) 5)")
     assert any(d.kind == "require-kind-mismatch" for d in diags)
+
+
+def test_core_forms_in_an_untyped_body_are_type_errors():
+    # The reader rejects them in text, so the bodies are built through the
+    # API.  Each body reports its first core form, as a typed body would.
+    t = parse_ok("(module t (-> Int Int) (λ (x : Int) x)) (module main 1)").modules[0]
+    for body, span in (("(let [x 1] (let [y x] y))", (0, 25)),
+                       ("((mon (main t) int? t) 1)", (1, 22))):
+        main = Module("main", None, [Require("t")], parse_expr(body))
+        assert _diag_record(check_wellformed(Program([t, main]))) == [
+            ("type-error", "core-language form in a surface program", span)], body
 
 
 def test_untyped_body_may_shadow_required_name():
