@@ -54,7 +54,7 @@ from typing import Optional
 from .syntax import (
     ANY_C, ArrowC, App, BoolLit, BOOL_C, Contract, Expr, If, IntLit, INT_C,
     Lam, Let, Mon, Module, Opaque, Prim, Program, Require, Span, TArrow, Ty,
-    T_BOOL, T_INT, Var, module_scope, subterms,
+    T_BOOL, T_INT, Var, module_scope,
 )
 
 DiagnosticKind = str  # parse | unbound | duplicate-module | require-kind-mismatch | type-error | main-missing
@@ -387,13 +387,16 @@ def require_env(m: Module,
     return env, diags
 
 
-def _unbound(body: Expr, names) -> list[str]:
+def _unbound(body: Expr, names) -> tuple[list[str], Optional[Expr]]:
     """The names `body` reads that neither `names` nor a binder around the
-    read binds, sorted.  One walk with an explicit stack keeps the count of
-    binders in scope of each name: a (name, 1) item enters a binder and a
-    (name, -1) item leaves it.  A `let`'s right-hand side is outside it."""
+    read binds, sorted, and the first core-language form (`let` or `mon`)
+    in `body` in pre-order, or None.  One walk with an explicit stack keeps
+    the count of binders in scope of each name: a (name, 1) item enters a
+    binder and a (name, -1) item leaves it.  A `let`'s right-hand side is
+    outside it."""
     bound = dict.fromkeys(names, 1)
     free = set()
+    core = None
     stack: list = [body]
     while stack:
         e = stack.pop()
@@ -411,9 +414,11 @@ def _unbound(body: Expr, names) -> list[str]:
             stack += ((e.param, -1), e.body, (e.param, 1))
         elif t is Let:
             stack += ((e.name, -1), e.body, (e.name, 1), e.rhs)
+            core = core or e
         elif t is Mon:
             stack.append(e.body)
-    return sorted(free)
+            core = core or e
+    return sorted(free), core
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +537,12 @@ def check_wellformed(p: Program) -> list[Diagnostic]:
         if m.typed:
             _check(env, m.body, m.ty, diags)
         else:
-            for v in _unbound(m.body, env):
+            free, core = _unbound(m.body, env)
+            for v in free:
                 diags.append(Diagnostic(
                     "unbound", f"unbound variable {v!r} in module {m.name!r}", span))
-            for e in subterms(m.body):
-                if type(e) is Let or type(e) is Mon:
-                    diags.append(_err(e, "core-language form in a surface program"))
-                    break
+            if core is not None:
+                diags.append(_err(core, "core-language form in a surface program"))
         defined.setdefault(m.name, m)
     main = defined.get("main")
     if main is None:

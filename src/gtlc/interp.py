@@ -13,6 +13,16 @@ programs are bounded by heap, not the host recursion limit.  Dynamic type
 errors outside any monitor (applying a non-function, a non-boolean `if`
 test) are stuck states, not blame: contracts are the only source of blame.
 
+Frames.  A call frame is the callee value itself, pushed once the
+operator is a value: popping a closure binds its parameter and enters its
+body right there, and any other callee (a guard, a primitive, or a
+non-function that gets stuck) goes to the check/apply loop.  The other
+frames are tuples tagged by their first field: an argument still to
+evaluate, a `let` body, `if` branches, and a contract check.  No value is
+a tuple, so a frame's type tells the two kinds apart.  A guard carries the
+range-check frame that each of its calls pushes, built once when the value
+is wrapped.
+
 Integers and booleans are the host's `int` and `bool`.  The host counts
 `True == 1`, so they are always told apart by exact type (`type(v) is
 int`), never by equality or `isinstance`.
@@ -56,6 +66,14 @@ from .syntax import (
 DEFAULT_FUEL = 10_000_000
 
 
+# Tags of the tuple frames.  A frame that is not a tuple is a callee, to be
+# applied to the incoming value (see Frames in the module docstring).
+_F_ARG = 0    # (tag, arg_expr, env)         evaluate the argument next
+_F_LET = 1    # (tag, name, body, env)
+_F_IF = 2     # (tag, then, orelse, env)
+_F_MON = 3    # (tag, contract, pos, neg)    check the incoming value
+
+
 class VClosure:
     __slots__ = ("param", "body", "env")
 
@@ -69,13 +87,16 @@ class VClosure:
 
 
 class VGuard:
-    __slots__ = ("contract", "inner", "pos", "neg")
+    """A function wrapped by an arrow monitor.  `range_frame` is the
+    codomain check that every call of the guard pushes, built once here."""
+    __slots__ = ("contract", "inner", "pos", "neg", "range_frame")
 
     def __init__(self, contract: ArrowC, inner, pos: str, neg: str):
         self.contract = contract
         self.inner = inner
         self.pos = pos
         self.neg = neg
+        self.range_frame = (_F_MON, contract.cod, pos, neg)
 
     def __repr__(self):
         return f"VGuard({self.contract}, {self.inner!r}, {self.pos}, {self.neg})"
@@ -123,14 +144,6 @@ class Metrics:
         return asdict(self)
 
 
-# Frame tags.
-_F_ARG = 0    # (tag, arg_expr, env)         evaluate the argument next
-_F_CALL = 1   # (tag, fn_value)              apply fn_value to the incoming value
-_F_LET = 2    # (tag, name, body, env)
-_F_IF = 3    # (tag, then, orelse, env)
-_F_MON = 4    # (tag, contract, pos, neg)
-
-
 def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> tuple[Answer, Metrics]:
     """Evaluate a closed core expression.  `fuel` is the number of steps
     (machine transitions, see the module docstring) allowed: an evaluation
@@ -166,7 +179,7 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
                             # Fused: the lookup with the pop of the ARG frame
                             # this step would push.
                             steps += 1
-                            stack.append((_F_CALL, v))
+                            stack.append(v)
                             control = e.arg
                             continue
                     stack.append((_F_ARG, e.arg, env))
@@ -204,32 +217,40 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
             if not stack:
                 return ValA(value)
             frame = stack.pop()
-            tag = frame[0]
+            tf = type(frame)
 
-            if tag is _F_CALL:
-                fv = frame[1]
-                contract = None
-            elif tag is _F_MON:
-                _, contract, pos, neg = frame
+            # Tuple frames first, most frequent tag first: most pops of
+            # generated programs are `if`s and `let`s.
+            if tf is tuple:
+                tag = frame[0]
+                if tag is _F_IF:
+                    _, then, orelse, ienv = frame
+                    if type(value) is not bool:
+                        return StuckA("if test was not a boolean")
+                    control = then if value else orelse
+                    env = ienv
+                    continue
+                if tag is _F_LET:
+                    _, name, body, lenv = frame
+                    env = dict(lenv)
+                    env[name] = value
+                    control = body
+                    continue
+                if tag is _F_ARG:
+                    _, arg_expr, fenv = frame
+                    stack.append(value)  # the operator is the call frame
+                    control, env = arg_expr, fenv
+                    continue
+                _, contract, pos, neg = frame  # _F_MON
                 fv = None
-            elif tag is _F_ARG:
-                _, arg_expr, fenv = frame
-                stack.append((_F_CALL, value))
-                control, env = arg_expr, fenv
+            elif tf is VClosure:
+                env = dict(frame.env)
+                env[frame.param] = value
+                control = frame.body
                 continue
-            elif tag is _F_LET:
-                _, name, body, lenv = frame
-                env = dict(lenv)
-                env[name] = value
-                control = body
-                continue
-            else:  # _F_IF
-                _, then, orelse, ienv = frame
-                if type(value) is not bool:
-                    return StuckA("if test was not a boolean")
-                control = then if value else orelse
-                env = ienv
-                continue
+            else:  # any other callee: a guard, a primitive or a non-function
+                fv = frame
+                contract = None
 
             # Check `value` against `contract` with parties (pos, neg), if set
             # (`any/c` checks nothing), then apply `fv` to it, if set.  Applying
@@ -270,11 +291,10 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
                 if tf is not VGuard:
                     return StuckA("applied a non-function")
                 wrapped_calls += 1
-                c = fv.contract
-                stack.append((_F_MON, c.cod, fv.pos, fv.neg))
-                contract = c.dom
+                stack.append(fv.range_frame)
+                contract = fv.contract.dom
                 if type(contract) is ArrowC or steps + 2 > fuel:
-                    stack.append((_F_CALL, fv.inner))
+                    stack.append(fv.inner)
                     stack.append((_F_MON, contract, fv.neg, fv.pos))
                     break
                 steps += 1  # the fused pop of the domain check

@@ -279,7 +279,7 @@ _SCOPE_TABLE = [
 
 def test_unbound_scope_rules():
     for text, names, want in _SCOPE_TABLE:
-        assert _unbound(parse_expr(text), names) == want, text
+        assert _unbound(parse_expr(text), names)[0] == want, text
 
 
 def test_a_deep_untyped_body_is_checked_without_recursion():
@@ -341,10 +341,14 @@ def test_wellformed_require_typed_in_untyped_module():
 
 def test_core_forms_in_an_untyped_body_are_type_errors():
     # The reader rejects them in text, so the bodies are built through the
-    # API.  Each body reports its first core form, as a typed body would.
+    # API.  Each body reports its first core form in pre-order, as a typed
+    # body would.
     t = parse_ok("(module t (-> Int Int) (λ (x : Int) x)) (module main 1)").modules[0]
     for body, span in (("(let [x 1] (let [y x] y))", (0, 25)),
-                       ("((mon (main t) int? t) 1)", (1, 22))):
+                       ("((mon (main t) int? t) 1)", (1, 22)),
+                       ("((mon (main t) int? 1) (let [x 1] x))", (1, 22)),
+                       ("(if (let [x #t] x) (mon (main t) int? 1) 2)", (4, 18)),
+                       ("(λ (y) ((let [x y] x) (mon (main t) int? y)))", (8, 21))):
         main = Module("main", None, [Require("t")], parse_expr(body))
         assert _diag_record(check_wellformed(Program([t, main]))) == [
             ("type-error", "core-language form in a surface program", span)], body

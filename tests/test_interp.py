@@ -113,7 +113,11 @@ def test_predicates_reject_wrapped_functions():
 
 
 def test_stuck_outside_monitors():
-    assert isinstance(run("(5 5)")[0], StuckA)
+    for text in ("(5 5)", "((λ (f) (f 1)) 5)"):
+        # The second pushes its non-function through the fused path of an
+        # application whose operator is a variable.
+        assert run(text)[0] == StuckA("applied a non-function"), text
+    assert run("((λ (f) (f 1)) 5)")[1].steps == 6
     assert isinstance(run("(if 3 1 2)")[0], StuckA)
     assert isinstance(run("(if (λ (x) x) 1 2)")[0], StuckA)
 
@@ -237,6 +241,13 @@ def test_fuel_boundary_on_hot_loop_window(corpus_path):
      (("b", "a"), 13, 2, 2, 2)),
     # Stuck in the body of a fused guard call.
     ("((mon (a b) (-> bool? int?) (λ (x) y)) #t)", ("stuck", 8, 1, 1, 1)),
+    ("((mon (a b) (-> int? int?) (λ (x) (x 1))) 2)", ("stuck", 10, 1, 1, 1)),
+    # One guard applied twice: both calls push the range frame it carries,
+    # and the second blames through it.
+    ("((λ (g) ((λ (_) (g 2)) (g 1))) (mon (a b) (-> int? int?) (λ (x) x)))",
+     ("2", 21, 4, 1, 2)),
+    ("((λ (g) ((λ (_) (g #t)) (g 1))) (mon (a b) (-> any/c int?) (λ (x) x)))",
+     (("a", "b"), 20, 2, 1, 2)),
 ])
 def test_guard_calls_pinned(text, expected):
     assert outcome(text) == expected
