@@ -13,15 +13,26 @@ programs are bounded by heap, not the host recursion limit.  Dynamic type
 errors outside any monitor (applying a non-function, a non-boolean `if`
 test) are stuck states, not blame: contracts are the only source of blame.
 
+Environments.  The environment is a dict plus one pending innermost
+binding, a name and its value, read before the dict.  Applying a closure
+copies nothing: the closure's dict becomes the environment and its
+parameter the pending binding.  The dict is copied, and the pending
+binding written into the copy, only when a `λ` captures the environment
+(there is then no pending binding until the next call or `let`) and when
+a `let` binds a further name (which becomes the pending binding).  No dict
+is written after it is built, so closures and frames share them freely.
+No value is `None`, so a lookup that finds `None` is an unbound name.
+
 Frames.  A call frame is the callee value itself, pushed once the
 operator is a value: popping a closure binds its parameter and enters its
 body right there, and any other callee (a guard, a primitive, or a
 non-function that gets stuck) goes to the check/apply loop.  The other
 frames are tuples tagged by their first field: an argument still to
-evaluate, a `let` body, `if` branches, and a contract check.  No value is
-a tuple, so a frame's type tells the two kinds apart.  A guard carries the
-range-check frame that each of its calls pushes, built once when the value
-is wrapped.
+evaluate, a `let` body, `if` branches, and a contract check.  The first
+three carry the environment they restore, as its dict and its pending
+binding.  No value is a tuple, so a frame's type tells the two kinds
+apart.  A guard carries the range-check frame that each of its calls
+pushes, built once when the value is wrapped.
 
 Integers and booleans are the host's `int` and `bool`.  The host counts
 `True == 1`, so they are always told apart by exact type (`type(v) is
@@ -68,10 +79,12 @@ DEFAULT_FUEL = 10_000_000
 
 # Tags of the tuple frames.  A frame that is not a tuple is a callee, to be
 # applied to the incoming value (see Frames in the module docstring).
-_F_ARG = 0    # (tag, arg_expr, env)         evaluate the argument next
-_F_LET = 1    # (tag, name, body, env)
-_F_IF = 2     # (tag, then, orelse, env)
-_F_MON = 3    # (tag, contract, pos, neg)    check the incoming value
+# The environment of an `ARG`, `LET` or `IF` frame is the dict `env` under
+# the pending binding `pn` -> `pv` (see Environments).
+_F_ARG = 0    # (tag, arg_expr, env, pn, pv)     evaluate the argument next
+_F_LET = 1    # (tag, name, body, env, pn, pv)
+_F_IF = 2     # (tag, then, orelse, env, pn, pv)
+_F_MON = 3    # (tag, contract, pos, neg)        check the incoming value
 
 
 class VClosure:
@@ -158,7 +171,11 @@ def evaluate(e: Expr, fuel: int = DEFAULT_FUEL) -> tuple[Answer, Metrics]:
 
 def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
     stack: list = []
+    # The environment: `env` under the pending binding `pn` -> `pv`, or
+    # `env` alone while `pn` is None (see Environments).
     env: dict = {}
+    pn: Optional[str] = None
+    pv: Optional[Value] = None
     value: Optional[Value] = None
     steps = flat_checks = wrappers_allocated = wrapped_calls = 0
 
@@ -171,10 +188,13 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
             if control is not None:
                 e = control
                 t = type(e)
+                # Applications and reads first, for the hot loop; then the
+                # most frequent forms of the generated programs.
                 if t is App:
                     fn = e.fn
                     if type(fn) is Var and steps < fuel:
-                        v = env.get(fn.name)
+                        name = fn.name
+                        v = pv if name == pn else env.get(name)
                         if v is not None:
                             # Fused: the lookup with the pop of the ARG frame
                             # this step would push.
@@ -182,25 +202,30 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
                             stack.append(v)
                             control = e.arg
                             continue
-                    stack.append((_F_ARG, e.arg, env))
+                    stack.append((_F_ARG, e.arg, env, pn, pv))
                     control = fn
                     continue
                 if t is Var:
-                    value = env.get(e.name)
+                    name = e.name
+                    value = pv if name == pn else env.get(name)
                     if value is None:
-                        return StuckA(f"unbound variable {e.name!r}")
-                elif t is Lam:
-                    value = VClosure(e.param, e.body, env)
-                elif t is IntLit or t is BoolLit:
-                    value = e.value
-                elif t is Let:
-                    stack.append((_F_LET, e.name, e.body, env))
-                    control = e.rhs
-                    continue
+                        return StuckA(f"unbound variable {name!r}")
                 elif t is If:
-                    stack.append((_F_IF, e.then, e.orelse, env))
+                    stack.append((_F_IF, e.then, e.orelse, env, pn, pv))
                     control = e.test
                     continue
+                elif t is BoolLit or t is IntLit:
+                    value = e.value
+                elif t is Let:
+                    stack.append((_F_LET, e.name, e.body, env, pn, pv))
+                    control = e.rhs
+                    continue
+                elif t is Lam:
+                    if pn is not None:  # the closure keeps the whole environment
+                        env = env.copy()
+                        env[pn] = pv
+                        pn = None
+                    value = VClosure(e.param, e.body, env)
                 elif t is Mon:
                     stack.append((_F_MON, e.contract, e.pos, e.neg))
                     control = e.body
@@ -224,28 +249,27 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
             if tf is tuple:
                 tag = frame[0]
                 if tag is _F_IF:
-                    _, then, orelse, ienv = frame
                     if type(value) is not bool:
                         return StuckA("if test was not a boolean")
+                    _, then, orelse, env, pn, pv = frame
                     control = then if value else orelse
-                    env = ienv
                     continue
                 if tag is _F_LET:
-                    _, name, body, lenv = frame
-                    env = dict(lenv)
-                    env[name] = value
+                    _, name, body, env, pn, pv = frame
+                    if pn is not None:  # the let's name takes the pending place
+                        env = env.copy()
+                        env[pn] = pv
+                    pn, pv = name, value
                     control = body
                     continue
                 if tag is _F_ARG:
-                    _, arg_expr, fenv = frame
+                    _, control, env, pn, pv = frame
                     stack.append(value)  # the operator is the call frame
-                    control, env = arg_expr, fenv
                     continue
                 _, contract, pos, neg = frame  # _F_MON
                 fv = None
             elif tf is VClosure:
-                env = dict(frame.env)
-                env[frame.param] = value
+                env, pn, pv = frame.env, frame.param, value
                 control = frame.body
                 continue
             else:  # any other callee: a guard, a primitive or a non-function
@@ -278,8 +302,7 @@ def _loop(control: Optional[Expr], fuel: int, m: Metrics) -> Answer:
                     steps += 1  # the fused pop of the inner call
                 tf = type(fv)
                 if tf is VClosure:
-                    env = dict(fv.env)
-                    env[fv.param] = value
+                    env, pn, pv = fv.env, fv.param, value
                     control = fv.body
                     break
                 if tf is Prim:

@@ -1,3 +1,6 @@
+import hashlib
+from collections import Counter
+
 import pytest
 
 from conftest import ID_BOUNDARY, ID_BOUNDARY_OPTIMIZED_CORE, parse_ok
@@ -8,8 +11,8 @@ from gtlc.interp import (
     BlamedA, OutOfFuelA, StuckA, ValA, answer_to_json, evaluate,
 )
 from gtlc.optimize import optimize_program
-from gtlc.syntax import BlameLabel
-from gtlc.translate import compile_program
+from gtlc.syntax import BlameLabel, Module, Program, Require
+from gtlc.translate import compile_program, erase
 
 
 def run(text, **kw):
@@ -264,3 +267,77 @@ def test_fuel_runs_out_inside_guard_calls_pinned():
     for f, expected in enumerate(pinned):
         assert outcome(text, fuel=f) == ("fuel-exhausted", f) + expected
     assert outcome(text, fuel=14) == ("3", 14, 4, 2, 2)
+
+
+# Scoping through the pending binding (see Environments in `interp`'s
+# docstring), pinned as the interpreter measured them when every closure
+# application copied its environment.
+@pytest.mark.parametrize("text, expected", [
+    # A parameter that shadows a `let`-bound name, and the `let`-bound name
+    # read again once the call has returned.
+    ("(let [x 1] ((λ (x) x) 2))", ("2", 6, 0, 0, 0)),
+    ("(let [x 1] (let [y ((λ (x) x) 2)] x))", ("1", 8, 0, 0, 0)),
+    ("(let [a 1] ((λ (b) a) 2))", ("1", 6, 0, 0, 0)),
+    # A `let` that shadows the parameter, read and then captured by a λ.
+    ("((λ (x) (let [x #t] x)) 5)", ("#t", 6, 0, 0, 0)),
+    ("((λ (x) (let [x #t] ((λ (f) (f 0)) (λ (y) x)))) 5)", ("#t", 12, 0, 0, 0)),
+    ("((λ (x) (let [g (let [x #t] (λ (z) x))] (if (g 0) x 0))) 5)", ("5", 13, 0, 0, 0)),
+    # A closure created under a pending binding, applied after its creator
+    # returned.
+    ("(let [mk (λ (a) (λ (b) a))] (let [g (mk 7)] (g 0)))", ("7", 11, 0, 0, 0)),
+    ("(let [mk (λ (a) (let [c (int? a)] (λ (b) (if c a b))))] ((mk 7) 0))",
+     ("7", 16, 0, 0, 0)),
+    # A returned closure's parameter is unbound outside it: by a plain read,
+    # through the fused path of an application, and as a closure's free name.
+    ("(let [f (λ (q) q)] (let [r (f 1)] q))", ("stuck", 8, 0, 0, 0)),
+    ("(let [r ((λ (q) q) 1)] (q 2))", ("stuck", 7, 0, 0, 0)),
+    ("((λ (g) q) ((λ (q) (λ (z) q)) 3))", ("stuck", 7, 0, 0, 0)),
+    # An `if`, argument or `let` frame restores the pending binding it was
+    # pushed under once a call that rebinds the same name returns.
+    ("((λ (x) (if ((λ (x) (bool? x)) #t) x 0)) 5)", ("5", 12, 0, 0, 0)),
+    ("((λ (x) (((λ (x) (λ (y) y)) #t) x)) 5)", ("5", 10, 0, 0, 0)),
+    ("((λ (x) (let [y ((λ (x) x) #t)] x)) 5)", ("5", 9, 0, 0, 0)),
+    # The same inside the wrapped function of a guard.
+    ("((mon (a b) (-> int? int?) (λ (x) (let [y ((λ (x) #t) x)] x))) 3)",
+     ("3", 14, 2, 1, 1)),
+])
+def test_pending_binding_scopes_pinned(text, expected):
+    assert outcome(text) == expected
+    if expected[0] == "stuck":
+        assert run(text)[0] == StuckA("unbound variable 'q'")
+    assert_fuel_boundary(parse_expr(text))
+
+
+def _untyped_config(p):
+    """`p` with every module untyped and unannotated: its baseline."""
+    return Program([Module(m.name, None, [Require(r.target, opaque=r.opaque) for r in m.requires],
+                           erase(m.body)) for m in p.modules])
+
+
+# sha256 over (answer_to_json, steps, flat_checks, wrappers_allocated,
+# wrapped_calls) of the base (untyped configuration), unoptimized and
+# optimized evaluation, at fuel 300,000, of `gen` seeds 0-199, seeds 0-39 at
+# expr_size 64 with 16 modules, and every corpus configuration.  Recorded
+# before closures bound their parameter as a pending binding instead of
+# copying their environment, and unchanged by that rewrite.
+GOLDEN_EVAL_DIGEST = "023d87b0476f6d29e121c4a21ce2179b1fdbca803e2a3c37f6ac1f5d007cc8fd"
+
+
+def test_evaluation_matches_golden_digest(corpus_path):
+    programs = [gen_program(GenConfig(seed=s)) for s in range(200)]
+    programs += [gen_program(GenConfig(seed=s, expr_size=64, max_modules=16)) for s in range(40)]
+    programs += [parse_ok(f.read_text(encoding="utf-8"))
+                 for d in sorted(d for d in corpus_path.iterdir() if d.is_dir())
+                 for f in lattice_configs(d)]
+    h = hashlib.sha256()
+    kinds = Counter()
+    for p in programs:
+        for root in (compile_program(_untyped_config(p)).root, compile_program(p).root,
+                     optimize_program(p)[0].root):
+            answer, m = evaluate(root, fuel=300_000)
+            j = answer_to_json(answer)
+            kinds[j["kind"]] += 1
+            h.update(repr((j,) + counters(m)).encode())
+    assert len(programs) == 252
+    assert kinds == {"value": 598, "blame": 104, "stuck": 48, "fuel-exhausted": 6}
+    assert h.hexdigest() == GOLDEN_EVAL_DIGEST
