@@ -14,7 +14,10 @@ program, and reports the wall-time overhead of each against the baseline
 and the check-count ratio of optimized to unoptimized.  An overhead is the
 fastest of the requested iterations over the baseline's fastest in the
 same rounds: the host only ever slows a run down, so the fastest run is
-the one least disturbed.  Check counts are the deterministic signal; wall
+the one least disturbed.  Each overhead has a deterministic twin, the
+run's evaluation steps over the baseline's, reported only when the two
+answers agree: a run that blames early does less work than a baseline
+that runs on.  Check and step counts are the deterministic signal; wall
 time is informational.  Configurations whose optimized answer disagrees
 with the unoptimized one (`answers_agree`) are flagged, never fatal.
 """
@@ -94,9 +97,10 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
         runs = _interleaved_runs(roots, fuel, iterations)
         (answer, metrics, times), (opt_answer, opt_metrics, opt_times) = runs[:2]
         if baseline_root is None:
-            base_time = None
-        else:  # the baseline's own runs when this is the baseline
-            base_time = min(runs[2][2] if len(runs) > 2 else times)
+            base = None
+        else:  # the baseline's own unoptimized run when this is the baseline
+            base = runs[2] if len(runs) > 2 else runs[0]
+        base_time = None if base is None else min(base[2])
 
         checks = metrics.flat_checks
         configs.append({
@@ -118,11 +122,21 @@ def bench_entry(entry_dir: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
             "overhead_optimized": None if base_time is None else min(opt_times) / base_time,
             "check_ratio": (opt_metrics.flat_checks / checks) if checks else None,
             "agree": answers_agree(answer, opt_answer),
+            "steps_ratio_unoptimized": _steps_ratio(runs[0], base),
+            "steps_ratio_optimized": _steps_ratio(runs[1], base),
             "optimization": report.as_json(),
             "analysis_seconds": {v.module: v.seconds for v in report.verdicts},
             "analysis_states": {v.module: v.states for v in report.verdicts},
         })
     return {"entry": entry_dir.name, "configs": configs}
+
+
+def _steps_ratio(run: tuple, base: tuple | None) -> float | None:
+    """`run`'s evaluation steps over the baseline's, or None when there is
+    no baseline or the two answers disagree."""
+    if base is None or not answers_agree(run[0], base[0]):
+        return None
+    return run[1].steps / base[1].steps
 
 
 def bench_corpus(corpus: Path, iterations: int = 3, fuel: int = BENCH_FUEL,
@@ -163,11 +177,12 @@ def _ratio(x: float | None) -> str:
 
 def render_table(report: dict) -> str:
     """Flat TSV overhead table, one row per configuration."""
-    rows = ["entry\tconfig\toverhead\toverhead_opt\tchecks\tchecks_opt\twraps_opt\tagree"]
+    rows = ["entry\tconfig\toverhead\toverhead_opt\tchecks\tchecks_opt\twraps_opt\tagree"
+            "\tsteps_ratio\tsteps_ratio_opt"]
     for entry in report["entries"]:
         for c in entry["configs"]:
             if c.get("failed"):
-                rows.append(f"{entry['entry']}\t{c['id']}\tFAILED\t-\t-\t-\t-\t-")
+                rows.append(f"{entry['entry']}\t{c['id']}\tFAILED" + "\t-" * 7)
                 continue
             rows.append("\t".join([
                 entry["entry"], c["id"],
@@ -177,5 +192,7 @@ def render_table(report: dict) -> str:
                 str(c["optimized"]["metrics"]["flat_checks"]),
                 str(c["optimized"]["metrics"]["wrappers_allocated"]),
                 "yes" if c["agree"] else "NO",
+                _ratio(c["steps_ratio_unoptimized"]),
+                _ratio(c["steps_ratio_optimized"]),
             ]))
     return "\n".join(rows)

@@ -196,13 +196,18 @@ def test_criterion_5_typed_modules_never_blamed(generated, corpus_programs):
     _report(5, "typed modules are never blamed", failures)
 
 
-def test_criterion_6_check_elimination(corpus_path):
+@pytest.fixture(scope="module")
+def hotloop_report(corpus_path):
+    return bench_entry(corpus_path / "hotloop", iterations=1, fuel=CORPUS_FUEL)
+
+
+def test_criterion_6_check_elimination(corpus_path, hotloop_report):
     failures = []
 
     # Every configuration of the fully-verifiable entries must lose all
     # run-time checking.
-    reports = {entry: bench_entry(corpus_path / entry, iterations=1, fuel=CORPUS_FUEL)
-               for entry in ("chain", "hotloop")}
+    reports = {"chain": bench_entry(corpus_path / "chain", iterations=1, fuel=CORPUS_FUEL),
+               "hotloop": hotloop_report}
     for entry, report in reports.items():
         for config in report["configs"]:
             metrics = config["optimized"]["metrics"]
@@ -247,6 +252,17 @@ def test_criterion_6_check_elimination(corpus_path):
         failures.append(f"optimized hot loop at {ratio:.3f}x baseline, bound 1.10x")
 
     _report(6, "check elimination on fully-verifiable entries", failures)
+
+
+def test_hot_loop_steps_ratios(hotloop_report):
+    # The deterministic twin of the hot loop's overheads: the guarded run
+    # takes 1.9 times the baseline's steps, the optimized run exactly its
+    # steps.
+    configs = {c["id"]: c for c in hotloop_report["configs"]}
+    assert (configs["0"]["steps_ratio_unoptimized"], configs["0"]["steps_ratio_optimized"]) \
+        == (1.0, 1.0)
+    assert configs["1"]["steps_ratio_unoptimized"] == 6_333_374 / 3_333_370
+    assert configs["1"]["steps_ratio_optimized"] == 1.0
 
 
 def test_criterion_7_unverifiable_entry_fails_safe(corpus_path):

@@ -462,6 +462,38 @@ def test_bench_without_baseline_reports_no_overheads(capsys, tmp_path, corpus_pa
     assert [row[2:4] for row in rows if row[1] in ("01", "11")] == [["-", "-"]] * 2
 
 
+def test_bench_steps_ratios_need_an_agreeing_baseline(capsys, tmp_path, corpus_path):
+    # The deterministic twin of each overhead: the run's steps over the
+    # untyped baseline's, null where their answers disagree (10 and 11 blame
+    # u2, the baseline answers #f) or where there is no baseline.
+    entry = tmp_path / "corpus" / "idboundary"
+    shutil.copytree(corpus_path / "idboundary", entry)
+    json_path = tmp_path / "bench.json"
+    code, out, _ = run_cli(capsys, "bench", str(entry.parent),
+                           "--iterations", "1", "--json", str(json_path))
+    assert code == 0
+    configs = json.loads(json_path.read_text(encoding="utf-8"))["entries"][0]["configs"]
+    ratios = {c["id"]: (c["steps_ratio_unoptimized"], c["steps_ratio_optimized"])
+              for c in configs}
+    assert ratios == {"00": (1.0, 1.0), "01": (25 / 18, 25 / 18),
+                      "10": (None, None), "11": (None, None)}
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert rows[0][-2:] == ["steps_ratio", "steps_ratio_opt"]
+    assert [row[-2:] for row in rows[1:]] == [["1.00x", "1.00x"], ["1.39x", "1.39x"],
+                                              ["-", "-"], ["-", "-"]]
+
+    (entry / "00.gtl").write_text("(module main", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "bench", str(entry.parent),
+                           "--iterations", "1", "--json", str(json_path))
+    assert code == 1
+    configs = json.loads(json_path.read_text(encoding="utf-8"))["entries"][0]["configs"]
+    assert all(c["steps_ratio_unoptimized"] is None and c["steps_ratio_optimized"] is None
+               for c in configs if not c["failed"])
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert rows[1] == ["idboundary", "00", "FAILED"] + ["-"] * 7
+    assert {len(row) for row in rows} == {10}
+
+
 def test_bench_empty_corpus_is_a_diagnostic(tmp_path):
     corpus = tmp_path / "corpus"
     (corpus / "not-an-entry").mkdir(parents=True)

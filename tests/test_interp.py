@@ -308,6 +308,72 @@ def test_pending_binding_scopes_pinned(text, expected):
     assert_fuel_boundary(parse_expr(text))
 
 
+# A `let` that rebinds the pending name shadows it, so its pop writes
+# nothing into a copy of the dict.  Pinned as the interpreter measured them
+# when that pop still copied the dict.
+@pytest.mark.parametrize("text, expected", [
+    ("(let [x 1] (let [x 2] x))", ("2", 5, 0, 0, 0)),
+    ("(let [x 1] (let [y 0] (let [x 2] (if (bool? y) y x))))", ("2", 12, 0, 0, 0)),
+    # The shape of a module spine: a require rebinds the module's name to
+    # its monitored value.
+    ("(let [t1 (λ (x) x)] (let [u1 (let [t1 (mon (t1 u1) (-> int? int?) t1)] (t1 5))] u1))",
+     ("5", 15, 2, 1, 1)),
+    ("(let [t1 (λ (x) x)] (let [u1 (let [t1 (mon (t1 u1) (-> int? int?) t1)] (t1 #f))] u1))",
+     (("u1", "t1"), 11, 1, 1, 1)),
+    # A λ that captures the environment after the shadowing.
+    ("(let [x 1] (let [x 2] ((λ (f) (f 0)) (λ (y) x))))", ("2", 11, 0, 0, 0)),
+    ("((λ (x) (let [x 2] (let [x 3] (λ (y) x)))) 1)", ("#<procedure>", 8, 0, 0, 0)),
+    ("(((λ (x) (let [x 2] (let [x 3] (λ (y) x)))) 1) 0)", ("3", 11, 0, 0, 0)),
+    ("(let [x 1] (let [g (let [x 2] (λ (y) x))] (if (int? (g 0)) x 0)))", ("1", 15, 0, 0, 0)),
+])
+def test_shadowing_let_pinned(text, expected):
+    assert outcome(text) == expected
+    assert_fuel_boundary(parse_expr(text))
+
+
+# Applications of closures whose body is a variable, which the value phase
+# reads on the spot (see Steps in `interp`'s docstring).  Pinned as the
+# interpreter measured them when it entered every body as an expression.
+@pytest.mark.parametrize("text, expected", [
+    # An identity at the bottom of the stack.
+    ("((λ (x) x) 3)", ("3", 4, 0, 0, 0)),
+    # A chain of identities: each read pops the next call frame.
+    ("(let [f (λ (x) x)] (f (f (f 1))))", ("1", 12, 0, 0, 0)),
+    # A projection of a captured name.
+    ("((λ (a) ((λ (b) a) 2)) 1)", ("1", 7, 0, 0, 0)),
+    # A parameter that shadows a captured name of its own.
+    ("(let [x 1] ((λ (x) x) 2))", ("2", 6, 0, 0, 0)),
+    ("(let [x #t] (let [f (λ (x) x)] (f (f 3))))", ("3", 11, 0, 0, 0)),
+    # A variable body whose name is unbound is stuck.
+    ("((λ (x) y) 1)", ("stuck", 4, 0, 0, 0)),
+    ("(let [f (λ (x) y)] (f (f 1)))", ("stuck", 8, 0, 0, 0)),
+    # Guard-wrapped identities: `int?`, `any/c` and failing ranges.
+    ("((mon (a b) (-> int? int?) (λ (x) x)) 3)", ("3", 9, 2, 1, 1)),
+    ("((mon (a b) (-> any/c any/c) (λ (x) x)) #t)", ("#t", 9, 0, 1, 1)),
+    ("((mon (a b) (-> any/c int?) (λ (x) x)) 3)", ("3", 9, 1, 1, 1)),
+    ("((mon (a b) (-> any/c int?) (λ (x) x)) #t)", (("a", "b"), 8, 1, 1, 1)),
+    ("((mon (a b) (-> int? bool?) (λ (x) x)) 3)", (("a", "b"), 8, 2, 1, 1)),
+    ("((mon (a b) (-> int? int?) (λ (x) y)) 3)", ("stuck", 8, 1, 1, 1)),
+    ("(let [x 1] ((mon (a b) (-> int? int?) (λ (x) x)) 2))", ("2", 11, 2, 1, 1)),
+    # Nested guards, a guard applied twice, and higher-order domains that
+    # take single steps before the wrapped identity is read.
+    ("((mon (a b) (-> int? int?) (mon (c d) (-> any/c int?) (λ (x) x))) 4)",
+     ("4", 14, 3, 2, 2)),
+    ("((λ (g) (g (g 1))) (mon (a b) (-> int? int?) (λ (x) x)))", ("1", 18, 4, 1, 2)),
+    ("((mon (a b) (-> (-> int? int?) (-> int? int?)) (λ (f) f)) (λ (x) x))",
+     ("#<procedure>", 9, 0, 3, 1)),
+    ("(((mon (a b) (-> (-> int? int?) (-> int? int?)) (λ (f) f)) (λ (x) x)) 5)",
+     ("5", 18, 4, 3, 3)),
+    ("(((mon (a b) (-> (-> int? int?) (-> int? int?)) (λ (f) f)) (λ (x) #f)) 5)",
+     (("b", "a"), 16, 3, 3, 3)),
+])
+def test_variable_body_applications_pinned(text, expected):
+    assert outcome(text) == expected
+    if expected[0] == "stuck":
+        assert run(text)[0] == StuckA("unbound variable 'y'")
+    assert_fuel_boundary(parse_expr(text))
+
+
 def _untyped_config(p):
     """`p` with every module untyped and unannotated: its baseline."""
     return Program([Module(m.name, None, [Require(r.target, opaque=r.opaque) for r in m.requires],
