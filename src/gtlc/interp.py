@@ -26,20 +26,29 @@ frames share them freely.
 No value is `None`, so a lookup that finds `None` is an unbound name.
 
 Frames.  A call frame is the callee value itself, pushed once the
-operator is a value: popping a closure binds its parameter and enters its
-body right there, and any other callee (a guard, a primitive, or a
-non-function that gets stuck) goes to the check/apply loop, which applies
-a guard's wrapped closure the same way.  The other frames are tuples
+operator is a value.  Popping a closure binds its parameter and enters its
+body right there.  Popping a guard whose domain is `int?`, `bool?` or
+`any/c` and whose wrapped function is a closure checks the argument and
+enters the closure the same way, in a branch of its own, when the fuel
+admits its fused steps (see Steps).  Popping a primitive applies it on
+the spot.  Any other callee (a guard around a guard or a primitive, a
+guard with an arrow domain, or a non-function that gets stuck) goes to
+the check/apply loop, which applies a guard's wrapped closure the same
+way.  A guard's range check is a frame object of its own,
+built once when the guard is, with the exact host type a flat codomain
+needs: its pop checks a flat range on the spot and leaves `any/c` and
+arrow codomains to the check/apply loop.  The other frames are tuples
 tagged by their first field: an argument still to evaluate, a `let` body,
-`if` branches, and a contract check.  The first three carry the
-environment they restore, as its dict and its pending binding.  No value
-is a tuple, so a frame's type tells the two kinds apart.  A guard carries
-the range-check frame that each of its calls pushes, built once when the
-value is wrapped.  A pop tests for a tuple first, then its tag in the
-order `if`, `let`, argument, check, and only then for a closure; an
-expression is tested in the order application, variable, `if`, literal,
-`let`, `λ`, monitor, primitive.  Past the hot loop's applications and
-reads, both orders put first what the generated programs meet most.
+`if` branches, and a contract check, which a `mon` expression pushes (as
+does a guard call taken in single steps, for its domain).  The first three
+carry the environment they restore, as its dict and its pending binding.
+No value is a tuple or a range check, so a frame's type tells the kinds
+apart.  A pop tests for a tuple first, then its tag in the order `if`,
+`let`, argument, check, and only then for a closure, a range check, a
+guard and a primitive; an expression is tested in the order application,
+variable, `if`, literal, `let`, `λ`, monitor, primitive.  Past the hot
+loop's applications and reads, both orders put first what the generated
+programs meet most.
 
 Integers and booleans are the host's `int` and `bool`.  The host counts
 `True == 1`, so they are always told apart by exact type (`type(v) is
@@ -72,11 +81,14 @@ the call frame or applied by a guard, is read in the value phase, the
 read with the pop of the next frame (1 step, as if the body were
 entered); applying a guard whose domain is `int?`, `bool?` or `any/c`
 takes the call, the pop of the domain check and the pop of the call of
-the wrapped function (3 steps), and pushes only the range check.  A fused
-path is taken only when the fuel admits all of its steps, else the loop
-takes them one at a time, so answers, counters and the point where fuel
-runs out are the same as with single steps.  A variable body whose name
-is unbound is entered as an expression, and is stuck there.
+the wrapped function (3 steps), and pushes only the range check.  When
+that guard's wrapped closure has a variable body, the read checks a flat
+range in its own step, as the pop of the range check would, and the range
+check is never pushed.  A fused path is taken only when the fuel admits
+all of its steps, else the loop takes them one at a time, so answers,
+counters and the point where fuel runs out are the same as with single
+steps.  A variable body whose name is unbound is entered as an
+expression, and is stuck there.
 """
 
 from __future__ import annotations
@@ -86,21 +98,27 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from .syntax import (
-    ArrowC, App, BlameLabel, BoolC, BoolLit, Expr, If, IntC, IntLit, Lam,
-    Let, Mon, Opaque, Prim, Var,
+    BOOL_C, INT_C, ArrowC, App, BlameLabel, BoolC, BoolLit, Expr, If, IntC, IntLit,
+    Lam, Let, Mon, Opaque, Prim, Var,
 )
 
 DEFAULT_FUEL = 10_000_000
 
 
 # Tags of the tuple frames.  A frame that is not a tuple is a callee, to be
-# applied to the incoming value (see Frames in the module docstring).
-# The environment of an `ARG`, `LET` or `IF` frame is the dict `env` under
-# the pending binding `pn` -> `pv` (see Environments).
+# applied to the incoming value, or a guard's range check, a `VRange` (see
+# Frames in the module docstring).  The environment of an `ARG`, `LET` or
+# `IF` frame is the dict `env` under the pending binding `pn` -> `pv` (see
+# Environments).
 _F_ARG = 0    # (tag, arg_expr, env, pn, pv)     evaluate the argument next
 _F_LET = 1    # (tag, name, body, env, pn, pv)
 _F_IF = 2     # (tag, then, orelse, env, pn, pv)
-_F_MON = 3    # (tag, contract, pos, neg)        check the incoming value
+_F_MON = 3    # (tag, contract, pos, neg)        check the incoming value:
+              # a `mon`, or a guard's domain taken in single steps
+
+# The exact host type that a flat contract, or a primitive, tests for.
+_EXACT_TYPE = {INT_C: int, BOOL_C: bool}
+_PRIM_TYPE = {"int?": int, "bool?": bool}
 
 
 class VClosure:
@@ -115,17 +133,36 @@ class VClosure:
         return f"VClosure({self.param})"
 
 
+class VRange:
+    """The range-check frame of every call of one guard: its codomain
+    `cod`, the exact type `ty` a flat codomain needs (`int` or `bool`, else
+    None), and the guard's parties."""
+    __slots__ = ("cod", "ty", "pos", "neg")
+
+    def __init__(self, cod, pos: str, neg: str):
+        self.cod = cod
+        self.ty = _EXACT_TYPE.get(cod)
+        self.pos = pos
+        self.neg = neg
+
+
 class VGuard:
-    """A function wrapped by an arrow monitor.  `range_frame` is the
-    codomain check that every call of the guard pushes, built once here."""
-    __slots__ = ("contract", "inner", "pos", "neg", "range_frame")
+    """A function wrapped by an arrow monitor.  Worked out once, here: the
+    exact type `dom_type` its flat domain needs (None for `any/c` and arrow
+    domains), `closure`, the wrapped function when it is a closure and the
+    domain is not an arrow (the calls that take the guard-call branch of
+    the run loop; else None), and `range_frame`."""
+    __slots__ = ("contract", "inner", "pos", "neg", "dom_type", "closure", "range_frame")
 
     def __init__(self, contract: ArrowC, inner, pos: str, neg: str):
         self.contract = contract
         self.inner = inner
         self.pos = pos
         self.neg = neg
-        self.range_frame = (_F_MON, contract.cod, pos, neg)
+        dom = contract.dom
+        self.dom_type = _EXACT_TYPE.get(dom)
+        self.closure = inner if type(inner) is VClosure and type(dom) is not ArrowC else None
+        self.range_frame = VRange(contract.cod, pos, neg)
 
     def __repr__(self):
         return f"VGuard({self.contract}, {self.inner!r}, {self.pos}, {self.neg})"
@@ -297,7 +334,62 @@ def _loop(e: Expr, fuel: int, m: Metrics) -> Answer:
                             continue
                     env, pn, pv = frame.env, frame.param, value
                     break
-                else:  # any other callee: a guard, a primitive or a non-function
+                elif tf is VRange:
+                    # A guard's range check: a flat one on the spot.
+                    ty = frame.ty
+                    if ty is None:  # `any/c` or an arrow: the check loop below
+                        contract, pos, neg, fv = frame.cod, frame.pos, frame.neg, None
+                    else:
+                        flat_checks += 1
+                        if type(value) is not ty:
+                            return BlamedA(BlameLabel(frame.pos, frame.neg))
+                        if steps >= fuel:
+                            return OutOfFuelA()
+                        steps += 1
+                        continue
+                elif tf is VGuard and frame.closure is not None and steps + 2 <= fuel:
+                    # Fused: the call, the pop of the domain check and the
+                    # pop of the call of the wrapped closure (3 steps).
+                    wrapped_calls += 1
+                    ty = frame.dom_type
+                    if ty is not None:
+                        flat_checks += 1
+                        if type(value) is not ty:
+                            steps += 1  # blamed in the pop of the domain check
+                            return BlamedA(BlameLabel(frame.neg, frame.pos))
+                    steps += 2
+                    fv = frame.closure
+                    e = fv.body
+                    if type(e) is Var and steps < fuel:
+                        name = e.name
+                        v = value if name == fv.param else fv.env.get(name)
+                        if v is not None:
+                            # The read of the variable body, with the pop of
+                            # the range frame, which is not pushed if flat.
+                            steps += 1
+                            value = v
+                            rf = frame.range_frame
+                            ty = rf.ty
+                            if ty is None:
+                                stack.append(rf)
+                                continue
+                            flat_checks += 1
+                            if type(value) is not ty:
+                                return BlamedA(BlameLabel(rf.pos, rf.neg))
+                            if steps >= fuel:
+                                return OutOfFuelA()
+                            steps += 1
+                            continue
+                    stack.append(frame.range_frame)
+                    env, pn, pv = fv.env, fv.param, value
+                    break
+                elif tf is Prim:
+                    value = type(value) is _PRIM_TYPE[frame.op]
+                    if steps >= fuel:
+                        return OutOfFuelA()
+                    steps += 1
+                    continue
+                else:  # any other callee: a guard or a non-function
                     fv = frame
                     contract = None
 
@@ -330,10 +422,7 @@ def _loop(e: Expr, fuel: int, m: Metrics) -> Answer:
                     if tf is VClosure:
                         break
                     if tf is Prim:
-                        if fv.op == "int?":
-                            value = type(value) is int
-                        else:
-                            value = type(value) is bool
+                        value = type(value) is _PRIM_TYPE[fv.op]
                         break
                     if tf is not VGuard:
                         return StuckA("applied a non-function")

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from typing import get_args
 
 import pytest
@@ -124,13 +125,19 @@ TYPED_NEIGHBOURS = """\
 EXPR_TYPES = get_args(Expr)
 
 
+def field_values(node) -> dict:
+    """The dataclass fields of `node`, by name.  Read through
+    `dataclasses.fields`, not `vars`, so nodes may be slotted."""
+    return {f.name: getattr(node, f.name) for f in fields(node)}
+
+
 def expr_nodes(e):
     """Every expression node of `e`, in pre-order."""
     stack = [e]
     while stack:
         e = stack.pop()
         yield e
-        stack += reversed([v for v in vars(e).values() if type(v) in EXPR_TYPES])
+        stack += reversed([v for v in field_values(e).values() if type(v) in EXPR_TYPES])
 
 
 def structurally_equal(a: Expr, b: Expr) -> bool:

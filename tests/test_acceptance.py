@@ -263,6 +263,11 @@ def test_hot_loop_steps_ratios(hotloop_report):
         == (1.0, 1.0)
     assert configs["1"]["steps_ratio_unoptimized"] == 6_333_374 / 3_333_370
     assert configs["1"]["steps_ratio_optimized"] == 1.0
+    # The unoptimized hot loop's exact counts: a million guarded calls of
+    # `tick`, each checking its domain and its range.
+    metrics = configs["1"]["unoptimized"]["metrics"]
+    assert (metrics["steps"], metrics["flat_checks"], metrics["wrappers_allocated"],
+            metrics["wrapped_calls"]) == (6_333_374, 2_000_000, 1, 1_000_000)
 
 
 def test_criterion_7_unverifiable_entry_fails_safe(corpus_path):

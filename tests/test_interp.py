@@ -374,6 +374,72 @@ def test_variable_body_applications_pinned(text, expected):
     assert_fuel_boundary(parse_expr(text))
 
 
+# Guard calls with a flat or `any/c` domain around a closure, which take
+# their own fused path, and the guards around them that keep the general
+# one.  Pinned as the interpreter measured them when every range check was
+# a tuple frame, pushed and popped.
+@pytest.mark.parametrize("text, expected", [
+    # A flat domain with an arrow codomain over a variable body: the range
+    # wraps the value read, and the wrapper it returns is itself a guard.
+    ("(let [g (λ (z) z)] ((mon (a b) (-> int? (-> int? int?)) (λ (x) g)) 1))",
+     ("#<procedure>", 11, 1, 2, 1)),
+    ("((let [g (λ (z) z)] ((mon (a b) (-> int? (-> int? int?)) (λ (x) g)) 1)) 2)",
+     ("2", 17, 3, 2, 2)),
+    ("((let [g (λ (z) #f)] ((mon (a b) (-> int? (-> int? int?)) (λ (x) g)) 1)) 2)",
+     (("a", "b"), 16, 3, 2, 2)),
+    ("((let [g (λ (z) z)] ((mon (a b) (-> int? (-> int? int?)) (λ (x) g)) 1)) #t)",
+     (("b", "a"), 14, 2, 2, 2)),
+    ("(let [g 5] ((mon (a b) (-> int? (-> int? int?)) (λ (x) g)) 1))",
+     (("a", "b"), 10, 1, 1, 1)),
+    # `any/c` and `bool?` codomains over a variable body.
+    ("((mon (a b) (-> int? any/c) (λ (x) x)) 3)", ("3", 9, 1, 1, 1)),
+    ("((mon (a b) (-> int? any/c) (λ (x) x)) #t)", (("b", "a"), 6, 1, 1, 1)),
+    ("((mon (a b) (-> any/c any/c) (λ (x) x)) (λ (y) y))", ("#<procedure>", 9, 0, 1, 1)),
+    ("((mon (a b) (-> bool? bool?) (λ (x) x)) #f)", ("#f", 9, 2, 1, 1)),
+    ("((mon (a b) (-> any/c bool?) (λ (x) x)) #t)", ("#t", 9, 1, 1, 1)),
+    ("((mon (a b) (-> any/c bool?) (λ (x) x)) 3)", (("a", "b"), 8, 1, 1, 1)),
+    # A guard around a primitive, in nested position.
+    ("((mon (a b) (-> int? int?) (mon (c d) (-> int? bool?) int?)) 5)",
+     (("a", "b"), 13, 4, 2, 2)),
+    ("((mon (a b) (-> any/c bool?) (mon (c d) (-> any/c bool?) bool?)) 5)",
+     ("#f", 14, 2, 2, 2)),
+    ("((mon (a b) (-> int? bool?) (mon (c d) (-> bool? bool?) int?)) 5)",
+     (("d", "c"), 10, 2, 2, 2)),
+    ("((λ (g) (if (g 1) (g #t) 0)) (mon (a b) (-> any/c bool?) int?))", ("#f", 20, 2, 1, 2)),
+    # A wrapped closure whose body reads a captured name.
+    ("((λ (k) ((mon (a b) (-> int? int?) (λ (x) k)) 1)) 7)", ("7", 12, 2, 1, 1)),
+    ("((λ (k) ((mon (a b) (-> int? int?) (λ (x) k)) 1)) #f)", (("a", "b"), 11, 2, 1, 1)),
+    ("(let [k #t] ((mon (a b) (-> int? bool?) (λ (x) k)) 1))", ("#t", 11, 2, 1, 1)),
+    ("(let [k #t] (let [f (mon (a b) (-> int? bool?) (λ (x) k))] (if (f 1) (f 2) #f)))",
+     ("#t", 21, 4, 1, 2)),
+])
+def test_guard_call_shapes_pinned(text, expected):
+    assert outcome(text) == expected
+    assert_fuel_boundary(parse_expr(text))
+
+
+# (flat_checks, wrappers_allocated, wrapped_calls) at every fuel from 0 to
+# S - 1 of a guarded identity applied once and twice, pinned as in
+# `test_fuel_runs_out_inside_guard_calls_pinned`.  The fused guard calls
+# take steps 5-7 of the first, and 10-12 and 14-16 of the second; the read
+# of the wrapped variable body checks the range in the step after each.
+@pytest.mark.parametrize("text, pinned, final", [
+    ("((mon (a b) (-> int? int?) (λ (x) x)) 3)",
+     [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1),
+      (1, 1, 1), (2, 1, 1)],
+     ("3", 9, 2, 1, 1)),
+    ("((λ (g) (g (g 1))) (mon (a b) (-> int? int?) (λ (x) x)))",
+     [(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 1, 0), (0, 1, 0),
+      (0, 1, 0), (0, 1, 0), (0, 1, 0), (0, 1, 1), (1, 1, 1), (1, 1, 1), (2, 1, 1),
+      (2, 1, 2), (3, 1, 2), (3, 1, 2), (4, 1, 2)],
+     ("1", 18, 4, 1, 2)),
+])
+def test_fuel_runs_out_inside_flat_guard_calls_pinned(text, pinned, final):
+    for f, expected in enumerate(pinned):
+        assert outcome(text, fuel=f) == ("fuel-exhausted", f) + expected
+    assert outcome(text, fuel=len(pinned)) == final
+
+
 def _untyped_config(p):
     """`p` with every module untyped and unannotated: its baseline."""
     return Program([Module(m.name, None, [Require(r.target, opaque=r.opaque) for r in m.requires],

@@ -2,8 +2,8 @@ import pytest
 
 from conftest import (
     EXPR_TYPES, HOLES_UNDER_LAMBDAS, ID_BOUNDARY, ID_BOUNDARY_CORE,
-    ID_BOUNDARY_SLICE_U1, ID_BOUNDARY_SLICE_U1_CORE, expr_nodes, full_slice, parse_ok,
-    structurally_equal,
+    ID_BOUNDARY_SLICE_U1, ID_BOUNDARY_SLICE_U1_CORE, expr_nodes, field_values, full_slice,
+    parse_ok, structurally_equal,
 )
 from gtlc.bench import corpus_dir
 from gtlc.frontend import check_wellformed, parse_expr, parse_program
@@ -64,11 +64,11 @@ def _snapshot(p):
     each node's children by identity."""
     out = []
     for m in p.modules:
-        out.append((id(m), dict(vars(m), body=id(m.body),
-                                requires=[(id(r), dict(vars(r))) for r in m.requires])))
+        out.append((id(m), dict(field_values(m), body=id(m.body),
+                                requires=[(id(r), field_values(r)) for r in m.requires])))
         for e in expr_nodes(m.body):
             out.append((id(e), type(e), {k: id(v) if type(v) in EXPR_TYPES else v
-                                         for k, v in vars(e).items()}))
+                                         for k, v in field_values(e).items()}))
     return out
 
 
