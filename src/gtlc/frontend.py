@@ -13,12 +13,14 @@ off-limits to the verifier.  The second element of a module form is read as
 a type annotation exactly when it is `Int`, `Bool`, or a list headed by
 `->`; this resolves the grammar's one ambiguity in favour of typed modules.
 
-The reader makes one pass over the text with one regular expression,
-which yields flat token arrays (text and offset of each token) and, for
-each opening bracket, the index of its closer.  The AST is then built
-top-down from those arrays, one Python frame per nesting level, with each
-form's arity checked from the closer index before any element is parsed.
-Every node carries its span.  A text gets the diagnostic of the first
+The reader makes one pass over the text with one regular expression.  As
+that loop matches brackets it builds each form as a nested Python list:
+the form's start and end offsets, then its items, each a list or, for an
+atom, a (text, offset) tuple.  The AST is then built top-down from those
+lists by one rule per form, one Python frame per nesting level, with each
+form's arity checked from its length before any element is parsed.  Every
+node carries its span, read off the list or the atom.  Grammar errors are
+found in that top-down order.  A text gets the diagnostic of the first
 problem in this order: a character no token starts with, anywhere; then
 the first bracket error in text order (a stray or mismatched closer, or an
 opener left unclosed at the end); then the first grammar error, top-down,
@@ -100,10 +102,12 @@ _KEYWORDS = {"module", "require", "require/typed", "opaque-require",
 # Atoms that are neither names nor integers.
 _RESERVED = _KEYWORDS | {"->", "Int", "Bool", "#t", "#f"}
 _INT_START = frozenset("-0123456789")  # "->" is reserved
-_ATOM_EXPRS = {"#t": lambda span: BoolLit(True, span=span),
-               "#f": lambda span: BoolLit(False, span=span),
-               "int?": lambda span: Prim("int?", span=span),
-               "bool?": lambda span: Prim("bool?", span=span)}
+_ATOM_EXPRS = {"#t": lambda span: BoolLit(True, span),
+               "#f": lambda span: BoolLit(False, span),
+               "int?": lambda span: Prim("int?", span),
+               "bool?": lambda span: Prim("bool?", span)}
+# Heads of the forms that are not applications.
+_FORMS = frozenset({"if", "λ", "lambda", "let", "mon"})
 _TYPES = {"Int": T_INT, "Bool": T_BOOL}
 _CONTRACTS = {"int?": INT_C, "bool?": BOOL_C, "any/c": ANY_C}
 # Per require form: its allowed lengths (3 is annotated), the message for
@@ -124,40 +128,50 @@ def _error(message: str, span: Span) -> ParseError:
 
 
 class _Reader:
-    """The tokens of a text in three flat arrays: `toks[i]` is the text of
-    token i, `starts[i]` its offset, and `nxt[i]` the index just past the
-    form that starts at i (past its closer, for an opener).  A form is
-    named by the index of its first token; the top-level forms are 0,
-    nxt[0], ... up to len(toks).  `typed` is set per module; `diags`
-    collects the `require-kind-mismatch` diagnostics."""
+    """The forms of a text as nested lists.  A list form is a Python list
+    of its opener's offset, the offset just past its closer (the opener's
+    text while the token loop has it open), then its items; an atom is a
+    (text, offset) tuple.  `forms` holds the top-level forms.  `typed` is
+    set per module; `diags` collects the `require-kind-mismatch`
+    diagnostics.
 
-    __slots__ = ("toks", "starts", "nxt", "typed", "diags")
+    The rules below read an item by its position: item k of a list form
+    `f` is `f[k + 2]`.  A rule compares an atom's text `f[0]`, or a head's
+    `f[2][0]`, with a keyword or type name; for a list that is an offset,
+    so none matches it."""
+
+    __slots__ = ("forms", "typed", "diags")
 
     def __init__(self, text: str):
-        toks: list[str] = []
-        starts: list[int] = []
-        nxt: list[int] = []
-        stack: list[int] = []  # indices of the open openers
+        forms: list = []
+        cur = forms     # the innermost open form; `forms` at top level
+        stack = []      # the forms around `cur`
         bracket_error = None
         pos = 0
         for space, tok, _ in _TOKEN.findall(text):
             pos += len(space)
-            i = len(toks)
-            toks.append(tok)
-            starts.append(pos)
-            nxt.append(i + 1)
-            pos += len(tok)
             if tok in _MATCHING:
-                stack.append(i)
-            elif tok in _CLOSE and bracket_error is None:
+                form = [pos, tok]
+                cur.append(form)
+                stack.append(cur)
+                cur = form
+                pos += 1
+            elif tok in _CLOSE:
+                pos += 1
+                if bracket_error is not None:
+                    continue
                 if not stack:
                     bracket_error = _error(f"unexpected {tok!r}", (pos - 1, pos))
                     continue
-                opener = stack.pop()
-                if _MATCHING[toks[opener]] != tok:
+                opener = cur[1]
+                if _MATCHING[opener] != tok:
                     bracket_error = _error(
-                        f"mismatched {toks[opener]!r} closed by {tok!r}", (pos - 1, pos))
-                nxt[opener] = i + 1
+                        f"mismatched {opener!r} closed by {tok!r}", (pos - 1, pos))
+                cur[1] = pos
+                cur = stack.pop()
+            else:
+                cur.append((tok, pos))
+                pos += len(tok)
         # A bad character is the only match whose text `pos` did not count;
         # the first one outranks every bracket error.
         if pos != len(text):
@@ -166,160 +180,139 @@ class _Reader:
         if bracket_error is not None:
             raise bracket_error
         if stack:
-            opener = stack[-1]
-            raise _error(f"unclosed {toks[opener]!r}", (starts[opener], len(text)))
-        while toks and not toks[-1]:  # the `\Z` matches
-            toks.pop()
-        self.toks, self.starts, self.nxt = toks, starts, nxt
+            raise _error(f"unclosed {cur[1]!r}", (cur[0], len(text)))
+        while forms and forms[-1] == ("", pos):  # the `\Z` matches
+            forms.pop()
+        self.forms = forms
         self.typed, self.diags = False, []
 
-    def forms(self, i: int, end: int) -> list[int]:
-        """The indices of the forms from token i up to token `end`."""
-        found = []
-        nxt = self.nxt
-        while i < end:
-            found.append(i)
-            i = nxt[i]
-        return found
+    @staticmethod
+    def span(f) -> Span:
+        if type(f) is list:
+            return f[0], f[1]
+        return f[1], f[1] + len(f[0])
 
-    def items(self, i: int) -> Optional[list[int]]:
-        """The elements of the list opened at token i; None for an atom."""
-        if self.toks[i] not in _MATCHING:
-            return None
-        return self.forms(i + 1, self.nxt[i] - 1)
-
-    def span(self, i: int) -> Span:
-        start = self.starts[i]
-        end = self.nxt[i] - 1
-        if end == i:
-            return start, start + len(self.toks[i])
-        return start, self.starts[end] + 1
-
-    def name(self, i: int, what: str) -> str:
-        t = self.toks[i]
-        if t in _RESERVED or t in _MATCHING or t[0] in _INT_START:
-            raise _error(f"expected {what}", self.span(i))
+    def name(self, f, what: str) -> str:
+        t = f[0]
+        if type(f) is list or t in _RESERVED or t[0] in _INT_START:
+            raise _error(f"expected {what}", self.span(f))
         return t
 
-    def ty(self, i: int, leaves=_TYPES, arrow=TArrow, what="a type") -> Ty | Contract:
+    def ty(self, f, leaves=_TYPES, arrow=TArrow, what="a type") -> Ty | Contract:
         """A type, or with the other arguments a contract: an atom in
         `leaves`, or `(-> DOM COD)`."""
-        items = self.items(i)
-        if items is None:
-            t = self.toks[i]
+        if type(f) is tuple:
+            t = f[0]
             if t in leaves:
                 return leaves[t]
-            raise _error(f"expected {what}, got {t!r}", self.span(i))
-        if len(items) == 3 and self.toks[items[0]] == "->":
-            return arrow(self.ty(items[1], leaves, arrow, what),
-                         self.ty(items[2], leaves, arrow, what))
-        raise _error(f"expected {what}", self.span(i))
+            raise _error(f"expected {what}, got {t!r}", self.span(f))
+        if len(f) == 5 and f[2][0] == "->":
+            return arrow(self.ty(f[3], leaves, arrow, what),
+                         self.ty(f[4], leaves, arrow, what))
+        raise _error(f"expected {what}", self.span(f))
 
-    def expr(self, i: int, scope: Optional[frozenset[str]]) -> Expr:
-        """The expression at token i.  Each opaque term in it gets `scope`
+    def expr(self, f, scope: Optional[frozenset[str]]) -> Expr:
+        """The expression of form `f`.  Each opaque term in it gets `scope`
         plus the lambda parameters bound around it, or None when `scope` is
         None, as it is for core text, the only text with `let` and `mon`."""
-        toks = self.toks
-        t = toks[i]
-        if t not in _MATCHING:
-            start = self.starts[i]
+        if type(f) is tuple:
+            t, start = f
             span = (start, start + len(t))
             if t[0] in _INT_START and t != "->":
                 try:
-                    return IntLit(int(t), span=span)
+                    return IntLit(int(t), span)
                 except ValueError:  # longer than the interpreter converts
                     raise _error("integer literal too long", span) from None
             if t in _ATOM_EXPRS:
                 return _ATOM_EXPRS[t](span)
             if t == "opaque":
-                return Opaque(scope, span=span)
+                return Opaque(scope, span)
             if t in _RESERVED:
                 raise _error(f"{t!r} is not an expression", span)
-            return Var(t, span=span)
+            return Var(t, span)
 
-        end = self.nxt[i] - 1
-        items = self.forms(i + 1, end)
-        span = (self.starts[i], self.starts[end] + 1)
-        head = toks[i + 1]  # the closer, for an empty list
+        span = (f[0], f[1])
+        n = len(f) - 2
+        head = f[2][0] if n else None
+        if n == 2 and head not in _FORMS:
+            return App(self.expr(f[2], scope), self.expr(f[3], scope), span)
         if head in ("let", "mon") and scope is not None:
             raise _error(f"{head!r} is a core-language form, not source syntax", span)
         if head == "if":
-            if len(items) != 4:
+            if n != 4:
                 raise _error("if expects 3 subexpressions", span)
-            return If(self.expr(items[1], scope), self.expr(items[2], scope),
-                      self.expr(items[3], scope), span=span)
+            return If(self.expr(f[3], scope), self.expr(f[4], scope),
+                      self.expr(f[5], scope), span)
         if head in ("λ", "lambda"):
-            params = self.items(items[1]) if len(items) == 3 else None
-            if params is None:
+            params = f[3] if n == 3 else None
+            if type(params) is not list:
                 raise _error("malformed lambda", span)
             if self.typed:
-                if len(params) != 3 or toks[params[1]] != ":":
-                    raise _error("typed lambda expects (name : type)", self.span(items[1]))
-                name = self.name(params[0], "a parameter name")
-                ann: Optional[Ty] = self.ty(params[2])
+                if len(params) != 5 or params[3][0] != ":":
+                    raise _error("typed lambda expects (name : type)", self.span(params))
+                name = self.name(params[2], "a parameter name")
+                ann: Optional[Ty] = self.ty(params[4])
             else:
-                if len(params) != 1:
+                if len(params) != 3:
                     raise _error("untyped lambda expects a bare parameter",
-                                 self.span(items[1]))
-                name = self.name(params[0], "a parameter name")
+                                 self.span(params))
+                name = self.name(params[2], "a parameter name")
                 ann = None
             inner = None if scope is None else scope | {name}
-            return Lam(name, ann, self.expr(items[2], inner), span=span)
+            return Lam(name, ann, self.expr(f[4], inner), span)
         if head == "let":
-            binding = self.items(items[1]) if len(items) == 3 else None
-            if binding is None or len(binding) != 2:
+            binding = f[3] if n == 3 else None
+            if type(binding) is not list or len(binding) != 4:
                 raise _error("malformed let", span)
-            return Let(self.name(binding[0], "a binding name"),
-                       self.expr(binding[1], scope), self.expr(items[2], scope), span=span)
+            return Let(self.name(binding[2], "a binding name"),
+                       self.expr(binding[3], scope), self.expr(f[4], scope), span)
         if head == "mon":
-            parties = self.items(items[1]) if len(items) == 4 else None
-            if parties is None or len(parties) != 2:
+            parties = f[3] if n == 4 else None
+            if type(parties) is not list or len(parties) != 4:
                 raise _error("malformed mon", span)
-            pos = self.name(parties[0], "a party name")
-            neg = self.name(parties[1], "a party name")
-            return Mon(pos, neg, self.ty(items[2], _CONTRACTS, ArrowC, "a contract"),
-                       self.expr(items[3], scope), span=span)
-        if len(items) == 2:
-            return App(self.expr(items[0], scope), self.expr(items[1], scope), span=span)
-        raise _error(f"expected an application of one argument, got {len(items)} elements",
-                     span)
+            pos = self.name(parties[2], "a party name")
+            neg = self.name(parties[3], "a party name")
+            return Mon(pos, neg, self.ty(f[4], _CONTRACTS, ArrowC, "a contract"),
+                       self.expr(f[5], scope), span)
+        raise _error(f"expected an application of one argument, got {n} elements", span)
 
-    def require(self, i: int) -> Optional[Require]:
-        items = self.items(i)
-        head = self.toks[i + 1] if items else None
+    def require(self, f) -> Optional[Require]:
+        span = self.span(f)
+        head = f[2][0] if type(f) is list and len(f) > 2 else None
         if head not in _REQUIRES:
-            raise _error("expected a require form", self.span(i))
+            raise _error("expected a require form", span)
         lengths, malformed, untyped = _REQUIRES[head]
-        span = self.span(i)
-        if len(items) not in lengths:
+        n = len(f) - 2
+        if n not in lengths:
             raise _error(malformed, span)
-        annotated = len(items) == 3
+        annotated = n == 3
         if annotated and not self.typed:
             self.diags.append(Diagnostic("require-kind-mismatch", untyped, span))
             return None
-        return Require(self.name(items[1], "a module name"),
-                       ann=self.ty(items[2]) if annotated else None,
-                       opaque=head == "opaque-require", span=span)
+        return Require(self.name(f[3], "a module name"),
+                       self.ty(f[4]) if annotated else None,
+                       head == "opaque-require", span)
 
-    def module(self, i: int) -> Module:
-        items = self.items(i)
-        if not items or self.toks[i + 1] != "module":
-            raise _error("expected a (module ...) form", self.span(i))
-        if len(items) < 3:
-            raise _error("module needs a name and a body", self.span(i))
-        name = self.name(items[1], "a module name")
-        rest = items[2:]
+    def module(self, f) -> Module:
+        span = self.span(f)
+        if type(f) is not list or len(f) == 2 or f[2][0] != "module":
+            raise _error("expected a (module ...) form", span)
+        if len(f) < 5:
+            raise _error("module needs a name and a body", span)
+        name = self.name(f[3], "a module name")
+        rest = f[4:]
         ty: Optional[Ty] = None
-        first = self.toks[rest[0]]
-        if first in _TYPES or (first in _MATCHING and self.toks[rest[0] + 1] == "->"):
-            ty = self.ty(rest[0])
+        first = rest[0]
+        if first[0] in _TYPES or (type(first) is list and len(first) > 2
+                                  and first[2][0] == "->"):
+            ty = self.ty(first)
             rest = rest[1:]
             if not rest:
-                raise _error("typed module needs a body", self.span(i))
+                raise _error("typed module needs a body", span)
         self.typed = ty is not None
         requires = [req for r in rest[:-1] if (req := self.require(r)) is not None]
         body = self.expr(rest[-1], module_scope(requires))
-        return Module(name, ty, requires, body, span=self.span(i))
+        return Module(name, ty, requires, body, span)
 
 
 def parse_program(text: str) -> tuple[Optional[Program], list[Diagnostic]]:
@@ -330,7 +323,7 @@ def parse_program(text: str) -> tuple[Optional[Program], list[Diagnostic]]:
     try:
         reader = _Reader(text)
         diags = reader.diags
-        modules = [reader.module(i) for i in reader.forms(0, len(reader.toks))]
+        modules = [reader.module(f) for f in reader.forms]
     except ParseError as err:
         return None, diags + [err.diagnostic]
     return Program(modules), diags
@@ -340,10 +333,10 @@ def parse_expr(text: str) -> Expr:
     """Parse a single core-language expression (used for golden tests and
     the contract-core reader).  Raises ParseError on malformed input."""
     reader = _Reader(text)
-    forms = reader.forms(0, len(reader.toks))
+    forms = reader.forms
     if len(forms) != 1:
         raise _error(f"expected one expression, got {len(forms)}", (0, len(text)))
-    return reader.expr(0, None)
+    return reader.expr(forms[0], None)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +420,9 @@ def _unbound(body: Expr, names) -> tuple[list[str], Optional[Expr]]:
 # Simply-typed: `_check` checks an expression against an expected type
 # (letting opaque terms take any type the context demands) and `_synth`
 # synthesizes one.  Primitives are typed per application: they accept an
-# argument of any type and return Bool, and cannot appear unapplied.
+# argument of any type and return Bool, and cannot appear unapplied.  Both
+# dispatch on a node's exact type, most frequent first, as `_unbound` does;
+# types are interned, so they compare by identity.
 
 def _err(e: Expr, message: str) -> Diagnostic:
     return Diagnostic("type-error", message, e.span or (0, 0))
@@ -436,86 +431,91 @@ def _err(e: Expr, message: str) -> Diagnostic:
 def _synth(env: dict[str, Ty], e: Expr, diags: list[Diagnostic]) -> Optional[Ty]:
     """The type of `e`; None exactly when its diagnostics, appended to
     `diags`, are not empty."""
-    match e:
-        case IntLit(_):
-            return T_INT
-        case BoolLit(_):
-            return T_BOOL
-        case Var(name):
-            t = env.get(name)
-            if t is None:
-                diags.append(Diagnostic("unbound", f"unbound variable {name!r}",
-                                        e.span or (0, 0)))
-            return t
-        case Prim(op):
-            diags.append(_err(e, f"{op} must be applied"))
-        case Opaque():
-            diags.append(_err(e, "cannot infer a type for an opaque term"))
-        case Lam(param, ann, body):
-            if ann is None:
-                diags.append(_err(e, "unannotated lambda in a typed module body"))
-                return None
-            bt = _synth({**env, param: ann}, body, diags)
-            return None if bt is None else TArrow(ann, bt)
-        case If(test, then, orelse):
-            n = len(diags)
-            _check(env, test, T_BOOL, diags)
-            tt = _synth(env, then, diags)
-            if tt is not None:
-                _check(env, orelse, tt, diags)
-                if len(diags) == n:
-                    return tt
-        case App(fn, arg):
-            if isinstance(fn, Prim):
-                return None if _synth(env, arg, diags) is None else T_BOOL
-            ft = _synth(env, fn, diags)
-            if ft is None:
-                # An opaque operator can still be typed if the argument determines nothing.
-                return None
-            if not isinstance(ft, TArrow):
-                diags.append(_err(e, f"applied a non-function of type {ft}"))
-                return None
-            n = len(diags)
-            _check(env, arg, ft.dom, diags)
+    t = type(e)
+    if t is App:
+        fn = e.fn
+        if type(fn) is Prim:
+            return None if _synth(env, e.arg, diags) is None else T_BOOL
+        ft = _synth(env, fn, diags)
+        if ft is None:
+            # An opaque operator can still be typed if the argument determines nothing.
+            return None
+        if type(ft) is not TArrow:
+            diags.append(_err(e, f"applied a non-function of type {ft}"))
+            return None
+        n = len(diags)
+        _check(env, e.arg, ft.dom, diags)
+        return ft.cod if len(diags) == n else None
+    if t is Var:
+        ty = env.get(e.name)
+        if ty is None:
+            diags.append(Diagnostic("unbound", f"unbound variable {e.name!r}",
+                                    e.span or (0, 0)))
+        return ty
+    if t is IntLit:
+        return T_INT
+    if t is BoolLit:
+        return T_BOOL
+    if t is If:
+        n = len(diags)
+        _check(env, e.test, T_BOOL, diags)
+        tt = _synth(env, e.then, diags)
+        if tt is not None:
+            _check(env, e.orelse, tt, diags)
             if len(diags) == n:
-                return ft.cod
-        case Let(_, _, _) | Mon(_, _, _, _):
-            diags.append(_err(e, "core-language form in a surface program"))
-        case _:
-            raise TypeError(f"not an expression: {e!r}")
+                return tt
+    elif t is Lam:
+        if e.ann is None:
+            diags.append(_err(e, "unannotated lambda in a typed module body"))
+            return None
+        bt = _synth({**env, e.param: e.ann}, e.body, diags)
+        return None if bt is None else TArrow(e.ann, bt)
+    elif t is Prim:
+        diags.append(_err(e, f"{e.op} must be applied"))
+    elif t is Opaque:
+        diags.append(_err(e, "cannot infer a type for an opaque term"))
+    elif t is Let or t is Mon:
+        diags.append(_err(e, "core-language form in a surface program"))
+    else:
+        raise TypeError(f"not an expression: {e!r}")
     return None
 
 
 def _check(env: dict[str, Ty], e: Expr, expected: Ty, diags: list[Diagnostic]) -> None:
     """Append to `diags` the diagnostics of checking `e` against `expected`."""
-    match e:
-        case Opaque():
-            pass
-        case Lam(param, ann, body):
-            if ann is None:
-                diags.append(_err(e, "unannotated lambda in a typed module body"))
-            elif not isinstance(expected, TArrow):
-                diags.append(_err(e, f"lambda where {expected} was expected"))
-            elif ann != expected.dom:
-                diags.append(_err(e, f"parameter annotated {ann} but {expected.dom} expected"))
-            else:
-                _check({**env, param: ann}, body, expected.cod, diags)
-        case If(test, then, orelse):
-            _check(env, test, T_BOOL, diags)
-            _check(env, then, expected, diags)
-            _check(env, orelse, expected, diags)
-        case App(fn, arg) if isinstance(fn, Opaque):
+    t = type(e)
+    if t is App:
+        op = type(e.fn)
+        if op is Opaque:
             # (opaque ARG) checks at any type once the argument synthesizes.
-            _synth(env, arg, diags)
-        case App(fn, arg) if isinstance(fn, Prim):
-            if expected != T_BOOL:
-                diags.append(_err(e, f"{fn.op} returns Bool, not {expected}"))
+            _synth(env, e.arg, diags)
+            return
+        if op is Prim:
+            if expected is not T_BOOL:
+                diags.append(_err(e, f"{e.fn.op} returns Bool, not {expected}"))
             else:
-                _synth(env, arg, diags)
-        case _:
-            t = _synth(env, e, diags)
-            if t is not None and t != expected:
-                diags.append(_err(e, f"expected {expected}, found {t}"))
+                _synth(env, e.arg, diags)
+            return
+    elif t is If:
+        _check(env, e.test, T_BOOL, diags)
+        _check(env, e.then, expected, diags)
+        _check(env, e.orelse, expected, diags)
+        return
+    elif t is Lam:
+        if e.ann is None:
+            diags.append(_err(e, "unannotated lambda in a typed module body"))
+        elif type(expected) is not TArrow:
+            diags.append(_err(e, f"lambda where {expected} was expected"))
+        elif e.ann is not expected.dom:
+            diags.append(_err(e, f"parameter annotated {e.ann} but {expected.dom} expected"))
+        else:
+            _check({**env, e.param: e.ann}, e.body, expected.cod, diags)
+        return
+    elif t is Opaque:
+        return
+    found = _synth(env, e, diags)
+    if found is not None and found is not expected:
+        diags.append(_err(e, f"expected {expected}, found {found}"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ failed monitor check answers.  Both languages share one expression node
 family; which constructors are legal where is enforced by the frontend.
 
 Types and contracts are frozen dataclasses, immutable after construction.
-Expression, module and program nodes are plain dataclasses: no pass mutates
-them, so compiled trees share the parsed module bodies
+Expression, module and program nodes are slotted dataclasses, with no
+per-node `__dict__`: no pass mutates them, so compiled trees share the
+parsed module bodies
 (`test_no_pass_mutates_the_parsed_program` pins that).  Types and contracts
 are interned (hash-consed) in one table shared by every thread, so equal
 values are one object and `==` and `hash` are identity.
@@ -140,38 +141,38 @@ def _span_field():
     return field(default=None, compare=False, repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Var:
     name: str
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit:
     value: int
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit:
     value: bool
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Prim:
     op: str  # "int?" or "bool?"
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class App:
     fn: "Expr"
     arg: "Expr"
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     test: "Expr"
     then: "Expr"
@@ -179,7 +180,7 @@ class If:
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Lam:
     param: str
     ann: Optional[Ty]  # annotated in typed module bodies, None in untyped
@@ -187,7 +188,7 @@ class Lam:
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Opaque:
     # Names an instantiation of this hole may reference.  The reader gives
     # a hole in a module body its module's scope (`module_scope`) plus the
@@ -199,7 +200,7 @@ class Opaque:
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Let:
     """Sugar for immediate application of a lambda; kept for readable output."""
 
@@ -209,7 +210,7 @@ class Let:
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Mon:
     """Monitor `body` with `contract`; `pos` answers for the value, `neg` for its context."""
 
@@ -246,7 +247,7 @@ def subterms(e: Expr) -> Iterator[Expr]:
 # Modules and programs
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Require:
     """An import of `target`.  `ann` is set for annotated imports (a typed
     module importing an untyped one).  `opaque` marks the target as code the
@@ -258,7 +259,7 @@ class Require:
     span: Optional[Span] = _span_field()
 
 
-@dataclass
+@dataclass(slots=True)
 class Module:
     name: str
     ty: Optional[Ty]  # annotation of a typed module, None for untyped
@@ -277,7 +278,7 @@ def module_scope(requires: list[Require]) -> frozenset[str]:
     return frozenset(r.target for r in requires)
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     modules: list[Module]
 

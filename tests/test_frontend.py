@@ -106,6 +106,9 @@ _DIAGNOSTIC_TABLE = [
     ("(module t Int (opaque-require a b c) 1)" + _MAIN,
      [("parse", "malformed opaque-require", (14, 36))]),
     ("(module t Int)" + _MAIN, [("parse", "typed module needs a body", (0, 14))]),
+    # Added later, each recorded at the commit before the change it guards:
+    # a lambda's arity is checked before its parameter list.
+    ("(module t Int (λ (x y) 1 2))" + _MAIN, [("parse", "malformed lambda", (14, 27))]),
 ]
 
 
@@ -124,6 +127,11 @@ def test_diagnostics_table():
     _check({}, parse_expr("(λ (x) x)"), ARROW_II, diags)
     assert _diag_record(diags) == [
         ("type-error", "unannotated lambda in a typed module body", (0, 9))]
+    # A monitor's parties are read before its contract.
+    with pytest.raises(frontend.ParseError) as err:
+        parse_expr("(mon (1 b) bad x)")
+    assert _diag_record([err.value.diagnostic]) == [
+        ("parse", "expected a party name", (6, 7))]
     a, main = parse_ok("(module a 1) (module main (require a) a)").modules
     annotated = replace(main, requires=[replace(main.requires[0], ann=T_INT)])
     assert _diag_record(check_wellformed(Program([a, annotated]))) == [
@@ -291,6 +299,20 @@ def test_a_deep_untyped_body_is_checked_without_recursion():
     diags = check_wellformed(Program([Module("main", None, [], body)]))
     assert _diag_record(diags) == [
         ("unbound", "unbound variable 'free' in module 'main'", (0, 0))]
+
+
+def test_nine_hundred_nested_applications_parse_and_check():
+    # The nesting the reader accepts: at least 900 applications (f (f … 1)),
+    # a little under what the recursive reader reaches under pytest.  A
+    # reader that spends two Python frames per level would fail here.
+    depth = 900
+    text = ("(module main ((λ (f) " + "(f " * depth + "1" + ")" * depth
+            + ") (λ (x) x)))")
+    program, diags = parse_program(text)
+    assert program is not None and not diags
+    assert not check_wellformed(program)
+    apps = sum(type(e) is App for e in subterms(program.modules[0].body))
+    assert apps == depth + 1
 
 
 def test_wellformed_id_boundary():
